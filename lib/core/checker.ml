@@ -182,10 +182,22 @@ let read_mac m addr =
   | Some s -> s
   | None -> deny Violation.Call_mac "call MAC pointer 0x%x unreadable" addr
 
+(* Which authenticated string a deny message names: argument [i] for
+   [i >= 0], or one of the two non-argument strings. An immediate int, so
+   the allow path builds no label; [as_label] formats it on deny only. *)
+let extension_block = -1
+let predecessor_set = -2
+
+let as_label = function
+  | -1 -> "extension block"
+  | -2 -> "predecessor set"
+  | i -> Printf.sprintf "argument %d" i
+
 let read_as_header m ~ptr what =
   match Auth_string.read_header (Machine.read_byte m) ~ptr with
   | Some (len, mac) -> { Encoded.as_addr = ptr; as_len = len; as_mac = mac }
-  | None -> deny Violation.Call_mac "%s: bad authenticated-string header at 0x%x" what ptr
+  | None ->
+    deny Violation.Call_mac "%s: bad authenticated-string header at 0x%x" (as_label what) ptr
 
 (* A cache hit replaces the modeled CMAC cycles with the (much cheaper)
    hit cost, still charged to the same step counter so the Table 4
@@ -210,7 +222,7 @@ let cache_remember vcache ckey ~mac =
 
 let verify_as m steps step ~vcache ~pid key (r : Encoded.as_ref) what =
   match Machine.read_mem m ~addr:r.as_addr ~len:r.as_len with
-  | None -> deny (vstep_of step) "%s: string contents unreadable" what
+  | None -> deny (vstep_of step) "%s: string contents unreadable" (as_label what)
   | Some contents ->
     (* sound to cache: the key carries the full contents — every byte the
        string MAC covers — so tampered bytes or a tampered tag miss *)
@@ -222,7 +234,7 @@ let verify_as m steps step ~vcache ~pid key (r : Encoded.as_ref) what =
       let expect = Auth_string.mac_of key contents in
       if not (Cmac.equal_tags expect r.as_mac) then
         deny_mac (vstep_of step) ~expected:expect ~got:r.as_mac
-          "%s: string authentication failed" what;
+          "%s: string authentication failed" (as_label what);
       cache_remember vcache ckey ~mac:r.as_mac
     end;
     contents
@@ -274,7 +286,7 @@ let precomp_compile precomp ~pid ~call ~encoded ~mac =
 let control_flow_slow ~m ~steps ~vcache ~cfpre ~key (p : Process.t) ~site
     ~(pred_ref : Encoded.as_ref) ~lbp ~block =
   let pred_contents =
-    verify_as m steps Control_flow ~vcache ~pid:p.pid key pred_ref "predecessor set"
+    verify_as m steps Control_flow ~vcache ~pid:p.pid key pred_ref predecessor_set
   in
   let last_block =
     match Machine.read_word m lbp with
@@ -323,16 +335,16 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
       let const_args = List.map (fun i -> (i, r (i + 1))) (Descriptor.const_args descriptor) in
       let string_args =
         List.map
-          (fun i -> (i, read_as_header m ~ptr:(r (i + 1)) (Printf.sprintf "argument %d" i)))
+          (fun i -> (i, read_as_header m ~ptr:(r (i + 1)) i))
           (Descriptor.string_args descriptor)
       in
       let ext =
-        if Descriptor.has_ext descriptor then Some (read_as_header m ~ptr:ext_ptr "extension block")
+        if Descriptor.has_ext descriptor then Some (read_as_header m ~ptr:ext_ptr extension_block)
         else None
       in
       let control =
         if Descriptor.has_control_flow descriptor then
-          Some (read_as_header m ~ptr:pred_ptr "predecessor set", lb_ptr)
+          Some (read_as_header m ~ptr:pred_ptr predecessor_set, lb_ptr)
         else None
       in
       let call =
@@ -413,7 +425,7 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
       step_region m steps String_mac (fun () ->
         List.map
           (fun (i, ar) ->
-            (i, verify_as m steps String_mac ~vcache ~pid:p.pid key ar (Printf.sprintf "argument %d" i)))
+            (i, verify_as m steps String_mac ~vcache ~pid:p.pid key ar i))
           args)
   in
   let ext_contents =
@@ -421,7 +433,7 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
     | None -> None
     | Some ar ->
       step_region m steps Ext (fun () ->
-        Some (verify_as m steps Ext ~vcache ~pid:p.pid key ar "extension block"))
+        Some (verify_as m steps Ext ~vcache ~pid:p.pid key ar extension_block))
   in
   (* --- step 3: control-flow policy --- *)
   (match control with

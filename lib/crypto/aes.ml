@@ -1,7 +1,10 @@
-(* AES-128 (FIPS-197). The S-box is derived from first principles
-   (multiplicative inverse in GF(2^8) followed by the affine map) rather than
-   transcribed, to avoid transcription errors; correctness is pinned by the
-   FIPS-197 and NIST test vectors in the test suite. *)
+(* AES-128 (FIPS-197) in the 32-bit T-table formulation of the Rijndael
+   proposal, the form Gladman's library uses. The S-box is derived from
+   first principles (multiplicative inverse in GF(2^8) followed by the
+   affine map) rather than transcribed, to avoid transcription errors, and
+   the round tables are derived from it; correctness is pinned by the
+   FIPS-197 and NIST test vectors and by a differential property against
+   a byte-wise reference in the test suite. *)
 
 let xtime b =
   let b2 = b lsl 1 in
@@ -18,7 +21,6 @@ let gmul a b =
   loop a b 0
 
 let sbox = Array.make 256 0
-let inv_sbox = Array.make 256 0
 
 let () =
   (* Build the multiplicative inverse table by brute force (256^2 ops, once). *)
@@ -31,9 +33,30 @@ let () =
   let rotl8 x n = ((x lsl n) lor (x lsr (8 - n))) land 0xff in
   for i = 0 to 255 do
     let x = inverse.(i) in
-    let s = x lxor rotl8 x 1 lxor rotl8 x 2 lxor rotl8 x 3 lxor rotl8 x 4 lxor 0x63 in
-    sbox.(i) <- s;
-    inv_sbox.(s) <- i
+    sbox.(i) <- x lxor rotl8 x 1 lxor rotl8 x 2 lxor rotl8 x 3 lxor rotl8 x 4 lxor 0x63
+  done
+
+(* Round tables. A state column is one 32-bit word, row 0 in the top byte.
+   [te0.(x)] is MixColumns applied to a column whose only non-zero byte is
+   S(x) in row 0 — the word (2·S(x), S(x), S(x), 3·S(x)) — and [te1..te3]
+   are its rotations right by 8, 16 and 24 bits, the images of S(x) in rows
+   1..3. A full round of one output column is then four lookups XORed with
+   the round key word: SubBytes and MixColumns live in the tables, and
+   ShiftRows is which input column feeds which table. *)
+let te0 = Array.make 256 0
+let te1 = Array.make 256 0
+let te2 = Array.make 256 0
+let te3 = Array.make 256 0
+
+let () =
+  let ror w n = ((w lsr n) lor (w lsl (32 - n))) land 0xffffffff in
+  for x = 0 to 255 do
+    let s = sbox.(x) in
+    let w = (xtime s lsl 24) lor (s lsl 16) lor (s lsl 8) lor (xtime s lxor s) in
+    te0.(x) <- w;
+    te1.(x) <- ror w 8;
+    te2.(x) <- ror w 16;
+    te3.(x) <- ror w 24
   done
 
 type key = int array
@@ -69,69 +92,74 @@ let expand raw =
   done;
   w
 
-(* State is a 16-element int array in column-major order as in FIPS-197:
-   state.(r + 4*c). Input byte i maps to state.(i mod 4 + 4*(i/4)) — i.e.
-   bytes fill columns. We simply keep the state as the 16 input bytes in
-   order and index accordingly. *)
+(* Table lookup. The mask keeps the index in 0..255 whatever the caller
+   passes, which is what makes skipping the bounds check safe. *)
+let[@inline] lookup (t : int array) x = Array.unsafe_get t (x land 0xff)
 
-let add_round_key st (w : key) round =
-  for c = 0 to 3 do
-    let word = w.((round * 4) + c) in
-    st.((4 * c) + 0) <- st.((4 * c) + 0) lxor ((word lsr 24) land 0xff);
-    st.((4 * c) + 1) <- st.((4 * c) + 1) lxor ((word lsr 16) land 0xff);
-    st.((4 * c) + 2) <- st.((4 * c) + 2) lxor ((word lsr 8) land 0xff);
-    st.((4 * c) + 3) <- st.((4 * c) + 3) lxor (word land 0xff)
-  done
+let get_word src pos =
+  (Char.code (Bytes.get src pos) lsl 24)
+  lor (Char.code (Bytes.get src (pos + 1)) lsl 16)
+  lor (Char.code (Bytes.get src (pos + 2)) lsl 8)
+  lor Char.code (Bytes.get src (pos + 3))
 
-let sub_bytes st =
-  for i = 0 to 15 do
-    st.(i) <- sbox.(st.(i))
-  done
+let set_word dst pos w =
+  Bytes.set dst pos (Char.unsafe_chr ((w lsr 24) land 0xff));
+  Bytes.set dst (pos + 1) (Char.unsafe_chr ((w lsr 16) land 0xff));
+  Bytes.set dst (pos + 2) (Char.unsafe_chr ((w lsr 8) land 0xff));
+  Bytes.set dst (pos + 3) (Char.unsafe_chr (w land 0xff))
 
-(* Row r of the state is the bytes st.(r), st.(r+4), st.(r+8), st.(r+12);
-   ShiftRows rotates row r left by r. *)
-let shift_rows st =
-  let t1 = st.(1) in
-  st.(1) <- st.(5); st.(5) <- st.(9); st.(9) <- st.(13); st.(13) <- t1;
-  let t2 = st.(2) and t6 = st.(6) in
-  st.(2) <- st.(10); st.(10) <- t2; st.(6) <- st.(14); st.(14) <- t6;
-  let t15 = st.(15) in
-  st.(15) <- st.(11); st.(11) <- st.(7); st.(7) <- st.(3); st.(3) <- t15
+(* Last round: SubBytes and ShiftRows without MixColumns, so the S-box
+   itself rather than the tables. *)
+let final_word (k : key) a b c d i =
+  (lookup sbox (a lsr 24) lsl 24)
+  lor (lookup sbox (b lsr 16) lsl 16)
+  lor (lookup sbox (c lsr 8) lsl 8)
+  lor lookup sbox d
+  lxor k.(40 + i)
 
-let mix_columns st =
-  for c = 0 to 3 do
-    let i = 4 * c in
-    let a0 = st.(i) and a1 = st.(i + 1) and a2 = st.(i + 2) and a3 = st.(i + 3) in
-    st.(i) <- xtime a0 lxor (xtime a1 lxor a1) lxor a2 lxor a3;
-    st.(i + 1) <- a0 lxor xtime a1 lxor (xtime a2 lxor a2) lxor a3;
-    st.(i + 2) <- a0 lxor a1 lxor xtime a2 lxor (xtime a3 lxor a3);
-    st.(i + 3) <- (xtime a0 lxor a0) lxor a1 lxor a2 lxor xtime a3
-  done
+(* Rounds [r..9] on the state columns [s0..s3], then the last round into
+   [dst]. A top-level tail-recursive function of immediate ints: the state
+   lives in registers and a block allocates nothing. *)
+let rec rounds (k : key) r s0 s1 s2 s3 dst dst_pos =
+  if r = 10 then begin
+    set_word dst dst_pos (final_word k s0 s1 s2 s3 0);
+    set_word dst (dst_pos + 4) (final_word k s1 s2 s3 s0 1);
+    set_word dst (dst_pos + 8) (final_word k s2 s3 s0 s1 2);
+    set_word dst (dst_pos + 12) (final_word k s3 s0 s1 s2 3)
+  end
+  else begin
+    let rk = 4 * r in
+    let t0 =
+      lookup te0 (s0 lsr 24) lxor lookup te1 (s1 lsr 16) lxor lookup te2 (s2 lsr 8)
+      lxor lookup te3 s3 lxor k.(rk)
+    in
+    let t1 =
+      lookup te0 (s1 lsr 24) lxor lookup te1 (s2 lsr 16) lxor lookup te2 (s3 lsr 8)
+      lxor lookup te3 s0 lxor k.(rk + 1)
+    in
+    let t2 =
+      lookup te0 (s2 lsr 24) lxor lookup te1 (s3 lsr 16) lxor lookup te2 (s0 lsr 8)
+      lxor lookup te3 s1 lxor k.(rk + 2)
+    in
+    let t3 =
+      lookup te0 (s3 lsr 24) lxor lookup te1 (s0 lsr 16) lxor lookup te2 (s1 lsr 8)
+      lxor lookup te3 s2 lxor k.(rk + 3)
+    in
+    rounds k (r + 1) t0 t1 t2 t3 dst dst_pos
+  end
 
-(* One shared state buffer (the kernel is single-threaded and a block
-   encryption fully consumes it before returning): block encryption is on
-   the checker's per-trap path, where a fresh 16-element array per call
-   would dominate the fast paths' host-allocation budget. *)
-let st_scratch = Array.make 16 0
-
+(* The whole source block is read into the four state words before the
+   first byte of [dst] is written, which is what lets [src] and [dst]
+   alias. Both ranges are checked up front so a bad offset never leaves
+   [dst] half written. *)
 let encrypt_block key src ~pos dst ~dst_pos =
-  let st = st_scratch in
-  for i = 0 to 15 do
-    st.(i) <- Char.code (Bytes.get src (pos + i))
-  done;
-  add_round_key st key 0;
-  for round = 1 to 9 do
-    sub_bytes st;
-    shift_rows st;
-    mix_columns st;
-    add_round_key st key round
-  done;
-  sub_bytes st;
-  shift_rows st;
-  add_round_key st key 10;
-  for i = 0 to 15 do
-    Bytes.set dst (dst_pos + i) (Char.chr st.(i))
-  done
+  if pos < 0 || pos > Bytes.length src - 16 || dst_pos < 0 || dst_pos > Bytes.length dst - 16
+  then invalid_arg "Aes.encrypt_block: block out of bounds";
+  let s0 = get_word src pos lxor key.(0) in
+  let s1 = get_word src (pos + 4) lxor key.(1) in
+  let s2 = get_word src (pos + 8) lxor key.(2) in
+  let s3 = get_word src (pos + 12) lxor key.(3) in
+  rounds key 1 s0 s1 s2 s3 dst dst_pos
 
 let encrypt key block =
   if String.length block <> 16 then invalid_arg "Aes.encrypt: block must be 16 bytes";

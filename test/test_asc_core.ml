@@ -308,8 +308,8 @@ let test_tampered_string_detected () =
   let _, _, stop = run_installed ~patch inst in
   match stop with
   | Svm.Machine.Killed reason ->
-    Alcotest.(check bool) ("killed: " ^ reason) true
-      (String.length reason > 0)
+    Alcotest.(check string) "deny names the argument" "argument 0: string authentication failed"
+      reason
   | _ -> Alcotest.fail "string tampering not detected"
 
 let test_tampered_argument_detected () =

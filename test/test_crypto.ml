@@ -40,6 +40,165 @@ let test_aes_bad_key () =
   Alcotest.check_raises "short key" (Invalid_argument "Aes.expand: key must be 16 bytes")
     (fun () -> ignore (Aes.expand "short"))
 
+(* --- Byte-wise reference AES --- *)
+
+(* FIPS-197 one byte at a time: SubBytes, ShiftRows, MixColumns and
+   AddRoundKey as separate passes over a 16-byte column-major state, with
+   its own S-box and key schedule. [Aes] computes the same function with
+   round tables; the differential property below pins the two together. *)
+module Ref = struct
+  let xtime b =
+    let b2 = b lsl 1 in
+    if b land 0x80 <> 0 then (b2 lxor 0x1b) land 0xff else b2 land 0xff
+
+  let gmul a b =
+    let rec loop a b acc =
+      if b = 0 then acc
+      else
+        let acc = if b land 1 <> 0 then acc lxor a else acc in
+        loop (xtime a) (b lsr 1) acc
+    in
+    loop a b 0
+
+  let sbox =
+    let inverse = Array.make 256 0 in
+    for a = 1 to 255 do
+      for b = 1 to 255 do
+        if gmul a b = 1 then inverse.(a) <- b
+      done
+    done;
+    let rotl8 x n = ((x lsl n) lor (x lsr (8 - n))) land 0xff in
+    Array.init 256 (fun i ->
+        let x = inverse.(i) in
+        x lxor rotl8 x 1 lxor rotl8 x 2 lxor rotl8 x 3 lxor rotl8 x 4 lxor 0x63)
+
+  (* round keys as 11 x 16 bytes, in state order *)
+  let expand raw =
+    let w = Array.make 44 [||] in
+    for i = 0 to 3 do
+      w.(i) <- Array.init 4 (fun j -> Char.code raw.[(4 * i) + j])
+    done;
+    let rcon = ref 1 in
+    for i = 4 to 43 do
+      let t = Array.copy w.(i - 1) in
+      let t =
+        if i mod 4 = 0 then begin
+          let r = [| sbox.(t.(1)) lxor !rcon; sbox.(t.(2)); sbox.(t.(3)); sbox.(t.(0)) |] in
+          rcon := xtime !rcon;
+          r
+        end
+        else t
+      in
+      w.(i) <- Array.init 4 (fun j -> w.(i - 4).(j) lxor t.(j))
+    done;
+    Array.init 11 (fun r -> Array.init 16 (fun i -> w.((4 * r) + (i / 4)).(i mod 4)))
+
+  let add_round_key st rk = Array.iteri (fun i k -> st.(i) <- st.(i) lxor k) rk
+  let sub_bytes st = Array.iteri (fun i b -> st.(i) <- sbox.(b)) st
+
+  (* row r is st.(r), st.(r+4), st.(r+8), st.(r+12); rotate it left by r *)
+  let shift_rows st =
+    let old = Array.copy st in
+    for r = 0 to 3 do
+      for c = 0 to 3 do
+        st.(r + (4 * c)) <- old.(r + (4 * ((c + r) mod 4)))
+      done
+    done
+
+  let mix_columns st =
+    for c = 0 to 3 do
+      let i = 4 * c in
+      let a0 = st.(i) and a1 = st.(i + 1) and a2 = st.(i + 2) and a3 = st.(i + 3) in
+      st.(i) <- xtime a0 lxor (xtime a1 lxor a1) lxor a2 lxor a3;
+      st.(i + 1) <- a0 lxor xtime a1 lxor (xtime a2 lxor a2) lxor a3;
+      st.(i + 2) <- a0 lxor a1 lxor xtime a2 lxor (xtime a3 lxor a3);
+      st.(i + 3) <- xtime a0 lxor a0 lxor a1 lxor a2 lxor xtime a3
+    done
+
+  let encrypt raw block =
+    let rk = expand raw in
+    let st = Array.init 16 (fun i -> Char.code block.[i]) in
+    add_round_key st rk.(0);
+    for round = 1 to 9 do
+      sub_bytes st;
+      shift_rows st;
+      mix_columns st;
+      add_round_key st rk.(round)
+    done;
+    sub_bytes st;
+    shift_rows st;
+    add_round_key st rk.(10);
+    String.init 16 (fun i -> Char.chr st.(i))
+end
+
+let test_ref_fips197 () =
+  check_hex "reference FIPS-197 B" "3925841d02dc09fbdc118597196a0b32"
+    (Ref.encrypt
+       (hex "2b7e151628aed2a6abf7158809cf4f3c")
+       (hex "3243f6a8885a308d313198a2e0370734"))
+
+let prop_aes_matches_reference =
+  QCheck.Test.make ~name:"table AES = byte-wise reference" ~count:10_000
+    QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)))
+    (fun (raw, block) -> Aes.encrypt (Aes.expand raw) block = Ref.encrypt raw block)
+
+(* src == dst at non-zero offsets: the whole block is read before any of
+   it is overwritten, and the bytes around the block are left alone. *)
+let test_aes_in_place () =
+  let raw = hex "000102030405060708090a0b0c0d0e0f" in
+  let key = Aes.expand raw in
+  let block = hex "00112233445566778899aabbccddeeff" in
+  let buf = Bytes.make 40 '\xaa' in
+  Bytes.blit_string block 0 buf 5 16;
+  Aes.encrypt_block key buf ~pos:5 buf ~dst_pos:5;
+  check_hex "in place" "69c4e0d86a7b0430d8cdb78070b4c55a" (Bytes.sub_string buf 5 16);
+  Alcotest.(check string) "prefix untouched" (String.make 5 '\xaa') (Bytes.sub_string buf 0 5);
+  Alcotest.(check string) "suffix untouched" (String.make 19 '\xaa') (Bytes.sub_string buf 21 19);
+  (* overlapping, shifted: read at 3, write at 11 *)
+  Bytes.fill buf 0 40 '\000';
+  Bytes.blit_string block 0 buf 3 16;
+  Aes.encrypt_block key buf ~pos:3 buf ~dst_pos:11;
+  check_hex "overlapping shift" (Hex.encode (Ref.encrypt raw block)) (Bytes.sub_string buf 11 16)
+
+let words () = int_of_float (Gc.minor_words ())
+
+(* The trap path's block cipher and its single-block CMAC step allocate
+   nothing on the host. *)
+let test_aes_no_alloc () =
+  let raw = hex "2b7e151628aed2a6abf7158809cf4f3c" in
+  let key = Aes.expand raw and cmac_key = Cmac.of_raw raw in
+  let b = Bytes.make 16 'x' in
+  let tag = Bytes.create 16 in
+  Aes.encrypt_block key b ~pos:0 b ~dst_pos:0;
+  Cmac.mac_block_into cmac_key b ~dst:tag;
+  let w0 = words () in
+  for _ = 1 to 1000 do
+    Aes.encrypt_block key b ~pos:0 b ~dst_pos:0
+  done;
+  let w1 = words () in
+  for _ = 1 to 1000 do
+    Cmac.mac_block_into cmac_key b ~dst:tag
+  done;
+  let w2 = words () in
+  Alcotest.(check int) "Aes.encrypt_block words" 0 (w1 - w0);
+  Alcotest.(check int) "Cmac.mac_block_into words" 0 (w2 - w1)
+
+let test_aes_out_of_range () =
+  let key = Aes.expand (hex "2b7e151628aed2a6abf7158809cf4f3c") in
+  let buf = Bytes.make 20 '\000' in
+  let raises name f =
+    Bytes.fill buf 0 20 '\000';
+    (match f () with
+     | () -> Alcotest.failf "%s: accepted" name
+     | exception Invalid_argument _ -> ());
+    Alcotest.(check string)
+      (name ^ ": nothing written") (String.make 20 '\000') (Bytes.to_string buf)
+  in
+  raises "src pos past end" (fun () -> Aes.encrypt_block key buf ~pos:5 buf ~dst_pos:0);
+  raises "negative src pos" (fun () -> Aes.encrypt_block key buf ~pos:(-1) buf ~dst_pos:0);
+  raises "dst pos past end" (fun () -> Aes.encrypt_block key buf ~pos:0 buf ~dst_pos:5);
+  raises "negative dst pos" (fun () -> Aes.encrypt_block key buf ~pos:0 buf ~dst_pos:(-1))
+
 (* --- CMAC known answers (RFC 4493 section 4) --- *)
 
 let cmac_key = Cmac.of_raw (hex "2b7e151628aed2a6abf7158809cf4f3c")
@@ -237,6 +396,11 @@ let suite =
       test_streaming_final_nondestructive ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_mac_deterministic; prop_mac_distinguishes; prop_mac_key_separation;
-        prop_tag_len; prop_streaming_split; prop_streaming_save_resume ]
+        prop_tag_len; prop_streaming_split; prop_streaming_save_resume;
+        prop_aes_matches_reference ]
+  @ [ Alcotest.test_case "reference aes fips197 appendix B" `Quick test_ref_fips197;
+      Alcotest.test_case "aes in place at offsets" `Quick test_aes_in_place;
+      Alcotest.test_case "aes and cmac block step allocate nothing" `Quick test_aes_no_alloc;
+      Alcotest.test_case "aes out-of-range offsets raise" `Quick test_aes_out_of_range ]
 
 let () = Alcotest.run "asc_crypto" [ ("crypto", suite) ]

@@ -373,27 +373,55 @@ let run_mutated ~use_precomp img =
     in
     Some (stop, Kernel.stdout_of proc, steps)
 
+(* A guest that reads the modeled cycle counter sees the fast path's lower
+   charges, so its output may legitimately differ on and off — the same
+   reason a runaway loop's [Cycle_limit] stop is exempt. *)
+let reads_cycle_counter img =
+  match Svm.Obj_file.text_section img with
+  | exception Not_found -> false
+  | text ->
+    let code = Bytes.unsafe_of_string text.Svm.Obj_file.sec_payload in
+    let rec scan pos =
+      pos + 8 <= Bytes.length code
+      && ((match Svm.Isa.decode code ~pos with Some (Svm.Isa.Rdcyc _) -> true | _ -> false)
+          || scan (pos + 8))
+    in
+    scan 0
+
+let mutant (pos, byte) =
+  let b = Bytes.of_string (Lazy.force fixed_victim) in
+  let pos = 8 + (pos * 131 mod (Bytes.length b - 8)) in
+  Bytes.set b pos (Char.chr byte);
+  Svm.Obj_file.parse (Bytes.to_string b)
+
+let mutation_parity case =
+  match mutant case with
+  | Error _ -> true (* corrupt image rejected at parse time *)
+  | Ok img when reads_cycle_counter img -> true
+  | Ok img ->
+    (match (run_mutated ~use_precomp:false img, run_mutated ~use_precomp:true img) with
+     | None, None -> true
+     | Some (Svm.Machine.Cycle_limit, _, _), Some _
+     | Some _, Some (Svm.Machine.Cycle_limit, _, _) ->
+       true (* a runaway loop hits the budget at different points *)
+     | Some a, Some b ->
+       if a = b then true
+       else QCheck.Test.fail_reportf "mutation verdict diverged precomp on/off"
+     | Some _, None | None, Some _ -> QCheck.Test.fail_reportf "image load diverged precomp on/off")
+
 let prop_mutation_deny_parity =
   QCheck.Test.make ~name:"mutations trip identical verdicts precomp on/off" ~count:200
     QCheck.(pair small_nat (int_bound 255))
-    (fun (pos, byte) ->
-      let serialized = Lazy.force fixed_victim in
-      let b = Bytes.of_string serialized in
-      let pos = 8 + (pos * 131 mod (Bytes.length b - 8)) in
-      Bytes.set b pos (Char.chr byte);
-      match Svm.Obj_file.parse (Bytes.to_string b) with
-      | Error _ -> true (* corrupt image rejected at parse time *)
-      | Ok img ->
-        (match (run_mutated ~use_precomp:false img, run_mutated ~use_precomp:true img) with
-         | None, None -> true
-         | Some (Svm.Machine.Cycle_limit, _, _), Some _
-         | Some _, Some (Svm.Machine.Cycle_limit, _, _) ->
-           true (* a runaway loop hits the budget at different points *)
-         | Some a, Some b ->
-           if a = b then true
-           else QCheck.Test.fail_reportf "mutation verdict diverged precomp on/off"
-         | Some _, None | None, Some _ ->
-           QCheck.Test.fail_reportf "image load diverged precomp on/off"))
+    mutation_parity
+
+(* Regression: this mutation turns a text byte into an [Rdcyc]. Both runs
+   halt cleanly, but the guest's output depends on the modeled cycle count,
+   which the fast path lowers by design. *)
+let test_mutation_rdcyc () =
+  (match mutant (2, 56) with
+   | Ok img -> Alcotest.(check bool) "mutant reads the cycle counter" true (reads_cycle_counter img)
+   | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "exempt, not diverged" true (mutation_parity (2, 56))
 
 let props =
   List.map QCheck_alcotest.to_alcotest [ prop_differential; prop_mutation_deny_parity ]
@@ -415,4 +443,6 @@ let () =
             test_execve_invalidation;
           Alcotest.test_case "teardown empties the table" `Quick test_teardown_invalidation;
           Alcotest.test_case "hot loop savings accounted" `Quick test_hot_loop_accounting ] );
-      ("differential", props) ]
+      ( "differential",
+        props
+        @ [ Alcotest.test_case "rdcyc mutation (2, 56) exempt" `Quick test_mutation_rdcyc ] ) ]
