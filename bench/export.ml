@@ -6,23 +6,6 @@
 
 let echo = ref false (* --json: also print each document to stdout *)
 
-(* --no-vcache / --vcache-size N: shared knobs for the verified-MAC cache
-   columns of the table generators. With the cache off, table4 exports
-   under the name "table4_novcache" so the two configurations keep
-   separate baselines. *)
-let use_vcache = ref true
-let vcache_capacity = ref 1024
-
-(* --no-precomp: disable the exec-time precompiled-site table columns. Only
-   meaningful while the vcache is on (the precomp config is measured on top
-   of it); with it off, table4 exports as "table4_noprecomp". *)
-let use_precomp = ref true
-
-(* --no-cfpre: disable the precompiled control-flow bitsets + amortized
-   lbMAC chain. Measured on top of vcache+precomp (the full deployment
-   stack); with it off, table4 exports as "table4_nocfpre". *)
-let use_cfpre = ref true
-
 (* --check-baselines DIR: after writing each document, diff it against the
    committed snapshot DIR/BENCH_<name>.json. The schema must match exactly;
    numeric leaves may drift within --tolerance percent. *)

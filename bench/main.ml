@@ -11,10 +11,9 @@
    replaces rdtsc); Bechamel measures the harness's real wall-clock cost. *)
 
 let usage =
-  "usage: main.exe [table1|table2|table3|table4|table5|table6|andrew|attacks|vcache|precomp|cfpre|telemetry|ablation|bechamel|all]* \
+  "usage: main.exe [table1|table2|table3|table4|table5|table6|andrew|attacks|parity|telemetry|ablation|bechamel|all]* \
    [--scale N] [--iterations N] [--json] [--check-baselines DIR] [--tolerance PCT] \
-   [--tolerance-abs W] [--history DIR] [--history-keep N] [--no-vcache] [--vcache-size N] \
-   [--no-precomp] [--no-cfpre] [--inject-step-cost STEP PCT]\n\
+   [--tolerance-abs W] [--history DIR] [--history-keep N] [--inject-step-cost STEP PCT]\n\
    \       main.exe diff A.json B.json [--tolerance PCT] [--tolerance-abs W]\n\
    \       (diff exits 0 on match, 1 on mismatch, 2 on unreadable input)"
 
@@ -96,22 +95,12 @@ let () =
       Export.history_keep := Some (int_of_string v);
       parse rest
     | "--inject-step-cost" :: step :: pct :: rest ->
-      (* deliberate regression: inflate one checker step's cycle charges;
-         exists so CI can prove the gate-failure attribution names the
-         step and site (see bench/dune's injection smoke) *)
-      Asc_core.Checker.set_cost_injection ~step ~pct:(int_of_string pct);
-      parse rest
-    | "--no-vcache" :: rest ->
-      Export.use_vcache := false;
-      parse rest
-    | "--vcache-size" :: v :: rest ->
-      Export.vcache_capacity := int_of_string v;
-      parse rest
-    | "--no-precomp" :: rest ->
-      Export.use_precomp := false;
-      parse rest
-    | "--no-cfpre" :: rest ->
-      Export.use_cfpre := false;
+      (* deliberate regression: inflate one checker step's cycle charges
+         in the table4 monitors; exists so CI can prove the gate-failure
+         attribution names the step and site (see bench/dune's injection
+         smoke) *)
+      Microbench.inject :=
+        Some (Asc_core.Checker.cost_injection ~step ~pct:(int_of_string pct));
       parse rest
     | ("--help" | "-h") :: _ ->
       print_endline usage;
@@ -138,9 +127,7 @@ let () =
     | "table6" -> Tables.table6 ~scale:!scale ()
     | "andrew" -> Tables.andrew ~iterations:!iterations ()
     | "attacks" -> Tables.attacks ()
-    | "vcache" -> Tables.vcache_parity ()
-    | "precomp" -> Tables.precomp_parity ()
-    | "cfpre" -> Tables.cfpre_parity ()
+    | "parity" -> Tables.fastpath_parity ()
     | "telemetry" -> Tables.telemetry_gate ()
     | "ablation" ->
       Microbench.ablation_control_flow ();
@@ -157,9 +144,7 @@ let () =
       Tables.table6 ~scale:!scale ();
       Tables.andrew ~iterations:!iterations ();
       Tables.attacks ();
-      Tables.vcache_parity ();
-      Tables.precomp_parity ();
-      Tables.cfpre_parity ();
+      Tables.fastpath_parity ();
       Tables.telemetry_gate ();
       Microbench.ablation_control_flow ();
       Microbench.control_flow_step ();

@@ -61,14 +61,14 @@ let cases =
     { c_name = "brk()"; c_stdin = ""; c_setup = ignore;
       c_body = Printf.sprintf "        movi r0, %d\n        movi r1, 0\n        sys\n" (num Syscall.Brk) } ]
 
-(* Run one trial; returns the measured cycle delta together with the
-   kernel, whose per-kernel metrics registry carries the checker's
-   per-verification-step cycle counters for the run (and, with
-   [use_vcache]/[use_precomp], the fast paths' hit/miss counters), and the
-   host-side allocation gauge: minor-heap words allocated per loop
-   iteration strictly around [Kernel.run]. *)
-let measure_run ~authenticated ?(use_vcache = false) ?(use_precomp = false)
-    ?(use_cfpre = false) ~control_flow case =
+(* --inject-step-cost STEP PCT: a deliberate regression passed to every
+   authenticated monitor this module builds (see bench/dune's injection
+   smoke). *)
+let inject : Asc_core.Checker.cost_injection option ref = ref None
+
+(* A fresh kernel running [case]'s loop, armed with the reference checker
+   or (with [fast]) the deployed fast path when [authenticated]. *)
+let spawn_case ~authenticated ~fast ~control_flow case =
   let img = Svm.Asm.assemble_exn (loop_program ~body:case.c_body) in
   let img =
     if not authenticated then img
@@ -80,27 +80,21 @@ let measure_run ~authenticated ?(use_vcache = false) ?(use_precomp = false)
   in
   let kernel = Kernel.create ~personality () in
   case.c_setup kernel;
-  if authenticated then begin
-    let vcache =
-      if use_vcache then
-        Some
-          (Asc_core.Vcache.create ~capacity:!Export.vcache_capacity
-             ~registry:(Kernel.metrics kernel) ())
-      else None
-    in
-    let precomp =
-      if use_precomp then
-        Some (Asc_core.Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-      else None
-    in
-    let cfpre =
-      if use_cfpre then Some (Asc_core.Cfpre.create ~registry:(Kernel.metrics kernel) ())
-      else None
-    in
+  if authenticated then
     Kernel.set_monitor kernel
-      (Some (Asc_core.Checker.monitor ~kernel ~key ?vcache ?precomp ?cfpre ()))
-  end;
-  let proc = Kernel.spawn kernel ~stdin:case.c_stdin ~program:case.c_name img in
+      (Some
+         (Asc_core.Checker.monitor_with ~kernel ~key ?inject:!inject
+            (if fast then Some (Asc_core.Checker.fastpath ~key kernel) else None)));
+  (kernel, Kernel.spawn kernel ~stdin:case.c_stdin ~program:case.c_name img)
+
+(* Run one trial; returns the measured cycle delta together with the
+   kernel, whose per-kernel metrics registry carries the checker's
+   per-verification-step cycle counters for the run (and, with [fast],
+   the fast-path layers' counters), and the host-side allocation gauge:
+   minor-heap words allocated per loop iteration strictly around
+   [Kernel.run]. *)
+let measure_run ~authenticated ?(fast = false) ~control_flow case =
+  let kernel, proc = spawn_case ~authenticated ~fast ~control_flow case in
   let mw0 = Gc.minor_words () in
   match Kernel.run kernel proc ~max_cycles:4_000_000_000 with
   | Svm.Machine.Halted _ ->
@@ -109,10 +103,8 @@ let measure_run ~authenticated ?(use_vcache = false) ?(use_precomp = false)
   | Svm.Machine.Killed r -> failwith (case.c_name ^ " killed: " ^ r)
   | _ -> failwith (case.c_name ^ " did not complete")
 
-let measure_once ~authenticated ?use_vcache ?use_precomp ?use_cfpre ~control_flow case =
-  let cycles, _, _ =
-    measure_run ~authenticated ?use_vcache ?use_precomp ?use_cfpre ~control_flow case
-  in
+let measure_once ~authenticated ?fast ~control_flow case =
+  let cycles, _, _ = measure_run ~authenticated ?fast ~control_flow case in
   cycles
 
 (* Table 4's decomposition: per-call cycles attributed to each verification
@@ -126,17 +118,14 @@ type verification = {
   v_total : int;
 }
 
-let verification_of ?(use_vcache = false) ?(use_precomp = false) ?(use_cfpre = false)
-    ~control_flow case =
-  let _, kernel, _ =
-    measure_run ~authenticated:true ~use_vcache ~use_precomp ~use_cfpre ~control_flow case
-  in
+let verification_of ?(fast = false) ~control_flow case =
+  let _, kernel, _ = measure_run ~authenticated:true ~fast ~control_flow case in
   let raw name = Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) name) in
   let v name =
     let r = raw name in
-    (* with a fast path on, the first iteration pays the CMAC cost and later
-       ones the hit cost, so per-step charges are no longer uniform *)
-    if (not (use_vcache || use_precomp || use_cfpre)) && r mod iterations <> 0 then
+    (* with the fast path on, the first iteration pays the CMAC cost and
+       later ones the fast-path cost, so per-step charges are not uniform *)
+    if (not fast) && r mod iterations <> 0 then
       failwith (Printf.sprintf "%s: %s not uniform across iterations" case.c_name name);
     r / iterations
   in
@@ -180,131 +169,57 @@ let alloc_harness_words =
          let _, _, alloc = measure_run ~authenticated:false ~control_flow:true empty_case in
          alloc))
 
-let per_call ?(control_flow = true) ?use_vcache ?use_precomp ?use_cfpre ~authenticated case =
+let per_call ?(control_flow = true) ?fast ~authenticated case =
   let total =
-    trial_average (fun () ->
-        measure_once ~authenticated ?use_vcache ?use_precomp ?use_cfpre ~control_flow case)
+    trial_average (fun () -> measure_once ~authenticated ?fast ~control_flow case)
   in
   (total / iterations) - Lazy.force empty_loop_cost
 
-(* One Table 4 row with the verified-MAC cache on: per-call cycles, the
-   per-step decomposition, and the cache's own hit/miss counters. Gated
-   here rather than in a test so every benchmark run re-proves the cache's
-   two headline properties: it actually hits on a repeated call site, and
-   hitting is strictly cheaper than recomputing the CMAC. *)
-let vcache_row ~auth case =
-  let auth_vc = per_call ~authenticated:true ~use_vcache:true case in
-  let v_vc, raw = verification_of ~use_vcache:true ~control_flow:true case in
-  let hits = raw "vcache.hits" and misses = raw "vcache.misses" in
-  if hits = 0 then failwith (case.c_name ^ ": verified-MAC cache never hit");
-  if auth_vc >= auth then
+(* One Table 4 row's Auth+fast column: per-call cycles, the per-step
+   decomposition, and the fast-path layers' counters. Gated here rather
+   than in a test so every benchmark run re-proves the headline
+   properties: precomp and cfpre hit on a repeated call site, the fast
+   path cuts the per-call overhead over the reference checker at least
+   3x, and it cuts the control-flow step at least 3x. *)
+let fast_row ~orig ~auth ~(v : verification) case =
+  let auth_fast = per_call ~authenticated:true ~fast:true case in
+  let v_fast, raw = verification_of ~fast:true ~control_flow:true case in
+  if raw "precomp.hits" = 0 then failwith (case.c_name ^ ": precompiled-site table never hit");
+  if raw "cfpre.hits" = 0 then failwith (case.c_name ^ ": control-flow bitset table never hit");
+  if 3 * (auth_fast - orig) > auth - orig then
     failwith
-      (Printf.sprintf "%s: vcache did not reduce cycles/call (%d >= %d)" case.c_name auth_vc
-         auth);
-  (auth_vc, v_vc, hits, misses)
-
-(* One Table 4 row with both fast paths armed — the precompiled-site table
-   in front of the vcache. Two gates, re-proved on every benchmark run:
-   the table actually hits on a repeated call site, and its per-call cost
-   is *strictly* below the vcache-only column — on these static-argument
-   loops the memo hit skips even the encoded-call serialization the vcache
-   key needs. *)
-type precomp_stats = {
-  p_hits : int;
-  p_misses : int;
-  p_resumes : int;
-  p_fallbacks : int;
-  p_compiles : int;
-}
-
-(* Counters of the control-flow bitset table when it rides along (the
-   [use_cfpre] configuration below). *)
-type cfpre_stats = {
-  cf_hits : int;
-  cf_misses : int;
-  cf_fallbacks : int;
-  cf_compiles : int;
-  cf_saved : int;
-}
-
-let precomp_row ~auth_vc ~v_vc ~use_cfpre case =
-  let auth_pre =
-    per_call ~authenticated:true ~use_vcache:true ~use_precomp:true ~use_cfpre case
-  in
-  let v_pre, raw =
-    verification_of ~use_vcache:true ~use_precomp:true ~use_cfpre ~control_flow:true case
-  in
-  let stats =
-    { p_hits = raw "precomp.hits";
-      p_misses = raw "precomp.misses";
-      p_resumes = raw "precomp.resumes";
-      p_fallbacks = raw "precomp.fallbacks";
-      p_compiles = raw "precomp.compiles" }
-  in
-  if stats.p_hits = 0 then failwith (case.c_name ^ ": precompiled-site table never hit");
-  if auth_pre >= auth_vc then
+      (Printf.sprintf "%s: fast path overhead not cut 3x (%d vs %d cycles/call)" case.c_name
+         (auth_fast - orig) (auth - orig));
+  if 3 * v_fast.v_control_flow > v.v_control_flow then
     failwith
-      (Printf.sprintf "%s: precomp not strictly below the vcache path (%d >= %d)"
-         case.c_name auth_pre auth_vc);
-  let cf =
-    if not use_cfpre then None
-    else begin
-      let st =
-        { cf_hits = raw "cfpre.hits";
-          cf_misses = raw "cfpre.misses";
-          cf_fallbacks = raw "cfpre.fallbacks";
-          cf_compiles = raw "cfpre.compiles";
-          cf_saved = raw "cfpre.cycles_saved" }
-      in
-      (* the headline gates of the bitset + lbMAC-chain fast path: it hits
-         on a repeated site, and it cuts the per-call control-flow step by
-         more than 2x vs the vcache configuration *)
-      if st.cf_hits = 0 then failwith (case.c_name ^ ": control-flow bitset table never hit");
-      if 2 * v_pre.v_control_flow > v_vc.v_control_flow then
-        failwith
-          (Printf.sprintf "%s: cfpre control_flow not cut >2x (%d vs %d per call)"
-             case.c_name v_pre.v_control_flow v_vc.v_control_flow);
-      Some st
-    end
+      (Printf.sprintf "%s: fast control_flow not cut 3x (%d vs %d per call)" case.c_name
+         v_fast.v_control_flow v.v_control_flow);
+  let open Asc_obs.Json in
+  let counters layer fields =
+    (layer, Obj (List.map (fun f -> (f, Int (raw (layer ^ "." ^ f)))) fields))
   in
-  (auth_pre, v_pre, stats, cf)
+  let layers =
+    [ counters "precomp" [ "hits"; "misses"; "resumes"; "fallbacks"; "compiles" ];
+      counters "cfpre" [ "hits"; "misses"; "fallbacks"; "compiles"; "cycles_saved" ];
+      counters "vcache" [ "hits"; "misses" ] ]
+  in
+  (auth_fast, v_fast, layers)
 
 let table4 () =
-  let vc = !Export.use_vcache in
-  let pre = vc && !Export.use_precomp in
-  let cf = pre && !Export.use_cfpre in
-  Format.printf "@.Table 4: Effect of authentication (cycles per call)%s@."
-    (if not vc then " [vcache off]"
-     else if not pre then " [precomp off]"
-     else if not cf then " [cfpre off]"
-     else "");
-  if pre then
-    Format.printf "%-16s %10s %14s %10s %12s %9s %10s@." "System Call" "Original"
-      "Authenticated" "Overhead" "Auth+cache" "Hit rate"
-      (if cf then "Auth+cf" else "Auth+pre")
-  else if vc then
-    Format.printf "%-16s %10s %14s %10s %12s %9s@." "System Call" "Original" "Authenticated"
-      "Overhead" "Auth+cache" "Hit rate"
-  else Format.printf "%-16s %10s %14s %10s@." "System Call" "Original" "Authenticated" "Overhead";
+  Format.printf "@.Table 4: Effect of authentication (cycles per call)@.";
+  Format.printf "%-16s %10s %14s %10s %10s %10s@." "System Call" "Original" "Authenticated"
+    "Overhead" "Auth+fast" "Ovh+fast";
+  let pct orig v = 100. *. float_of_int (v - orig) /. float_of_int orig in
   let rows =
     List.map
       (fun case ->
         let orig = per_call ~authenticated:false case in
         let auth = per_call ~authenticated:true case in
-        let overhead = 100. *. float_of_int (auth - orig) /. float_of_int orig in
         let v, _ = verification_of ~control_flow:true case in
-        let cache = if vc then Some (vcache_row ~auth case) else None in
-        let precomp =
-          match cache with
-          | Some (auth_vc, v_vc, _, _) when pre ->
-            Some (precomp_row ~auth_vc ~v_vc ~use_cfpre:cf case)
-          | _ -> None
-        in
-        (* the allocation gauge is read at this configuration's fastest
-           settings — the deployment the row is reporting on *)
+        let auth_fast, v_fast, layers = fast_row ~orig ~auth ~v case in
+        (* the allocation gauge is read on the deployed configuration *)
         let _, akernel, alloc_raw =
-          measure_run ~authenticated:true ~use_vcache:vc ~use_precomp:pre ~use_cfpre:cf
-            ~control_flow:true case
+          measure_run ~authenticated:true ~fast:true ~control_flow:true case
         in
         let alloc = alloc_raw - Lazy.force alloc_harness_words in
         let araw name =
@@ -333,125 +248,57 @@ let table4 () =
                case.c_name known alloc);
         (* the per-pid scratch buffers must take the step's host allocation
            to (near) zero — the fast path's entire budget is the probe *)
-        if cf && a_control_flow > 16 then
+        if a_control_flow > 16 then
           failwith
             (Printf.sprintf "%s: cfpre control_flow allocates %d words/call (budget 16)"
                case.c_name a_control_flow);
-        let a_other = alloc - known in
-        let alloc_decomp =
-          (a_call_mac, a_string_mac, a_control_flow, a_ext, a_telemetry, a_other)
+        Format.printf "%-16s %10d %14d %9.1f%% %10d %9.1f%%@." case.c_name orig auth
+          (pct orig auth) auth_fast (pct orig auth_fast);
+        let open Asc_obs.Json in
+        let verification_json v =
+          Obj
+            [ ("call_mac", Int v.v_call_mac);
+              ("string_mac", Int v.v_string_mac);
+              ("control_flow", Int v.v_control_flow);
+              ("ext", Int v.v_ext);
+              ("total", Int v.v_total) ]
         in
-        (match (cache, precomp) with
-         | Some (auth_vc, _, hits, misses), Some (auth_pre, _, _, _) ->
-           Format.printf "%-16s %10d %14d %9.1f%% %12d %8.1f%% %10d@." case.c_name orig auth
-             overhead auth_vc
-             (100. *. float_of_int hits /. float_of_int (hits + misses))
-             auth_pre
-         | Some (auth_vc, _, hits, misses), None ->
-           Format.printf "%-16s %10d %14d %9.1f%% %12d %8.1f%%@." case.c_name orig auth
-             overhead auth_vc
-             (100. *. float_of_int hits /. float_of_int (hits + misses))
-         | None, _ -> Format.printf "%-16s %10d %14d %9.1f%%@." case.c_name orig auth overhead);
-        (case, orig, auth, overhead, v, cache, precomp, alloc, alloc_decomp))
+        Obj
+          ([ ("name", Str case.c_name);
+             ("original", Int orig);
+             ("authenticated", Int auth);
+             ("overhead_pct", Float (pct orig auth));
+             ("verification", verification_json v);
+             ("alloc_minor_words_per_call", Int alloc);
+             (* per-step minor words; fields sum exactly to
+                alloc_minor_words_per_call ([other] is the remainder,
+                gated non-negative above) *)
+             ( "alloc",
+               Obj
+                 [ ("call_mac", Int a_call_mac);
+                   ("string_mac", Int a_string_mac);
+                   ("control_flow", Int a_control_flow);
+                   ("ext", Int a_ext);
+                   ("telemetry", Int a_telemetry);
+                   ("other", Int (alloc - known)) ] );
+             ("authenticated_fast", Int auth_fast);
+             ("overhead_fast_pct", Float (pct orig auth_fast));
+             ("verification_fast", verification_json v_fast) ]
+           @ layers))
       cases
   in
   Format.printf "%-16s %10d@." "rdtsc cost" Svm.Cost_model.rdcyc_cost;
   Format.printf "%-16s %10d@." "loop cost" (Lazy.force empty_loop_cost);
   Format.printf "%-16s %10d words/iter@." "alloc harness" (Lazy.force alloc_harness_words);
   let open Asc_obs.Json in
-  let verification_json v =
-    Obj
-      [ ("call_mac", Int v.v_call_mac);
-        ("string_mac", Int v.v_string_mac);
-        ("control_flow", Int v.v_control_flow);
-        ("ext", Int v.v_ext);
-        ("total", Int v.v_total) ]
-  in
-  let name =
-    if not vc then "table4_novcache"
-    else if not pre then "table4_noprecomp"
-    else if not cf then "table4_nocfpre"
-    else "table4"
-  in
-  Export.write ~name
+  Export.write ~name:"table4"
     (Obj
        [ ("table", Str "table4");
          ("iterations", Int iterations);
-         ("vcache", Bool vc);
-         ("vcache_capacity", Int (if vc then !Export.vcache_capacity else 0));
-         ("precomp", Bool pre);
-         ("cfpre", Bool cf);
          ("rdtsc_cost", Int Svm.Cost_model.rdcyc_cost);
          ("loop_cost", Int (Lazy.force empty_loop_cost));
          ("alloc_harness_words", Int (Lazy.force alloc_harness_words));
-         ( "rows",
-           List
-             (List.map
-                (fun (case, orig, auth, overhead, v, cache, precomp, alloc,
-                      (a_call_mac, a_string_mac, a_control_flow, a_ext, a_telemetry, a_other)) ->
-                  Obj
-                    ([ ("name", Str case.c_name);
-                       ("original", Int orig);
-                       ("authenticated", Int auth);
-                       ("overhead_pct", Float overhead);
-                       ("verification", verification_json v);
-                       ("alloc_minor_words_per_call", Int alloc);
-                       (* per-step minor words; fields sum exactly to
-                          alloc_minor_words_per_call ([other] is the
-                          remainder, gated non-negative above) *)
-                       ( "alloc",
-                         Obj
-                           [ ("call_mac", Int a_call_mac);
-                             ("string_mac", Int a_string_mac);
-                             ("control_flow", Int a_control_flow);
-                             ("ext", Int a_ext);
-                             ("telemetry", Int a_telemetry);
-                             ("other", Int a_other) ] ) ]
-                     @ (match cache with
-                        | None -> []
-                        | Some (auth_vc, v_vc, hits, misses) ->
-                          [ ("authenticated_vcache", Int auth_vc);
-                            ( "overhead_vcache_pct",
-                              Float
-                                (100. *. float_of_int (auth_vc - orig) /. float_of_int orig)
-                            );
-                            ("verification_vcache", verification_json v_vc);
-                            ( "vcache",
-                              Obj
-                                [ ("hits", Int hits);
-                                  ("misses", Int misses);
-                                  ( "hit_rate_pct",
-                                    Float
-                                      (100. *. float_of_int hits
-                                       /. float_of_int (hits + misses)) ) ] ) ])
-                     @
-                     match precomp with
-                     | None -> []
-                     | Some (auth_pre, v_pre, st, cfst) ->
-                       [ ("authenticated_precomp", Int auth_pre);
-                         ( "overhead_precomp_pct",
-                           Float (100. *. float_of_int (auth_pre - orig) /. float_of_int orig)
-                         );
-                         ("verification_precomp", verification_json v_pre);
-                         ( "precomp",
-                           Obj
-                             [ ("hits", Int st.p_hits);
-                               ("misses", Int st.p_misses);
-                               ("resumes", Int st.p_resumes);
-                               ("fallbacks", Int st.p_fallbacks);
-                               ("compiles", Int st.p_compiles) ] ) ]
-                       @
-                       match cfst with
-                       | None -> []
-                       | Some cfst ->
-                         [ ( "cfpre",
-                             Obj
-                               [ ("hits", Int cfst.cf_hits);
-                                 ("misses", Int cfst.cf_misses);
-                                 ("fallbacks", Int cfst.cf_fallbacks);
-                                 ("compiles", Int cfst.cf_compiles);
-                                 ("cycles_saved", Int cfst.cf_saved) ] ) ]))
-                rows) ) ])
+         ("rows", List rows) ])
 
 (* --- gate attribution -------------------------------------------------- *)
 
@@ -459,34 +306,8 @@ let table4 () =
    site whose subtree carries the named checker step — the "+412 cycles
    in <kernel:control_flow> at getpid@site_0x18" half of a gate failure
    message. Returns the heaviest (site frame, step cycles) pair. *)
-let profile_step_site ~use_vcache ~use_precomp ~use_cfpre ~step case =
-  let img = Svm.Asm.assemble_exn (loop_program ~body:case.c_body) in
-  let img =
-    match Asc_core.Installer.install ~key ~personality ~program:case.c_name img with
-    | Ok inst -> inst.Asc_core.Installer.image
-    | Error e -> failwith (case.c_name ^ ": " ^ e)
-  in
-  let kernel = Kernel.create ~personality () in
-  case.c_setup kernel;
-  let vcache =
-    if use_vcache then
-      Some
-        (Asc_core.Vcache.create ~capacity:!Export.vcache_capacity
-           ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  let precomp =
-    if use_precomp then
-      Some (Asc_core.Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  let cfpre =
-    if use_cfpre then Some (Asc_core.Cfpre.create ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  Kernel.set_monitor kernel
-    (Some (Asc_core.Checker.monitor ~kernel ~key ?vcache ?precomp ?cfpre ()));
-  let proc = Kernel.spawn kernel ~stdin:case.c_stdin ~program:case.c_name img in
+let profile_step_site ~fast ~step case =
+  let kernel, proc = spawn_case ~authenticated:true ~fast ~control_flow:true case in
   let prof = Asc_obs.Profile.create () in
   Svm.Machine.attach_profile proc.Process.machine prof;
   (match Kernel.run kernel proc ~max_cycles:4_000_000_000 with
@@ -528,15 +349,7 @@ let attribute_gate ~file ~baseline ~actual =
     let open Asc_obs.Json in
     let rows doc = match member "rows" doc with Some (List rs) -> rs | _ -> [] in
     let arows = rows actual in
-    (* the fastest configuration measured by this file: table4_nocfpre pins
-       the vcache+precomp stack, every other table4 variant with precomp on
-       also arms the control-flow bitsets *)
-    let cf_on = file <> "BENCH_table4_nocfpre.json" in
-    let verif_keys =
-      [ ("verification", (false, false, false));
-        ("verification_vcache", (true, false, false));
-        ("verification_precomp", (true, true, cf_on)) ]
-    in
+    let verif_keys = [ ("verification", false); ("verification_fast", true) ] in
     let step_names = [ "call_mac"; "string_mac"; "control_flow"; "ext" ] in
     let best = ref None in
     List.iteri
@@ -569,12 +382,12 @@ let attribute_gate ~file ~baseline ~actual =
       (rows baseline);
     match !best with
     | None -> ()
-    | Some (_, d, name, step, (use_vcache, use_precomp, use_cfpre), b, a) ->
+    | Some (_, d, name, step, fast, b, a) ->
       let case = List.find_opt (fun c -> c.c_name = name) cases in
       let site =
         match case with
         | Some case ->
-          (try profile_step_site ~use_vcache ~use_precomp ~use_cfpre ~step case with _ -> None)
+          (try profile_step_site ~fast ~step case with _ -> None)
         | None -> None
       in
       let where = match site with Some (s, _) -> " at " ^ s | None -> "" in
@@ -596,43 +409,27 @@ let ablation_control_flow () =
 
 (* Microbenchmark isolating the §3.4 control-flow step: per-call cycles and
    minor words charged to checker.{cycles,alloc}.control_flow on the getpid
-   loop, in the three ways the step can execute — the full string-MAC slow
-   path (predecessor-set CMAC + two from-scratch lbMAC CMACs), the vcache
-   configuration (pred-set proof memoized, lbMACs still recomputed in
-   full), and the cfpre fast path (bitset load+test + single-AES lbMAC
-   chain steps against per-pid scratch). Each configuration must be
-   strictly cheaper than the previous, and the fast path's allocation must
-   sit within the per-pid-scratch budget. *)
+   loop, in the two ways the step can execute — the reference string-MAC
+   path (predecessor-set CMAC + two from-scratch lbMAC CMACs) and the
+   cfpre fast path (bitset load+test + single-AES lbMAC chain steps
+   against per-pid scratch). The fast path must cut the step at least 3x,
+   and its allocation must sit within the per-pid-scratch budget. *)
 let control_flow_step () =
   Format.printf "@.Microbench: the control-flow step in isolation (getpid, per call)@.";
   Format.printf "%-38s %10s %10s@." "configuration" "cycles" "words";
   let case = List.hd cases in
-  let row name ~use_vcache ~use_precomp ~use_cfpre =
-    let _, kernel, _ =
-      measure_run ~authenticated:true ~use_vcache ~use_precomp ~use_cfpre ~control_flow:true
-        case
-    in
+  let row name ~fast =
+    let _, kernel, _ = measure_run ~authenticated:true ~fast ~control_flow:true case in
     let raw n = Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) n) in
     let cyc = raw "checker.cycles.control_flow" / iterations in
     let words = raw "checker.alloc.control_flow" / iterations in
     Format.printf "%-38s %10d %10d@." name cyc words;
     (cyc, words)
   in
-  let slow, _ =
-    row "string-MAC slow path" ~use_vcache:false ~use_precomp:false ~use_cfpre:false
-  in
-  let vc, _ =
-    row "vcache memo + full lbMAC recompute" ~use_vcache:true ~use_precomp:false
-      ~use_cfpre:false
-  in
-  let fast, fast_words =
-    row "bitset hit + lbMAC chain resume" ~use_vcache:true ~use_precomp:true ~use_cfpre:true
-  in
-  if not (fast < vc && vc < slow) then
-    failwith
-      (Printf.sprintf
-         "control-flow step not strictly decreasing across configurations (%d, %d, %d)" slow
-         vc fast);
+  let slow, _ = row "string-MAC reference path" ~fast:false in
+  let fast, fast_words = row "bitset hit + lbMAC chain step" ~fast:true in
+  if 3 * fast > slow then
+    failwith (Printf.sprintf "control-flow step not cut 3x by the fast path (%d vs %d)" fast slow);
   if fast_words > 16 then
     failwith
       (Printf.sprintf "control-flow fast path allocates %d words/call (budget 16)" fast_words)

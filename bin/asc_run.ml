@@ -5,10 +5,10 @@ open Cmdliner
 open Oskernel
 
 (* One machine-readable stats document for the whole run: machine cycles,
-   fast-path cache counters, the host GC's work during the run (deltas of
+   fast-path layer counters, the host GC's work during the run (deltas of
    Gc.quick_stat around Kernel.run) and the kernel telemetry plane's
    aggregate (reason mix, per-syscall quantiles, per-site rollups). *)
-let stats_json kernel proc ~vcache ~precomp ~cfpre ~gc0 ~gc1 ~minor0 ~minor1 =
+let stats_json kernel proc ~fast ~gc0 ~gc1 ~minor0 ~minor1 =
   let module Json = Asc_obs.Json in
   let gc_fields =
     let dw f = Json.Int (int_of_float (f gc1 -. f gc0)) in
@@ -24,52 +24,17 @@ let stats_json kernel proc ~vcache ~precomp ~cfpre ~gc0 ~gc1 ~minor0 ~minor1 =
               Json.Int (gc1.Gc.minor_collections - gc0.Gc.minor_collections) ) ] ) ]
   in
   let tel = Kernel.telemetry kernel in
-  let cache_fields =
-    (match vcache with
-     | None -> []
-     | Some vc ->
-       [ ( "vcache",
-           Json.Obj
-             [ ("hits", Json.Int (Asc_core.Vcache.hits vc));
-               ("misses", Json.Int (Asc_core.Vcache.misses vc));
-               ("evictions", Json.Int (Asc_core.Vcache.evictions vc));
-               ("invalidations", Json.Int (Asc_core.Vcache.invalidations vc));
-               ("cycles_saved", Json.Int (Asc_core.Vcache.cycles_saved vc)) ] ) ])
-    @
-    (match precomp with
-     | None -> []
-     | Some pc ->
-       [ ( "precomp",
-           Json.Obj
-             [ ("hits", Json.Int (Asc_core.Precomp.hits pc));
-               ("resumes", Json.Int (Asc_core.Precomp.resumes pc));
-               ("fallbacks", Json.Int (Asc_core.Precomp.fallbacks pc));
-               ("compiles", Json.Int (Asc_core.Precomp.compiles pc));
-               ("invalidations", Json.Int (Asc_core.Precomp.invalidations pc));
-               ("cycles_saved", Json.Int (Asc_core.Precomp.cycles_saved pc)) ] ) ])
-    @
-    (match cfpre with
-     | None -> []
-     | Some cf ->
-       [ ( "cfpre",
-           Json.Obj
-             [ ("hits", Json.Int (Asc_core.Cfpre.hits cf));
-               ("misses", Json.Int (Asc_core.Cfpre.misses cf));
-               ("fallbacks", Json.Int (Asc_core.Cfpre.fallbacks cf));
-               ("compiles", Json.Int (Asc_core.Cfpre.compiles cf));
-               ("invalidations", Json.Int (Asc_core.Cfpre.invalidations cf));
-               ("cycles_saved", Json.Int (Asc_core.Cfpre.cycles_saved cf)) ] ) ])
-  in
+  let fast_fields = match fast with Some fp -> Common.fastpath_json fp | None -> [] in
   Json.Obj
     ([ ("tool", Json.Str "asc-run");
        ("cycles", Json.Int proc.Process.machine.Svm.Machine.cycles);
        ("syscalls", Json.Int (Kernel.syscall_count kernel));
        ("denied", Json.Int (Kernel.denied_count kernel)) ]
-     @ cache_fields @ gc_fields
+     @ fast_fields @ gc_fields
      @ [ ("telemetry", Asc_obs.Telemetry.stats_to_json tel (Asc_obs.Telemetry.aggregate tel)) ])
 
 let run input key_hex os enforce stdin_text normalize files libs audit_out stats_out
-    verbose_stats no_vcache vcache_size no_precomp no_cfpre =
+    verbose_stats no_fastpath =
   let ( let* ) = Result.bind in
   let result =
     let* personality = Common.personality_of_string os in
@@ -91,33 +56,14 @@ let run input key_hex os enforce stdin_text normalize files libs audit_out stats
              | Error e -> Error (Oskernel.Errno.name e)))
         (Ok ()) files
     in
-    let* vcache, precomp, cfpre =
-      if not enforce then Ok (None, None, None)
+    let* fast =
+      if not enforce then Ok None
       else
         let* key = Common.key_of_hex key_hex in
-        let* vcache =
-          if no_vcache then Ok None
-          else if vcache_size < 1 then
-            Error (Printf.sprintf "--vcache-size must be >= 1, got %d" vcache_size)
-          else
-            Ok
-              (Some
-                 (Asc_core.Vcache.create ~capacity:vcache_size
-                    ~registry:(Kernel.metrics kernel) ()))
-        in
-        let precomp =
-          if no_precomp then None
-          else Some (Asc_core.Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-        in
-        let cfpre =
-          if no_cfpre then None
-          else Some (Asc_core.Cfpre.create ~registry:(Kernel.metrics kernel) ())
-        in
+        let fast = if no_fastpath then None else Some (Asc_core.Checker.fastpath ~key kernel) in
         Kernel.set_monitor kernel
-          (Some
-             (Asc_core.Checker.monitor ~kernel ~key ~normalize_paths:normalize ?vcache
-                ?precomp ?cfpre ()));
-        Ok (vcache, precomp, cfpre)
+          (Some (Asc_core.Checker.monitor_with ~kernel ~key ~normalize_paths:normalize fast));
+        Ok fast
     in
     (* --audit-out: record every audit entry in a tamper-evident CMAC chain
        (keyed like the checker) and export it as JSONL after the run *)
@@ -162,40 +108,11 @@ let run input key_hex os enforce stdin_text normalize files libs audit_out stats
     let err = Kernel.stderr_of proc in
     if err <> "" then Format.eprintf "%s" err;
     Format.eprintf "[%d cycles]@." proc.Process.machine.Svm.Machine.cycles;
-    if verbose_stats then begin
-      (match vcache with
-       | Some vc ->
-         Format.eprintf
-           "[vcache: %d hits, %d misses, %d evictions, %d invalidations, %d cycles saved]@."
-           (Asc_core.Vcache.hits vc) (Asc_core.Vcache.misses vc)
-           (Asc_core.Vcache.evictions vc) (Asc_core.Vcache.invalidations vc)
-           (Asc_core.Vcache.cycles_saved vc)
-       | None -> ());
-      (match precomp with
-       | Some pc ->
-         Format.eprintf
-           "[precomp: %d hits, %d resumes, %d fallbacks, %d compiles, %d invalidations, %d \
-            cycles saved]@."
-           (Asc_core.Precomp.hits pc) (Asc_core.Precomp.resumes pc)
-           (Asc_core.Precomp.fallbacks pc) (Asc_core.Precomp.compiles pc)
-           (Asc_core.Precomp.invalidations pc) (Asc_core.Precomp.cycles_saved pc)
-       | None -> ());
-      (match cfpre with
-       | Some cf ->
-         Format.eprintf
-           "[cfpre: %d hits, %d misses, %d fallbacks, %d compiles, %d invalidations, %d \
-            cycles saved]@."
-           (Asc_core.Cfpre.hits cf) (Asc_core.Cfpre.misses cf)
-           (Asc_core.Cfpre.fallbacks cf) (Asc_core.Cfpre.compiles cf)
-           (Asc_core.Cfpre.invalidations cf) (Asc_core.Cfpre.cycles_saved cf)
-       | None -> ())
-    end;
+    if verbose_stats then Option.iter Common.print_fastpath_stats fast;
     (match stats_out with
      | Some path ->
        Common.write_file path
-         (Asc_obs.Json.to_string
-            (stats_json kernel proc ~vcache ~precomp ~cfpre ~gc0 ~gc1 ~minor0 ~minor1)
-          ^ "\n")
+         (Asc_obs.Json.to_string (stats_json kernel proc ~fast ~gc0 ~gc1 ~minor0 ~minor1) ^ "\n")
      | None -> ());
     (match (authlog, audit_out) with
      | Some log, Some path ->
@@ -281,37 +198,14 @@ let audit_out_arg =
 let stats_out_arg =
   Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE"
          ~doc:"Write a machine-readable JSON stats document after the run: machine \
-               cycles, vcache/precomp counters, host GC deltas (minor/major/promoted \
+               cycles, fast-path layer counters, host GC deltas (minor/major/promoted \
                words, minor collections) and the kernel telemetry aggregate \
                (reason mix, per-syscall latency quantiles, per-site rollups).")
 
 let verbose_stats_arg =
   Arg.(value & flag & info [ "verbose-stats" ]
-         ~doc:"Also print the human-readable vcache/precomp summary lines on stderr \
-               (prefer $(b,--stats-out) for tooling).")
-
-let no_vcache_arg =
-  Arg.(value & flag & info [ "no-vcache" ]
-         ~doc:"Disable the checker's verified-MAC cache (every call recomputes its CMACs). \
-               Only meaningful with $(b,--enforce).")
-
-let vcache_size_arg =
-  Arg.(value & opt int 1024 & info [ "vcache-size" ] ~docv:"N"
-         ~doc:"Capacity (entries) of the checker's verified-MAC cache; least-recently-used \
-               entries are evicted beyond it.")
-
-let no_precomp_arg =
-  Arg.(value & flag & info [ "no-precomp" ]
-         ~doc:"Disable the checker's precompiled-site table (no exec-time per-site fast \
-               path; every call serializes and verifies through the slow path / vcache). \
-               Only meaningful with $(b,--enforce).")
-
-let no_cfpre_arg =
-  Arg.(value & flag & info [ "no-cfpre" ]
-         ~doc:"Disable the checker's precompiled control-flow bitsets and amortized \
-               lbMAC chain (every call re-verifies the predecessor-set string and \
-               recomputes both policy-state CMACs from scratch). Only meaningful with \
-               $(b,--enforce).")
+         ~doc:"Also print the human-readable fast-path summary lines (vcache, precomp, \
+               cfpre) on stderr (prefer $(b,--stats-out) for tooling).")
 
 let cmd =
   let doc = "run a program on the simulated kernel" in
@@ -320,6 +214,6 @@ let cmd =
     Term.(
       const run $ input_arg $ key_arg $ os_arg $ enforce_arg $ stdin_arg $ normalize_arg
       $ file_arg $ lib_arg $ audit_out_arg $ stats_out_arg $ verbose_stats_arg
-      $ no_vcache_arg $ vcache_size_arg $ no_precomp_arg $ no_cfpre_arg)
+      $ Common.no_fastpath_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -34,8 +34,7 @@ type pid_row = {
    sees concurrent shards the way a real fleet kernel would. Per-pid rows
    are aggregate deltas around each run — exact, because [Telemetry.merge]
    is count-conserving. *)
-let run_fleet ~personality ~key ~procs ~scale ~interval ~no_vcache ~no_precomp ~no_cfpre
-    ?authlog names =
+let run_fleet ~personality ~key ~procs ~scale ~interval ~no_fastpath ?authlog names =
   let ( let* ) = Result.bind in
   let* workloads =
     List.fold_left
@@ -53,20 +52,8 @@ let run_fleet ~personality ~key ~procs ~scale ~interval ~no_vcache ~no_precomp ~
    | None -> ());
   let tel = Kernel.telemetry kernel in
   if interval > 0 then Telemetry.set_emitter tel ~interval;
-  let vcache =
-    if no_vcache then None
-    else Some (Asc_core.Vcache.create ~capacity:1024 ~registry:(Kernel.metrics kernel) ())
-  in
-  let precomp =
-    if no_precomp then None
-    else Some (Asc_core.Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-  in
-  let cfpre =
-    if no_cfpre then None
-    else Some (Asc_core.Cfpre.create ~registry:(Kernel.metrics kernel) ())
-  in
-  Kernel.set_monitor kernel
-    (Some (Asc_core.Checker.monitor ~kernel ~key ?vcache ?precomp ?cfpre ()));
+  let fast = if no_fastpath then None else Some (Asc_core.Checker.fastpath ~key kernel) in
+  Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor_with ~kernel ~key fast));
   let* images =
     List.fold_left
       (fun acc (w : Workloads.Registry.t) ->
@@ -104,7 +91,7 @@ let run_fleet ~personality ~key ~procs ~scale ~interval ~no_vcache ~no_precomp ~
           pr_stop = stop_name stop })
   in
   let minor_words = int_of_float (Gc.minor_words () -. minor0) in
-  Ok (kernel, tel, rows, !machine_cycles, minor_words, vcache, precomp, cfpre)
+  Ok (kernel, tel, rows, !machine_cycles, minor_words, fast)
 
 let deny_idx = Telemetry.reason_index (Telemetry.Deny "")
 let fallback_indices = [ 2; 3; 4 ] (* no_entry, statics, tag *)
@@ -307,8 +294,8 @@ let print_human ~procs ~scale ~names ~interval ?health tel rows machine_cycles m
       (List.length snaps) interval;
   match health with Some h -> print_health h | None -> ()
 
-let run procs workloads_csv scale key_hex os json interval snapshots_out no_vcache no_precomp
-    no_cfpre rules_spec alerts_out audit_out verbose_stats =
+let run procs workloads_csv scale key_hex os json interval snapshots_out no_fastpath rules_spec
+    alerts_out audit_out verbose_stats =
   let ( let* ) = Result.bind in
   let result =
     let* () = if procs < 1 then Error "--procs must be >= 1" else Ok () in
@@ -330,9 +317,8 @@ let run procs workloads_csv scale key_hex os json interval snapshots_out no_vcac
     let authlog =
       match audit_out with Some _ -> Some (Asc_obs.Authlog.create ~key ()) | None -> None
     in
-    let* kernel, tel, rows, machine_cycles, minor_words, vcache, precomp, cfpre =
-      run_fleet ~personality ~key ~procs ~scale ~interval ~no_vcache ~no_precomp ~no_cfpre
-        ?authlog names
+    let* kernel, tel, rows, machine_cycles, minor_words, fast =
+      run_fleet ~personality ~key ~procs ~scale ~interval ~no_fastpath ?authlog names
     in
     (match snapshots_out with
      | Some path -> Common.write_file path (Telemetry.snapshots_jsonl tel)
@@ -363,34 +349,7 @@ let run procs workloads_csv scale key_hex os json interval snapshots_out no_vcac
          | None -> ());
         Some (engine, trs)
     in
-    if verbose_stats then begin
-      (match vcache with
-       | Some vc ->
-         Format.eprintf
-           "[vcache: %d hits, %d misses, %d evictions, %d invalidations, %d cycles saved]@."
-           (Asc_core.Vcache.hits vc) (Asc_core.Vcache.misses vc)
-           (Asc_core.Vcache.evictions vc) (Asc_core.Vcache.invalidations vc)
-           (Asc_core.Vcache.cycles_saved vc)
-       | None -> ());
-      (match precomp with
-       | Some pc ->
-         Format.eprintf
-           "[precomp: %d hits, %d resumes, %d fallbacks, %d compiles, %d invalidations, %d \
-            cycles saved]@."
-           (Asc_core.Precomp.hits pc) (Asc_core.Precomp.resumes pc)
-           (Asc_core.Precomp.fallbacks pc) (Asc_core.Precomp.compiles pc)
-           (Asc_core.Precomp.invalidations pc) (Asc_core.Precomp.cycles_saved pc)
-       | None -> ());
-      (match cfpre with
-       | Some cf ->
-         Format.eprintf
-           "[cfpre: %d hits, %d misses, %d fallbacks, %d compiles, %d invalidations, %d \
-            cycles saved]@."
-           (Asc_core.Cfpre.hits cf) (Asc_core.Cfpre.misses cf)
-           (Asc_core.Cfpre.fallbacks cf) (Asc_core.Cfpre.compiles cf)
-           (Asc_core.Cfpre.invalidations cf) (Asc_core.Cfpre.cycles_saved cf)
-       | None -> ())
-    end;
+    if verbose_stats then Option.iter Common.print_fastpath_stats fast;
     (match (authlog, audit_out) with
      | Some log, Some path ->
        Asc_obs.Authlog.export_file log path;
@@ -447,16 +406,6 @@ let snapshots_out_arg =
   Arg.(value & opt (some string) None & info [ "snapshots-out" ] ~docv:"FILE"
          ~doc:"Write the time-series snapshots as JSONL (one row per interval).")
 
-let no_vcache_arg =
-  Arg.(value & flag & info [ "no-vcache" ] ~doc:"Disable the verified-MAC cache.")
-
-let no_precomp_arg =
-  Arg.(value & flag & info [ "no-precomp" ] ~doc:"Disable the precompiled-site table.")
-
-let no_cfpre_arg =
-  Arg.(value & flag & info [ "no-cfpre" ]
-         ~doc:"Disable the precompiled control-flow bitsets and amortized lbMAC chain.")
-
 let rules_arg =
   Arg.(value & opt (some string) None & info [ "rules" ] ~docv:"FILE"
          ~doc:"Evaluate fleet-health SLO rules over the telemetry snapshots: $(b,default) \
@@ -473,16 +422,15 @@ let audit_out_arg =
 
 let verbose_stats_arg =
   Arg.(value & flag & info [ "verbose-stats" ]
-         ~doc:"Print verification-cache and precompiled-policy statistics to stderr after \
-               the run (asc-run's format).")
+         ~doc:"Print the fast-path layers' statistics (vcache, precomp, cfpre) to stderr \
+               after the run (asc-run's format).")
 
 let cmd =
   let doc = "aggregate fleet telemetry from a simulated multi-process run" in
   Cmd.v (Cmd.info "asc-top" ~doc)
     Term.(
       const run $ procs_arg $ workloads_arg $ scale_arg $ key_arg $ os_arg $ json_arg
-      $ interval_arg $ snapshots_out_arg $ no_vcache_arg $ no_precomp_arg $ no_cfpre_arg
-      $ rules_arg
-      $ alerts_out_arg $ audit_out_arg $ verbose_stats_arg)
+      $ interval_arg $ snapshots_out_arg $ Common.no_fastpath_arg $ rules_arg $ alerts_out_arg
+      $ audit_out_arg $ verbose_stats_arg)
 
 let () = exit (Cmd.eval' cmd)

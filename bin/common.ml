@@ -48,3 +48,58 @@ let key_of_hex hex =
   | raw when String.length raw = 16 -> Ok (Asc_crypto.Cmac.of_raw raw)
   | _ -> Error "key must be 32 hex digits (128 bits)"
   | exception Invalid_argument e -> Error e
+
+(* --no-fastpath: asc_run and asc_top arm the checker's deployed fast path
+   (vcache, precomp and cfpre as one unit) unless told not to. *)
+let no_fastpath_arg =
+  Cmdliner.Arg.(
+    value & flag
+    & info [ "no-fastpath" ]
+        ~doc:"Run the paper's reference checker: disarm the deployed fast path (the \
+              verified-string cache, the precompiled call sites and the control-flow \
+              bitsets). Verdicts are identical either way; only cycles move.")
+
+(* The fast-path layers' counters, in the order both the --verbose-stats
+   lines and the --stats-out objects print them. *)
+let fastpath_counters (fp : Asc_core.Checker.fastpath) =
+  let open Asc_core in
+  [ ( "vcache",
+      [ ("hits", Vcache.hits fp.vcache);
+        ("misses", Vcache.misses fp.vcache);
+        ("evictions", Vcache.evictions fp.vcache);
+        ("invalidations", Vcache.invalidations fp.vcache);
+        ("cycles_saved", Vcache.cycles_saved fp.vcache) ] );
+    ( "precomp",
+      [ ("hits", Precomp.hits fp.precomp);
+        ("resumes", Precomp.resumes fp.precomp);
+        ("fallbacks", Precomp.fallbacks fp.precomp);
+        ("compiles", Precomp.compiles fp.precomp);
+        ("invalidations", Precomp.invalidations fp.precomp);
+        ("cycles_saved", Precomp.cycles_saved fp.precomp) ] );
+    ( "cfpre",
+      [ ("hits", Cfpre.hits fp.cfpre);
+        ("misses", Cfpre.misses fp.cfpre);
+        ("fallbacks", Cfpre.fallbacks fp.cfpre);
+        ("compiles", Cfpre.compiles fp.cfpre);
+        ("invalidations", Cfpre.invalidations fp.cfpre);
+        ("cycles_saved", Cfpre.cycles_saved fp.cfpre) ] ) ]
+
+(* --verbose-stats: one "[layer: N hits, N misses, ...]" line per layer
+   on stderr *)
+let print_fastpath_stats fp =
+  List.iter
+    (fun (layer, fields) ->
+      Format.eprintf "[%s: %s]@." layer
+        (String.concat ", "
+           (List.map
+              (fun (k, v) ->
+                Printf.sprintf "%d %s" v (String.map (fun c -> if c = '_' then ' ' else c) k))
+              fields)))
+    (fastpath_counters fp)
+
+(* --stats-out: one JSON object per layer *)
+let fastpath_json fp =
+  List.map
+    (fun (layer, fields) ->
+      (layer, Asc_obs.Json.Obj (List.map (fun (k, v) -> (k, Asc_obs.Json.Int v)) fields)))
+    (fastpath_counters fp)

@@ -10,8 +10,7 @@
    Run with: dune exec examples/attack_demo.exe *)
 
 let show name (description : string)
-    (f : ?use_vcache:bool -> ?use_precomp:bool -> ?use_cfpre:bool -> protected:bool -> unit -> Attacks.outcome)
-    =
+    (f : ?fastpath:bool -> protected:bool -> unit -> Attacks.outcome) =
   Format.printf "@.=== %s ===@.%s@." name description;
   Format.printf "  unprotected:   %a@." Attacks.pp_outcome (f ~protected:false ());
   Format.printf "  authenticated: %a@." Attacks.pp_outcome (f ~protected:true ())

@@ -87,34 +87,19 @@ let check_no_newline payload what =
                            delivered through read_line" what i))
     payload
 
-(* [use_vcache] arms the checker's verified-MAC cache, [use_precomp] the
-   precompiled-site table and [use_cfpre] the control-flow bitsets, used to
-   assert that every attack trips the exact same violation step with the
-   fast paths on: tampered bytes can never hit the cache, and every
-   precomp/cfpre mismatch falls back to the slow path, so the deny is
-   unchanged. *)
-let checker_monitor ~use_vcache ~use_precomp ~use_cfpre kernel =
-  let vcache =
-    if use_vcache then
-      Some (Asc_core.Vcache.create ~capacity:256 ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  let precomp =
-    if use_precomp then
-      Some (Asc_core.Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  let cfpre =
-    if use_cfpre then Some (Asc_core.Cfpre.create ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  Asc_core.Checker.monitor ~kernel ~key ?vcache ?precomp ?cfpre ()
+(* [fastpath] arms the checker's deployed fast path, used to assert that
+   every attack trips the exact same violation step with it on: tampered
+   bytes can never hit the vcache, and every precomp/cfpre mismatch falls
+   back to the reference path, so the deny is unchanged. *)
+let checker_monitor ~fastpath kernel =
+  Asc_core.Checker.monitor_with ~kernel ~key
+    (if fastpath then Some (Asc_core.Checker.fastpath ~key kernel) else None)
 
-let run_victim ~protected ?(use_vcache = false) ?(use_precomp = false) ?(use_cfpre = false)
-    ?(prepare = fun (_ : Kernel.t) -> ()) ~payload ?(patch = fun (_ : Machine.t) -> ()) () =
+let run_victim ~protected ?(fastpath = false) ?(prepare = fun (_ : Kernel.t) -> ()) ~payload
+    ?(patch = fun (_ : Machine.t) -> ()) () =
   let kernel = Kernel.create ~personality () in
   if protected then
-    Kernel.set_monitor kernel (Some (checker_monitor ~use_vcache ~use_precomp ~use_cfpre kernel));
+    Kernel.set_monitor kernel (Some (checker_monitor ~fastpath kernel));
   kernel.Kernel.tracing <- true;
   prepare kernel;
   let ls = Lazy.force (if protected then ls_auth else ls_plain) in
@@ -183,7 +168,7 @@ let pwned_goal _kernel out = if contains out "pwned shell" then Some "shell exec
 
 (* ----- attack 1: classic shellcode injection ----- *)
 
-let run_shellcode ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare () =
+let run_shellcode ~protected ?fastpath ~prepare () =
   let image = Lazy.force (if protected then victim_auth else victim_plain) in
   let buf = probe_buffer_addr image in
   (* shellcode: execve("/bin/sh") with the string carried in the payload.
@@ -204,13 +189,13 @@ let run_shellcode ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare () =
     ^ "/bin/sh\000" (* at buf + ret_distance + 8 *)
   in
   check_no_newline payload "shellcode";
-  run_victim ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare ~payload ()
+  run_victim ~protected ?fastpath ~prepare ~payload ()
 
 let shellcode_expect = [ Violation.Unauthenticated ]
 
-let shellcode ?use_vcache ?use_precomp ?use_cfpre ~protected () =
+let shellcode ?fastpath ~protected () =
   finish "shellcode" ~protected ~expect:shellcode_expect ~goal:pwned_goal
-    (run_shellcode ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare:ignore ())
+    (run_shellcode ~protected ?fastpath ~prepare:ignore ())
 
 (* ----- attack 2: mimicry via authenticated calls from another binary ----- *)
 
@@ -252,7 +237,7 @@ let mimicry_goal kernel _out =
   in
   if made_socket then Some "foreign authenticated syscall executed" else None
 
-let run_mimicry ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare () =
+let run_mimicry ~protected ?fastpath ~prepare () =
   (* donor application: makes a socket call the victim never makes *)
   let donor_src = "int main() { socket(1, 1, 0); return 0; }" in
   let donor = install ~program_id:9 ~program:"donor" (compile donor_src) in
@@ -290,15 +275,15 @@ let run_mimicry ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare () =
   in
   match usable with
   | [] -> failwith "attacks: no newline-free mimicry payload found"
-  | payload :: _ -> run_victim ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare ~payload ()
+  | payload :: _ -> run_victim ~protected ?fastpath ~prepare ~payload ()
 
 (* the spliced site sits at a different address than the donor's, so the
    rebuilt encoded call (step 1) no longer matches the carried call MAC *)
 let mimicry_expect = [ Violation.Call_mac; Violation.Control_flow ]
 
-let mimicry ?use_vcache ?use_precomp ?use_cfpre ~protected () =
+let mimicry ?fastpath ~protected () =
   finish "mimicry" ~protected ~expect:mimicry_expect ~goal:mimicry_goal
-    (run_mimicry ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare:ignore ())
+    (run_mimicry ~protected ?fastpath ~prepare:ignore ())
 
 (* ----- attack 3: non-control data ----- *)
 
@@ -306,7 +291,7 @@ let mimicry ?use_vcache ?use_precomp ?use_cfpre ~protected () =
    execve system call with /bin/sh": a pure data overwrite — control flow
    is never hijacked. We grant the attacker an arbitrary-write primitive
    (e.g. a heap overflow) by patching the string in process memory. *)
-let run_non_control_data ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare () =
+let run_non_control_data ~protected ?fastpath ~prepare () =
   let patch (m : Machine.t) =
     (* overwrite every occurrence of "/bin/ls" in writable+readable memory *)
     let needle = "/bin/ls" in
@@ -320,14 +305,13 @@ let run_non_control_data ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare
     done;
     if !found = 0 then failwith "attacks: /bin/ls not found in memory"
   in
-  run_victim ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare ~payload:"notes.txt\n"
-    ~patch ()
+  run_victim ~protected ?fastpath ~prepare ~payload:"notes.txt\n" ~patch ()
 
 let non_control_data_expect = [ Violation.String_mac ]
 
-let non_control_data ?use_vcache ?use_precomp ?use_cfpre ~protected () =
+let non_control_data ?fastpath ~protected () =
   finish "non-control-data" ~protected ~expect:non_control_data_expect ~goal:pwned_goal
-    (run_non_control_data ~protected ?use_vcache ?use_precomp ?use_cfpre ~prepare:ignore ())
+    (run_non_control_data ~protected ?fastpath ~prepare:ignore ())
 
 (* ----- §5.5: Frankenstein ----- *)
 
@@ -349,7 +333,7 @@ let app_a_src =
 
 let app_b_src = "int main() { getpid(); time(0); return 0; }"
 
-let frankenstein ?(use_vcache = false) ?(use_precomp = false) ?(use_cfpre = false) ~cross () =
+let frankenstein ?(fastpath = false) ~cross () =
   let a_img = install ~program_id:21 ~program:"appA" (compile app_a_src) in
   let b_img = install ~program_id:22 ~program:"appB" (compile app_b_src) in
   let b_extent =
@@ -365,8 +349,7 @@ let frankenstein ?(use_vcache = false) ?(use_precomp = false) ?(use_cfpre = fals
     | [] -> failwith "attacks: padding failed to lift appA's sites above appB"
   in
   let kernel = Kernel.create ~personality () in
-  Kernel.set_monitor kernel
-    (Some (checker_monitor ~use_vcache ~use_precomp ~use_cfpre kernel));
+  Kernel.set_monitor kernel (Some (checker_monitor ~fastpath kernel));
   kernel.Kernel.tracing <- true;
   let proc = Kernel.spawn kernel ~program:"frankenstein" b_img in
   let m = proc.Process.machine in
@@ -436,12 +419,12 @@ let forensic_expectations =
 
 let forensic_runs () =
   let runners =
-    [ ("shellcode", shellcode_expect, pwned_goal,
-       run_shellcode ?use_vcache:None ?use_precomp:None ?use_cfpre:None);
-      ("mimicry", mimicry_expect, mimicry_goal,
-       run_mimicry ?use_vcache:None ?use_precomp:None ?use_cfpre:None);
-      ("non-control-data", non_control_data_expect, pwned_goal,
-       run_non_control_data ?use_vcache:None ?use_precomp:None ?use_cfpre:None) ]
+    [ ("shellcode", shellcode_expect, pwned_goal, run_shellcode ?fastpath:None);
+      ("mimicry", mimicry_expect, mimicry_goal, run_mimicry ?fastpath:None);
+      ( "non-control-data",
+        non_control_data_expect,
+        pwned_goal,
+        run_non_control_data ?fastpath:None ) ]
   in
   List.map
     (fun (name, expect, goal, runf) ->

@@ -45,32 +45,18 @@ val key : Asc_crypto.Cmac.key
     data ⇒ [String_mac], cross-application Frankenstein ⇒
     [Control_flow]. *)
 
-(** [use_vcache] (default [false]) attaches a verified-MAC cache
-    ({!Asc_core.Vcache}) to the checker. The cache only accelerates
-    successful verifications, so every attack must trip the exact same
-    violation step with it on — the deny-parity property the cache's
-    soundness argument rests on (and that [asc_bench vcache] gates).
+(** [fastpath] (default [false]) arms the checker's deployed fast path
+    ({!Asc_core.Checker.fastpath}: vcache, precomp and cfpre). Each layer
+    accepts only inputs under which the reference checker would verify
+    the same bytes, and anything else falls back to the reference path,
+    so every attack must trip the exact same violation step with it on —
+    the deny parity that [bench/main.exe parity] gates. *)
 
-    [use_precomp] (default [false]) likewise attaches a precompiled-site
-    table ({!Asc_core.Precomp}). Its fast path proves only calls whose
-    rebuilt MAC matches the supplied tag; every structural or tag
-    mismatch falls back to the unchanged slow path, so the same
-    deny-parity must hold with it on (gated by [asc_bench precomp]).
+val shellcode : ?fastpath:bool -> protected:bool -> unit -> outcome
 
-    [use_cfpre] (default [false]) attaches the precompiled control-flow
-    bitsets ({!Asc_core.Cfpre}). The fast path applies only when the live
-    predecessor-set reference and bytes equal the slow-path-verified
-    ones; anything else falls back, so the same deny-parity must hold
-    with it on (gated by [asc_bench cfpre]). *)
+val mimicry : ?fastpath:bool -> protected:bool -> unit -> outcome
 
-val shellcode :
-  ?use_vcache:bool -> ?use_precomp:bool -> ?use_cfpre:bool -> protected:bool -> unit -> outcome
-
-val mimicry :
-  ?use_vcache:bool -> ?use_precomp:bool -> ?use_cfpre:bool -> protected:bool -> unit -> outcome
-
-val non_control_data :
-  ?use_vcache:bool -> ?use_precomp:bool -> ?use_cfpre:bool -> protected:bool -> unit -> outcome
+val non_control_data : ?fastpath:bool -> protected:bool -> unit -> outcome
 
 val forensic_expectations : (string * Oskernel.Violation.step list) list
 (** attack name ⇒ acceptable violation steps, as asserted by the runs. *)
@@ -83,8 +69,7 @@ val forensic_runs : unit -> (string * Oskernel.Kernel.t * outcome) list
     audit log and verify the chain — the corpus behind
     [asc_audit classify]. *)
 
-val frankenstein :
-  ?use_vcache:bool -> ?use_precomp:bool -> ?use_cfpre:bool -> cross:bool -> unit -> outcome
+val frankenstein : ?fastpath:bool -> cross:bool -> unit -> outcome
 (** [cross:true] splices application B's authenticated call after
     application A's chain (must be blocked); [cross:false] runs B's own
     chain alone from start (allowed — the Frankenstein program is confined

@@ -93,8 +93,6 @@ let create ?(max_sites = 4096) ?(block_limit = 65536) ~registry () =
       Asc_obs.Metrics.gauge registry "cfpre.cycles_saved"
         ~help:"modeled cycles skipped by the bitset + lbMAC-chain fast path" }
 
-let max_sites t = t.max_sites
-let block_limit t = t.block_limit
 let hits t = t.hits
 let misses t = t.misses
 let fallbacks t = t.fallbacks
@@ -131,15 +129,6 @@ let prepare_pid t pid =
   Hashtbl.replace t.tbl pid { cs_sites = Hashtbl.create 16; cs_scratch = fresh_scratch () }
 
 let invalidate_pid t pid = drop_pid_entries t pid
-
-let clear t =
-  let n = size t in
-  Hashtbl.reset t.tbl;
-  if n > 0 then begin
-    t.invalidations <- t.invalidations + n;
-    Asc_obs.Metrics.add t.ctr_invalidations n
-  end;
-  set_size t
 
 let member entry bid =
   let o = bid - entry.ce_base in

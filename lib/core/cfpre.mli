@@ -110,15 +110,10 @@ val prepare_pid : t -> int -> unit
 val invalidate_pid : t -> int -> unit
 (** Drop every entry owned by [pid] — called on process teardown. *)
 
-val clear : t -> unit
-(** Drop everything (counted as invalidations). *)
-
 val note_saved : t -> int -> unit
 (** Credit [n] modeled cycles to the cycles-saved gauge (slow-path cost
     minus the fast-path charge, accounted by the checker). *)
 
-val max_sites : t -> int
-val block_limit : t -> int
 val size : t -> int
 val hits : t -> int
 val misses : t -> int

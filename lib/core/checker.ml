@@ -35,6 +35,34 @@ let deny_mac step ~expected ~got fmt =
              f_got = Some (mac_prefix got) }))
     fmt
 
+(* The verification step being charged; doubles as the metrics-counter
+   selector and (when a profiler is attached) the synthetic frame name. *)
+type step =
+  | Call_mac
+  | String_mac
+  | Control_flow
+  | Ext
+
+(* Fault injection for the attribution pipeline: inflate one step's cycle
+   charges by a percentage. The surcharge flows through [charge], so the
+   machine counter, the per-step metrics, the profiler and telemetry all
+   see the same inflated number — every "steps sum to total" invariant
+   keeps holding while the step visibly regresses. Carried by one
+   monitor's [steps], so other kernels in the process are untouched. *)
+type cost_injection = step * int
+
+let cost_injection ~step ~pct =
+  if pct < 0 then invalid_arg "Checker.cost_injection: pct must be >= 0";
+  let step =
+    match step with
+    | "call_mac" -> Call_mac
+    | "string_mac" -> String_mac
+    | "control_flow" -> Control_flow
+    | "ext" -> Ext
+    | other -> invalid_arg (Printf.sprintf "Checker.cost_injection: unknown step %S" other)
+  in
+  (step, pct)
+
 (* Per-verification-step cycle attribution (§3.4 / Table 4): every cycle
    the checker charges to the machine is also credited to exactly one step
    counter, so the steps always sum to [steps.st_total]. *)
@@ -58,9 +86,10 @@ type steps = {
   sa_ext : Asc_obs.Metrics.counter;
   sa_telemetry : Asc_obs.Metrics.counter;
   sa_total : Asc_obs.Metrics.counter;
+  st_inject : cost_injection option;  (* this monitor's fault injection *)
 }
 
-let steps_of registry =
+let steps_of ?inject registry =
   { st_call_mac = Asc_obs.Metrics.counter registry "checker.cycles.call_mac";
     st_string_mac = Asc_obs.Metrics.counter registry "checker.cycles.string_mac";
     st_control_flow = Asc_obs.Metrics.counter registry "checker.cycles.control_flow";
@@ -72,15 +101,8 @@ let steps_of registry =
     sa_control_flow = Asc_obs.Metrics.counter registry "checker.alloc.control_flow";
     sa_ext = Asc_obs.Metrics.counter registry "checker.alloc.ext";
     sa_telemetry = Asc_obs.Metrics.counter registry "checker.alloc.telemetry";
-    sa_total = Asc_obs.Metrics.counter registry "checker.alloc.total" }
-
-(* The verification step being charged; doubles as the metrics-counter
-   selector and (when a profiler is attached) the synthetic frame name. *)
-type step =
-  | Call_mac
-  | String_mac
-  | Control_flow
-  | Ext
+    sa_total = Asc_obs.Metrics.counter registry "checker.alloc.total";
+    st_inject = inject }
 
 let step_counter steps = function
   | Call_mac -> steps.st_call_mac
@@ -94,32 +116,6 @@ let step_alloc_counter steps = function
   | Control_flow -> steps.sa_control_flow
   | Ext -> steps.sa_ext
 
-(* Fault injection for the attribution pipeline: inflate one step's cycle
-   charges by a percentage. The surcharge flows through [charge], so the
-   machine counter, the per-step metrics, the profiler and telemetry all
-   see the same inflated number — every "steps sum to total" invariant
-   keeps holding while the step visibly regresses. *)
-let cost_injection : (step * int) option ref = ref None
-
-let set_cost_injection ~step ~pct =
-  if pct < 0 then invalid_arg "Checker.set_cost_injection: pct must be >= 0";
-  let step =
-    match step with
-    | "call_mac" -> Call_mac
-    | "string_mac" -> String_mac
-    | "control_flow" -> Control_flow
-    | "ext" -> Ext
-    | other -> invalid_arg (Printf.sprintf "Checker.set_cost_injection: unknown step %S" other)
-  in
-  cost_injection := Some (step, pct)
-
-let clear_cost_injection () = cost_injection := None
-
-let injected step n =
-  match !cost_injection with
-  | Some (s, pct) when s = step -> n + n * pct / 100
-  | _ -> n
-
 (* pre-built frames: constant constructors of string literals, so entering
    a region allocates nothing before the region's minor-words mark *)
 let step_frame = function
@@ -129,7 +125,11 @@ let step_frame = function
   | Ext -> Asc_obs.Profile.Label "<kernel:ext>"
 
 let charge (m : Machine.t) steps step n =
-  let n = injected step n in
+  let n =
+    match steps.st_inject with
+    | Some (s, pct) when s = step -> n + (n * pct / 100)
+    | _ -> n
+  in
   m.cycles <- m.cycles + n;
   Asc_obs.Metrics.add (step_counter steps step) n;
   Asc_obs.Metrics.add steps.st_total n;
@@ -199,44 +199,44 @@ let read_as_header m ~ptr what =
   | None ->
     deny Violation.Call_mac "%s: bad authenticated-string header at 0x%x" (as_label what) ptr
 
-(* A cache hit replaces the modeled CMAC cycles with the (much cheaper)
+(* The deployed fast path: the three layers {!monitor} arms as one unit. *)
+type fastpath = {
+  vcache : Vcache.t;
+  precomp : Precomp.t;
+  cfpre : Cfpre.t;
+}
+
+let fastpath ~key kernel =
+  let registry = Kernel.metrics kernel in
+  { vcache = Vcache.create ~registry ();
+    precomp = Precomp.create ~key ~registry ();
+    cfpre = Cfpre.create ~registry () }
+
+(* A vcache hit replaces the modeled CMAC cycles with the (much cheaper)
    hit cost, still charged to the same step counter so the Table 4
    decomposition keeps summing; the skipped cycles feed the cache's
-   cycles-saved gauge. The miss/slow path is byte-identical to the
-   uncached checker, including what it denies and how. *)
-let cache_hit vcache ckey ~mac =
-  match vcache with
-  | None -> false
-  | Some vc -> Vcache.check vc ckey ~mac
-
-let charge_hit m steps step vcache ~len =
-  charge m steps step (Cost_model.vcache_hit_cost len);
-  match vcache with
-  | Some vc -> Vcache.note_saved vc (Cost_model.mac_cost len - Cost_model.vcache_hit_cost len)
-  | None -> ()
-
-let cache_remember vcache ckey ~mac =
-  match vcache with
-  | None -> ()
-  | Some vc -> Vcache.remember vc ckey ~mac
-
-let verify_as m steps step ~vcache ~pid key (r : Encoded.as_ref) what =
+   cycles-saved gauge. The miss path is the reference checker's, including
+   what it denies and how; only a successful verification is remembered. *)
+let verify_as m steps step ~fast ~pid key (r : Encoded.as_ref) what =
   match Machine.read_mem m ~addr:r.as_addr ~len:r.as_len with
   | None -> deny (vstep_of step) "%s: string contents unreadable" (as_label what)
   | Some contents ->
-    (* sound to cache: the key carries the full contents — every byte the
-       string MAC covers — so tampered bytes or a tampered tag miss *)
-    let ckey = Vcache.Str { pid; bytes = contents } in
-    if cache_hit vcache ckey ~mac:r.as_mac then
-      charge_hit m steps step vcache ~len:r.as_len
-    else begin
-      charge m steps step (Cost_model.mac_cost r.as_len);
-      let expect = Auth_string.mac_of key contents in
-      if not (Cmac.equal_tags expect r.as_mac) then
-        deny_mac (vstep_of step) ~expected:expect ~got:r.as_mac
-          "%s: string authentication failed" (as_label what);
-      cache_remember vcache ckey ~mac:r.as_mac
-    end;
+    (* sound to cache: the entry carries the full contents — every byte
+       the string MAC covers — so tampered bytes or a tampered tag miss *)
+    (match fast with
+     | Some f when Vcache.check f.vcache ~pid ~bytes:contents ~mac:r.as_mac ->
+       let hit = Cost_model.vcache_hit_cost r.as_len in
+       charge m steps step hit;
+       Vcache.note_saved f.vcache (Cost_model.mac_cost r.as_len - hit)
+     | _ ->
+       charge m steps step (Cost_model.mac_cost r.as_len);
+       let expect = Auth_string.mac_of key contents in
+       if not (Cmac.equal_tags expect r.as_mac) then
+         deny_mac (vstep_of step) ~expected:expect ~got:r.as_mac
+           "%s: string authentication failed" (as_label what);
+       (match fast with
+        | Some f -> Vcache.remember f.vcache ~pid ~bytes:contents ~mac:r.as_mac
+        | None -> ()));
     contents
 
 (* parse a verified §5 extension block: sequence of
@@ -271,22 +271,33 @@ let parse_ext contents =
   in
   go 0 []
 
-let precomp_compile precomp ~pid ~call ~encoded ~mac =
-  match precomp with
-  | None -> ()
-  | Some pc -> Precomp.compile pc ~pid ~call ~encoded ~mac
+(* Step 1 reference path: serialize the encoded call and check its CMAC
+   against the supplied tag. Returns the encoded string for Precomp. *)
+let call_mac_slow m steps key (call : Encoded.t) ~supplied =
+  let encoded = Encoded.encode call in
+  charge m steps Call_mac (Cost_model.mac_cost (String.length encoded));
+  let call_mac = Cmac.mac key encoded in
+  if not (Cmac.equal_tags call_mac supplied) then
+    deny_mac Violation.Call_mac ~expected:call_mac ~got:supplied "call MAC mismatch";
+  encoded
 
-(* Step 3 slow path, byte-identical to the pre-cfpre checker: verify the
-   predecessor-set authenticated string (vcache-aided), check the
-   nonce-fresh lbMAC over the policy state, decide membership from the
-   live set bytes, then advance the counter and rewrite lastBlock/lbMAC.
+(* Precomp declined: the reference path decides, and a verified call
+   compiles the site so the next trap takes the table. *)
+let precomp_fallback m steps key pc ~pid call ~supplied =
+  let encoded = call_mac_slow m steps key call ~supplied in
+  Precomp.compile pc ~pid ~call ~encoded ~mac:supplied
+
+(* Step 3 reference path: verify the predecessor-set authenticated
+   string (vcache-aided), check the nonce-fresh lbMAC over the policy
+   state, decide membership from the live set bytes, then advance the
+   counter and rewrite lastBlock/lbMAC.
    A top-level function (not a per-call closure) so the steady-state fast
    path below allocates nothing for the code it skips. On full success the
    site's bitset is compiled so the next trap is one load+test. *)
-let control_flow_slow ~m ~steps ~vcache ~cfpre ~key (p : Process.t) ~site
+let control_flow_slow ~m ~steps ~fast ~key (p : Process.t) ~site
     ~(pred_ref : Encoded.as_ref) ~lbp ~block =
   let pred_contents =
-    verify_as m steps Control_flow ~vcache ~pid:p.pid key pred_ref predecessor_set
+    verify_as m steps Control_flow ~fast ~pid:p.pid key pred_ref predecessor_set
   in
   let last_block =
     match Machine.read_word m lbp with
@@ -313,12 +324,11 @@ let control_flow_slow ~m ~steps ~vcache ~cfpre ~key (p : Process.t) ~site
   then deny Violation.Control_flow "policy state unwritable";
   (* the whole step just succeeded from the live bytes: compile the
      site's bitset so the next trap is one load+test *)
-  match cfpre with
-  | Some cf -> Cfpre.compile cf ~pid:p.pid ~site ~pred_ref ~contents:pred_contents
+  match fast with
+  | Some f -> Cfpre.compile f.cfpre ~pid:p.pid ~site ~pred_ref ~contents:pred_contents
   | None -> ()
 
-let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p : Process.t)
-    ~site ~number =
+let pre ~kernel ~key ~normalize_paths ~fast ~cf_note ~steps (p : Process.t) ~site ~number =
   let m = p.machine in
   let r i = m.regs.(i) in
   (* --- step 1 (one alloc region): rebuild the encoded call and check the
@@ -358,46 +368,20 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
           e_control = control }
       in
       let supplied = read_mac m mac_ptr in
-      (* Step 1 resolution, reported as the call's telemetry reason code. The
-         slow path (vcache probe, then full CMAC) is byte-identical to the
-         pre-fast-path checker; [fb] remembers why an armed precomp table
-         declined, so "the slow path verified it after a fallback" and "no
-         precomp was armed at all" stay distinguishable in the ledger. *)
-      let slow_path ~fb =
-        let encoded = Encoded.encode call in
-        (* sound to cache: [encoded] is the call MAC's exact input — trap number,
-           site, descriptor, block id, constant args, string/ext/control
-           references with their tags — so any tampered covered byte misses *)
-        let call_key = Vcache.Call { pid = p.pid; site; encoded } in
-        if cache_hit vcache call_key ~mac:supplied then begin
-          charge_hit m steps Call_mac vcache ~len:(String.length encoded);
-          precomp_compile precomp ~pid:p.pid ~call ~encoded ~mac:supplied;
-          match fb with
-          | Some f -> Asc_obs.Telemetry.Precomp_fallback f
-          | None -> Asc_obs.Telemetry.Vcache_hit
-        end
-        else begin
-          charge m steps Call_mac (Cost_model.mac_cost (String.length encoded));
-          let call_mac = Cmac.mac key encoded in
-          if not (Cmac.equal_tags call_mac supplied) then
-            deny_mac Violation.Call_mac ~expected:call_mac ~got:supplied "call MAC mismatch";
-          cache_remember vcache call_key ~mac:supplied;
-          precomp_compile precomp ~pid:p.pid ~call ~encoded ~mac:supplied;
-          match fb with
-          | Some f -> Asc_obs.Telemetry.Precomp_fallback f
-          | None -> Asc_obs.Telemetry.Slow_path
-        end
-      in
+      (* Step 1 resolution, reported as the call's telemetry reason code. *)
       let reason =
-        match precomp with
-        | None -> slow_path ~fb:None
-        | Some pc ->
+        match fast with
+        | None ->
+          ignore (call_mac_slow m steps key call ~supplied);
+          Asc_obs.Telemetry.Slow_path
+        | Some { precomp = pc; _ } ->
           (* Precompiled-site fast path (step 1 only): when the per-pid table
              proves the call MAC — by memo equality or by resuming the saved
              chaining state over the dynamic suffix — charge the precomp cost
-             into the same call-MAC counter and skip both the encoded-string
-             serialization and the vcache probe. Miss/Fallback charge nothing
-             here; the slow path above decides. *)
+             into the same call-MAC counter and skip the encoded-string
+             serialization. A miss or fallback charges nothing for the
+             probe: the reference CMAC decides, compiles the site, and the
+             reason records why the table declined. *)
           (match Precomp.check pc ~pid:p.pid ~call ~supplied with
            | Precomp.Hit { suffix_len; encoded_len } ->
              let cost = Cost_model.precomp_hit_cost suffix_len in
@@ -409,11 +393,15 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
              charge m steps Call_mac cost;
              Precomp.note_saved pc (Cost_model.mac_cost encoded_len - cost);
              Asc_obs.Telemetry.Precomp_resumed
-           | Precomp.Miss -> slow_path ~fb:(Some Asc_obs.Telemetry.F_no_entry)
+           | Precomp.Miss ->
+             precomp_fallback m steps key pc ~pid:p.pid call ~supplied;
+             Asc_obs.Telemetry.Precomp_fallback Asc_obs.Telemetry.F_no_entry
            | Precomp.Fallback Precomp.Statics_mismatch ->
-             slow_path ~fb:(Some Asc_obs.Telemetry.F_statics)
+             precomp_fallback m steps key pc ~pid:p.pid call ~supplied;
+             Asc_obs.Telemetry.Precomp_fallback Asc_obs.Telemetry.F_statics
            | Precomp.Fallback Precomp.Tag_mismatch ->
-             slow_path ~fb:(Some Asc_obs.Telemetry.F_tag))
+             precomp_fallback m steps key pc ~pid:p.pid call ~supplied;
+             Asc_obs.Telemetry.Precomp_fallback Asc_obs.Telemetry.F_tag)
       in
       (reason, block, string_args, ext, control))
   in
@@ -425,7 +413,7 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
       step_region m steps String_mac (fun () ->
         List.map
           (fun (i, ar) ->
-            (i, verify_as m steps String_mac ~vcache ~pid:p.pid key ar i))
+            (i, verify_as m steps String_mac ~fast ~pid:p.pid key ar i))
           args)
   in
   let ext_contents =
@@ -433,7 +421,7 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
     | None -> None
     | Some ar ->
       step_region m steps Ext (fun () ->
-        Some (verify_as m steps Ext ~vcache ~pid:p.pid key ar extension_block))
+        Some (verify_as m steps Ext ~fast ~pid:p.pid key ar extension_block))
   in
   (* --- step 3: control-flow policy --- *)
   (match control with
@@ -446,9 +434,9 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
           The match is deliberately flat (no intermediate option/tuple):
           the hit branch's whole host-allocation budget is Cfpre.check's
           probe plus one [read_word] option. *)
-       match cfpre with
-       | Some cf ->
-         (match Cfpre.check cf ~m ~pid:p.pid ~site ~pred_ref with
+       match fast with
+       | Some f ->
+         (match Cfpre.check f.cfpre ~m ~pid:p.pid ~site ~pred_ref with
           | Cfpre.Hit { entry; scratch = sc } ->
             (* Bitset fast path: the live reference and the live guest bytes
                equal the slow-path-verified ones (Cfpre.check just compared
@@ -488,7 +476,7 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
                  && Machine.write_from m ~addr:(lbp + 8) ~buf:sc.Cfpre.ps_tag ~pos:0 ~len:16)
             then deny Violation.Control_flow "policy state unwritable";
             Machine.set_word m lbp block;
-            Cfpre.note_saved cf
+            Cfpre.note_saved f.cfpre
               (Cost_model.mac_cost len - Cost_model.cfpre_hit_cost len
                + (2 * (Cost_model.mac_cost 16 - Cost_model.lbmac_chain_cost)))
           | declined ->
@@ -499,8 +487,8 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
              | Cfpre.Fallback Cfpre.Contents_mismatch ->
                cf_note := Asc_obs.Telemetry.Cf_fallback_contents
              | Cfpre.Hit _ -> ());
-            control_flow_slow ~m ~steps ~vcache ~cfpre ~key p ~site ~pred_ref ~lbp ~block)
-       | None -> control_flow_slow ~m ~steps ~vcache ~cfpre ~key p ~site ~pred_ref ~lbp ~block));
+            control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block)
+       | None -> control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block));
   (* --- §5 extensions: allowed-value sets and argument patterns --- *)
   (match ext_contents with
    | None -> ()
@@ -551,32 +539,32 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
   end;
   reason
 
-let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
-  let steps = steps_of kernel.Kernel.obs in
-  (* lifecycle invalidation: execve replaces the image the cached
-     verifications were performed against, and teardown frees the pid for
-     reuse — both drop every entry the pid owns *)
-  (match vcache with
-   | Some vc ->
+let monitor ~kernel ~key ?(normalize_paths = false) ?inject ?vcache ?precomp ?cfpre () =
+  let fast =
+    match (vcache, precomp, cfpre) with
+    | Some vcache, Some precomp, Some cfpre -> Some { vcache; precomp; cfpre }
+    | None, None, None -> None
+    | _ -> invalid_arg "Checker.monitor: arm vcache, precomp and cfpre together or not at all"
+  in
+  let steps = steps_of ?inject kernel.Kernel.obs in
+  (* lifecycle: every entry is image-specific, so spawn and execve (re)build
+     the pid's precompiled tables, and execve and teardown drop its vcache
+     entries (a fresh pid's were already dropped at exit); teardown frees
+     the pid for reuse *)
+  (match fast with
+   | Some f ->
      Kernel.add_lifecycle_hook kernel (function
-       | Kernel.Proc_spawn _ -> () (* a fresh pid was already invalidated at exit *)
-       | Kernel.Proc_exec { pid } | Kernel.Proc_exit { pid } -> Vcache.invalidate_pid vc pid)
-   | None -> ());
-  (* the precompiled-site table is (re)built whenever a pid's image is
-     established — spawn and execve — and dropped at teardown *)
-  (match precomp with
-   | Some pc ->
-     Kernel.add_lifecycle_hook kernel (function
-       | Kernel.Proc_spawn { pid } | Kernel.Proc_exec { pid } -> Precomp.prepare_pid pc pid
-       | Kernel.Proc_exit { pid } -> Precomp.invalidate_pid pc pid)
-   | None -> ());
-  (* the control-flow bitset table shares Precomp's lifecycle: entries are
-     image-specific, so exec rebuilds the pid's table and teardown drops it *)
-  (match cfpre with
-   | Some cf ->
-     Kernel.add_lifecycle_hook kernel (function
-       | Kernel.Proc_spawn { pid } | Kernel.Proc_exec { pid } -> Cfpre.prepare_pid cf pid
-       | Kernel.Proc_exit { pid } -> Cfpre.invalidate_pid cf pid)
+       | Kernel.Proc_spawn { pid } ->
+         Precomp.prepare_pid f.precomp pid;
+         Cfpre.prepare_pid f.cfpre pid
+       | Kernel.Proc_exec { pid } ->
+         Vcache.invalidate_pid f.vcache pid;
+         Precomp.prepare_pid f.precomp pid;
+         Cfpre.prepare_pid f.cfpre pid
+       | Kernel.Proc_exit { pid } ->
+         Vcache.invalidate_pid f.vcache pid;
+         Precomp.invalidate_pid f.precomp pid;
+         Cfpre.invalidate_pid f.cfpre pid)
    | None -> ());
   (* one cell for the whole monitor (single-threaded kernel): reset per
      call, read by [finish] on the allow and deny paths alike — so the
@@ -627,8 +615,7 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
         in
         cf_note := Asc_obs.Telemetry.Cf_none;
         match
-          pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps p ~site
-            ~number
+          pre ~kernel ~key ~normalize_paths ~fast ~cf_note ~steps p ~site ~number
         with
         | reason ->
           finish reason;
@@ -645,3 +632,9 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
               v_expected_mac = f.f_expected;
               v_got_mac = f.f_got });
     post_syscall = Kernel.no_post }
+
+let monitor_with ~kernel ~key ?normalize_paths ?inject fast =
+  match fast with
+  | Some { vcache; precomp; cfpre } ->
+    monitor ~kernel ~key ?normalize_paths ?inject ~vcache ~precomp ~cfpre ()
+  | None -> monitor ~kernel ~key ?normalize_paths ?inject ()

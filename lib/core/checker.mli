@@ -28,8 +28,8 @@
 
     Every monitored call additionally records exactly one
     {!Asc_obs.Telemetry.reason} code — how its call MAC was resolved
-    (precomp hit/resume, precomp fallback by cause, vcache hit, slow
-    path) or which step denied it — into the kernel's telemetry plane
+    (precomp hit/resume, precomp fallback by cause, or the reference
+    slow path) or which step denied it — into the kernel's telemetry plane
     ({!Oskernel.Kernel.telemetry}), together with the call's verification
     cycles (the [checker.cycles.total] delta). The recording itself
     charges [Svm.Cost_model.telemetry_record_cost] to the machine,
@@ -37,10 +37,53 @@
     checker's step counters, so the Table 4 decomposition stays
     verification-only. *)
 
+(** The deployed fast path: three layers in front of the reference
+    checker, armed as one unit.
+    - {!Precomp} decides every repeated call MAC: a memo hit, or a
+      streaming-CMAC resume over the dynamic suffix. It is charged
+      [Svm.Cost_model.precomp_hit_cost], respectively
+      [precomp_lookup_cost + mac_resume_cost], and never serializes the
+      encoded call.
+    - {!Cfpre} decides the predecessor check with a compiled bitset and
+      refreshes the nonce-fresh lbMAC with one AES block.
+    - {!Vcache} remembers verified authenticated strings (arguments,
+      extension blocks, and predecessor sets on a cfpre miss).
+
+    Each layer accepts only inputs under which the reference path would
+    verify the same bytes. Anything else falls back to the reference path,
+    which decides, so verdicts and denies are byte-identical with the
+    fast path on or off. *)
+type fastpath = {
+  vcache : Vcache.t;
+  precomp : Precomp.t;
+  cfpre : Cfpre.t;
+}
+
+val fastpath : key:Asc_crypto.Cmac.key -> Oskernel.Kernel.t -> fastpath
+(** Fresh layers with default bounds, publishing their counters into the
+    kernel's metrics registry. [key] must be the checker's. *)
+
+(** {1 Fault injection} — regression-attribution test support. *)
+
+type cost_injection
+
+val cost_injection : step:string -> pct:int -> cost_injection
+(** Inflate every cycle charge to the named checker step ([call_mac],
+    [string_mac], [control_flow] or [ext]) by [pct] percent. The surcharge
+    goes through the machine's cycle counter, the per-step metrics and the
+    profiler alike, so the decomposition invariants keep holding while
+    the numbers move. It applies only to the monitor it is passed to.
+    This exists to prove the attribution pipeline: bench's
+    [--inject-step-cost] passes one to the table4 monitors to trip the
+    gate deliberately and assert that the failure names the step and
+    site.
+    @raise Invalid_argument on an unknown step name or [pct < 0]. *)
+
 val monitor :
   kernel:Oskernel.Kernel.t ->
   key:Asc_crypto.Cmac.key ->
   ?normalize_paths:bool ->
+  ?inject:cost_injection ->
   ?vcache:Vcache.t ->
   ?precomp:Precomp.t ->
   ?cfpre:Cfpre.t ->
@@ -50,40 +93,19 @@ val monitor :
     argument through the VFS and denies the call when normalization
     changes it (the §5.4 symlink-race defense). Default [false].
 
-    [vcache] attaches a verified-MAC cache ({!Vcache}): call-MAC and
-    authenticated-string checks that hit it are charged
-    [Svm.Cost_model.vcache_hit_cost] instead of the CMAC cost (still on
-    the same per-step counter, so the decomposition keeps summing), while
-    misses — including every tampered descriptor, string or tag, whose
-    key cannot match — take the unchanged slow path to the same
-    structured deny. The nonce-fresh control-flow [lbMAC] is always
-    verified. The monitor registers a kernel lifecycle hook that
-    invalidates the pid's entries on [execve] and process teardown.
-    Default: no cache (every check recomputes, the pre-cache behavior).
+    [vcache], [precomp] and [cfpre] arm the {!fastpath}. Pass all three
+    or none; none is the paper's reference checker. The monitor
+    registers one kernel lifecycle hook: spawn and execve (re)build the
+    pid's precompiled tables, and execve and teardown drop its entries.
+    [precomp] must be created with the same [key].
+    @raise Invalid_argument when given a strict subset of the three. *)
 
-    [precomp] attaches a precompiled-site table ({!Precomp}), the fast
-    path {e in front of} step 1: per-pid tables are (re)built on
-    [Proc_spawn]/[Proc_exec] and dropped on [Proc_exit] (via lifecycle
-    hooks), a site's entry is compiled from its first successful
-    slow-path verification, and later traps that the table proves — memo
-    equality, or a streaming-CMAC resume over the dynamic suffix — are
-    charged [Svm.Cost_model.precomp_hit_cost], respectively
-    [precomp_lookup_cost + mac_resume_cost], on the call-MAC counter
-    without serializing the encoded call at all. Misses and mismatches
-    charge nothing and run the unchanged slow path (composing with
-    [vcache]), so denies are byte-identical with the table on or off.
-    Must be created with the same [key]. Default: no table. *)
-
-(** {1 Fault injection} — regression-attribution test support. *)
-
-val set_cost_injection : step:string -> pct:int -> unit
-(** Inflate every cycle charge to the named checker step
-    ([call_mac], [string_mac], [control_flow] or [ext]) by [pct] percent
-    — through the machine's cycle counter, the per-step metrics and the
-    profiler alike, so the decomposition invariants keep holding while
-    the numbers move. This exists to prove the attribution pipeline:
-    bench's [--inject-step-cost] uses it to trip the table4 gate
-    deliberately and assert the failure names the step and site.
-    @raise Invalid_argument on an unknown step name or [pct < 0]. *)
-
-val clear_cost_injection : unit -> unit
+val monitor_with :
+  kernel:Oskernel.Kernel.t ->
+  key:Asc_crypto.Cmac.key ->
+  ?normalize_paths:bool ->
+  ?inject:cost_injection ->
+  fastpath option ->
+  Oskernel.Kernel.monitor
+(** {!monitor} with the fast path given as one value: [Some fp] arms it,
+    [None] is the reference checker. *)

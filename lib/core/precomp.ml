@@ -89,7 +89,6 @@ let create ?(max_sites = 4096) ~key ~registry () =
       Asc_obs.Metrics.gauge registry "precomp.cycles_saved"
         ~help:"modeled CMAC cycles skipped by the precompiled fast path" }
 
-let max_sites t = t.max_sites
 let hits t = t.hits
 let resumes t = t.resumes
 let misses t = t.misses
@@ -124,15 +123,6 @@ let prepare_pid t pid =
   Hashtbl.replace t.tbl pid (Hashtbl.create 16)
 
 let invalidate_pid t pid = drop_pid_entries t pid
-
-let clear t =
-  let n = size t in
-  Hashtbl.reset t.tbl;
-  if n > 0 then begin
-    t.invalidations <- t.invalidations + n;
-    Asc_obs.Metrics.add t.ctr_invalidations n
-  end;
-  set_size t
 
 let statics_match entry (call : Encoded.t) =
   let e = entry.pe_call in

@@ -1,10 +1,9 @@
 (** Per-pid, site-indexed precompiled policy verification state — the
     exec-time fast path in front of the call-MAC check.
 
-    The vcache ({!Vcache}) removes repeated CMAC computations but still
-    pays, on every trap, for serializing the encoded call and hashing it
-    as the cache key. This table moves that work to (at most) once per
-    call site: the pid's table is created when the image is established
+    The reference slow path serializes the encoded call and CMACs it on
+    every trap. This table moves that work to (at most) once per call
+    site: the pid's table is created when the image is established
     ([Proc_spawn]/[Proc_exec]), and the first successful slow-path
     verification at a site {e compiles} an entry holding
 
@@ -28,8 +27,8 @@
       memo to the new call.
 
     Anything else — no entry, structural mismatch, tag mismatch — is a
-    {!constructor-Fallback}: the caller runs the unchanged slow path
-    (composing with the vcache), so denies are byte-identical with the
+    {!constructor-Fallback}: the caller runs the unchanged slow path (a
+    full CMAC of the encoded call), so denies are byte-identical with the
     table on or off. Entries are only ever created from successful
     verifications; a failed resume remembers nothing.
 
@@ -84,14 +83,10 @@ val prepare_pid : t -> int -> unit
 val invalidate_pid : t -> int -> unit
 (** Drop every entry owned by [pid] — called on process teardown. *)
 
-val clear : t -> unit
-(** Drop everything (counted as invalidations). *)
-
 val note_saved : t -> int -> unit
 (** Credit [n] modeled cycles to the cycles-saved gauge (slow-path MAC
     cost minus the fast-path charge, accounted by the checker). *)
 
-val max_sites : t -> int
 val size : t -> int
 val hits : t -> int
 val resumes : t -> int

@@ -1,21 +1,17 @@
-(* Bounded LRU cache of *successful* MAC verifications.
+(* Bounded LRU cache of *successful* authenticated-string verifications.
 
-   Soundness rests on the key: an entry is (key material, supplied MAC)
-   where the key material contains every byte the MAC computation covered
-   — the full encoded call for call MACs, the full contents for
-   authenticated strings — plus the owning pid for lifecycle isolation.
-   A hit therefore proves "CMAC(k, bytes) = mac was checked before for
-   exactly these bytes", so replaying the comparison is redundant; any
-   tampering with the covered bytes or the tag changes the key and misses.
-   Only successful verifications are remembered: the deny path always
-   recomputes, so denials are byte-identical with the cache on or off. *)
-
-type key =
-  | Call of { pid : int; site : int; encoded : string }
-  | Str of { pid : int; bytes : string }
+   Soundness rests on the entry: (pid, full string contents, supplied
+   MAC), where the contents are every byte the string MAC covered and the
+   pid provides lifecycle isolation. A hit therefore proves "CMAC(k,
+   bytes) = mac was checked before for exactly these bytes", so replaying
+   the comparison is redundant; any tampering with the covered bytes or
+   the tag changes the entry and misses. Only successful verifications are
+   remembered: the deny path always recomputes, so denials are
+   byte-identical with the cache on or off. *)
 
 type entry = {
-  e_key : key;
+  e_pid : int;
+  e_bytes : string;
   e_mac : string;
 }
 
@@ -66,7 +62,6 @@ let create ?(capacity = 1024) ~registry () =
       Asc_obs.Metrics.gauge registry "vcache.cycles_saved"
         ~help:"modeled CMAC cycles skipped by cache hits" }
 
-let capacity t = t.capacity
 let size t = Hashtbl.length t.tbl
 let hits t = t.hits
 let misses t = t.misses
@@ -87,8 +82,8 @@ let push_front t n =
 
 let set_size t = Asc_obs.Metrics.set t.g_size (Hashtbl.length t.tbl)
 
-let check t key ~mac =
-  match Hashtbl.find_opt t.tbl { e_key = key; e_mac = mac } with
+let check t ~pid ~bytes ~mac =
+  match Hashtbl.find_opt t.tbl { e_pid = pid; e_bytes = bytes; e_mac = mac } with
   | Some n ->
     unlink t n;
     push_front t n;
@@ -100,8 +95,8 @@ let check t key ~mac =
     Asc_obs.Metrics.inc t.ctr_misses;
     false
 
-let remember t key ~mac =
-  let e = { e_key = key; e_mac = mac } in
+let remember t ~pid ~bytes ~mac =
+  let e = { e_pid = pid; e_bytes = bytes; e_mac = mac } in
   if not (Hashtbl.mem t.tbl e) then begin
     if Hashtbl.length t.tbl >= t.capacity then begin
       match t.tail with
@@ -122,14 +117,10 @@ let note_saved t n =
   t.saved <- t.saved + n;
   Asc_obs.Metrics.set t.g_saved t.saved
 
-let pid_of = function
-  | Call { pid; _ } -> pid
-  | Str { pid; _ } -> pid
-
 let invalidate_pid t pid =
   let doomed =
     Hashtbl.fold
-      (fun e n acc -> if pid_of e.e_key = pid then (e, n) :: acc else acc)
+      (fun e n acc -> if e.e_pid = pid then (e, n) :: acc else acc)
       t.tbl []
   in
   List.iter
@@ -139,13 +130,4 @@ let invalidate_pid t pid =
       t.invalidations <- t.invalidations + 1;
       Asc_obs.Metrics.inc t.ctr_invalidations)
     doomed;
-  set_size t
-
-let clear t =
-  let n = Hashtbl.length t.tbl in
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None;
-  t.invalidations <- t.invalidations + n;
-  Asc_obs.Metrics.add t.ctr_invalidations n;
   set_size t

@@ -24,7 +24,7 @@
     verification cycles, by [BENCH_telemetry.json]). *)
 
 (** Why a precompiled-site table consulted on the trap did not decide the
-    call (the slow path — vcache or full CMAC — then verified it). *)
+    call (the reference path's full CMAC then verified it). *)
 type fallback =
   | F_no_entry  (** no compiled entry for the site (first visit, or past
                     the [max_sites] bound) *)
@@ -39,11 +39,13 @@ type reason =
   | Precomp_hit               (** precompiled-site memo equality *)
   | Precomp_resumed           (** streaming-CMAC resume over the suffix *)
   | Precomp_fallback of fallback
-      (** a precomp table was armed but did not decide; the slow path
-          (vcache or CMAC) verified the call *)
-  | Vcache_hit                (** no precomp armed; verified-MAC cache hit
-                                  on the call MAC *)
-  | Slow_path                 (** full CMAC recomputation *)
+      (** a precomp table was armed but did not decide; the reference
+          path's CMAC verified the call *)
+  | Vcache_hit                (** a verified-MAC cache hit on the call MAC;
+                                  no longer produced, since the vcache
+                                  caches only authenticated strings *)
+  | Slow_path                 (** reference checker: full CMAC
+                                  recomputation *)
   | Deny of string            (** the call was denied; payload is the
                                   violation step name *)
 

@@ -453,6 +453,43 @@ let test_authenticated_overhead_charged () =
   Alcotest.(check bool) "authenticated costs more cycles" true
     (p2.Process.machine.Svm.Machine.cycles > p1.Process.machine.Svm.Machine.cycles + 3 * 3000)
 
+(* A cost injection belongs to the monitor it was passed to: a second
+   kernel in the same process keeps the reference charges. *)
+let test_cost_injection_per_monitor () =
+  let inst = install_exn program_src in
+  let spawn ?inject () =
+    let kernel = Kernel.create () in
+    Kernel.set_monitor kernel (Some (Checker.monitor ~kernel ~key ?inject ()));
+    (kernel, Kernel.spawn kernel ~program:"victim" inst.Installer.image)
+  in
+  let run (kernel, proc) =
+    (match Kernel.run kernel proc ~max_cycles:50_000_000 with
+     | Svm.Machine.Halted _ -> ()
+     | _ -> Alcotest.fail "run did not halt");
+    let counter name =
+      Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) name)
+    in
+    (counter "checker.cycles.control_flow", counter "checker.cycles.call_mac")
+  in
+  let reference_cf, reference_call = run (spawn ()) in
+  (* both monitors exist before either kernel runs *)
+  let plain = spawn () in
+  let injected = spawn ~inject:(Checker.cost_injection ~step:"control_flow" ~pct:20) () in
+  let injected_cf, injected_call = run injected in
+  let plain_cf, plain_call = run plain in
+  Alcotest.(check bool) "control flow charged" true (reference_cf > 0);
+  Alcotest.(check int) "the other kernel keeps reference charges" reference_cf plain_cf;
+  Alcotest.(check int) "other steps untouched" reference_call plain_call;
+  Alcotest.(check int) "the injected step only" reference_call injected_call;
+  (* every control-flow charge is a CMAC cost, a multiple of 5 cycles, so
+     +20% per charge is exactly +20% of the sum *)
+  Alcotest.(check int) "the injected kernel is inflated by 20%"
+    (reference_cf + (reference_cf / 5))
+    injected_cf;
+  Alcotest.check_raises "unknown step refused"
+    (Invalid_argument "Checker.cost_injection: unknown step \"nope\"") (fun () ->
+      ignore (Checker.cost_injection ~step:"nope" ~pct:1))
+
 let suite_mechanism =
   [ Alcotest.test_case "descriptor bits" `Quick test_descriptor_bits;
     Alcotest.test_case "auth string roundtrip" `Quick test_auth_string_roundtrip;
@@ -477,7 +514,9 @@ let suite_pipeline =
     Alcotest.test_case "block ids globally unique" `Quick test_block_ids_globally_unique;
     Alcotest.test_case "opaque binaries rejected for install" `Quick test_install_rejects_opaque;
     Alcotest.test_case "program id range" `Quick test_program_id_range;
-    Alcotest.test_case "verification cycles charged" `Quick test_authenticated_overhead_charged ]
+    Alcotest.test_case "verification cycles charged" `Quick test_authenticated_overhead_charged;
+    Alcotest.test_case "cost injection stays with its monitor" `Quick
+      test_cost_injection_per_monitor ]
 
 let () =
   Alcotest.run "asc_core"

@@ -46,87 +46,34 @@ let test_frankenstein_cross_blocked () =
 let test_frankenstein_single_app_confined () =
   check_succeeded "frankenstein single-app chain" (Attacks.frankenstein ~cross:false ())
 
-(* --- deny parity: the verified-MAC cache must not change any verdict --- *)
+(* --- deny parity: the fast path must not change any verdict --- *)
 
-(* The cache only remembers *successful* verifications, so every attack must
-   be blocked at the exact same violation step with it enabled. Each run*
-   function already asserts the expected step internally; here we addition-
-   ally compare the step against the cache-off run of the same attack. *)
+(* Each fast-path layer accepts only inputs under which the reference
+   checker would verify the same bytes, so every attack must be blocked at
+   the exact same violation step with the deployed fast path armed. Each
+   run function already asserts the expected step internally; here we
+   additionally compare the step against the reference run of the same
+   attack, and the legal single-application chain must still complete. *)
 let step_of what = function
   | Attacks.Blocked { Attacks.b_step = Some s; _ } -> s
   | o -> Alcotest.failf "%s: expected a structured block, got %a" what Attacks.pp_outcome o
 
-let attack_triple :
-    (string * (?use_vcache:bool -> ?use_precomp:bool -> ?use_cfpre:bool -> protected:bool -> unit -> Attacks.outcome))
-    list =
-  [ ("shellcode", Attacks.shellcode);
-    ("mimicry", Attacks.mimicry);
-    ("non-control-data", Attacks.non_control_data) ]
-
-let test_vcache_deny_parity () =
+let test_fastpath_deny_parity () =
   List.iter
-    (fun ((name : string),
-          (attack :
-            ?use_vcache:bool -> ?use_precomp:bool -> ?use_cfpre:bool -> protected:bool -> unit -> Attacks.outcome)) ->
-      let off = step_of (name ^ " (cache off)") (attack ~use_vcache:false ~protected:true ()) in
-      let on = step_of (name ^ " (cache on)") (attack ~use_vcache:true ~protected:true ()) in
+    (fun (name, attack) ->
+      let reference = step_of (name ^ " (reference)") (attack ~fastpath:false) in
+      let fast = step_of (name ^ " (fast path)") (attack ~fastpath:true) in
       Alcotest.(check string)
-        (name ^ ": same violation step with the vcache enabled")
-        (Oskernel.Violation.step_name off)
-        (Oskernel.Violation.step_name on))
-    attack_triple
-
-(* Same property for the precompiled-site table, armed on top of the vcache
-   (the deployment configuration): its fast path only proves calls whose
-   rebuilt MAC matches the supplied tag, so every attack must trip the
-   identical step with it on. *)
-let test_precomp_deny_parity () =
-  List.iter
-    (fun ((name : string),
-          (attack :
-            ?use_vcache:bool -> ?use_precomp:bool -> ?use_cfpre:bool -> protected:bool -> unit -> Attacks.outcome)) ->
-      let off =
-        step_of (name ^ " (precomp off)")
-          (attack ~use_vcache:true ~use_precomp:false ~protected:true ())
-      in
-      let on =
-        step_of (name ^ " (precomp on)")
-          (attack ~use_vcache:true ~use_precomp:true ~protected:true ())
-      in
-      Alcotest.(check string)
-        (name ^ ": same violation step with the precomp table enabled")
-        (Oskernel.Violation.step_name off)
-        (Oskernel.Violation.step_name on))
-    attack_triple;
-  let off =
-    step_of "frankenstein cross (precomp off)"
-      (Attacks.frankenstein ~use_precomp:false ~cross:true ())
-  in
-  let on =
-    step_of "frankenstein cross (precomp on)"
-      (Attacks.frankenstein ~use_precomp:true ~cross:true ())
-  in
-  Alcotest.(check string) "frankenstein cross: same step with the precomp table enabled"
-    (Oskernel.Violation.step_name off)
-    (Oskernel.Violation.step_name on);
-  check_succeeded "frankenstein single-app chain (precomp on)"
-    (Attacks.frankenstein ~use_precomp:true ~cross:false ())
-
-let test_vcache_frankenstein_parity () =
-  let off =
-    step_of "frankenstein cross (cache off)"
-      (Attacks.frankenstein ~use_vcache:false ~cross:true ())
-  in
-  let on =
-    step_of "frankenstein cross (cache on)"
-      (Attacks.frankenstein ~use_vcache:true ~cross:true ())
-  in
-  Alcotest.(check string) "frankenstein cross: same step with the vcache enabled"
-    (Oskernel.Violation.step_name off)
-    (Oskernel.Violation.step_name on);
-  (* and the legal single-application chain still runs to completion *)
-  check_succeeded "frankenstein single-app chain (cache on)"
-    (Attacks.frankenstein ~use_vcache:true ~cross:false ())
+        (name ^ ": same violation step with the fast path armed")
+        (Oskernel.Violation.step_name reference)
+        (Oskernel.Violation.step_name fast))
+    [ ("shellcode", fun ~fastpath -> Attacks.shellcode ~fastpath ~protected:true ());
+      ("mimicry", fun ~fastpath -> Attacks.mimicry ~fastpath ~protected:true ());
+      ( "non-control-data",
+        fun ~fastpath -> Attacks.non_control_data ~fastpath ~protected:true () );
+      ("frankenstein cross", fun ~fastpath -> Attacks.frankenstein ~fastpath ~cross:true ()) ];
+  check_succeeded "frankenstein single-app chain (fast path)"
+    (Attacks.frankenstein ~fastpath:true ~cross:false ())
 
 (* --- the classification table (§4.1 forensic signatures) --- *)
 
@@ -191,11 +138,7 @@ let () =
             test_frankenstein_cross_blocked;
           Alcotest.test_case "frankenstein confined to one app" `Quick
             test_frankenstein_single_app_confined;
-          Alcotest.test_case "vcache deny parity (shellcode/mimicry/ncd)" `Quick
-            test_vcache_deny_parity;
-          Alcotest.test_case "vcache deny parity (frankenstein)" `Quick
-            test_vcache_frankenstein_parity;
-          Alcotest.test_case "precomp deny parity (full suite)" `Quick
-            test_precomp_deny_parity;
+          Alcotest.test_case "fast-path deny parity (full suite)" `Quick
+            test_fastpath_deny_parity;
           Alcotest.test_case "classification table" `Quick test_classification_table;
           Alcotest.test_case "forensic runs verify + classify" `Quick test_forensic_runs ] ) ]

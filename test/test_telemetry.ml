@@ -24,9 +24,9 @@ let install ~program src =
 
 let enforced_kernel () =
   let kernel = Kernel.create ~personality () in
-  let vcache = Asc_core.Vcache.create ~registry:(Kernel.metrics kernel) () in
-  let precomp = Asc_core.Precomp.create ~key ~registry:(Kernel.metrics kernel) () in
-  Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor ~kernel ~key ~vcache ~precomp ()));
+  let { Asc_core.Checker.vcache; precomp; cfpre } = Asc_core.Checker.fastpath ~key kernel in
+  Kernel.set_monitor kernel
+    (Some (Asc_core.Checker.monitor ~kernel ~key ~vcache ~precomp ~cfpre ()));
   kernel
 
 let loop_src =
