@@ -2,7 +2,10 @@
    loop, and measuring the total number of CPU cycles using the Pentium
    processor's rdtsc instruction ... Each experiment was repeated 12 times;
    the highest and lowest readings were discarded, and the average of the
-   remaining 10 readings is used". The rdcyc instruction is our rdtsc. *)
+   remaining 10 readings is used". The rdcyc instruction is our rdtsc. The
+   cycle model is deterministic, so all 12 readings would agree: each
+   experiment here runs once, and [harness] re-proves the agreement on
+   every run. *)
 
 open Oskernel
 module Cmac = Asc_crypto.Cmac
@@ -87,124 +90,78 @@ let spawn_case ~authenticated ~fast ~control_flow case =
             (if fast then Some (Asc_core.Checker.fastpath ~key kernel) else None)));
   (kernel, Kernel.spawn kernel ~stdin:case.c_stdin ~program:case.c_name img)
 
-(* Run one trial; returns the measured cycle delta together with the
-   kernel, whose per-kernel metrics registry carries the checker's
-   per-verification-step cycle counters for the run (and, with [fast],
-   the fast-path layers' counters), and the host-side allocation gauge:
-   minor-heap words allocated per loop iteration strictly around
-   [Kernel.run]. *)
-let measure_run ~authenticated ?(fast = false) ~control_flow case =
+(* One run of [case]'s loop: the per-iteration cycles the guest's rdcyc
+   measured, the kernel's metrics registry (the checker's per-step
+   counters and, with [fast], the fast-path layers'), and the host-side
+   minor-heap words per iteration strictly around [Kernel.run]. *)
+type run = {
+  r_cycles : int;
+  r_raw : string -> int;  (* registry value by name, 0 when absent *)
+  r_words : int;
+}
+
+let run ~authenticated ?(fast = false) ?(control_flow = true) case =
   let kernel, proc = spawn_case ~authenticated ~fast ~control_flow case in
   let mw0 = Gc.minor_words () in
   match Kernel.run kernel proc ~max_cycles:4_000_000_000 with
   | Svm.Machine.Halted _ ->
-    let alloc = int_of_float (Gc.minor_words () -. mw0) / iterations in
-    (proc.Process.machine.Svm.Machine.regs.(1), kernel, alloc)
+    let words = int_of_float (Gc.minor_words () -. mw0) / iterations in
+    let reg = Kernel.metrics kernel in
+    { r_cycles = proc.Process.machine.Svm.Machine.regs.(1) / iterations;
+      r_raw = (fun name -> Option.value ~default:0 (Asc_obs.Metrics.value reg name));
+      r_words = words }
   | Svm.Machine.Killed r -> failwith (case.c_name ^ " killed: " ^ r)
   | _ -> failwith (case.c_name ^ " did not complete")
 
-let measure_once ~authenticated ?fast ~control_flow case =
-  let cycles, _, _ = measure_run ~authenticated ?fast ~control_flow case in
-  cycles
-
-(* Table 4's decomposition: per-call cycles attributed to each verification
-   step of §3.4, read back from the checker's step counters. The steps sum
-   to the total by construction (see [Asc_core.Checker]). *)
-type verification = {
-  v_call_mac : int;
-  v_string_mac : int;
-  v_control_flow : int;
-  v_ext : int;
-  v_total : int;
-}
-
-let verification_of ?(fast = false) ~control_flow case =
-  let _, kernel, _ = measure_run ~authenticated:true ~fast ~control_flow case in
-  let raw name = Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) name) in
-  let v name =
-    let r = raw name in
-    (* with the fast path on, the first iteration pays the CMAC cost and
-       later ones the fast-path cost, so per-step charges are not uniform *)
-    if (not fast) && r mod iterations <> 0 then
-      failwith (Printf.sprintf "%s: %s not uniform across iterations" case.c_name name);
-    r / iterations
-  in
-  (* the attribution invariant holds exactly on the raw counters in every
-     mode; the per-call record below may round each step independently *)
-  if
-    raw "checker.cycles.call_mac" + raw "checker.cycles.string_mac"
-    + raw "checker.cycles.control_flow" + raw "checker.cycles.ext"
-    <> raw "checker.cycles.total"
-  then failwith (case.c_name ^ ": verification steps do not sum to the total");
-  let r =
-    { v_call_mac = v "checker.cycles.call_mac";
-      v_string_mac = v "checker.cycles.string_mac";
-      v_control_flow = v "checker.cycles.control_flow";
-      v_ext = v "checker.cycles.ext";
-      v_total = v "checker.cycles.total" }
-  in
-  (r, raw)
-
-(* 12 trials, drop highest and lowest, average the remaining 10. The cycle
-   model is deterministic, so the trials agree — the structure is kept to
-   match the paper's procedure. *)
-let trial_average f =
-  let trials = List.init 12 (fun _ -> f ()) in
-  let sorted = List.sort compare trials in
-  let kept = List.filteri (fun i _ -> i > 0 && i < 11) sorted in
-  List.fold_left ( + ) 0 kept / List.length kept
-
 let empty_case = { c_name = "empty"; c_body = ""; c_stdin = ""; c_setup = ignore }
 
-let empty_loop_cost =
-  lazy (trial_average (fun () -> measure_once ~authenticated:false ~control_flow:true empty_case) / iterations)
-
-(* The alloc analogue of [empty_loop_cost]: minor words per iteration the
-   bench harness itself allocates (interpreter loop, run bookkeeping) on an
-   empty unauthenticated loop. Subtracted from every row's gauge so
-   [alloc_minor_words_per_call] measures the trap path, not the loop. *)
-let alloc_harness_words =
+(* The empty unauthenticated loop: its cycles per iteration, and the minor
+   words the bench harness itself allocates per iteration (interpreter
+   loop, run bookkeeping), subtracted from every row so cycles and
+   [alloc_minor_words_per_call] measure the trap path, not the loop. The
+   paper averaged 12 trials; the cycle model is deterministic, so one run
+   is the measurement, and running the empty loop twice re-proves that. *)
+let harness =
   lazy
-    (trial_average (fun () ->
-         let _, _, alloc = measure_run ~authenticated:false ~control_flow:true empty_case in
-         alloc))
+    (let a = run ~authenticated:false empty_case in
+     let b = run ~authenticated:false empty_case in
+     if a.r_cycles <> b.r_cycles || a.r_words <> b.r_words then
+       failwith "empty loop: two runs disagree, so one run is not the measurement";
+     a)
 
-let per_call ?(control_flow = true) ?fast ~authenticated case =
-  let total =
-    trial_average (fun () -> measure_once ~authenticated ?fast ~control_flow case)
-  in
-  (total / iterations) - Lazy.force empty_loop_cost
+let loop_cost () = (Lazy.force harness).r_cycles
+let per_call r = r.r_cycles - loop_cost ()
 
-(* One Table 4 row's Auth+fast column: per-call cycles, the per-step
-   decomposition, and the fast-path layers' counters. Gated here rather
-   than in a test so every benchmark run re-proves the headline
-   properties: precomp and cfpre hit on a repeated call site, the fast
-   path cuts the per-call overhead over the reference checker at least
-   3x, and it cuts the control-flow step at least 3x. *)
-let fast_row ~orig ~auth ~(v : verification) case =
-  let auth_fast = per_call ~authenticated:true ~fast:true case in
-  let v_fast, raw = verification_of ~fast:true ~control_flow:true case in
-  if raw "precomp.hits" = 0 then failwith (case.c_name ^ ": precompiled-site table never hit");
-  if raw "cfpre.hits" = 0 then failwith (case.c_name ^ ": control-flow bitset table never hit");
-  if 3 * (auth_fast - orig) > auth - orig then
-    failwith
-      (Printf.sprintf "%s: fast path overhead not cut 3x (%d vs %d cycles/call)" case.c_name
-         (auth_fast - orig) (auth - orig));
-  if 3 * v_fast.v_control_flow > v.v_control_flow then
-    failwith
-      (Printf.sprintf "%s: fast control_flow not cut 3x (%d vs %d per call)" case.c_name
-         v_fast.v_control_flow v.v_control_flow);
-  let open Asc_obs.Json in
-  let counters layer fields =
-    (layer, Obj (List.map (fun f -> (f, Int (raw (layer ^ "." ^ f)))) fields))
-  in
-  let layers =
-    [ counters "precomp" [ "hits"; "misses"; "resumes"; "fallbacks"; "compiles" ];
-      counters "cfpre" [ "hits"; "misses"; "fallbacks"; "compiles"; "cycles_saved" ];
-      counters "vcache" [ "hits"; "misses" ] ]
-  in
-  (auth_fast, v_fast, layers)
+(* The checker's verification steps (§3.4), as its counters name them. *)
+let step_names = [ "call_mac"; "string_mac"; "control_flow"; "ext" ]
 
+let json_of fields = Asc_obs.Json.Obj (List.map (fun (k, n) -> (k, Asc_obs.Json.Int n)) fields)
+
+(* Table 4's decomposition: per-call cycles attributed to each verification
+   step, read back from the checker's step counters, and their total. The
+   steps sum to the total by construction (see [Asc_core.Checker]), which
+   holds exactly on the raw counters; the per-call values may round each
+   step independently. *)
+let verification_of ~fast case r =
+  let raw s = r.r_raw ("checker.cycles." ^ s) in
+  if List.fold_left (fun acc s -> acc + raw s) 0 step_names <> raw "total" then
+    failwith (case.c_name ^ ": verification steps do not sum to the total");
+  List.map
+    (fun s ->
+      (* with the fast path on, the first iteration pays the CMAC cost and
+         later ones the fast-path cost, so per-step charges are not uniform *)
+      if (not fast) && raw s mod iterations <> 0 then
+        failwith
+          (Printf.sprintf "%s: checker.cycles.%s not uniform across iterations" case.c_name s);
+      (s, raw s / iterations))
+    (step_names @ [ "total" ])
+
+(* One row per case: the reference checker and the deployed fast path,
+   one run each. The Auth+fast column is gated here rather than in a test
+   so every benchmark run re-proves the headline properties: precomp and
+   cfpre hit on a repeated call site, the fast path cuts the per-call
+   overhead over the reference checker at least 3x, and it cuts the
+   control-flow step at least 3x. *)
 let table4 () =
   Format.printf "@.Table 4: Effect of authentication (cycles per call)@.";
   Format.printf "%-16s %10s %14s %10s %10s %10s@." "System Call" "Original" "Authenticated"
@@ -213,91 +170,77 @@ let table4 () =
   let rows =
     List.map
       (fun case ->
-        let orig = per_call ~authenticated:false case in
-        let auth = per_call ~authenticated:true case in
-        let v, _ = verification_of ~control_flow:true case in
-        let auth_fast, v_fast, layers = fast_row ~orig ~auth ~v case in
-        (* the allocation gauge is read on the deployed configuration *)
-        let _, akernel, alloc_raw =
-          measure_run ~authenticated:true ~fast:true ~control_flow:true case
-        in
-        let alloc = alloc_raw - Lazy.force alloc_harness_words in
-        let araw name =
-          Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics akernel) name)
-        in
-        (* the checker's alloc attribution invariant, exact on raw counters *)
-        if
-          araw "checker.alloc.call_mac" + araw "checker.alloc.string_mac"
-          + araw "checker.alloc.control_flow" + araw "checker.alloc.ext"
-          <> araw "checker.alloc.total"
-        then failwith (case.c_name ^ ": alloc steps do not sum to checker.alloc.total");
-        let aper name = araw name / iterations in
-        let a_call_mac = aper "checker.alloc.call_mac" in
-        let a_string_mac = aper "checker.alloc.string_mac" in
-        let a_control_flow = aper "checker.alloc.control_flow" in
-        let a_ext = aper "checker.alloc.ext" in
-        let a_telemetry = aper "checker.alloc.telemetry" in
-        let known = a_call_mac + a_string_mac + a_control_flow + a_ext + a_telemetry in
+        let fail fmt = Printf.ksprintf (fun m -> failwith (case.c_name ^ ": " ^ m)) fmt in
+        let orig = per_call (run ~authenticated:false case) in
+        let reference = run ~authenticated:true case in
+        let auth = per_call reference in
+        let v = verification_of ~fast:false case reference in
+        let fast = run ~authenticated:true ~fast:true case in
+        let auth_fast = per_call fast in
+        let v_fast = verification_of ~fast:true case fast in
+        let raw = fast.r_raw in
+        if raw "precomp.hits" = 0 then fail "precompiled-site table never hit";
+        if raw "cfpre.hits" = 0 then fail "control-flow bitset table never hit";
+        if 3 * (auth_fast - orig) > auth - orig then
+          fail "fast path overhead not cut 3x (%d vs %d cycles/call)" (auth_fast - orig)
+            (auth - orig);
+        let cf = List.assoc "control_flow" in
+        if 3 * cf v_fast > cf v then
+          fail "fast control_flow not cut 3x (%d vs %d per call)" (cf v_fast) (cf v);
+        (* the allocation gauge is read on the deployed configuration; the
+           checker's alloc attribution invariant is exact on raw counters *)
+        let alloc = fast.r_words - (Lazy.force harness).r_words in
+        let araw s = raw ("checker.alloc." ^ s) in
+        if List.fold_left (fun acc s -> acc + araw s) 0 step_names <> araw "total" then
+          fail "alloc steps do not sum to checker.alloc.total";
+        let a = List.map (fun s -> (s, araw s / iterations)) (step_names @ [ "telemetry" ]) in
+        let known = List.fold_left (fun acc (_, n) -> acc + n) 0 a in
         (* [other] closes the decomposition by construction: dispatch,
            interpreter and unattributed checker words. It must not be
            negative — that would mean the harness baseline over-subtracts
            or a step counter double-counts. *)
         if known > alloc then
-          failwith
-            (Printf.sprintf "%s: attributed alloc (%d words) exceeds per-call gauge (%d)"
-               case.c_name known alloc);
-        (* the per-pid scratch buffers must take the step's host allocation
-           to (near) zero — the fast path's entire budget is the probe *)
-        if a_control_flow > 16 then
-          failwith
-            (Printf.sprintf "%s: cfpre control_flow allocates %d words/call (budget 16)"
-               case.c_name a_control_flow);
+          fail "attributed alloc (%d words) exceeds per-call gauge (%d)" known alloc;
+        (* the monitor's scratch buffers must take the step's host
+           allocation to (near) zero — the fast path's entire budget is the
+           probe *)
+        if cf a > 16 then fail "cfpre control_flow allocates %d words/call (budget 16)" (cf a);
         Format.printf "%-16s %10d %14d %9.1f%% %10d %9.1f%%@." case.c_name orig auth
           (pct orig auth) auth_fast (pct orig auth_fast);
         let open Asc_obs.Json in
-        let verification_json v =
-          Obj
-            [ ("call_mac", Int v.v_call_mac);
-              ("string_mac", Int v.v_string_mac);
-              ("control_flow", Int v.v_control_flow);
-              ("ext", Int v.v_ext);
-              ("total", Int v.v_total) ]
+        let counters layer fields =
+          (layer, json_of (List.map (fun f -> (f, raw (layer ^ "." ^ f))) fields))
         in
         Obj
-          ([ ("name", Str case.c_name);
-             ("original", Int orig);
-             ("authenticated", Int auth);
-             ("overhead_pct", Float (pct orig auth));
-             ("verification", verification_json v);
-             ("alloc_minor_words_per_call", Int alloc);
-             (* per-step minor words; fields sum exactly to
-                alloc_minor_words_per_call ([other] is the remainder,
-                gated non-negative above) *)
-             ( "alloc",
-               Obj
-                 [ ("call_mac", Int a_call_mac);
-                   ("string_mac", Int a_string_mac);
-                   ("control_flow", Int a_control_flow);
-                   ("ext", Int a_ext);
-                   ("telemetry", Int a_telemetry);
-                   ("other", Int (alloc - known)) ] );
-             ("authenticated_fast", Int auth_fast);
-             ("overhead_fast_pct", Float (pct orig auth_fast));
-             ("verification_fast", verification_json v_fast) ]
-           @ layers))
+          [ ("name", Str case.c_name);
+            ("original", Int orig);
+            ("authenticated", Int auth);
+            ("overhead_pct", Float (pct orig auth));
+            ("verification", json_of v);
+            ("alloc_minor_words_per_call", Int alloc);
+            (* per-step minor words; fields sum exactly to
+               alloc_minor_words_per_call ([other] is the remainder,
+               gated non-negative above) *)
+            ("alloc", json_of (a @ [ ("other", alloc - known) ]));
+            ("authenticated_fast", Int auth_fast);
+            ("overhead_fast_pct", Float (pct orig auth_fast));
+            ("verification_fast", json_of v_fast);
+            counters "precomp" [ "hits"; "misses"; "resumes"; "fallbacks"; "compiles" ];
+            counters "cfpre" [ "hits"; "misses"; "fallbacks"; "compiles"; "cycles_saved" ];
+            counters "vcache" [ "hits"; "misses" ] ])
       cases
   in
   Format.printf "%-16s %10d@." "rdtsc cost" Svm.Cost_model.rdcyc_cost;
-  Format.printf "%-16s %10d@." "loop cost" (Lazy.force empty_loop_cost);
-  Format.printf "%-16s %10d words/iter@." "alloc harness" (Lazy.force alloc_harness_words);
+  Format.printf "%-16s %10d@." "loop cost" (loop_cost ());
+  Format.printf "%-16s %10d words/iter@." "alloc harness" (Lazy.force harness).r_words;
   let open Asc_obs.Json in
   Export.write ~name:"table4"
     (Obj
        [ ("table", Str "table4");
          ("iterations", Int iterations);
          ("rdtsc_cost", Int Svm.Cost_model.rdcyc_cost);
-         ("loop_cost", Int (Lazy.force empty_loop_cost));
-         ("alloc_harness_words", Int (Lazy.force alloc_harness_words));
+         ("loop_cost", Int (loop_cost ()));
+         ("alloc_harness_words", Int (Lazy.force harness).r_words);
          ("rows", List rows) ])
 
 (* --- gate attribution -------------------------------------------------- *)
@@ -350,7 +293,6 @@ let attribute_gate ~file ~baseline ~actual =
     let rows doc = match member "rows" doc with Some (List rs) -> rs | _ -> [] in
     let arows = rows actual in
     let verif_keys = [ ("verification", false); ("verification_fast", true) ] in
-    let step_names = [ "call_mac"; "string_mac"; "control_flow"; "ext" ] in
     let best = ref None in
     List.iteri
       (fun i brow ->
@@ -401,8 +343,8 @@ let ablation_control_flow () =
   Format.printf "%-16s %14s %16s %12s@." "System Call" "ASC (full)" "ASC (no cf)" "cf share";
   List.iter
     (fun case ->
-      let full = per_call ~authenticated:true ~control_flow:true case in
-      let nocf = per_call ~authenticated:true ~control_flow:false case in
+      let full = per_call (run ~authenticated:true case) in
+      let nocf = per_call (run ~authenticated:true ~control_flow:false case) in
       Format.printf "%-16s %14d %16d %11.1f%%@." case.c_name full nocf
         (100. *. float_of_int (full - nocf) /. float_of_int full))
     cases
@@ -412,17 +354,16 @@ let ablation_control_flow () =
    loop, in the two ways the step can execute — the reference string-MAC
    path (predecessor-set CMAC + two from-scratch lbMAC CMACs) and the
    cfpre fast path (bitset load+test + single-AES lbMAC chain steps
-   against per-pid scratch). The fast path must cut the step at least 3x,
-   and its allocation must sit within the per-pid-scratch budget. *)
+   against the monitor's scratch). The fast path must cut the step at
+   least 3x, and its allocation must sit within the scratch budget. *)
 let control_flow_step () =
   Format.printf "@.Microbench: the control-flow step in isolation (getpid, per call)@.";
   Format.printf "%-38s %10s %10s@." "configuration" "cycles" "words";
   let case = List.hd cases in
   let row name ~fast =
-    let _, kernel, _ = measure_run ~authenticated:true ~fast ~control_flow:true case in
-    let raw n = Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) n) in
-    let cyc = raw "checker.cycles.control_flow" / iterations in
-    let words = raw "checker.alloc.control_flow" / iterations in
+    let r = run ~authenticated:true ~fast case in
+    let cyc = r.r_raw "checker.cycles.control_flow" / iterations in
+    let words = r.r_raw "checker.alloc.control_flow" / iterations in
     Format.printf "%-38s %10d %10d@." name cyc words;
     (cyc, words)
   in
@@ -439,8 +380,8 @@ let control_flow_step () =
 let ablation_userspace () =
   Format.printf "@.Ablation: enforcement placement (getpid microbenchmark)@.";
   let case = List.hd cases in
-  let orig = per_call ~authenticated:false case in
-  let asc = per_call ~authenticated:true case in
+  let orig = per_call (run ~authenticated:false case) in
+  let asc = per_call (run ~authenticated:true case) in
   (* user-space daemon: trained policy allowing everything, Systrace-style *)
   let daemon_cost () =
     let img = Svm.Asm.assemble_exn (loop_program ~body:case.c_body) in
@@ -450,10 +391,10 @@ let ablation_userspace () =
     let proc = Kernel.spawn kernel ~program:"daemon" img in
     match Kernel.run kernel proc ~max_cycles:4_000_000_000 with
     | Svm.Machine.Halted _ ->
-      (proc.Process.machine.Svm.Machine.regs.(1) / iterations) - Lazy.force empty_loop_cost
+      (proc.Process.machine.Svm.Machine.regs.(1) / iterations) - loop_cost ()
     | _ -> failwith "daemon run failed"
   in
-  let daemon = trial_average daemon_cost in
+  let daemon = daemon_cost () in
   Format.printf "  unmonitored:            %6d cycles/call@." orig;
   Format.printf "  ASC in-kernel check:    %6d cycles/call (+%d)@." asc (asc - orig);
   Format.printf "  user-space daemon:      %6d cycles/call (+%d, 2 context switches)@." daemon

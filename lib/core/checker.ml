@@ -212,6 +212,19 @@ let fastpath ~key kernel =
     precomp = Precomp.create ~key ~registry ();
     cfpre = Cfpre.create ~registry () }
 
+(* The monitor's per-trap scratch, reused by every trap since the kernel
+   runs one at a time: the call's control-flow resolution, reported to
+   telemetry on the allow and deny paths alike, and the lbMAC chain step's
+   16-byte buffers — the policy-state block being MAC'd, the freshly
+   computed tag, and the tag read back from guest memory. Reusing them is
+   what takes the fast path's host allocation toward zero. *)
+type scratch = {
+  mutable cf : Asc_obs.Telemetry.cf_reason;
+  state : Bytes.t;
+  tag : Bytes.t;
+  read : Bytes.t;
+}
+
 (* A vcache hit replaces the modeled CMAC cycles with the (much cheaper)
    hit cost, still charged to the same step counter so the Table 4
    decomposition keeps summing; the skipped cycles feed the cache's
@@ -281,12 +294,6 @@ let call_mac_slow m steps key (call : Encoded.t) ~supplied =
     deny_mac Violation.Call_mac ~expected:call_mac ~got:supplied "call MAC mismatch";
   encoded
 
-(* Precomp declined: the reference path decides, and a verified call
-   compiles the site so the next trap takes the table. *)
-let precomp_fallback m steps key pc ~pid call ~supplied =
-  let encoded = call_mac_slow m steps key call ~supplied in
-  Precomp.compile pc ~pid ~call ~encoded ~mac:supplied
-
 (* Step 3 reference path: verify the predecessor-set authenticated
    string (vcache-aided), check the nonce-fresh lbMAC over the policy
    state, decide membership from the live set bytes, then advance the
@@ -328,7 +335,7 @@ let control_flow_slow ~m ~steps ~fast ~key (p : Process.t) ~site
   | Some f -> Cfpre.compile f.cfpre ~pid:p.pid ~site ~pred_ref ~contents:pred_contents
   | None -> ()
 
-let pre ~kernel ~key ~normalize_paths ~fast ~cf_note ~steps (p : Process.t) ~site ~number =
+let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~site ~number =
   let m = p.machine in
   let r i = m.regs.(i) in
   (* --- step 1 (one alloc region): rebuild the encoded call and check the
@@ -379,29 +386,26 @@ let pre ~kernel ~key ~normalize_paths ~fast ~cf_note ~steps (p : Process.t) ~sit
              proves the call MAC — by memo equality or by resuming the saved
              chaining state over the dynamic suffix — charge the precomp cost
              into the same call-MAC counter and skip the encoded-string
-             serialization. A miss or fallback charges nothing for the
-             probe: the reference CMAC decides, compiles the site, and the
-             reason records why the table declined. *)
+             serialization. A declined probe charges nothing: the reference
+             CMAC decides, compiles the site, and the reason records why the
+             table declined. *)
+          let encoded_len = Encoded.encoded_length descriptor in
+          let suffix_len = encoded_len - Encoded.static_prefix_len in
           (match Precomp.check pc ~pid:p.pid ~call ~supplied with
-           | Precomp.Hit { suffix_len; encoded_len } ->
+           | Precomp.Hit ->
              let cost = Cost_model.precomp_hit_cost suffix_len in
              charge m steps Call_mac cost;
              Precomp.note_saved pc (Cost_model.mac_cost encoded_len - cost);
              Asc_obs.Telemetry.Precomp_hit
-           | Precomp.Resumed { suffix_len; encoded_len } ->
+           | Precomp.Resumed ->
              let cost = Cost_model.precomp_lookup_cost + Cost_model.mac_resume_cost suffix_len in
              charge m steps Call_mac cost;
              Precomp.note_saved pc (Cost_model.mac_cost encoded_len - cost);
              Asc_obs.Telemetry.Precomp_resumed
-           | Precomp.Miss ->
-             precomp_fallback m steps key pc ~pid:p.pid call ~supplied;
-             Asc_obs.Telemetry.Precomp_fallback Asc_obs.Telemetry.F_no_entry
-           | Precomp.Fallback Precomp.Statics_mismatch ->
-             precomp_fallback m steps key pc ~pid:p.pid call ~supplied;
-             Asc_obs.Telemetry.Precomp_fallback Asc_obs.Telemetry.F_statics
-           | Precomp.Fallback Precomp.Tag_mismatch ->
-             precomp_fallback m steps key pc ~pid:p.pid call ~supplied;
-             Asc_obs.Telemetry.Precomp_fallback Asc_obs.Telemetry.F_tag)
+           | Precomp.Declined cause ->
+             let encoded = call_mac_slow m steps key call ~supplied in
+             Precomp.compile pc ~pid:p.pid ~call ~encoded ~mac:supplied;
+             Asc_obs.Telemetry.Precomp_fallback cause)
       in
       (reason, block, string_args, ext, control))
   in
@@ -433,33 +437,34 @@ let pre ~kernel ~key ~normalize_paths ~fast ~cf_note ~steps (p : Process.t) ~sit
           the kernel-held counter changes every call — and is never cached.
           The match is deliberately flat (no intermediate option/tuple):
           the hit branch's whole host-allocation budget is Cfpre.check's
-          probe plus one [read_word] option. *)
+          [Hit] block. *)
        match fast with
        | Some f ->
          (match Cfpre.check f.cfpre ~m ~pid:p.pid ~site ~pred_ref with
-          | Cfpre.Hit { entry; scratch = sc } ->
+          | Cfpre.Hit entry ->
             (* Bitset fast path: the live reference and the live guest bytes
                equal the slow-path-verified ones (Cfpre.check just compared
                both), so the set's string MAC would necessarily verify — the
                predecessor check is one load+test in the compiled bitset. The
                lbMAC is still verified and rewritten fresh on this very call
-               (§3.4 nonce-freshness is untouched); the per-pid chain scratch
-               and single-block CMAC only amortize setup and allocation. *)
-            cf_note := Asc_obs.Telemetry.Cf_hit;
+               (§3.4 nonce-freshness is untouched); the monitor's scratch
+               buffers and single-block CMAC only amortize setup and
+               allocation. *)
+            sc.cf <- Asc_obs.Telemetry.Cf_hit;
             let len = Cfpre.contents_length entry in
             charge m steps Control_flow (Cost_model.cfpre_hit_cost len);
             if not (Machine.word_ok m lbp) then
               deny Violation.Control_flow "policy state unreadable";
             let last_block = Machine.word_at m lbp in
-            if not (Machine.read_into m ~addr:(lbp + 8) ~buf:sc.Cfpre.ps_read ~pos:0 ~len:16)
+            if not (Machine.read_into m ~addr:(lbp + 8) ~buf:sc.read ~pos:0 ~len:16)
             then deny Violation.Control_flow "policy state MAC unreadable";
             charge m steps Control_flow Cost_model.lbmac_chain_cost;
-            Cfpre.state_into sc ~counter:p.counter ~last_block;
-            Cmac.mac_block_into key sc.Cfpre.ps_state ~dst:sc.Cfpre.ps_tag;
-            if not (Cmac.equal_tags_bytes sc.Cfpre.ps_tag sc.Cfpre.ps_read) then
+            Cfpre.state_into sc.state ~counter:p.counter ~last_block;
+            Cmac.mac_block_into key sc.state ~dst:sc.tag;
+            if not (Cmac.equal_tags_bytes sc.tag sc.read) then
               deny_mac Violation.Control_flow
-                ~expected:(Bytes.to_string sc.Cfpre.ps_tag)
-                ~got:(Bytes.to_string sc.Cfpre.ps_read)
+                ~expected:(Bytes.to_string sc.tag)
+                ~got:(Bytes.to_string sc.read)
                 "policy state corrupted";
             if not (Cfpre.member entry last_block) then
               deny Violation.Control_flow
@@ -468,25 +473,19 @@ let pre ~kernel ~key ~normalize_paths ~fast ~cf_note ~steps (p : Process.t) ~sit
                application *)
             p.counter <- p.counter + 1;
             charge m steps Control_flow Cost_model.lbmac_chain_cost;
-            Cfpre.state_into sc ~counter:p.counter ~last_block:block;
-            Cmac.mac_block_into key sc.Cfpre.ps_state ~dst:sc.Cfpre.ps_tag;
+            Cfpre.state_into sc.state ~counter:p.counter ~last_block:block;
+            Cmac.mac_block_into key sc.state ~dst:sc.tag;
             if
               not
                 (Machine.word_ok m lbp
-                 && Machine.write_from m ~addr:(lbp + 8) ~buf:sc.Cfpre.ps_tag ~pos:0 ~len:16)
+                 && Machine.write_from m ~addr:(lbp + 8) ~buf:sc.tag ~pos:0 ~len:16)
             then deny Violation.Control_flow "policy state unwritable";
             Machine.set_word m lbp block;
             Cfpre.note_saved f.cfpre
               (Cost_model.mac_cost len - Cost_model.cfpre_hit_cost len
                + (2 * (Cost_model.mac_cost 16 - Cost_model.lbmac_chain_cost)))
-          | declined ->
-            (match declined with
-             | Cfpre.Miss -> cf_note := Asc_obs.Telemetry.Cf_slow
-             | Cfpre.Fallback Cfpre.Ref_mismatch ->
-               cf_note := Asc_obs.Telemetry.Cf_fallback_ref
-             | Cfpre.Fallback Cfpre.Contents_mismatch ->
-               cf_note := Asc_obs.Telemetry.Cf_fallback_contents
-             | Cfpre.Hit _ -> ());
+          | Cfpre.Declined cause ->
+            sc.cf <- cause;
             control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block)
        | None -> control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block));
   (* --- §5 extensions: allowed-value sets and argument patterns --- *)
@@ -547,29 +546,24 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?inject ?vcache ?precomp ?cf
     | _ -> invalid_arg "Checker.monitor: arm vcache, precomp and cfpre together or not at all"
   in
   let steps = steps_of ?inject kernel.Kernel.obs in
-  (* lifecycle: every entry is image-specific, so spawn and execve (re)build
-     the pid's precompiled tables, and execve and teardown drop its vcache
-     entries (a fresh pid's were already dropped at exit); teardown frees
-     the pid for reuse *)
+  (* lifecycle: every entry is image-specific, so execve and teardown drop
+     the pid's entries in all three layers; a pid's first entry creates
+     its tables *)
   (match fast with
    | Some f ->
      Kernel.add_lifecycle_hook kernel (function
-       | Kernel.Proc_spawn { pid } ->
-         Precomp.prepare_pid f.precomp pid;
-         Cfpre.prepare_pid f.cfpre pid
-       | Kernel.Proc_exec { pid } ->
-         Vcache.invalidate_pid f.vcache pid;
-         Precomp.prepare_pid f.precomp pid;
-         Cfpre.prepare_pid f.cfpre pid
-       | Kernel.Proc_exit { pid } ->
-         Vcache.invalidate_pid f.vcache pid;
-         Precomp.invalidate_pid f.precomp pid;
-         Cfpre.invalidate_pid f.cfpre pid)
+       | Kernel.Proc_spawn _ -> ()
+       | Kernel.Proc_exec { pid } | Kernel.Proc_exit { pid } ->
+         Vcache.drop_pid f.vcache pid;
+         Precomp.drop_pid f.precomp pid;
+         Cfpre.drop_pid f.cfpre pid)
    | None -> ());
-  (* one cell for the whole monitor (single-threaded kernel): reset per
-     call, read by [finish] on the allow and deny paths alike — so the
-     fast path allocates nothing to report its resolution *)
-  let cf_note = ref Asc_obs.Telemetry.Cf_none in
+  let sc =
+    { cf = Asc_obs.Telemetry.Cf_none;
+      state = Bytes.create 16;
+      tag = Bytes.create 16;
+      read = Bytes.create 16 }
+  in
   let telemetry = Kernel.telemetry kernel in
   { Kernel.monitor_name = "asc-checker";
     pre_syscall =
@@ -605,7 +599,7 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?inject ?vcache ?precomp ?cf
             | Some s -> Syscall.name s
             | None -> Printf.sprintf "syscall#%d" number
           in
-          Asc_obs.Telemetry.record telemetry shard ~site ~sem ~reason ~cf:!cf_note ~cycles
+          Asc_obs.Telemetry.record telemetry shard ~site ~sem ~reason ~cf:sc.cf ~cycles
             ~alloc ~now:m.Machine.cycles;
           let td = Asc_obs.Profile.minor_words () - ta0 in
           if td > 0 then Asc_obs.Metrics.add steps.sa_telemetry td;
@@ -613,9 +607,9 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?inject ?vcache ?precomp ?cf
           | Some prof -> Asc_obs.Profile.leave prof
           | None -> ()
         in
-        cf_note := Asc_obs.Telemetry.Cf_none;
+        sc.cf <- Asc_obs.Telemetry.Cf_none;
         match
-          pre ~kernel ~key ~normalize_paths ~fast ~cf_note ~steps p ~site ~number
+          pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps p ~site ~number
         with
         | reason ->
           finish reason;

@@ -49,6 +49,9 @@
     - {!Vcache} remembers verified authenticated strings (arguments,
       extension blocks, and predecessor sets on a cfpre miss).
 
+    All three keep their entries in a {!Pid_table}: one table per pid,
+    one bound, dropped on execve and exit.
+
     Each layer accepts only inputs under which the reference path would
     verify the same bytes. Anything else falls back to the reference path,
     which decides, so verdicts and denies are byte-identical with the
@@ -60,8 +63,8 @@ type fastpath = {
 }
 
 val fastpath : key:Asc_crypto.Cmac.key -> Oskernel.Kernel.t -> fastpath
-(** Fresh layers with default bounds, publishing their counters into the
-    kernel's metrics registry. [key] must be the checker's. *)
+(** Fresh, empty layers publishing their counters into the kernel's
+    metrics registry. [key] must be the checker's. *)
 
 (** {1 Fault injection} — regression-attribution test support. *)
 
@@ -95,9 +98,10 @@ val monitor :
 
     [vcache], [precomp] and [cfpre] arm the {!fastpath}. Pass all three
     or none; none is the paper's reference checker. The monitor
-    registers one kernel lifecycle hook: spawn and execve (re)build the
-    pid's precompiled tables, and execve and teardown drop its entries.
-    [precomp] must be created with the same [key].
+    registers one kernel lifecycle hook: execve and teardown drop the
+    pid's entries in all three layers (spawn needs nothing, since a pid's
+    first entry creates its tables). [precomp] must be created with the
+    same [key].
     @raise Invalid_argument when given a strict subset of the three. *)
 
 val monitor_with :

@@ -27,6 +27,9 @@ let has_ext d = d land ext_bit <> 0
 let bits_set d shift = List.filter (fun i -> d land (1 lsl (shift + i)) <> 0) [ 0; 1; 2; 3; 4; 5 ]
 let const_args d = bits_set d 0
 let string_args d = bits_set d 8
+let rec popcount n = if n = 0 then 0 else (n land 1) + popcount (n lsr 1)
+let num_const_args d = popcount (d land 0x3f)
+let num_string_args d = popcount ((d lsr 8) land 0x3f)
 
 let pp ppf d =
   Format.fprintf ppf "0x%08x{%s%sconst=%s strings=%s}" (d land 0xffff_ffff)

@@ -30,4 +30,9 @@ val const_args : t -> int list
 
 val string_args : t -> int list
 
+val num_const_args : t -> int
+(** [List.length (const_args d)], without building the list. *)
+
+val num_string_args : t -> int
+
 val pp : Format.formatter -> t -> unit

@@ -104,8 +104,8 @@ let dyn_fields descriptor =
 
 let encoded_length descriptor =
   20
-  + (9 * List.length (Descriptor.const_args descriptor))
-  + (25 * List.length (Descriptor.string_args descriptor))
+  + (9 * Descriptor.num_const_args descriptor)
+  + (25 * Descriptor.num_string_args descriptor)
   + (if Descriptor.has_ext descriptor then 24 else 0)
   + if Descriptor.has_control_flow descriptor then 28 else 0
 

@@ -67,7 +67,8 @@ val dyn_fields : Descriptor.t -> dyn_field list
 
 val encoded_length : Descriptor.t -> int
 (** Length of {!encode}'s output for any call with this descriptor (the
-    layout is fully determined by the descriptor bits). *)
+    layout is fully determined by the descriptor bits). Allocation-free:
+    the checker prices every precomp hit by it. *)
 
 val set_u32 : bytes -> pos:int -> int -> unit
 (** Write a little-endian u32 in place — {!encode}'s integer encoding, for

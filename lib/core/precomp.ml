@@ -1,4 +1,5 @@
 module Cmac = Asc_crypto.Cmac
+module Metrics = Asc_obs.Metrics
 
 (* Per-pid, site-indexed table of precompiled policy verification state.
 
@@ -25,104 +26,46 @@ type entry = {
   mutable pe_suffix : string;    (* encoded[16..] of that call (template) *)
   pe_fields : Encoded.dyn_field list;
   pe_state : Cmac.Streaming.saved; (* chaining state over encoded[0..15] *)
-  pe_len : int;                   (* total encoded length (descriptor-fixed) *)
 }
 
 type t = {
   p_key : Cmac.key;
-  max_sites : int;                (* per-pid bound on compiled entries *)
-  tbl : (int, (int, entry) Hashtbl.t) Hashtbl.t;  (* pid -> site -> entry *)
-  mutable hits : int;
-  mutable resumes : int;
-  mutable misses : int;
-  mutable fallbacks : int;
-  mutable compiles : int;
-  mutable invalidations : int;
-  mutable saved : int;
-  ctr_hits : Asc_obs.Metrics.counter;
-  ctr_resumes : Asc_obs.Metrics.counter;
-  ctr_misses : Asc_obs.Metrics.counter;
-  ctr_fallbacks : Asc_obs.Metrics.counter;
-  ctr_compiles : Asc_obs.Metrics.counter;
-  ctr_invalidations : Asc_obs.Metrics.counter;
-  g_size : Asc_obs.Metrics.gauge;
-  g_saved : Asc_obs.Metrics.gauge;
+  sites : (int, entry) Pid_table.t;
+  hits : Metrics.counter;
+  resumes : Metrics.counter;
+  misses : Metrics.counter;
+  fallbacks : Metrics.counter;
+  compiles : Metrics.counter;
 }
 
-type fallback_cause =
-  | Statics_mismatch
-  | Tag_mismatch
-
 type verdict =
-  | Miss
-  | Hit of { suffix_len : int; encoded_len : int }
-  | Resumed of { suffix_len : int; encoded_len : int }
-  | Fallback of fallback_cause
+  | Hit
+  | Resumed
+  | Declined of Asc_obs.Telemetry.fallback
 
-let create ?(max_sites = 4096) ~key ~registry () =
-  if max_sites < 1 then invalid_arg "Precomp.create: max_sites must be >= 1";
+let create ~key ~registry () =
   { p_key = key;
-    max_sites;
-    tbl = Hashtbl.create 16;
-    hits = 0;
-    resumes = 0;
-    misses = 0;
-    fallbacks = 0;
-    compiles = 0;
-    invalidations = 0;
-    saved = 0;
-    ctr_hits =
-      Asc_obs.Metrics.counter registry "precomp.hits" ~help:"precompiled-site memo hits";
-    ctr_resumes =
-      Asc_obs.Metrics.counter registry "precomp.resumes"
+    sites = Pid_table.create registry ~prefix:"precomp";
+    hits = Metrics.counter registry "precomp.hits" ~help:"precompiled-site memo hits";
+    resumes =
+      Metrics.counter registry "precomp.resumes"
         ~help:"suffix MACs resumed from a saved chaining state";
-    ctr_misses = Asc_obs.Metrics.counter registry "precomp.misses";
-    ctr_fallbacks =
-      Asc_obs.Metrics.counter registry "precomp.fallbacks"
+    misses = Metrics.counter registry "precomp.misses";
+    fallbacks =
+      Metrics.counter registry "precomp.fallbacks"
         ~help:"structural or tag mismatches sent to the slow path";
-    ctr_compiles = Asc_obs.Metrics.counter registry "precomp.compiles";
-    ctr_invalidations =
-      Asc_obs.Metrics.counter registry "precomp.invalidations"
-        ~help:"entries dropped on spawn / execve / process teardown";
-    g_size = Asc_obs.Metrics.gauge registry "precomp.size";
-    g_saved =
-      Asc_obs.Metrics.gauge registry "precomp.cycles_saved"
-        ~help:"modeled CMAC cycles skipped by the precompiled fast path" }
+    compiles = Metrics.counter registry "precomp.compiles" }
 
-let hits t = t.hits
-let resumes t = t.resumes
-let misses t = t.misses
-let fallbacks t = t.fallbacks
-let compiles t = t.compiles
-let invalidations t = t.invalidations
-let cycles_saved t = t.saved
-
-let size t = Hashtbl.fold (fun _ sites acc -> acc + Hashtbl.length sites) t.tbl 0
-let set_size t = Asc_obs.Metrics.set t.g_size (size t)
-
-let note_saved t n =
-  t.saved <- t.saved + n;
-  Asc_obs.Metrics.set t.g_saved t.saved
-
-let drop_pid_entries t pid =
-  match Hashtbl.find_opt t.tbl pid with
-  | None -> ()
-  | Some sites ->
-    let n = Hashtbl.length sites in
-    Hashtbl.remove t.tbl pid;
-    if n > 0 then begin
-      t.invalidations <- t.invalidations + n;
-      Asc_obs.Metrics.add t.ctr_invalidations n
-    end;
-    set_size t
-
-(* exec-time table creation: drop whatever an earlier image compiled for
-   this pid and start it with a fresh, empty site index *)
-let prepare_pid t pid =
-  drop_pid_entries t pid;
-  Hashtbl.replace t.tbl pid (Hashtbl.create 16)
-
-let invalidate_pid t pid = drop_pid_entries t pid
+let drop_pid t pid = Pid_table.drop_pid t.sites pid
+let note_saved t n = Pid_table.note_saved t.sites n
+let size t = Pid_table.size t.sites
+let hits t = Metrics.counter_value t.hits
+let resumes t = Metrics.counter_value t.resumes
+let misses t = Metrics.counter_value t.misses
+let fallbacks t = Metrics.counter_value t.fallbacks
+let compiles t = Metrics.counter_value t.compiles
+let invalidations t = Pid_table.invalidations t.sites
+let cycles_saved t = Pid_table.cycles_saved t.sites
 
 let statics_match entry (call : Encoded.t) =
   let e = entry.pe_call in
@@ -176,24 +119,19 @@ let patched_suffix entry (call : Encoded.t) =
     entry.pe_fields;
   b
 
+(* A declined probe names its cause with a constant, so declining
+   allocates nothing either. *)
+let statics_mismatch t =
+  Metrics.inc t.fallbacks;
+  Declined Asc_obs.Telemetry.F_statics
+
 let check t ~pid ~(call : Encoded.t) ~supplied =
-  let entry =
-    match Hashtbl.find_opt t.tbl pid with
-    | None -> None
-    | Some sites -> Hashtbl.find_opt sites call.Encoded.e_site
-  in
-  match entry with
-  | None ->
-    t.misses <- t.misses + 1;
-    Asc_obs.Metrics.inc t.ctr_misses;
-    Miss
-  | Some e ->
-    let suffix_len = e.pe_len - Encoded.static_prefix_len in
-    if not (statics_match e call) then begin
-      t.fallbacks <- t.fallbacks + 1;
-      Asc_obs.Metrics.inc t.ctr_fallbacks;
-      Fallback Statics_mismatch
-    end
+  match Pid_table.find t.sites ~pid call.Encoded.e_site with
+  | exception Not_found ->
+    Metrics.inc t.misses;
+    Declined Asc_obs.Telemetry.F_no_entry
+  | e ->
+    if not (statics_match e call) then statics_mismatch t
     else begin
       match
         if fields_match e call && Cmac.equal_tags e.pe_mac supplied then `Hit
@@ -206,58 +144,35 @@ let check t ~pid ~(call : Encoded.t) ~supplied =
         end
       with
       | `Hit ->
-        t.hits <- t.hits + 1;
-        Asc_obs.Metrics.inc t.ctr_hits;
-        Hit { suffix_len; encoded_len = e.pe_len }
+        Metrics.inc t.hits;
+        Hit
       | `Resumed suffix ->
         (* a second valid (call, tag) pair at this site: move the memo *)
         e.pe_call <- call;
         e.pe_mac <- supplied;
         e.pe_suffix <- Bytes.to_string suffix;
-        t.resumes <- t.resumes + 1;
-        Asc_obs.Metrics.inc t.ctr_resumes;
-        Resumed { suffix_len; encoded_len = e.pe_len }
+        Metrics.inc t.resumes;
+        Resumed
       | `Mismatch ->
-        t.fallbacks <- t.fallbacks + 1;
-        Asc_obs.Metrics.inc t.ctr_fallbacks;
-        Fallback Tag_mismatch
+        Metrics.inc t.fallbacks;
+        Declined Asc_obs.Telemetry.F_tag
       | exception Not_found ->
         (* malformed argument list during field compare/patch — a shape
            problem, not a tag problem *)
-        t.fallbacks <- t.fallbacks + 1;
-        Asc_obs.Metrics.inc t.ctr_fallbacks;
-        Fallback Statics_mismatch
+        statics_mismatch t
     end
 
 let compile t ~pid ~(call : Encoded.t) ~encoded ~mac =
   let len = String.length encoded in
-  if len > Encoded.static_prefix_len then begin
-    let sites =
-      match Hashtbl.find_opt t.tbl pid with
-      | Some s -> s
-      | None ->
-        let s = Hashtbl.create 16 in
-        Hashtbl.replace t.tbl pid s;
-        s
-    in
-    if (not (Hashtbl.mem sites call.Encoded.e_site)) && Hashtbl.length sites < t.max_sites
-    then begin
-      let st = Cmac.Streaming.init t.p_key in
-      Cmac.Streaming.update st
-        (Bytes.unsafe_of_string encoded)
-        ~pos:0 ~len:Encoded.static_prefix_len;
-      let entry =
-        { pe_call = call;
-          pe_mac = mac;
-          pe_suffix =
-            String.sub encoded Encoded.static_prefix_len (len - Encoded.static_prefix_len);
-          pe_fields = Encoded.dyn_fields call.Encoded.e_descriptor;
-          pe_state = Cmac.Streaming.save st;
-          pe_len = len }
-      in
-      Hashtbl.replace sites call.Encoded.e_site entry;
-      t.compiles <- t.compiles + 1;
-      Asc_obs.Metrics.inc t.ctr_compiles;
-      set_size t
-    end
+  let site = call.Encoded.e_site in
+  if len > Encoded.static_prefix_len && not (Pid_table.mem t.sites ~pid site) then begin
+    let st = Cmac.Streaming.init t.p_key in
+    Cmac.Streaming.update st (Bytes.unsafe_of_string encoded) ~pos:0 ~len:Encoded.static_prefix_len;
+    Pid_table.add t.sites ~pid site
+      { pe_call = call;
+        pe_mac = mac;
+        pe_suffix = String.sub encoded Encoded.static_prefix_len (len - Encoded.static_prefix_len);
+        pe_fields = Encoded.dyn_fields call.Encoded.e_descriptor;
+        pe_state = Cmac.Streaming.save st };
+    Metrics.inc t.compiles
   end

@@ -3,9 +3,8 @@
 
     The reference slow path serializes the encoded call and CMACs it on
     every trap. This table moves that work to (at most) once per call
-    site: the pid's table is created when the image is established
-    ([Proc_spawn]/[Proc_exec]), and the first successful slow-path
-    verification at a site {e compiles} an entry holding
+    site: the first successful slow-path verification at a site of the
+    pid's current image {e compiles} an entry holding
 
     - the full verified call and its supplied tag (the memo),
     - the encoded string's dynamic-field offset map
@@ -26,46 +25,38 @@
       suffix, paying AES only for the suffix blocks. Success moves the
       memo to the new call.
 
-    Anything else — no entry, structural mismatch, tag mismatch — is a
-    {!constructor-Fallback}: the caller runs the unchanged slow path (a
+    Anything else — no entry, structural mismatch, tag mismatch — is
+    {!constructor-Declined}: the caller runs the unchanged slow path (a
     full CMAC of the encoded call), so denies are byte-identical with the
     table on or off. Entries are only ever created from successful
     verifications; a failed resume remembers nothing.
 
-    Counters/gauges are published in the registry passed at creation:
-    [precomp.hits], [precomp.resumes], [precomp.misses],
-    [precomp.fallbacks], [precomp.compiles], [precomp.invalidations],
-    [precomp.size], [precomp.cycles_saved]. *)
+    The entries live in a {!Pid_table} keyed by site. Counters are
+    published in the registry passed at creation: [precomp.hits],
+    [precomp.resumes], [precomp.misses], [precomp.fallbacks],
+    [precomp.compiles] and the {!Pid_table} instruments under the
+    [precomp] prefix. *)
 
 type t
 
-val create :
-  ?max_sites:int -> key:Asc_crypto.Cmac.key -> registry:Asc_obs.Metrics.registry -> unit -> t
-(** [max_sites] (default 4096, must be ≥ 1) bounds the compiled entries
-    per pid; sites beyond the bound simply keep taking the slow path.
-    [key] must be the checker's verification key — the saved chaining
+val create : key:Asc_crypto.Cmac.key -> registry:Asc_obs.Metrics.registry -> unit -> t
+(** [key] must be the checker's verification key — the saved chaining
     states are key-specific. *)
 
-(** Why a compiled entry declined to decide — surfaced so the telemetry
-    plane can distinguish "the site's structure changed" from "the tag
-    didn't verify" in its fallback rollups. *)
-type fallback_cause =
-  | Statics_mismatch  (** number/site/descriptor/block differ from the
-                          compiled statics (also covers a malformed
-                          argument list during field comparison) *)
-  | Tag_mismatch      (** the resumed MAC did not match the supplied tag *)
-
-(** What {!check} proved, and what the checker should charge:
+(** What {!check} proved, and what the checker should charge for a call
+    of encoded length [n] (a function of its descriptor,
+    {!Encoded.encoded_length}) and suffix length [s = n - 16]:
     [Hit]/[Resumed] mean the call MAC is verified (charge
-    [Svm.Cost_model.precomp_hit_cost suffix_len], respectively
-    [precomp_lookup_cost + mac_resume_cost suffix_len]); [Miss]/[Fallback]
-    mean nothing was proved and nothing was charged — run the slow path. *)
+    [Svm.Cost_model.precomp_hit_cost s], respectively
+    [precomp_lookup_cost + mac_resume_cost s]). [Declined] means nothing
+    was proved and nothing was charged: run the slow path. Its cause is
+    telemetry's: [F_no_entry] (counted in [precomp.misses]) or
+    [F_statics]/[F_tag] (counted in [precomp.fallbacks]). [F_statics]
+    also covers a malformed argument list during field comparison. *)
 type verdict =
-  | Miss       (** no compiled entry for (pid, site) *)
-  | Hit of { suffix_len : int; encoded_len : int }
-  | Resumed of { suffix_len : int; encoded_len : int }
-  | Fallback of fallback_cause
-      (** structural or tag mismatch — slow path decides *)
+  | Hit
+  | Resumed
+  | Declined of Asc_obs.Telemetry.fallback
 
 val check : t -> pid:int -> call:Encoded.t -> supplied:string -> verdict
 
@@ -73,15 +64,11 @@ val compile : t -> pid:int -> call:Encoded.t -> encoded:string -> mac:string -> 
 (** Compile a site entry from a verification that just succeeded on the
     slow path: [encoded] = [Encoded.encode call], [mac] = the supplied tag
     that matched. First writer wins (the statics are site-fixed, so
-    recompiling would store the same prefix state); bounded by
-    [max_sites]. Never call this on a failed comparison. *)
+    recompiling would store the same prefix state). Never call this on a
+    failed comparison. *)
 
-val prepare_pid : t -> int -> unit
-(** Establish a fresh, empty site table for [pid], dropping anything an
-    earlier image compiled — called on [Proc_spawn] and [Proc_exec]. *)
-
-val invalidate_pid : t -> int -> unit
-(** Drop every entry owned by [pid] — called on process teardown. *)
+val drop_pid : t -> int -> unit
+(** Drop every entry owned by [pid] (execve and teardown). *)
 
 val note_saved : t -> int -> unit
 (** Credit [n] modeled cycles to the cycles-saved gauge (slow-path MAC

@@ -26,8 +26,8 @@
 (** Why a precompiled-site table consulted on the trap did not decide the
     call (the reference path's full CMAC then verified it). *)
 type fallback =
-  | F_no_entry  (** no compiled entry for the site (first visit, or past
-                    the [max_sites] bound) *)
+  | F_no_entry  (** no compiled entry for the site (first visit, or
+                    flushed by the per-pid bound) *)
   | F_statics   (** a structural field changed: number, descriptor, block
                     id or argument shape *)
   | F_tag       (** the resumed MAC did not match the supplied tag (the

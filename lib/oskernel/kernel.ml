@@ -30,9 +30,9 @@ let compose_monitors name monitors =
         List.iter (fun m -> m.post_syscall p ~site ~sem ~result) monitors) }
 
 (* Process lifecycle notifications for caches keyed by pid: spawn and
-   execve (re)establish which image a pid runs — per-pid tables are
-   (re)built there — and teardown frees the pid for reuse, so per-pid
-   state must be dropped. *)
+   execve (re)establish which image a pid runs, and teardown frees the pid
+   for reuse, so per-pid state derived from the old image must be
+   dropped. *)
 type lifecycle =
   | Proc_spawn of { pid : int }
   | Proc_exec of { pid : int }

@@ -37,9 +37,8 @@ val no_post : Process.t -> site:int -> sem:Syscall.sem option -> result:int -> u
 (** Process lifecycle notifications, delivered to {!add_lifecycle_hook}
     subscribers. Monitors that keep per-pid state subscribe here:
     [Proc_spawn] fires from {!spawn} once the image is loaded and the pid
-    assigned — the point where exec-time per-pid tables (the checker's
-    precompiled-policy table) are created; [Proc_exec] fires after
-    [execve] replaced the image any cached facts were derived from;
+    assigned; [Proc_exec] fires after [execve] replaced the image any
+    cached facts were derived from;
     [Proc_exit] fires when {!run} ends in a terminal stop (halt, kill or
     fault — not a resumable cycle-limit stop), after which the pid could
     in principle be reused. *)

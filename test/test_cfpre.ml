@@ -4,7 +4,7 @@
    contents fallback), the base-offset bitset against globally-unique
    block ids (program id in the high bits), the span bound, the
    single-block CMAC chain step against the one-shot MAC, and the per-pid
-   lifecycle. Its behaviour inside the checker — the kernel lifecycle
+   lifecycle and bound. Its behaviour inside the checker — the kernel lifecycle
    hook, the cycles-saved accounting, and verdict parity with the
    reference checker — is tested with the rest of the deployed fast path
    in test_fastpath.ml. *)
@@ -18,8 +18,7 @@ let key = Cmac.of_raw "cfpre-test-key!!"
 
 (* ---- unit tests on the table proper ---- *)
 
-let create ?max_sites ?block_limit () =
-  Cfpre.create ?max_sites ?block_limit ~registry:(Asc_obs.Metrics.create ()) ()
+let create () = Cfpre.create ~registry:(Asc_obs.Metrics.create ()) ()
 
 (* a machine holding one predecessor set at [addr], plus the matching
    verified reference *)
@@ -33,10 +32,8 @@ let machine_with_set ~addr ids =
   (m, r, contents)
 
 let verdict_name = function
-  | Cfpre.Miss -> "Miss"
   | Cfpre.Hit _ -> "Hit"
-  | Cfpre.Fallback Cfpre.Ref_mismatch -> "Fallback(ref)"
-  | Cfpre.Fallback Cfpre.Contents_mismatch -> "Fallback(contents)"
+  | Cfpre.Declined cause -> Asc_obs.Telemetry.cf_label cause
 
 let check_is what expected t ~m ~pid ~site ~pred_ref =
   let got = verdict_name (Cfpre.check t ~m ~pid ~site ~pred_ref) in
@@ -45,11 +42,11 @@ let check_is what expected t ~m ~pid ~site ~pred_ref =
 let test_compile_and_hit () =
   let t = create () in
   let m, r, contents = machine_with_set ~addr:0x100 [ 3; 7; 9 ] in
-  check_is "cold table misses" "Miss" t ~m ~pid:1 ~site:0x40 ~pred_ref:r;
+  check_is "cold table misses" "cf_slow" t ~m ~pid:1 ~site:0x40 ~pred_ref:r;
   Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
   Alcotest.(check int) "one entry" 1 (Cfpre.size t);
   (match Cfpre.check t ~m ~pid:1 ~site:0x40 ~pred_ref:r with
-   | Cfpre.Hit { entry; _ } ->
+   | Cfpre.Hit entry ->
      (* the bitset decides exactly what predset_mem decides *)
      for b = 0 to 16 do
        Alcotest.(check bool)
@@ -58,8 +55,8 @@ let test_compile_and_hit () =
      done
    | v -> Alcotest.failf "expected Hit, got %s" (verdict_name v));
   Alcotest.(check int) "hit counted" 1 (Cfpre.hits t);
-  check_is "other site misses" "Miss" t ~m ~pid:1 ~site:0x44 ~pred_ref:r;
-  check_is "other pid misses" "Miss" t ~m ~pid:2 ~site:0x40 ~pred_ref:r
+  check_is "other site misses" "cf_slow" t ~m ~pid:1 ~site:0x44 ~pred_ref:r;
+  check_is "other pid misses" "cf_slow" t ~m ~pid:2 ~site:0x40 ~pred_ref:r
 
 let test_globally_unique_ids () =
   (* block ids carry the program id in the high bits (program_id lsl 20 lor
@@ -67,12 +64,12 @@ let test_globally_unique_ids () =
      is offset from the set's smallest id and only the span matters *)
   let pid_bits = 7 lsl 20 in
   let ids = [ pid_bits lor 2; pid_bits lor 5; pid_bits lor 40 ] in
-  let t = create ~block_limit:64 () in
+  let t = create () in
   let m, r, contents = machine_with_set ~addr:0x100 ids in
   Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
   Alcotest.(check int) "wide ids still compile" 1 (Cfpre.size t);
   (match Cfpre.check t ~m ~pid:1 ~site:0x40 ~pred_ref:r with
-   | Cfpre.Hit { entry; _ } ->
+   | Cfpre.Hit entry ->
      List.iter
        (fun b -> Alcotest.(check bool) "compiled id is a member" true (Cfpre.member entry b))
        ids;
@@ -84,13 +81,14 @@ let test_globally_unique_ids () =
    | v -> Alcotest.failf "expected Hit, got %s" (verdict_name v))
 
 let test_span_bound_declines () =
-  let t = create ~block_limit:64 () in
-  (* span 65 (> 64) must decline; the site simply stays on the slow path *)
-  let _, r, contents = machine_with_set ~addr:0x100 [ 100; 164 ] in
+  let t = create () in
+  (* a span one past the limit must decline; the site simply stays on the
+     slow path *)
+  let _, r, contents = machine_with_set ~addr:0x100 [ 100; 100 + Cfpre.block_limit ] in
   Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
   Alcotest.(check int) "over-span set not compiled" 0 (Cfpre.size t);
-  (* span exactly 64 is fine *)
-  let _, r2, c2 = machine_with_set ~addr:0x200 [ 100; 163 ] in
+  (* a span of exactly the limit is fine *)
+  let _, r2, c2 = machine_with_set ~addr:0x200 [ 100; 99 + Cfpre.block_limit ] in
   Cfpre.compile t ~pid:1 ~site:0x44 ~pred_ref:r2 ~contents:c2;
   Alcotest.(check int) "at-span set compiled" 1 (Cfpre.size t);
   (* malformed contents (not a multiple of 8, or empty) decline too *)
@@ -103,13 +101,13 @@ let test_fallbacks () =
   let m, r, contents = machine_with_set ~addr:0x100 [ 3; 7 ] in
   Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
   (* a moved/forged reference: same site, different (addr, len, mac) *)
-  check_is "forged mac falls back" "Fallback(ref)" t ~m ~pid:1 ~site:0x40
+  check_is "forged mac falls back" "cf_fallback_ref" t ~m ~pid:1 ~site:0x40
     ~pred_ref:{ r with Encoded.as_mac = String.make 16 'f' };
-  check_is "moved addr falls back" "Fallback(ref)" t ~m ~pid:1 ~site:0x40
+  check_is "moved addr falls back" "cf_fallback_ref" t ~m ~pid:1 ~site:0x40
     ~pred_ref:{ r with Encoded.as_addr = 0x104 };
   (* the reference matches but the guest bytes moved out from under it *)
   assert (Machine.write_byte m (0x100 + 3) 0xff);
-  check_is "mutated guest bytes fall back" "Fallback(contents)" t ~m ~pid:1 ~site:0x40
+  check_is "mutated guest bytes fall back" "cf_fallback_contents" t ~m ~pid:1 ~site:0x40
     ~pred_ref:r;
   Alcotest.(check int) "fallbacks counted" 3 (Cfpre.fallbacks t);
   Alcotest.(check int) "no false hits" 0 (Cfpre.hits t)
@@ -120,26 +118,32 @@ let test_pid_lifecycle () =
   Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
   Cfpre.compile t ~pid:2 ~site:0x40 ~pred_ref:r ~contents;
   Alcotest.(check int) "two entries" 2 (Cfpre.size t);
-  Cfpre.prepare_pid t 1;
-  check_is "exec emptied pid 1" "Miss" t ~m ~pid:1 ~site:0x40 ~pred_ref:r;
+  Cfpre.drop_pid t 1;
+  check_is "exec emptied pid 1" "cf_slow" t ~m ~pid:1 ~site:0x40 ~pred_ref:r;
   check_is "pid 2 stays warm" "Hit" t ~m ~pid:2 ~site:0x40 ~pred_ref:r;
-  Cfpre.invalidate_pid t 2;
+  Cfpre.drop_pid t 2;
   Alcotest.(check int) "both invalidations counted" 2 (Cfpre.invalidations t);
   Alcotest.(check int) "table empty" 0 (Cfpre.size t)
 
-let test_max_sites_bound () =
-  let t = create ~max_sites:1 () in
-  let _, r, contents = machine_with_set ~addr:0x100 [ 3 ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
-  Cfpre.compile t ~pid:1 ~site:0x44 ~pred_ref:r ~contents;
-  Alcotest.(check int) "bound holds" 1 (Cfpre.size t);
-  Alcotest.(check int) "one compile" 1 (Cfpre.compiles t);
-  Alcotest.check_raises "max_sites 0 refused"
-    (Invalid_argument "Cfpre.create: max_sites must be >= 1") (fun () ->
-      ignore (create ~max_sites:0 ()));
-  Alcotest.check_raises "block_limit 0 refused"
-    (Invalid_argument "Cfpre.create: block_limit must be >= 1") (fun () ->
-      ignore (create ~block_limit:0 ()))
+let test_max_sites_and_block_limit () =
+  (* the per-pid site bound: the site past it flushes the pid's table and
+     compiles; a set over the block limit is declined before it can *)
+  let t = create () in
+  let bound = Asc_core.Pid_table.bound in
+  let m, r, contents = machine_with_set ~addr:0x100 [ 3 ] in
+  for i = 0 to bound - 1 do
+    Cfpre.compile t ~pid:1 ~site:(4 * i) ~pred_ref:r ~contents
+  done;
+  Alcotest.(check int) "full" bound (Cfpre.size t);
+  let _, wide_r, wide = machine_with_set ~addr:0x200 [ 100; 100 + Cfpre.block_limit ] in
+  Cfpre.compile t ~pid:1 ~site:(4 * bound) ~pred_ref:wide_r ~contents:wide;
+  Alcotest.(check int) "over-span set leaves the full table" bound (Cfpre.size t);
+  Alcotest.(check int) "over-span set not compiled" bound (Cfpre.compiles t);
+  Cfpre.compile t ~pid:1 ~site:(4 * bound) ~pred_ref:r ~contents;
+  Alcotest.(check int) "flushed to the new site" 1 (Cfpre.size t);
+  Alcotest.(check int) "every site compiled" (bound + 1) (Cfpre.compiles t);
+  check_is "a flushed site misses" "cf_slow" t ~m ~pid:1 ~site:0 ~pred_ref:r;
+  check_is "the new site hits" "Hit" t ~m ~pid:1 ~site:(4 * bound) ~pred_ref:r
 
 (* ---- the amortized chain step vs the one-shot MAC ---- *)
 
@@ -152,19 +156,20 @@ let test_chain_step_equals_one_shot () =
   Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
   let m2, _, _ = machine_with_set ~addr:0x100 [ 3 ] in
   match Cfpre.check t ~m:m2 ~pid:1 ~site:0x40 ~pred_ref:r with
-  | Cfpre.Hit { scratch = sc; _ } ->
+  | Cfpre.Hit _ ->
+    let state = Bytes.create 16 and tag = Bytes.create 16 in
     List.iter
       (fun (counter, last_block) ->
-        Cfpre.state_into sc ~counter ~last_block;
+        Cfpre.state_into state ~counter ~last_block;
         Alcotest.(check string)
           (Printf.sprintf "state (%d, %d)" counter last_block)
           (Encoded.state_bytes ~counter ~last_block)
-          (Bytes.to_string sc.Cfpre.ps_state);
-        Cmac.mac_block_into key sc.Cfpre.ps_state ~dst:sc.Cfpre.ps_tag;
+          (Bytes.to_string state);
+        Cmac.mac_block_into key state ~dst:tag;
         Alcotest.(check string)
           (Printf.sprintf "tag (%d, %d)" counter last_block)
           (Cmac.mac key (Encoded.state_bytes ~counter ~last_block))
-          (Bytes.to_string sc.Cfpre.ps_tag))
+          (Bytes.to_string tag))
       [ (0, 0); (1, 7); (12345, (9 lsl 20) lor 3); (max_int, max_int) ]
   | v -> Alcotest.failf "expected Hit, got %s" (verdict_name v)
 
@@ -198,7 +203,8 @@ let () =
             test_span_bound_declines;
           Alcotest.test_case "forged ref / mutated bytes fall back" `Quick test_fallbacks;
           Alcotest.test_case "pid lifecycle" `Quick test_pid_lifecycle;
-          Alcotest.test_case "max_sites and block_limit bounds" `Quick test_max_sites_bound ] );
+          Alcotest.test_case "max_sites and block_limit bounds" `Quick
+            test_max_sites_and_block_limit ] );
       ( "chain",
         [ Alcotest.test_case "chain step equals one-shot MAC" `Quick
             test_chain_step_equals_one_shot;

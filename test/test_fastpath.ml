@@ -14,9 +14,9 @@
    cycles the fast path saves must equal the three layers' cycles-saved
    gauges exactly. One fixed tamper per layer, struck after that layer
    has warmed up, must be denied exactly as the reference denies it. The
-   lifecycle tests pin, layer by layer, the per-pid rebuild on
-   spawn/exec and the teardown on exit, and a capacity-1 vcache must
-   thrash without changing a verdict. *)
+   lifecycle tests pin, layer by layer, the per-pid drop on exec and on
+   exit, and a vcache whose table is full must flush without changing a
+   verdict. *)
 
 open Oskernel
 module Cmac = Asc_crypto.Cmac
@@ -41,18 +41,20 @@ let install ?(program_id = 1) ~program src =
 type config =
   | Reference
   | Fast
-  | Tiny_vcache  (* the fast path with a 1-entry vcache, which thrashes *)
+  | Full_vcache
+      (* the fast path with pid 1's vcache one entry short of the bound, so
+         the program's second distinct string flushes it *)
 
 let arm config kernel =
   match config with
   | Reference -> None
   | Fast -> Some (Checker.fastpath ~key kernel)
-  | Tiny_vcache ->
-    let registry = Kernel.metrics kernel in
-    Some
-      { Checker.vcache = Vcache.create ~capacity:1 ~registry ();
-        precomp = Precomp.create ~key ~registry ();
-        cfpre = Cfpre.create ~registry () }
+  | Full_vcache ->
+    let fp = Checker.fastpath ~key kernel in
+    for i = 1 to Asc_core.Pid_table.bound - 1 do
+      Vcache.remember fp.vcache ~pid:1 ~bytes:(string_of_int i) ~mac:(String.make 16 'f')
+    done;
+    Some fp
 
 let run_image ?(setup = fun _ -> ()) ?stdin config image =
   let kernel = Kernel.create ~personality () in
@@ -233,9 +235,9 @@ let agrees_with_reference ?setup ?stdin ~what config image =
       (cycles p_ref - cycles p) (cycles_saved fp);
   fp
 
-let test_tiny_vcache_still_sound () =
-  (* a 1-entry vcache thrashes (each distinct string evicts the previous
-     one) but must keep verdicts, output and accounting intact *)
+let test_full_vcache_still_sound () =
+  (* a full vcache flushes pid 1's table, fillers and all, but must keep
+     verdicts, output and accounting intact *)
   let img =
     install ~program:"thrash"
       {|
@@ -246,8 +248,8 @@ int main() {
 }
 |}
   in
-  let fp = agrees_with_reference ~what:"capacity 1" Tiny_vcache img in
-  Alcotest.(check bool) "thrashing evicts" true (Vcache.evictions fp.vcache > 0)
+  let fp = agrees_with_reference ~what:"full vcache" Full_vcache img in
+  Alcotest.(check bool) "the flush evicts" true (Vcache.evictions fp.vcache > 0)
 
 (* ---- differential: reference vs fast on the paper's workloads ---- *)
 
@@ -335,7 +337,7 @@ let prop_differential =
          | Ok inst ->
            let image = inst.Asc_core.Installer.image in
            ignore (agrees_with_reference ~what:"fast path" Fast image);
-           ignore (agrees_with_reference ~what:"capacity-1 vcache" Tiny_vcache image);
+           ignore (agrees_with_reference ~what:"full vcache" Full_vcache image);
            true))
 
 (* ---- differential property: mutations deny identically ---- *)
@@ -534,8 +536,8 @@ let () =
                 `Quick (test_teardown_invalidation l))
             layers
         @ [ Alcotest.test_case "hot loop savings accounted" `Quick test_hot_loop_accounting;
-            Alcotest.test_case "capacity-1 vcache thrashes soundly" `Quick
-              test_tiny_vcache_still_sound ] );
+            Alcotest.test_case "a full vcache flushes soundly" `Quick
+              test_full_vcache_still_sound ] );
       ( "workloads",
         List.map
           (fun (w : Workloads.Registry.t) ->

@@ -17,8 +17,7 @@ let key = Cmac.of_raw "precomp-test-key"
 
 (* ---- unit tests on the table proper ---- *)
 
-let create ?max_sites () =
-  Precomp.create ?max_sites ~key ~registry:(Asc_obs.Metrics.create ()) ()
+let create () = Precomp.create ~key ~registry:(Asc_obs.Metrics.create ()) ()
 
 (* a site with one constrained numeric argument *)
 let mk ?(site = 0x40) ?(block = 7) ?(cval = 42) () =
@@ -53,40 +52,40 @@ let compile_call t ~pid call =
 let verdict =
   Alcotest.testable
     (fun ppf -> function
-      | Precomp.Miss -> Format.fprintf ppf "Miss"
-      | Precomp.Hit { suffix_len; encoded_len } ->
-        Format.fprintf ppf "Hit(%d/%d)" suffix_len encoded_len
-      | Precomp.Resumed { suffix_len; encoded_len } ->
-        Format.fprintf ppf "Resumed(%d/%d)" suffix_len encoded_len
-      | Precomp.Fallback Precomp.Statics_mismatch -> Format.fprintf ppf "Fallback(statics)"
-      | Precomp.Fallback Precomp.Tag_mismatch -> Format.fprintf ppf "Fallback(tag)")
+      | Precomp.Hit -> Format.fprintf ppf "Hit"
+      | Precomp.Resumed -> Format.fprintf ppf "Resumed"
+      | Precomp.Declined f ->
+        Format.fprintf ppf "Declined(%s)"
+          (Asc_obs.Telemetry.reason_label (Asc_obs.Telemetry.Precomp_fallback f)))
     ( = )
+
+let miss = Precomp.Declined Asc_obs.Telemetry.F_no_entry
+let statics = Precomp.Declined Asc_obs.Telemetry.F_statics
+let tag = Precomp.Declined Asc_obs.Telemetry.F_tag
 
 let test_compile_and_hit () =
   let t = create () in
   let call = mk () in
-  let len = String.length (Encoded.encode call) in
-  Alcotest.check verdict "cold table misses" Precomp.Miss
+  Alcotest.check verdict "cold table misses" miss
     (Precomp.check t ~pid:1 ~call ~supplied:(mac_of call));
   compile_call t ~pid:1 call;
   Alcotest.(check int) "one entry" 1 (Precomp.size t);
-  Alcotest.check verdict "same call memo-hits"
-    (Precomp.Hit { suffix_len = len - Encoded.static_prefix_len; encoded_len = len })
+  Alcotest.check verdict "same call memo-hits" Precomp.Hit
     (Precomp.check t ~pid:1 ~call ~supplied:(mac_of call));
   Alcotest.(check int) "hit counted" 1 (Precomp.hits t);
   (* a forged tag on otherwise-identical bytes must not be proved *)
-  Alcotest.check verdict "forged tag falls back" (Precomp.Fallback Precomp.Tag_mismatch)
+  Alcotest.check verdict "forged tag falls back" tag
     (Precomp.check t ~pid:1 ~call ~supplied:(String.make 16 'f'))
 
 let test_statics_mismatch_falls_back () =
   let t = create () in
   let call = mk () in
   compile_call t ~pid:1 call;
-  Alcotest.check verdict "different block id" (Precomp.Fallback Precomp.Statics_mismatch)
+  Alcotest.check verdict "different block id" statics
     (Precomp.check t ~pid:1 ~call:(mk ~block:8 ()) ~supplied:(mac_of (mk ~block:8 ())));
-  Alcotest.check verdict "different site misses" Precomp.Miss
+  Alcotest.check verdict "different site misses" miss
     (Precomp.check t ~pid:1 ~call:(mk ~site:0x44 ()) ~supplied:(mac_of (mk ~site:0x44 ())));
-  Alcotest.check verdict "different pid misses" Precomp.Miss
+  Alcotest.check verdict "different pid misses" miss
     (Precomp.check t ~pid:2 ~call ~supplied:(mac_of call));
   Alcotest.(check int) "no false hits" 0 (Precomp.hits t)
 
@@ -94,19 +93,14 @@ let test_resume_moves_memo () =
   let t = create () in
   compile_call t ~pid:1 (mk ~cval:42 ());
   let call' = mk ~cval:43 () in
-  let len = String.length (Encoded.encode call') in
-  Alcotest.check verdict "changed argument resumes"
-    (Precomp.Resumed { suffix_len = len - Encoded.static_prefix_len; encoded_len = len })
+  Alcotest.check verdict "changed argument resumes" Precomp.Resumed
     (Precomp.check t ~pid:1 ~call:call' ~supplied:(mac_of call'));
-  Alcotest.check verdict "memo moved: second time is a hit"
-    (Precomp.Hit { suffix_len = len - Encoded.static_prefix_len; encoded_len = len })
+  Alcotest.check verdict "memo moved: second time is a hit" Precomp.Hit
     (Precomp.check t ~pid:1 ~call:call' ~supplied:(mac_of call'));
   (* a resume against a wrong tag proves nothing and remembers nothing *)
-  Alcotest.check verdict "wrong tag on a changed call falls back"
-    (Precomp.Fallback Precomp.Tag_mismatch)
+  Alcotest.check verdict "wrong tag on a changed call falls back" tag
     (Precomp.check t ~pid:1 ~call:(mk ~cval:44 ()) ~supplied:(mac_of call'));
-  Alcotest.check verdict "failed resume did not move the memo"
-    (Precomp.Hit { suffix_len = len - Encoded.static_prefix_len; encoded_len = len })
+  Alcotest.check verdict "failed resume did not move the memo" Precomp.Hit
     (Precomp.check t ~pid:1 ~call:call' ~supplied:(mac_of call'))
 
 let test_patching_covers_every_field_kind () =
@@ -118,7 +112,11 @@ let test_patching_covers_every_field_kind () =
   compile_call t ~pid:1 (rich ());
   let resumed what call =
     match Precomp.check t ~pid:1 ~call ~supplied:(mac_of call) with
-    | Precomp.Resumed _ | Precomp.Hit _ -> ()
+    | Precomp.Resumed | Precomp.Hit ->
+      (* the checker prices the hit by the descriptor's encoded length *)
+      Alcotest.(check int) (what ^ ": encoded length")
+        (String.length (Encoded.encode call))
+        (Encoded.encoded_length call.Encoded.e_descriptor)
     | v -> Alcotest.failf "%s: expected Resumed, got %a" what (Alcotest.pp verdict) v
   in
   resumed "const value" (rich ~cval:6 ());
@@ -133,27 +131,32 @@ let test_pid_lifecycle () =
   compile_call t ~pid:1 call;
   compile_call t ~pid:2 call;
   Alcotest.(check int) "two entries" 2 (Precomp.size t);
-  Precomp.prepare_pid t 1;
-  Alcotest.check verdict "exec emptied pid 1" Precomp.Miss
+  Precomp.drop_pid t 1;
+  Alcotest.check verdict "exec emptied pid 1" miss
     (Precomp.check t ~pid:1 ~call ~supplied:(mac_of call));
-  (match Precomp.check t ~pid:2 ~call ~supplied:(mac_of call) with
-   | Precomp.Hit _ -> ()
-   | v -> Alcotest.failf "pid 2 should stay warm, got %a" (Alcotest.pp verdict) v);
-  Precomp.invalidate_pid t 2;
+  Alcotest.check verdict "pid 2 stays warm" Precomp.Hit
+    (Precomp.check t ~pid:2 ~call ~supplied:(mac_of call));
+  Precomp.drop_pid t 2;
   Alcotest.(check int) "both invalidations counted" 2 (Precomp.invalidations t);
   Alcotest.(check int) "table empty" 0 (Precomp.size t)
 
 let test_max_sites_bound () =
-  let t = create ~max_sites:1 () in
-  compile_call t ~pid:1 (mk ~site:0x40 ());
-  compile_call t ~pid:1 (mk ~site:0x44 ());
-  Alcotest.(check int) "bound holds" 1 (Precomp.size t);
-  Alcotest.(check int) "one compile" 1 (Precomp.compiles t);
-  Alcotest.check verdict "beyond-bound site keeps missing" Precomp.Miss
-    (Precomp.check t ~pid:1 ~call:(mk ~site:0x44 ()) ~supplied:(mac_of (mk ~site:0x44 ())));
-  Alcotest.check_raises "max_sites 0 refused"
-    (Invalid_argument "Precomp.create: max_sites must be >= 1") (fun () ->
-      ignore (create ~max_sites:0 ()))
+  (* the per-pid site bound: the site past it flushes the pid's table and
+     compiles *)
+  let t = create () in
+  let bound = Asc_core.Pid_table.bound in
+  for i = 0 to bound - 1 do
+    compile_call t ~pid:1 (mk ~site:(4 * i) ())
+  done;
+  Alcotest.(check int) "full" bound (Precomp.size t);
+  let late = mk ~site:(4 * bound) () in
+  compile_call t ~pid:1 late;
+  Alcotest.(check int) "flushed to the new site" 1 (Precomp.size t);
+  Alcotest.(check int) "every site compiled" (bound + 1) (Precomp.compiles t);
+  Alcotest.check verdict "a flushed site misses" miss
+    (Precomp.check t ~pid:1 ~call:(mk ~site:0 ()) ~supplied:(mac_of (mk ~site:0 ())));
+  Alcotest.check verdict "the new site hits" Precomp.Hit
+    (Precomp.check t ~pid:1 ~call:late ~supplied:(mac_of late))
 
 let () =
   Alcotest.run "precomp"
