@@ -35,42 +35,53 @@ type instr =
 
 let instr_size = 8
 
-(* Opcode assignments. Binops occupy 0x10..0x1d, branches 0x20..0x25. *)
-let op_halt = 0x00
-let op_nop = 0x01
-let op_movi = 0x02
-let op_mov = 0x03
-let op_ld = 0x04
-let op_st = 0x05
-let op_ldb = 0x06
-let op_stb = 0x07
-let op_addi = 0x08
-let op_jmp = 0x30
-let op_jr = 0x31
-let op_call = 0x32
-let op_callr = 0x33
-let op_ret = 0x34
-let op_push = 0x35
-let op_pop = 0x36
-let op_sys = 0x37
-let op_rdcyc = 0x38
+module Op = struct
+  type t =
+    | Halt | Nop | Movi | Mov | Ld | St | Ldb | Stb | Addi
+    | Add | Sub | Mul | Div | Mod | And | Or | Xor | Shl | Shr | Slt | Sle | Seq | Sne
+    | Beq | Bne | Blt | Bge | Ble | Bgt
+    | Jmp | Jr | Call | Callr | Ret | Push | Pop | Sys | Rdcyc
+    | Invalid
+end
 
-let binop_code = function
+(* The opcode map: the only place an opcode number is written. Binops
+   occupy 0x10..0x1d, branches 0x20..0x25. *)
+let opcode : Op.t -> int = function
+  | Halt -> 0x00 | Nop -> 0x01 | Movi -> 0x02 | Mov -> 0x03 | Ld -> 0x04
+  | St -> 0x05 | Ldb -> 0x06 | Stb -> 0x07 | Addi -> 0x08
   | Add -> 0x10 | Sub -> 0x11 | Mul -> 0x12 | Div -> 0x13 | Mod -> 0x14
   | And -> 0x15 | Or -> 0x16 | Xor -> 0x17 | Shl -> 0x18 | Shr -> 0x19
   | Slt -> 0x1a | Sle -> 0x1b | Seq -> 0x1c | Sne -> 0x1d
+  | Beq -> 0x20 | Bne -> 0x21 | Blt -> 0x22 | Bge -> 0x23 | Ble -> 0x24 | Bgt -> 0x25
+  | Jmp -> 0x30 | Jr -> 0x31 | Call -> 0x32 | Callr -> 0x33 | Ret -> 0x34
+  | Push -> 0x35 | Pop -> 0x36 | Sys -> 0x37 | Rdcyc -> 0x38
+  | Invalid -> invalid_arg "Isa.opcode: Invalid has no opcode"
 
-let binop_of_code = function
-  | 0x10 -> Some Add | 0x11 -> Some Sub | 0x12 -> Some Mul | 0x13 -> Some Div
-  | 0x14 -> Some Mod | 0x15 -> Some And | 0x16 -> Some Or | 0x17 -> Some Xor
-  | 0x18 -> Some Shl | 0x19 -> Some Shr | 0x1a -> Some Slt | 0x1b -> Some Sle
-  | 0x1c -> Some Seq | 0x1d -> Some Sne | _ -> None
+let op_table =
+  let t = Array.make 256 Op.Invalid in
+  List.iter
+    (fun op -> t.(opcode op) <- op)
+    Op.
+      [ Halt; Nop; Movi; Mov; Ld; St; Ldb; Stb; Addi;
+        Add; Sub; Mul; Div; Mod; And; Or; Xor; Shl; Shr; Slt; Sle; Seq; Sne;
+        Beq; Bne; Blt; Bge; Ble; Bgt;
+        Jmp; Jr; Call; Callr; Ret; Push; Pop; Sys; Rdcyc ];
+  t
 
-let cond_code = function Eq -> 0x20 | Ne -> 0x21 | Lt -> 0x22 | Ge -> 0x23 | Le -> 0x24 | Gt -> 0x25
+(* The rt byte names a register only for binops and branches. *)
+let reads_rt : Op.t -> bool = function
+  | Add | Sub | Mul | Div | Mod | And | Or | Xor | Shl | Shr | Slt | Sle | Seq | Sne
+  | Beq | Bne | Blt | Bge | Ble | Bgt -> true
+  | Halt | Nop | Movi | Mov | Ld | St | Ldb | Stb | Addi
+  | Jmp | Jr | Call | Callr | Ret | Push | Pop | Sys | Rdcyc | Invalid -> false
 
-let cond_of_code = function
-  | 0x20 -> Some Eq | 0x21 -> Some Ne | 0x22 -> Some Lt | 0x23 -> Some Ge
-  | 0x24 -> Some Le | 0x25 -> Some Gt | _ -> None
+let op_of_binop : binop -> Op.t = function
+  | Add -> Add | Sub -> Sub | Mul -> Mul | Div -> Div | Mod -> Mod
+  | And -> And | Or -> Or | Xor -> Xor | Shl -> Shl | Shr -> Shr
+  | Slt -> Slt | Sle -> Sle | Seq -> Seq | Sne -> Sne
+
+let op_of_cond : cond -> Op.t = function
+  | Eq -> Beq | Ne -> Bne | Lt -> Blt | Ge -> Bge | Le -> Ble | Gt -> Bgt
 
 let check_reg r = if r < 0 || r >= num_regs then invalid_arg "Isa.encode: bad register"
 
@@ -80,9 +91,9 @@ let check_imm v =
 (* Layout: [opcode][ (rd<<4)|rs ][rt][0][imm32 LE]. Immediates are stored as
    their low 32 bits and decoded with sign extension, except that addresses
    in [0, 2^31) round-trip unchanged either way. *)
-let put b ~pos ~opcode ~rd ~rs ~rt ~imm =
+let put b ~pos ~op ~rd ~rs ~rt ~imm =
   check_reg rd; check_reg rs; check_reg rt; check_imm imm;
-  Bytes.set b pos (Char.chr opcode);
+  Bytes.set b pos (Char.chr (opcode op));
   Bytes.set b (pos + 1) (Char.chr ((rd lsl 4) lor rs));
   Bytes.set b (pos + 2) (Char.chr rt);
   Bytes.set b (pos + 3) '\000';
@@ -90,64 +101,88 @@ let put b ~pos ~opcode ~rd ~rs ~rt ~imm =
 
 let encode i b ~pos =
   match i with
-  | Halt -> put b ~pos ~opcode:op_halt ~rd:0 ~rs:0 ~rt:0 ~imm:0
-  | Nop -> put b ~pos ~opcode:op_nop ~rd:0 ~rs:0 ~rt:0 ~imm:0
-  | Movi (rd, v) -> put b ~pos ~opcode:op_movi ~rd ~rs:0 ~rt:0 ~imm:v
-  | Mov (rd, rs) -> put b ~pos ~opcode:op_mov ~rd ~rs ~rt:0 ~imm:0
-  | Ld (rd, rs, off) -> put b ~pos ~opcode:op_ld ~rd ~rs ~rt:0 ~imm:off
-  | St (rd, off, rs) -> put b ~pos ~opcode:op_st ~rd ~rs ~rt:0 ~imm:off
-  | Ldb (rd, rs, off) -> put b ~pos ~opcode:op_ldb ~rd ~rs ~rt:0 ~imm:off
-  | Stb (rd, off, rs) -> put b ~pos ~opcode:op_stb ~rd ~rs ~rt:0 ~imm:off
-  | Binop (op, rd, rs, rt) -> put b ~pos ~opcode:(binop_code op) ~rd ~rs ~rt ~imm:0
-  | Addi (rd, rs, v) -> put b ~pos ~opcode:op_addi ~rd ~rs ~rt:0 ~imm:v
-  | Br (c, rs, rt, target) -> put b ~pos ~opcode:(cond_code c) ~rd:0 ~rs ~rt ~imm:target
-  | Jmp target -> put b ~pos ~opcode:op_jmp ~rd:0 ~rs:0 ~rt:0 ~imm:target
-  | Jr rs -> put b ~pos ~opcode:op_jr ~rd:0 ~rs ~rt:0 ~imm:0
-  | Call target -> put b ~pos ~opcode:op_call ~rd:0 ~rs:0 ~rt:0 ~imm:target
-  | Callr rs -> put b ~pos ~opcode:op_callr ~rd:0 ~rs ~rt:0 ~imm:0
-  | Ret -> put b ~pos ~opcode:op_ret ~rd:0 ~rs:0 ~rt:0 ~imm:0
-  | Push rs -> put b ~pos ~opcode:op_push ~rd:0 ~rs ~rt:0 ~imm:0
-  | Pop rd -> put b ~pos ~opcode:op_pop ~rd ~rs:0 ~rt:0 ~imm:0
-  | Sys -> put b ~pos ~opcode:op_sys ~rd:0 ~rs:0 ~rt:0 ~imm:0
-  | Rdcyc rd -> put b ~pos ~opcode:op_rdcyc ~rd ~rs:0 ~rt:0 ~imm:0
+  | Halt -> put b ~pos ~op:Halt ~rd:0 ~rs:0 ~rt:0 ~imm:0
+  | Nop -> put b ~pos ~op:Nop ~rd:0 ~rs:0 ~rt:0 ~imm:0
+  | Movi (rd, v) -> put b ~pos ~op:Movi ~rd ~rs:0 ~rt:0 ~imm:v
+  | Mov (rd, rs) -> put b ~pos ~op:Mov ~rd ~rs ~rt:0 ~imm:0
+  | Ld (rd, rs, off) -> put b ~pos ~op:Ld ~rd ~rs ~rt:0 ~imm:off
+  | St (rd, off, rs) -> put b ~pos ~op:St ~rd ~rs ~rt:0 ~imm:off
+  | Ldb (rd, rs, off) -> put b ~pos ~op:Ldb ~rd ~rs ~rt:0 ~imm:off
+  | Stb (rd, off, rs) -> put b ~pos ~op:Stb ~rd ~rs ~rt:0 ~imm:off
+  | Binop (op, rd, rs, rt) -> put b ~pos ~op:(op_of_binop op) ~rd ~rs ~rt ~imm:0
+  | Addi (rd, rs, v) -> put b ~pos ~op:Addi ~rd ~rs ~rt:0 ~imm:v
+  | Br (c, rs, rt, target) -> put b ~pos ~op:(op_of_cond c) ~rd:0 ~rs ~rt ~imm:target
+  | Jmp target -> put b ~pos ~op:Jmp ~rd:0 ~rs:0 ~rt:0 ~imm:target
+  | Jr rs -> put b ~pos ~op:Jr ~rd:0 ~rs ~rt:0 ~imm:0
+  | Call target -> put b ~pos ~op:Call ~rd:0 ~rs:0 ~rt:0 ~imm:target
+  | Callr rs -> put b ~pos ~op:Callr ~rd:0 ~rs ~rt:0 ~imm:0
+  | Ret -> put b ~pos ~op:Ret ~rd:0 ~rs:0 ~rt:0 ~imm:0
+  | Push rs -> put b ~pos ~op:Push ~rd:0 ~rs ~rt:0 ~imm:0
+  | Pop rd -> put b ~pos ~op:Pop ~rd ~rs:0 ~rt:0 ~imm:0
+  | Sys -> put b ~pos ~op:Sys ~rd:0 ~rs:0 ~rt:0 ~imm:0
+  | Rdcyc rd -> put b ~pos ~op:Rdcyc ~rd ~rs:0 ~rt:0 ~imm:0
+
+(* Field accessors: allocation-free, and shared by [decode] and the
+   interpreter so the layout above is read in one place. The head is the
+   first four bytes, read with one bounds check; the pad byte is dropped. *)
+let[@inline] head_at b ~pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xff_ffff
+let[@inline] opcode_of_head h = h land 0xff
+let[@inline] rd_of_head h = (h lsr 12) land 0xf
+let[@inline] rs_of_head h = (h lsr 8) land 0xf
+let[@inline] rt_of_head h = h lsr 16
+let[@inline] imm_at b ~pos = Int32.to_int (Bytes.get_int32_le b (pos + 4))
+let[@inline] target_at b ~pos = imm_at b ~pos land 0xffff_ffff
+
+let[@inline] op_of_head h =
+  let op = Array.unsafe_get op_table (opcode_of_head h) in
+  if rt_of_head h < num_regs || not (reads_rt op) then op else Op.Invalid
 
 let decode b ~pos =
-  if pos + instr_size > Bytes.length b then None
+  if pos < 0 || pos > Bytes.length b - instr_size then None
   else begin
-    let opcode = Char.code (Bytes.get b pos) in
-    let regs = Char.code (Bytes.get b (pos + 1)) in
-    let rd = regs lsr 4 and rs = regs land 0xf in
-    let rt = Char.code (Bytes.get b (pos + 2)) in
-    let imm = Int32.to_int (Bytes.get_int32_le b (pos + 4)) in
-    (* The rt byte names a register only for binops and branches; validate it
-       there so garbage bytes decode to None instead of a bad register. *)
-    let rt_valid = rt < num_regs in
-    if opcode = op_halt then Some Halt
-    else if opcode = op_nop then Some Nop
-    else if opcode = op_movi then Some (Movi (rd, imm))
-    else if opcode = op_mov then Some (Mov (rd, rs))
-    else if opcode = op_ld then Some (Ld (rd, rs, imm))
-    else if opcode = op_st then Some (St (rd, imm, rs))
-    else if opcode = op_ldb then Some (Ldb (rd, rs, imm))
-    else if opcode = op_stb then Some (Stb (rd, imm, rs))
-    else if opcode = op_addi then Some (Addi (rd, rs, imm))
-    else
-      match binop_of_code opcode with
-      | Some op -> if rt_valid then Some (Binop (op, rd, rs, rt)) else None
-      | None ->
-        match cond_of_code opcode with
-        | Some c -> if rt_valid then Some (Br (c, rs, rt, imm land 0xffff_ffff)) else None
-        | None ->
-          if opcode = op_jmp then Some (Jmp (imm land 0xffff_ffff))
-          else if opcode = op_jr then Some (Jr rs)
-          else if opcode = op_call then Some (Call (imm land 0xffff_ffff))
-          else if opcode = op_callr then Some (Callr rs)
-          else if opcode = op_ret then Some Ret
-          else if opcode = op_push then Some (Push rs)
-          else if opcode = op_pop then Some (Pop rd)
-          else if opcode = op_sys then Some Sys
-          else if opcode = op_rdcyc then Some (Rdcyc rd)
-          else None
+    let h = head_at b ~pos in
+    let rd = rd_of_head h and rs = rs_of_head h and rt = rt_of_head h in
+    let imm = imm_at b ~pos and target = target_at b ~pos in
+    match op_of_head h with
+    | Halt -> Some Halt
+    | Nop -> Some Nop
+    | Movi -> Some (Movi (rd, imm))
+    | Mov -> Some (Mov (rd, rs))
+    | Ld -> Some (Ld (rd, rs, imm))
+    | St -> Some (St (rd, imm, rs))
+    | Ldb -> Some (Ldb (rd, rs, imm))
+    | Stb -> Some (Stb (rd, imm, rs))
+    | Addi -> Some (Addi (rd, rs, imm))
+    | Add -> Some (Binop (Add, rd, rs, rt))
+    | Sub -> Some (Binop (Sub, rd, rs, rt))
+    | Mul -> Some (Binop (Mul, rd, rs, rt))
+    | Div -> Some (Binop (Div, rd, rs, rt))
+    | Mod -> Some (Binop (Mod, rd, rs, rt))
+    | And -> Some (Binop (And, rd, rs, rt))
+    | Or -> Some (Binop (Or, rd, rs, rt))
+    | Xor -> Some (Binop (Xor, rd, rs, rt))
+    | Shl -> Some (Binop (Shl, rd, rs, rt))
+    | Shr -> Some (Binop (Shr, rd, rs, rt))
+    | Slt -> Some (Binop (Slt, rd, rs, rt))
+    | Sle -> Some (Binop (Sle, rd, rs, rt))
+    | Seq -> Some (Binop (Seq, rd, rs, rt))
+    | Sne -> Some (Binop (Sne, rd, rs, rt))
+    | Beq -> Some (Br (Eq, rs, rt, target))
+    | Bne -> Some (Br (Ne, rs, rt, target))
+    | Blt -> Some (Br (Lt, rs, rt, target))
+    | Bge -> Some (Br (Ge, rs, rt, target))
+    | Ble -> Some (Br (Le, rs, rt, target))
+    | Bgt -> Some (Br (Gt, rs, rt, target))
+    | Jmp -> Some (Jmp target)
+    | Jr -> Some (Jr rs)
+    | Call -> Some (Call target)
+    | Callr -> Some (Callr rs)
+    | Ret -> Some Ret
+    | Push -> Some (Push rs)
+    | Pop -> Some (Pop rd)
+    | Sys -> Some Sys
+    | Rdcyc -> Some (Rdcyc rd)
+    | Invalid -> None
   end
 
 let imm_is_code_target = function

@@ -54,13 +54,60 @@ type instr =
 val instr_size : int
 (** Size in bytes of every encoded instruction (8). *)
 
+(** {2 Operations and fields}
+
+    The interpreter dispatches on these without building an {!instr}, so a
+    retired instruction allocates nothing; {!decode} is built on the same
+    accessors, so the two cannot disagree about the encoding. Each [_at]
+    accessor reads the instruction starting at [pos] and raises
+    [Invalid_argument] if a byte it reads lies outside the buffer. *)
+
+module Op : sig
+  type t =
+    | Halt | Nop | Movi | Mov | Ld | St | Ldb | Stb | Addi
+    | Add | Sub | Mul | Div | Mod | And | Or | Xor | Shl | Shr | Slt | Sle | Seq | Sne
+    | Beq | Bne | Blt | Bge | Ble | Bgt
+    | Jmp | Jr | Call | Callr | Ret | Push | Pop | Sys | Rdcyc
+    | Invalid
+end
+(** The operation an instruction performs, without its operands: one tag
+    per opcode, binops and branches included. [Invalid] stands for every
+    byte the opcode map leaves unassigned. *)
+
+val head_at : bytes -> pos:int -> int
+(** The instruction's head: its opcode, register and rt bytes, read with
+    one bounds check. The [_of_head] functions take it apart. *)
+
+val op_of_head : int -> Op.t
+(** The operation. [Invalid] if the opcode byte is unassigned, or if the
+    operation is a binop or branch whose rt byte names no register (such
+    bytes do not {!decode} either). *)
+
+val opcode_of_head : int -> int
+(** The raw opcode byte, in \[0, 255\]. *)
+
+val rd_of_head : int -> reg
+val rs_of_head : int -> reg
+
+val rt_of_head : int -> int
+(** The raw rt byte, in \[0, 255\]; a register only where {!op_of_head}
+    is a binop or branch. *)
+
+val imm_at : bytes -> pos:int -> int
+(** The immediate, sign-extended from 32 bits. *)
+
+val target_at : bytes -> pos:int -> int
+(** The immediate as an absolute code address: zero-extended from 32 bits,
+    as branch, jump and call targets are. *)
+
 val encode : instr -> bytes -> pos:int -> unit
 (** Encode an instruction at [pos]. @raise Invalid_argument if an operand is
     out of range (register not in \[0,15\], immediate outside 32 bits). *)
 
 val decode : bytes -> pos:int -> instr option
-(** Decode the instruction at [pos]; [None] if the opcode byte is invalid
-    (the disassembler reports such bytes as undisassemblable, like PLTO). *)
+(** Decode the instruction at [pos]; [None] if [pos .. pos + instr_size - 1]
+    is not inside [b] or {!op_of_head} is [Invalid] (the disassembler reports
+    such bytes as undisassemblable, like PLTO). *)
 
 val imm_is_code_target : instr -> bool
 (** Whether the instruction's immediate field holds an absolute code address

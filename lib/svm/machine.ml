@@ -40,7 +40,9 @@ let attach_profile ?(alloc = false) t p =
 
 let stack_top t = Bytes.length t.mem - 16
 
-let in_range t addr len = addr >= 0 && len >= 0 && addr + len <= Bytes.length t.mem
+(* [addr <= length - len], not [addr + len <= length]: the sum overflows
+   for a guest address near [max_int] and would pass. *)
+let[@inline] in_range t addr len = addr >= 0 && len >= 0 && addr <= Bytes.length t.mem - len
 
 let read_word t addr =
   if in_range t addr 8 then Some (Int64.to_int (Bytes.get_int64_le t.mem addr)) else None
@@ -73,14 +75,14 @@ let write_mem t ~addr s =
   else false
 
 let read_into t ~addr ~buf ~pos ~len =
-  if in_range t addr len && pos >= 0 && len >= 0 && pos + len <= Bytes.length buf then begin
+  if in_range t addr len && pos >= 0 && pos <= Bytes.length buf - len then begin
     Bytes.blit t.mem addr buf pos len;
     true
   end
   else false
 
 let write_from t ~addr ~buf ~pos ~len =
-  if in_range t addr len && pos >= 0 && len >= 0 && pos + len <= Bytes.length buf then begin
+  if in_range t addr len && pos >= 0 && pos <= Bytes.length buf - len then begin
     Bytes.blit buf pos t.mem addr len;
     true
   end
@@ -100,148 +102,171 @@ let mem_equal t ~addr s =
     !i = len
   end
 
-(* Allocation-free word accessors: compose the LE word with int
-   arithmetic instead of a boxed Int64. [lsl]/[asr] keep the low 63 bits
-   exactly as [Int64.to_int]/[Int64.of_int] do, so the values and bytes
-   round-trip identically with [read_word]/[write_word]. *)
+(* Allocation-free word accessors: [Int64.to_int]/[Int64.of_int] around
+   the stdlib's LE word primitives are unboxed by the native compiler, and
+   nothing else is built. *)
 let word_ok t addr = in_range t addr 8
 
 let word_at t addr =
-  if not (in_range t addr 8) then invalid_arg "Machine.word_at: out of range";
-  let mem = t.mem in
-  Char.code (Bytes.unsafe_get mem addr)
-  lor (Char.code (Bytes.unsafe_get mem (addr + 1)) lsl 8)
-  lor (Char.code (Bytes.unsafe_get mem (addr + 2)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get mem (addr + 3)) lsl 24)
-  lor (Char.code (Bytes.unsafe_get mem (addr + 4)) lsl 32)
-  lor (Char.code (Bytes.unsafe_get mem (addr + 5)) lsl 40)
-  lor (Char.code (Bytes.unsafe_get mem (addr + 6)) lsl 48)
-  lor (Char.code (Bytes.unsafe_get mem (addr + 7)) lsl 56)
+  if not (word_ok t addr) then invalid_arg "Machine.word_at: out of range";
+  Int64.to_int (Bytes.get_int64_le t.mem addr)
 
 let set_word t addr v =
-  if not (in_range t addr 8) then invalid_arg "Machine.set_word: out of range";
-  for i = 0 to 7 do
-    Bytes.unsafe_set t.mem (addr + i) (Char.unsafe_chr ((v asr (8 * i)) land 0xff))
-  done
+  if not (word_ok t addr) then invalid_arg "Machine.set_word: out of range";
+  Bytes.set_int64_le t.mem addr (Int64.of_int v)
 
 let read_cstring t ~addr ~max =
   if addr < 0 || addr >= Bytes.length t.mem then None
   else begin
-    let limit = min (addr + max) (Bytes.length t.mem) in
+    let limit = addr + min max (Bytes.length t.mem - addr) in
     let rec find i = if i >= limit then None else if Bytes.get t.mem i = '\000' then Some i else find (i + 1) in
     match find addr with
     | Some e -> Some (Bytes.sub_string t.mem addr (e - addr))
     | None -> None
   end
 
-exception Fault of fault
+let fault t f pc = t.stopped <- Some (Faulted (f, pc))
 
-let word_or_fault t addr = match read_word t addr with Some v -> v | None -> raise (Fault (Bad_address addr))
-let byte_or_fault t addr = match read_byte t addr with Some v -> v | None -> raise (Fault (Bad_address addr))
-let store_or_fault t addr v = if not (write_word t addr v) then raise (Fault (Bad_address addr))
-let storeb_or_fault t addr v = if not (write_byte t addr v) then raise (Fault (Bad_address addr))
+(* The modeled cost of each opcode byte: [Cost_model.instr_cost] of the
+   instruction the byte decodes to. The model prices an operation, never
+   its operands, so one decode per byte keeps it the only source of
+   prices. Bytes that never decode are never charged. *)
+let op_cost =
+  let b = Bytes.make Isa.instr_size '\000' in
+  Array.init 256 (fun opcode ->
+      Bytes.set b 0 (Char.chr opcode);
+      match Isa.decode b ~pos:0 with Some i -> Cost_model.instr_cost i | None -> 0)
 
-let eval_binop op a b =
-  match (op : Isa.binop) with
-  | Isa.Add -> a + b
-  | Isa.Sub -> a - b
-  | Isa.Mul -> a * b
-  | Isa.Div -> if b = 0 then raise (Fault Div_by_zero) else a / b
-  | Isa.Mod -> if b = 0 then raise (Fault Div_by_zero) else a mod b
-  | Isa.And -> a land b
-  | Isa.Or -> a lor b
-  | Isa.Xor -> a lxor b
-  | Isa.Shl -> a lsl (b land 63)
-  | Isa.Shr -> a asr (b land 63)
-  | Isa.Slt -> if a < b then 1 else 0
-  | Isa.Sle -> if a <= b then 1 else 0
-  | Isa.Seq -> if a = b then 1 else 0
-  | Isa.Sne -> if a <> b then 1 else 0
-
-let eval_cond c a b =
-  match (c : Isa.cond) with
-  | Isa.Eq -> a = b
-  | Isa.Ne -> a <> b
-  | Isa.Lt -> a < b
-  | Isa.Ge -> a >= b
-  | Isa.Le -> a <= b
-  | Isa.Gt -> a > b
-
-let run t ~on_sys ~max_cycles =
-  let r = t.regs in
-  let push v =
-    r.(Isa.sp) <- r.(Isa.sp) - 8;
-    store_or_fault t r.(Isa.sp) v
-  in
-  let pop () =
-    let v = word_or_fault t r.(Isa.sp) in
-    r.(Isa.sp) <- r.(Isa.sp) + 8;
-    v
-  in
-  let rec loop () =
-    match t.stopped with
-    | Some s -> s
-    | None ->
-      if t.cycles > max_cycles then begin
-        t.stopped <- Some Cycle_limit;
-        Cycle_limit
-      end
+(* The interpreter dispatches on the operation of the opcode byte it
+   fetches and reads operands straight from guest memory, so a retired
+   instruction allocates nothing: only a stop allocates its [stopped]
+   value. There is deliberately no decoded-instruction cache: injected and
+   overwritten code, which the shellcode and mimicry attacks run, needs no
+   invalidation. Every operand is read before the instruction stores
+   anything, as if decoded whole. A fault leaves [t.pc] past the faulting
+   instruction and the effects before the fault in place (a push that
+   faults has already moved sp), and records the instruction's own pc. *)
+let rec run t ~on_sys ~max_cycles =
+  match t.stopped with
+  | Some s -> s
+  | None ->
+    if t.cycles > max_cycles then begin
+      t.stopped <- Some Cycle_limit;
+      Cycle_limit
+    end
+    else begin
+      let mem = t.mem and r = t.regs and pc = t.pc in
+      if pc < 0 || pc > Bytes.length mem - Isa.instr_size then fault t (Bad_address pc) pc
       else begin
-        let pc = t.pc in
-        (try
-           if not (in_range t pc Isa.instr_size) then raise (Fault (Bad_address pc));
-           match Isa.decode t.mem ~pos:pc with
-           | None -> raise (Fault (Bad_opcode pc))
-           | Some i ->
-             let cost = Cost_model.instr_cost i in
-             t.cycles <- t.cycles + cost;
-             t.instrs <- t.instrs + 1;
-             (* the instruction's cost belongs to the frame executing it:
-                charge before Call pushes / Ret pops the shadow stack *)
-             (match t.profile with
-              | Some p -> Asc_obs.Profile.charge p cost
-              | None -> ());
-             t.pc <- pc + Isa.instr_size;
-             (match i with
-              | Isa.Halt -> t.stopped <- Some (Halted r.(0))
-              | Isa.Nop -> ()
-              | Isa.Movi (rd, v) -> r.(rd) <- v
-              | Isa.Mov (rd, rs) -> r.(rd) <- r.(rs)
-              | Isa.Ld (rd, rs, off) -> r.(rd) <- word_or_fault t (r.(rs) + off)
-              | Isa.St (rd, off, rs) -> store_or_fault t (r.(rd) + off) r.(rs)
-              | Isa.Ldb (rd, rs, off) -> r.(rd) <- byte_or_fault t (r.(rs) + off)
-              | Isa.Stb (rd, off, rs) -> storeb_or_fault t (r.(rd) + off) r.(rs)
-              | Isa.Binop (op, rd, rs, rt) -> r.(rd) <- eval_binop op r.(rs) r.(rt)
-              | Isa.Addi (rd, rs, v) -> r.(rd) <- r.(rs) + v
-              | Isa.Br (c, rs, rt, target) -> if eval_cond c r.(rs) r.(rt) then t.pc <- target
-              | Isa.Jmp target -> t.pc <- target
-              | Isa.Jr rs -> t.pc <- r.(rs)
-              | Isa.Call target ->
-                push t.pc;
-                t.pc <- target;
-                (match t.profile with
-                 | Some p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc target)
-                 | None -> ())
-              | Isa.Callr rs ->
-                push t.pc;
-                t.pc <- r.(rs);
-                (match t.profile with
-                 | Some p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc t.pc)
-                 | None -> ())
-              | Isa.Ret ->
-                t.pc <- pop ();
-                (match t.profile with
-                 | Some p -> Asc_obs.Profile.leave p
-                 | None -> ())
-              | Isa.Push rs -> push r.(rs)
-              | Isa.Pop rd -> r.(rd) <- pop ()
-              | Isa.Sys ->
-                (match on_sys t with
-                 | Sys_continue -> ()
-                 | Sys_kill reason -> t.stopped <- Some (Killed reason))
-              | Isa.Rdcyc rd -> r.(rd) <- t.cycles)
-         with Fault f -> t.stopped <- Some (Faulted (f, pc)));
-        loop ()
-      end
-  in
-  loop ()
+        let h = Isa.head_at mem ~pos:pc in
+        let op = Isa.op_of_head h in
+        if op = Isa.Op.Invalid then fault t (Bad_opcode pc) pc
+        else begin
+          let cost = Array.unsafe_get op_cost (Isa.opcode_of_head h) in
+          t.cycles <- t.cycles + cost;
+          t.instrs <- t.instrs + 1;
+          (* the instruction's cost belongs to the frame executing it:
+             charge before Call pushes / Ret pops the shadow stack *)
+          (match t.profile with
+           | Some p -> Asc_obs.Profile.charge p cost
+           | None -> ());
+          t.pc <- pc + Isa.instr_size;
+          let rd = Isa.rd_of_head h and rs = Isa.rs_of_head h and rt = Isa.rt_of_head h in
+          match (op : Isa.Op.t) with
+          | Halt -> t.stopped <- Some (Halted r.(0))
+          | Nop | Invalid -> ()
+          | Movi -> r.(rd) <- Isa.imm_at mem ~pos:pc
+          | Mov -> r.(rd) <- r.(rs)
+          | Ld ->
+            let a = r.(rs) + Isa.imm_at mem ~pos:pc in
+            if word_ok t a then r.(rd) <- Int64.to_int (Bytes.get_int64_le mem a)
+            else fault t (Bad_address a) pc
+          | St ->
+            let a = r.(rd) + Isa.imm_at mem ~pos:pc in
+            if word_ok t a then Bytes.set_int64_le mem a (Int64.of_int r.(rs))
+            else fault t (Bad_address a) pc
+          | Ldb ->
+            let a = r.(rs) + Isa.imm_at mem ~pos:pc in
+            if in_range t a 1 then r.(rd) <- Char.code (Bytes.unsafe_get mem a)
+            else fault t (Bad_address a) pc
+          | Stb ->
+            let a = r.(rd) + Isa.imm_at mem ~pos:pc in
+            if in_range t a 1 then Bytes.unsafe_set mem a (Char.unsafe_chr (r.(rs) land 0xff))
+            else fault t (Bad_address a) pc
+          | Addi -> r.(rd) <- r.(rs) + Isa.imm_at mem ~pos:pc
+          | Add -> r.(rd) <- r.(rs) + r.(rt)
+          | Sub -> r.(rd) <- r.(rs) - r.(rt)
+          | Mul -> r.(rd) <- r.(rs) * r.(rt)
+          | Div -> if r.(rt) = 0 then fault t Div_by_zero pc else r.(rd) <- r.(rs) / r.(rt)
+          | Mod -> if r.(rt) = 0 then fault t Div_by_zero pc else r.(rd) <- r.(rs) mod r.(rt)
+          | And -> r.(rd) <- r.(rs) land r.(rt)
+          | Or -> r.(rd) <- r.(rs) lor r.(rt)
+          | Xor -> r.(rd) <- r.(rs) lxor r.(rt)
+          | Shl -> r.(rd) <- r.(rs) lsl (r.(rt) land 63)
+          | Shr -> r.(rd) <- r.(rs) asr (r.(rt) land 63)
+          | Slt -> r.(rd) <- Bool.to_int (r.(rs) < r.(rt))
+          | Sle -> r.(rd) <- Bool.to_int (r.(rs) <= r.(rt))
+          | Seq -> r.(rd) <- Bool.to_int (r.(rs) = r.(rt))
+          | Sne -> r.(rd) <- Bool.to_int (r.(rs) <> r.(rt))
+          | Beq -> if r.(rs) = r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
+          | Bne -> if r.(rs) <> r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
+          | Blt -> if r.(rs) < r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
+          | Bge -> if r.(rs) >= r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
+          | Ble -> if r.(rs) <= r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
+          | Bgt -> if r.(rs) > r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
+          | Jmp -> t.pc <- Isa.target_at mem ~pos:pc
+          | Jr -> t.pc <- r.(rs)
+          | Call ->
+            let target = Isa.target_at mem ~pos:pc and a = r.(Isa.sp) - 8 in
+            r.(Isa.sp) <- a;
+            if word_ok t a then begin
+              Bytes.set_int64_le mem a (Int64.of_int t.pc);
+              t.pc <- target;
+              match t.profile with
+              | Some p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc target)
+              | None -> ()
+            end
+            else fault t (Bad_address a) pc
+          | Callr ->
+            let a = r.(Isa.sp) - 8 in
+            r.(Isa.sp) <- a;
+            if word_ok t a then begin
+              Bytes.set_int64_le mem a (Int64.of_int t.pc);
+              t.pc <- r.(rs);
+              match t.profile with
+              | Some p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc t.pc)
+              | None -> ()
+            end
+            else fault t (Bad_address a) pc
+          | Ret ->
+            let a = r.(Isa.sp) in
+            if word_ok t a then begin
+              t.pc <- Int64.to_int (Bytes.get_int64_le mem a);
+              r.(Isa.sp) <- a + 8;
+              match t.profile with
+              | Some p -> Asc_obs.Profile.leave p
+              | None -> ()
+            end
+            else fault t (Bad_address a) pc
+          | Push ->
+            let v = r.(rs) and a = r.(Isa.sp) - 8 in
+            r.(Isa.sp) <- a;
+            if word_ok t a then Bytes.set_int64_le mem a (Int64.of_int v)
+            else fault t (Bad_address a) pc
+          | Pop ->
+            let a = r.(Isa.sp) in
+            if word_ok t a then begin
+              let v = Int64.to_int (Bytes.get_int64_le mem a) in
+              r.(Isa.sp) <- a + 8;
+              r.(rd) <- v
+            end
+            else fault t (Bad_address a) pc
+          | Sys ->
+            (match on_sys t with
+             | Sys_continue -> ()
+             | Sys_kill reason -> t.stopped <- Some (Killed reason))
+          | Rdcyc -> r.(rd) <- t.cycles
+        end
+      end;
+      run t ~on_sys ~max_cycles
+    end

@@ -51,7 +51,10 @@ val attach_profile : ?alloc:bool -> t -> Asc_obs.Profile.t -> unit
     shadow-stack transition attributes host allocation alongside cycles. *)
 
 val run : t -> on_sys:(t -> sys_action) -> max_cycles:int -> stop
-(** Execute until halt, fault, kill or cycle budget exhaustion. [on_sys] is
+(** Execute until halt, fault, kill or cycle budget exhaustion. Each
+    instruction is dispatched on the {!Isa.op_of_head} of the bytes fetched at
+    pc and charged its {!Cost_model.instr_cost}; a retired instruction
+    allocates nothing (only the final stop value does). [on_sys] is
     invoked for every [Sys] with pc already advanced past the instruction,
     so the call site is [t.pc - Isa.instr_size]. Instruction/cycle totals
     live only in [t.instrs]/[t.cycles]; metric accounting is the caller's
@@ -82,11 +85,11 @@ val mem_equal : t -> addr:int -> string -> bool
 
 (** {3 Allocation-free word accessors}
 
-    [read_word]/[write_word] box an [Int64] per call; on per-trap fast
-    paths that boxing alone blows the step's host-allocation budget.
-    Check bounds once with [word_ok], then [word_at]/[set_word] compose
-    the LE word with int arithmetic — same value/bytes as the boxed
-    pair. [word_at]/[set_word] on an address [word_ok] rejected raise
+    [read_word] allocates an option per call; on per-trap fast paths that
+    alone blows the step's host-allocation budget. Check bounds once with
+    [word_ok], then [word_at]/[set_word] read and write the LE word with
+    no allocation — same value/bytes as [read_word]/[write_word].
+    [word_at]/[set_word] on an address [word_ok] rejected raise
     [Invalid_argument]. *)
 
 val word_ok : t -> int -> bool

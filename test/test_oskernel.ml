@@ -315,6 +315,32 @@ _start: movi r0, %d       ; open with wild pointer
   | Svm.Machine.Halted _ -> ()
   | _ -> Alcotest.fail "expected graceful errno, not a crash"
 
+(* read into the last word below max_int: [addr + len] overflows there, so
+   a sum-based bounds check would pass and the copy would raise out of the
+   kernel. The call must fail with EFAULT and the process keep running. *)
+let test_read_efault_near_max_int () =
+  let src =
+    Printf.sprintf
+      {|
+_start: movi r2, 1
+        movi r4, 62
+        shl r2, r2, r4    ; min_int
+        addi r2, r2, -8   ; max_int - 7
+        movi r0, %d       ; read(0, max_int - 7, 8)
+        movi r1, 0
+        movi r3, 8
+        sys
+        mov r8, r0
+        movi r0, %d       ; exit(result)
+        mov r1, r8
+        sys
+        halt
+|}
+      (num Syscall.Read) (num Syscall.Exit)
+  in
+  let _, _, stop = run_program ~stdin:"abcdefgh" src in
+  check_exit "read into max_int - 7" (-Errno.code Errno.EFAULT) stop
+
 let test_unknown_syscall_enosys () =
   let src =
     Printf.sprintf
@@ -662,6 +688,7 @@ let suite_kernel =
     Alcotest.test_case "stdin read" `Quick test_stdin_read;
     Alcotest.test_case "brk + getpid" `Quick test_brk_and_getpid;
     Alcotest.test_case "bad pointer -> errno" `Quick test_bad_pointer_efault;
+    Alcotest.test_case "read near max_int -> EFAULT" `Quick test_read_efault_near_max_int;
     Alcotest.test_case "unknown syscall -> ENOSYS" `Quick test_unknown_syscall_enosys;
     Alcotest.test_case "execve replaces image" `Quick test_execve_replaces_image;
     Alcotest.test_case "monitor can deny" `Quick test_monitor_deny;

@@ -225,11 +225,35 @@ let test_fault_div_zero () =
   | Machine.Faulted (Machine.Div_by_zero, _) -> ()
   | _ -> Alcotest.fail "expected div-by-zero fault"
 
+(* Wild addresses fault at the accessing instruction, including those near
+   [max_int], where a bounds check written as [addr + len <= size]
+   overflows and passes. [jr] faults on the fetch, at the target. *)
 let test_fault_bad_address () =
-  let _, stop = run_asm "_start: movi r1, 0x7fffffff\n ld r0, [r1+0]\n halt" in
-  match stop with
-  | Machine.Faulted (Machine.Bad_address _, _) -> ()
-  | _ -> Alcotest.fail "expected bad-address fault"
+  List.iter
+    (fun addr ->
+      List.iter
+        (fun (insn, fault_pc) ->
+          let m = Loader.load (Asm.assemble_exn ("_start: " ^ insn ^ "\n halt")) in
+          m.regs.(1) <- addr;
+          let on_sys _ = Machine.Sys_kill "unexpected sys" in
+          match Machine.run m ~on_sys ~max_cycles:1000 with
+          | Machine.Faulted (Machine.Bad_address a, pc) when a = addr && pc = fault_pc -> ()
+          | _ -> Alcotest.failf "%s with r1 = 0x%x: expected a bad-address fault" insn addr)
+        [ ("ld r0, [r1+0]", Asm.text_base);
+          ("ldb r0, [r1+0]", Asm.text_base);
+          ("st [r1+0], r0", Asm.text_base);
+          ("stb [r1+0], r0", Asm.text_base);
+          ("jr r1", addr) ])
+    [ 0x7fffffff; max_int; max_int - 7 ];
+  let m = Machine.create ~mem_size:4096 in
+  List.iter
+    (fun addr ->
+      Alcotest.(check bool) (Printf.sprintf "word_ok 0x%x" addr) false (Machine.word_ok m addr);
+      Alcotest.(check bool) "read_word" true (Machine.read_word m addr = None);
+      Alcotest.(check bool) "write_mem" false (Machine.write_mem m ~addr "12345678");
+      Alcotest.check_raises "word_at" (Invalid_argument "Machine.word_at: out of range") (fun () ->
+          ignore (Machine.word_at m addr)))
+    [ max_int; max_int - 7; 4089 ]
 
 let test_fault_bad_opcode () =
   (* jump into the data section, which holds non-instruction bytes *)
@@ -320,6 +344,351 @@ d:      rdcyc r2
    | _ -> Alcotest.fail "did not halt");
   Alcotest.(check bool) "machine counter grew" true (m.Machine.cycles > 0)
 
+(* --- the dispatcher against the ISA --- *)
+
+(* The decode-then-execute loop [Machine.run] replaced, kept here as the
+   reference its dispatch must match: each instruction is decoded whole
+   with [Isa.decode], priced with [Cost_model.instr_cost] and run through
+   the bounds-checked accessors. *)
+module Reference = struct
+  exception Fault of Machine.fault
+
+  let word t a =
+    match Machine.read_word t a with Some v -> v | None -> raise (Fault (Machine.Bad_address a))
+
+  let byte t a =
+    match Machine.read_byte t a with Some v -> v | None -> raise (Fault (Machine.Bad_address a))
+
+  let store t a v = if not (Machine.write_word t a v) then raise (Fault (Machine.Bad_address a))
+  let storeb t a v = if not (Machine.write_byte t a v) then raise (Fault (Machine.Bad_address a))
+
+  let binop op a b =
+    match (op : Isa.binop) with
+    | Add -> a + b
+    | Sub -> a - b
+    | Mul -> a * b
+    | Div -> if b = 0 then raise (Fault Machine.Div_by_zero) else a / b
+    | Mod -> if b = 0 then raise (Fault Machine.Div_by_zero) else a mod b
+    | And -> a land b
+    | Or -> a lor b
+    | Xor -> a lxor b
+    | Shl -> a lsl (b land 63)
+    | Shr -> a asr (b land 63)
+    | Slt -> if a < b then 1 else 0
+    | Sle -> if a <= b then 1 else 0
+    | Seq -> if a = b then 1 else 0
+    | Sne -> if a <> b then 1 else 0
+
+  let cond c a b =
+    match (c : Isa.cond) with
+    | Eq -> a = b
+    | Ne -> a <> b
+    | Lt -> a < b
+    | Ge -> a >= b
+    | Le -> a <= b
+    | Gt -> a > b
+
+  let profile (t : Machine.t) f = match t.profile with Some p -> f p | None -> ()
+
+  let rec run (t : Machine.t) ~on_sys ~max_cycles =
+    let r = t.regs in
+    let push v =
+      r.(Isa.sp) <- r.(Isa.sp) - 8;
+      store t r.(Isa.sp) v
+    in
+    let pop () =
+      let v = word t r.(Isa.sp) in
+      r.(Isa.sp) <- r.(Isa.sp) + 8;
+      v
+    in
+    match t.stopped with
+    | Some s -> s
+    | None when t.cycles > max_cycles ->
+      t.stopped <- Some Machine.Cycle_limit;
+      Machine.Cycle_limit
+    | None ->
+      let pc = t.pc in
+      (try
+         if Machine.read_mem t ~addr:pc ~len:Isa.instr_size = None then
+           raise (Fault (Machine.Bad_address pc));
+         match Isa.decode t.mem ~pos:pc with
+         | None -> raise (Fault (Machine.Bad_opcode pc))
+         | Some i ->
+           let cost = Cost_model.instr_cost i in
+           t.cycles <- t.cycles + cost;
+           t.instrs <- t.instrs + 1;
+           profile t (fun p -> Asc_obs.Profile.charge p cost);
+           t.pc <- pc + Isa.instr_size;
+           (match i with
+            | Halt -> t.stopped <- Some (Machine.Halted r.(0))
+            | Nop -> ()
+            | Movi (rd, v) -> r.(rd) <- v
+            | Mov (rd, rs) -> r.(rd) <- r.(rs)
+            | Ld (rd, rs, off) -> r.(rd) <- word t (r.(rs) + off)
+            | St (rd, off, rs) -> store t (r.(rd) + off) r.(rs)
+            | Ldb (rd, rs, off) -> r.(rd) <- byte t (r.(rs) + off)
+            | Stb (rd, off, rs) -> storeb t (r.(rd) + off) r.(rs)
+            | Binop (op, rd, rs, rt) -> r.(rd) <- binop op r.(rs) r.(rt)
+            | Addi (rd, rs, v) -> r.(rd) <- r.(rs) + v
+            | Br (c, rs, rt, target) -> if cond c r.(rs) r.(rt) then t.pc <- target
+            | Jmp target -> t.pc <- target
+            | Jr rs -> t.pc <- r.(rs)
+            | Call target ->
+              push t.pc;
+              t.pc <- target;
+              profile t (fun p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc target))
+            | Callr rs ->
+              push t.pc;
+              t.pc <- r.(rs);
+              profile t (fun p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc t.pc))
+            | Ret ->
+              t.pc <- pop ();
+              profile t Asc_obs.Profile.leave
+            | Push rs -> push r.(rs)
+            | Pop rd -> r.(rd) <- pop ()
+            | Sys ->
+              (match on_sys t with
+               | Machine.Sys_continue -> ()
+               | Machine.Sys_kill reason -> t.stopped <- Some (Machine.Killed reason))
+            | Rdcyc rd -> r.(rd) <- t.cycles)
+       with Fault f -> t.stopped <- Some (Machine.Faulted (f, pc)));
+      run t ~on_sys ~max_cycles
+end
+
+let diff_mem_size = 4096
+
+(* Guest memory is seeded noise, so loads read something besides zero. *)
+let diff_template =
+  let st = Random.State.make [| 15 |] in
+  Bytes.init diff_mem_size (fun _ -> Char.chr (Random.State.int st 256))
+
+(* A kernel stand-in: charges cycles, writes r0 and one guest byte, and
+   kills on an odd r1. *)
+let diff_on_sys (m : Machine.t) =
+  m.cycles <- m.cycles + 7;
+  if m.regs.(1) land 1 = 1 then Machine.Sys_kill "odd r1"
+  else begin
+    m.regs.(0) <- m.pc;
+    ignore (Machine.write_byte m (m.regs.(2) land 0xfff) 0x5a);
+    Machine.Sys_continue
+  end
+
+type diff_case = { pc : int; regs : int array; cycles : int; word : string }
+
+let pp_diff_case c =
+  let decoded =
+    match Isa.decode (Bytes.of_string c.word) ~pos:0 with
+    | Some i -> Format.asprintf "%a" Isa.pp i
+    | None -> "(undecodable)"
+  in
+  let byte i = Printf.sprintf "%02x" (Char.code c.word.[i]) in
+  Printf.sprintf "pc=0x%x word=%s (%s) regs=[%s] cycles=%d" c.pc
+    (String.concat "" (List.init (String.length c.word) byte))
+    decoded
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.regs)))
+    c.cycles
+
+let profile_sym = function
+  | Asc_obs.Profile.Pc a -> Printf.sprintf "0x%x" a
+  | Asc_obs.Profile.Label l -> l
+
+(* Run the case's instruction word at its pc under [run], then stop:
+   [max_cycles] is the starting count, and every instruction (or the sys
+   stand-in) charges at least one cycle. *)
+let diff_run run c =
+  let m = Machine.create ~mem_size:diff_mem_size in
+  Bytes.blit diff_template 0 m.mem 0 diff_mem_size;
+  if c.pc >= 0 && c.pc <= diff_mem_size - Isa.instr_size then
+    Bytes.blit_string c.word 0 m.mem c.pc Isa.instr_size;
+  Array.blit c.regs 0 m.regs 0 Isa.num_regs;
+  m.pc <- c.pc;
+  m.cycles <- c.cycles;
+  let p = Asc_obs.Profile.create () in
+  Machine.attach_profile m p;
+  let stop = run m ~on_sys:diff_on_sys ~max_cycles:c.cycles in
+  (stop, m, Asc_obs.Profile.folded_string ~symbolize:profile_sym p, Asc_obs.Profile.depth p)
+
+let same_as_reference c =
+  let stop, m, folded, depth = diff_run Machine.run c in
+  let stop', m', folded', depth' = diff_run Reference.run c in
+  stop = stop' && m.stopped = m'.stopped && m.pc = m'.pc && m.regs = m'.regs
+  && m.cycles = m'.cycles && m.instrs = m'.instrs && Bytes.equal m.mem m'.mem
+  && folded = folded' && depth = depth'
+
+let edge_values =
+  [ 0; -1; 1; 8; 0x100; max_int; min_int; max_int - 7; diff_mem_size - 8; diff_mem_size - 1;
+    diff_mem_size ]
+
+(* Every opcode byte, with rt both naming a register and not, over a grid of
+   operand bytes, immediates and register files. The last register file
+   points every register just past the instruction, so a push, call or
+   store at offset -8 overwrites the instruction it executes. *)
+let test_dispatch_exhaustive () =
+  let in_range_regs _ = Array.init Isa.num_regs (fun i -> 0x200 + (16 * i)) in
+  let edge_regs _ =
+    Array.init Isa.num_regs (fun i -> List.nth edge_values (i mod List.length edge_values))
+  in
+  let past_the_instruction pc = Array.make Isa.num_regs (pc + Isa.instr_size) in
+  let n = ref 0 in
+  for opcode = 0 to 255 do
+    List.iter
+      (fun rt ->
+        List.iter
+          (fun regs_byte ->
+            List.iter
+              (fun imm ->
+                List.iter
+                  (fun regs ->
+                    let word = Bytes.make Isa.instr_size '\000' in
+                    Bytes.set word 0 (Char.chr opcode);
+                    Bytes.set word 1 (Char.chr regs_byte);
+                    Bytes.set word 2 (Char.chr rt);
+                    Bytes.set_int32_le word 4 (Int32.of_int imm);
+                    List.iter
+                      (fun pc ->
+                        let word = Bytes.to_string word in
+                        let c = { pc; regs = regs pc; cycles = 1000; word } in
+                        incr n;
+                        if not (same_as_reference c) then
+                          Alcotest.failf "dispatch differs from the reference: %s" (pp_diff_case c))
+                      [ 0x100; diff_mem_size - Isa.instr_size ])
+                  [ in_range_regs; edge_regs; past_the_instruction ])
+              [ 0; 8; -8; 0x7fff_fff8; -0x8000_0000 ])
+          [ 0x12; 0xd3; 0x3d; 0xdd ])
+      [ 3; Isa.num_regs; 0xff ]
+  done;
+  Alcotest.(check int) "cases" (256 * 3 * 4 * 5 * 3 * 2) !n
+
+let gen_diff_case word =
+  let open QCheck.Gen in
+  let pc =
+    frequency
+      [ (4, map (fun i -> i * Isa.instr_size) (int_bound ((diff_mem_size / Isa.instr_size) - 1)));
+        (2, int_bound (diff_mem_size - Isa.instr_size));
+        (1, oneofl [ diff_mem_size - 4; -8; max_int; max_int - 7 ]) ]
+  in
+  pc >>= fun pc ->
+  let reg =
+    frequency
+      [ (4, oneofl edge_values);
+        (2, oneofl [ pc; pc + 8; pc - 8 ]);
+        (2, int_bound (diff_mem_size - 1));
+        (1, int) ]
+  in
+  map3 (fun regs cycles word -> { pc; regs; cycles; word }) (array_repeat Isa.num_regs reg)
+    (int_bound 1_000_000) word
+
+let prop_dispatch_random_words =
+  QCheck.Test.make ~name:"dispatch = reference on random words" ~count:3000
+    (QCheck.make ~print:pp_diff_case (gen_diff_case (QCheck.Gen.string_size (QCheck.Gen.return 8))))
+    same_as_reference
+
+let prop_dispatch_instrs =
+  let encoded =
+    QCheck.Gen.map
+      (fun i ->
+        let b = Bytes.create Isa.instr_size in
+        Isa.encode i b ~pos:0;
+        Bytes.to_string b)
+      (QCheck.get_gen arbitrary_instr)
+  in
+  QCheck.Test.make ~name:"dispatch = reference on arbitrary_instr" ~count:3000
+    (QCheck.make ~print:pp_diff_case (gen_diff_case encoded))
+    same_as_reference
+
+(* A guest loop of every instruction class but sys. *)
+let every_class_loop =
+  {|
+_start: movi r1, 0
+        movi r2, 4000
+        movi r3, buf
+        movi r9, 7
+        movi r11, f
+loop:   bge r1, r2, done
+        st [r3+0], r1
+        ld r4, [r3+0]
+        stb [r3+8], r4
+        ldb r5, [r3+8]
+        div r6, r4, r9
+        mod r7, r4, r9
+        mul r6, r6, r9
+        add r6, r6, r7
+        sub r6, r6, r4
+        and r7, r4, r9
+        or r7, r7, r5
+        xor r7, r7, r4
+        shl r7, r7, r9
+        shr r7, r7, r9
+        slt r8, r4, r9
+        sle r8, r4, r9
+        seq r8, r6, r6
+        sne r8, r4, r9
+        beq r1, r2, done
+        bne r6, r6, done
+        blt r2, r1, done
+        ble r2, r1, done
+        bgt r1, r2, done
+        push r4
+        pop r5
+        call f
+        callr r11
+        rdcyc r10
+        mov r12, r10
+        movi r10, next
+        jr r10
+next:   nop
+        addi r1, r1, 1
+        jmp loop
+done:   mov r0, r1
+        halt
+f:      ret
+        .data
+buf:    .space 16
+|}
+
+(* A retired instruction allocates nothing: over the whole loop the minor
+   heap grows by no more than the stop value the run ends with. *)
+let test_run_allocates_only_the_stop () =
+  let m = Loader.load (Asm.assemble_exn every_class_loop) in
+  let on_sys _ = Machine.Sys_kill "unexpected sys" in
+  let before = int_of_float (Gc.minor_words ()) in
+  let stop = Machine.run m ~on_sys ~max_cycles:100_000_000 in
+  let words = int_of_float (Gc.minor_words ()) - before in
+  (match stop with
+   | Machine.Halted n -> Alcotest.(check int) "iterations" 4000 n
+   | _ -> Alcotest.fail "loop did not halt");
+  Alcotest.(check bool) (Printf.sprintf "%d instructions retired" m.instrs) true
+    (m.instrs >= 100_000);
+  let stop_words = Obj.reachable_words (Obj.repr m.stopped) in
+  if words > stop_words then
+    Alcotest.failf "%d minor words over %d instructions (the stop value is %d)" words m.instrs
+      stop_words
+
+(* Whole programs, with a profile attached: the dispatcher and the
+   reference agree on the result, the machine state and the profile. *)
+let test_dispatch_programs () =
+  List.iter
+    (fun src ->
+      let run_with run =
+        let m = Loader.load (Asm.assemble_exn src) in
+        let p = Asc_obs.Profile.create () in
+        Machine.attach_profile m p;
+        let stop = run m ~on_sys:diff_on_sys ~max_cycles:100_000_000 in
+        (stop, m, Asc_obs.Profile.folded_string ~symbolize:profile_sym p)
+      in
+      let stop, m, folded = run_with Machine.run in
+      let stop', m', folded' = run_with Reference.run in
+      Alcotest.(check bool) "same stop" true (stop = stop');
+      Alcotest.(check int) "same cycles" m'.cycles m.cycles;
+      Alcotest.(check int) "same instrs" m'.instrs m.instrs;
+      Alcotest.(check bool) "same regs" true (m.regs = m'.regs);
+      Alcotest.(check bool) "same memory" true (Bytes.equal m.mem m'.mem);
+      Alcotest.(check string) "same profile" folded' folded)
+    [ every_class_loop;
+      "_start: movi r1, 5\n call f\n halt\nf: push r1\n pop r2\n add r0, r1, r2\n ret";
+      "_start: call f\n movi r0, 1\n halt\nevil: movi r0, 666\n halt\n\
+       f: addi r13, r13, -16\n movi r1, evil\n st [r13+16], r1\n addi r13, r13, 16\n ret" ]
+
 let test_loader_brk () =
   let img = sample_image () in
   let brk = Loader.initial_brk img in
@@ -367,7 +736,14 @@ let suite =
     Alcotest.test_case "sys kill" `Quick test_sys_kill;
     Alcotest.test_case "stack smash hijacks return" `Quick test_stack_overflow_overwrites_return;
     Alcotest.test_case "rdcyc monotonic" `Quick test_rdcyc_monotonic;
-    Alcotest.test_case "loader brk" `Quick test_loader_brk ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_isa_roundtrip; prop_asm_pp_roundtrip ]
+    Alcotest.test_case "loader brk" `Quick test_loader_brk;
+    Alcotest.test_case "dispatch = reference, every opcode byte" `Quick test_dispatch_exhaustive;
+    Alcotest.test_case "dispatch = reference, whole programs" `Quick test_dispatch_programs;
+    Alcotest.test_case "run allocates only the stop" `Quick test_run_allocates_only_the_stop ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_isa_roundtrip;
+        prop_asm_pp_roundtrip;
+        prop_dispatch_random_words;
+        prop_dispatch_instrs ]
 
 let () = Alcotest.run "svm" [ ("svm", suite) ]
