@@ -19,29 +19,6 @@ let tolerance = ref 10.0
 let tolerance_abs = ref 0.0
 let failures = ref 0
 
-(* --history DIR: after writing each document, also append it (stamped
-   with the wall clock, the one intentionally non-deterministic field) to
-   DIR/<name>.jsonl — an append-only record of how the numbers moved
-   across runs, for `main.exe diff` and ad-hoc plotting. *)
-let history_dir : string option ref = ref None
-
-(* --history-keep N: cap each history file at the newest N rows. The
-   appender is otherwise unbounded, which is fine for a workstation and
-   wrong for a fleet of CI runners. *)
-let history_keep : int option ref = ref None
-
-let append_history ~name json =
-  match !history_dir with
-  | None -> ()
-  | Some dir ->
-    let row =
-      Asc_obs.Json.Obj
-        [ ("ts", Asc_obs.Json.Int (int_of_float (Unix.time ())));
-          ("name", Asc_obs.Json.Str name);
-          ("doc", json) ]
-    in
-    Asc_obs.History.append ~dir ~name ?keep:!history_keep row
-
 (* Attribution hook: a gate failure calls this with both documents so the
    table generator that owns the document can re-run the regressed case
    under the profiler and name the checker step / call site that moved
@@ -110,7 +87,6 @@ let write ~name json =
   close_out oc;
   if !echo then print_endline s;
   Format.printf "  [wrote %s]@." file;
-  append_history ~name json;
   check_baseline ~file json
 
 (* `main.exe diff A B`: field-by-field comparison of two exported

@@ -13,7 +13,7 @@
 let usage =
   "usage: main.exe [table1|table2|table3|table4|table5|table6|andrew|attacks|parity|telemetry|ablation|bechamel|all]* \
    [--scale N] [--iterations N] [--json] [--check-baselines DIR] [--tolerance PCT] \
-   [--tolerance-abs W] [--history DIR] [--history-keep N] [--inject-step-cost STEP PCT]\n\
+   [--tolerance-abs W] [--inject-step-cost STEP PCT]\n\
    \       main.exe diff A.json B.json [--tolerance PCT] [--tolerance-abs W]\n\
    \       (diff exits 0 on match, 1 on mismatch, 2 on unreadable input)"
 
@@ -87,12 +87,6 @@ let () =
       parse rest
     | "--tolerance-abs" :: v :: rest ->
       Export.tolerance_abs := float_of_string v;
-      parse rest
-    | "--history" :: dir :: rest ->
-      Export.history_dir := Some dir;
-      parse rest
-    | "--history-keep" :: v :: rest ->
-      Export.history_keep := Some (int_of_string v);
       parse rest
     | "--inject-step-cost" :: step :: pct :: rest ->
       (* deliberate regression: inflate one checker step's cycle charges

@@ -360,13 +360,13 @@ let ablation_patterns () =
     [ 1; 2; 3; 4; 5 ]
 
 (* Telemetry-plane gate: a small fleet (3 × pyramid) under the full
-   fast-path configuration on ONE shared kernel, with the snapshot emitter
-   armed. Asserts the plane's two hard invariants before exporting:
-   (1) exhaustiveness — every monitored call recorded exactly one reason
-   code, so the reason buckets sum to the kernel's trap count; and
-   (2) self-overhead — the plane's own charged cycles stay under 1% of
-   the verification cycles it measures. BENCH_telemetry.json then pins the
-   reason mix, the per-syscall quantiles and the snapshot row count. *)
+   fast-path configuration on ONE shared kernel. Asserts the plane's hard
+   invariants before exporting: (1) exhaustiveness — every monitored call
+   recorded exactly one reason code and exactly one control-flow code, so
+   each set of buckets sums to the kernel's trap count; and (2)
+   self-overhead — the plane's own charged cycles stay under 1% of the
+   verification cycles it measures. BENCH_telemetry.json then pins the
+   reason mix and the per-syscall quantiles. *)
 let telemetry_gate () =
   Format.printf "@.Telemetry: fleet-plane exhaustiveness and self-overhead@.";
   let personality = Personality.linux in
@@ -380,7 +380,6 @@ let telemetry_gate () =
   w.Workloads.Registry.setup kernel;
   Kernel.set_monitor kernel (Some (fast_monitor kernel));
   let tel = Kernel.telemetry kernel in
-  Asc_obs.Telemetry.set_emitter tel ~interval:2_000_000;
   let img = Workloads.Registry.compile ~personality w in
   let image =
     match
@@ -405,6 +404,11 @@ let telemetry_gate () =
     failwith
       (Printf.sprintf "telemetry: reason buckets sum to %d but %d calls were recorded"
          total calls);
+  let cf_total = Asc_obs.Telemetry.cf_total agg in
+  if cf_total <> calls then
+    failwith
+      (Printf.sprintf "telemetry: control-flow buckets sum to %d but %d calls were recorded"
+         cf_total calls);
   if calls <> Kernel.syscall_count kernel then
     failwith
       (Printf.sprintf "telemetry: %d calls recorded but the kernel dispatched %d traps"
@@ -415,10 +419,8 @@ let telemetry_gate () =
   if overhead >= 1.0 then
     failwith
       (Printf.sprintf "telemetry: self-overhead %.3f%% breaches the 1%% budget" overhead);
-  let snapshots = Asc_obs.Telemetry.snapshots tel in
   Format.printf "  %d procs, %d monitored calls, %d verification cycles@." procs calls verif;
-  Format.printf "  self-overhead %.3f%% (< 1%% budget), %d snapshot rows@." overhead
-    (List.length snapshots);
+  Format.printf "  self-overhead %.3f%% (< 1%% budget)@." overhead;
   Array.iteri
     (fun i label ->
       if agg.Asc_obs.Telemetry.t_reasons.(i) > 0 then
@@ -430,5 +432,4 @@ let telemetry_gate () =
        [ ("table", Str "telemetry");
          ("procs", Int procs);
          ("self_overhead_pct", Float overhead);
-         ("snapshot_rows", Int (List.length snapshots));
          ("stats", Asc_obs.Telemetry.stats_to_json tel agg) ])

@@ -43,12 +43,6 @@ let violations_of_export contents =
       | _ -> None)
     (entries_of_export contents)
 
-let alerts_of_export contents =
-  List.filter_map
-    (fun (seq, entry) ->
-      match entry with Kernel.Alert _ -> Some (seq, entry) | _ -> None)
-    (entries_of_export contents)
-
 (* ----- verify ----- *)
 
 let verify log key_hex expect_head =
@@ -147,23 +141,9 @@ let report log program os =
         Ok (Some img)
     in
     let vs = violations_of_export contents in
-    let alerts = alerts_of_export contents in
     (match vs with
      | [] -> Format.printf "%s: no violation records@." log
      | vs -> List.iter (fun v -> print_report ?img v) vs);
-    (* fleet-health alerts travel the same chain as violations (asc-top
-       --rules --audit-out); report them side by side so an SLO incident
-       and the violations around it read as one timeline *)
-    (match alerts with
-     | [] -> ()
-     | alerts ->
-       Format.printf "=== health alerts (%d record%s) ===@." (List.length alerts)
-         (if List.length alerts = 1 then "" else "s");
-       List.iter
-         (fun (seq, entry) ->
-           Format.printf "record %d: %s@." seq (Kernel.audit_to_string entry))
-         alerts;
-       Format.printf "@.");
     Ok 0
   in
   match result with

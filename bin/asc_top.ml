@@ -1,14 +1,12 @@
 (* Fleet-level telemetry viewer: run a simulated fleet of authenticated
    processes on one shared kernel and aggregate its telemetry plane across
    pids — verified syscalls/sec, per-syscall latency quantiles, fast-path
-   reason mix, per-site fallback rollups and per-pid rows. The top(1)
-   analogue for the measurement plane ROADMAP Open item 1's sharded
-   kernel will be tuned against. *)
+   reason mix, per-site fallback rollups and per-pid rows: the top(1)
+   analogue for the per-pid shards of Asc_obs.Telemetry. *)
 
 open Cmdliner
 open Oskernel
 module Telemetry = Asc_obs.Telemetry
-module Health = Asc_obs.Health
 module Json = Asc_obs.Json
 
 let pct part total = if total = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int total
@@ -34,7 +32,7 @@ type pid_row = {
    sees concurrent shards the way a real fleet kernel would. Per-pid rows
    are aggregate deltas around each run — exact, because [Telemetry.merge]
    is count-conserving. *)
-let run_fleet ~personality ~key ~procs ~scale ~interval ~no_fastpath ?authlog names =
+let run_fleet ~personality ~key ~procs ~scale ~no_fastpath names =
   let ( let* ) = Result.bind in
   let* workloads =
     List.fold_left
@@ -47,11 +45,7 @@ let run_fleet ~personality ~key ~procs ~scale ~interval ~no_fastpath ?authlog na
   in
   let workloads = List.rev workloads in
   let kernel = Kernel.create ~personality () in
-  (match authlog with
-   | Some log -> Kernel.set_authlog kernel (Some log)
-   | None -> ());
   let tel = Kernel.telemetry kernel in
-  if interval > 0 then Telemetry.set_emitter tel ~interval;
   let fast = if no_fastpath then None else Some (Asc_core.Checker.fastpath ~key kernel) in
   Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor_with ~kernel ~key fast));
   let* images =
@@ -91,34 +85,17 @@ let run_fleet ~personality ~key ~procs ~scale ~interval ~no_fastpath ?authlog na
           pr_stop = stop_name stop })
   in
   let minor_words = int_of_float (Gc.minor_words () -. minor0) in
-  Ok (kernel, tel, rows, !machine_cycles, minor_words, fast)
+  Ok (tel, rows, !machine_cycles, minor_words)
 
 let deny_idx = Telemetry.reason_index (Telemetry.Deny "")
-let fallback_indices = [ 2; 3; 4 ] (* no_entry, statics, tag *)
 
-(* --rules: load the SLO rule spec. "default" selects the compiled-in
-   rules; anything else is a JSON file ({"rules": [...]}). *)
-let load_rules spec =
-  if spec = "default" then Ok Health.default_rules
-  else
-    match (try Ok (Common.read_file spec) with Sys_error e -> Error e) with
-    | Error e -> Error e
-    | Ok text -> (
-        match Health.rules_of_string text with
-        | Ok rules -> Ok rules
-        | Error e -> Error (spec ^ ": " ^ e))
+(* the per-site fallback columns, in print order *)
+let fallback_indices =
+  List.map
+    (fun f -> Telemetry.reason_index (Telemetry.Precomp_fallback f))
+    Telemetry.[ F_no_entry; F_statics; F_tag ]
 
-let health_json (engine, trs) =
-  let armed, disarmed, fired, cleared = Health.counts engine in
-  Json.Obj
-    [ ("transitions", Json.List (List.map Health.transition_to_json trs));
-      ("firing", Json.List (List.map (fun n -> Json.Str n) (Health.firing engine)));
-      ("armed", Json.Int armed);
-      ("disarmed", Json.Int disarmed);
-      ("fired", Json.Int fired);
-      ("cleared", Json.Int cleared) ]
-
-let fleet_json ~procs ~scale ~names ~interval ?health tel rows machine_cycles minor_words =
+let fleet_json ~procs ~scale ~names tel rows machine_cycles minor_words =
   let agg = Telemetry.aggregate tel in
   let calls = agg.Telemetry.t_calls in
   let seconds = float_of_int machine_cycles *. 1e-9 (* 1 modeled cycle = 1ns *) in
@@ -143,7 +120,6 @@ let fleet_json ~procs ~scale ~names ~interval ?health tel rows machine_cycles mi
       ("procs", Json.Int procs);
       ("scale", Json.Int scale);
       ("workloads", Json.List (List.map (fun n -> Json.Str n) names));
-      ("snapshot_interval", Json.Int interval);
       ("fleet", fleet);
       ( "per_pid",
         Json.List
@@ -157,12 +133,7 @@ let fleet_json ~procs ~scale ~names ~interval ?health tel rows machine_cycles mi
                    ("alloc_words", Json.Int r.pr_alloc);
                    ("denies", Json.Int r.pr_reasons.(deny_idx));
                    ("stop", Json.Str r.pr_stop) ])
-             rows) );
-      ("snapshots", Json.List (Telemetry.snapshots tel)) ]
-  |> fun doc ->
-  match (doc, health) with
-  | Json.Obj fields, Some h -> Json.Obj (fields @ [ ("health", health_json h) ])
-  | _ -> doc
+             rows) ) ]
 
 (* Schema self-check: re-parse the emitted document and assert the fields
    every consumer (the dune smoke rule, the bench diff tool) relies on.
@@ -181,7 +152,6 @@ let self_check doc =
     let* () = need "procs" (Json.member "procs" parsed) in
     let* () = need "fleet" (Json.member "fleet" parsed) in
     let* () = need "per_pid" (Json.member "per_pid" parsed) in
-    let* () = need "snapshots" (Json.member "snapshots" parsed) in
     let fleet = Option.get (Json.member "fleet" parsed) in
     let* () = need "fleet.calls" (Json.member "calls" fleet) in
     let* () = need "fleet.reasons" (Json.member "reasons" fleet) in
@@ -205,23 +175,7 @@ let self_check doc =
       Error (Printf.sprintf "asc-top --json: reason counts (%d) do not cover calls (%d)" t c)
     | _ -> Error "asc-top --json: schema self-check: calls/reasons_total not integers"
 
-let print_health (engine, trs) =
-  let armed, disarmed, fired, cleared = Health.counts engine in
-  Format.printf "@.  health rules:@.";
-  print_string
-    (String.concat ""
-       (List.map (fun l -> "    " ^ l ^ "\n")
-          (String.split_on_char '\n' (Health.summary engine) |> List.filter (fun l -> l <> ""))));
-  Format.printf "    transitions: %d armed, %d disarmed, %d fired, %d cleared@." armed disarmed
-    fired cleared;
-  List.iter
-    (fun (tr : Health.transition) ->
-      Format.printf "    [%s] %s at ts %d (value %.2f, threshold %.2f)@."
-        (Health.event_label tr.Health.tr_event) tr.Health.tr_rule tr.Health.tr_ts
-        tr.Health.tr_value tr.Health.tr_threshold)
-    trs
-
-let print_human ~procs ~scale ~names ~interval ?health tel rows machine_cycles minor_words =
+let print_human ~procs ~scale ~names tel rows machine_cycles minor_words =
   let agg = Telemetry.aggregate tel in
   let calls = agg.Telemetry.t_calls in
   let seconds = float_of_int machine_cycles *. 1e-9 in
@@ -276,8 +230,11 @@ let print_human ~procs ~scale ~names ~interval ?health tel rows machine_cycles m
     Format.printf "    %-10s %10s %10s %10s@." "site" "no_entry" "statics" "tag";
     List.iteri
       (fun i (site, counts, _) ->
-        if i < 10 then
-          Format.printf "    0x%-8x %10d %10d %10d@." site counts.(2) counts.(3) counts.(4))
+        if i < 10 then begin
+          Format.printf "    0x%-8x" site;
+          List.iter (fun k -> Format.printf " %10d" counts.(k)) fallback_indices;
+          Format.printf "@."
+        end)
       (List.sort (fun (_, _, a) (_, _, b) -> compare b a) falling)
   end;
   Format.printf "@.  per-pid:@.";
@@ -287,15 +244,9 @@ let print_human ~procs ~scale ~names ~interval ?health tel rows machine_cycles m
     (fun r ->
       Format.printf "    %-5d %-10s %10d %14d %10d %8d  %s@." r.pr_pid r.pr_workload
         r.pr_calls r.pr_cycles r.pr_alloc r.pr_reasons.(deny_idx) r.pr_stop)
-    rows;
-  let snaps = Telemetry.snapshots tel in
-  if snaps <> [] then
-    Format.printf "@.  snapshots: %d rows at interval %d cycles (--snapshots-out to export)@."
-      (List.length snaps) interval;
-  match health with Some h -> print_health h | None -> ()
+    rows
 
-let run procs workloads_csv scale key_hex os json interval snapshots_out no_fastpath rules_spec
-    alerts_out audit_out verbose_stats =
+let run procs workloads_csv scale key_hex os json no_fastpath =
   let ( let* ) = Result.bind in
   let result =
     let* () = if procs < 1 then Error "--procs must be >= 1" else Ok () in
@@ -304,68 +255,16 @@ let run procs workloads_csv scale key_hex os json interval snapshots_out no_fast
     let* key = Common.key_of_hex key_hex in
     let names = List.filter (fun s -> s <> "") (String.split_on_char ',' workloads_csv) in
     let* () = if names = [] then Error "--workloads must name at least one workload" else Ok () in
-    let* rules =
-      match rules_spec with
-      | None -> Ok None
-      | Some spec ->
-        let* rules = load_rules spec in
-        Ok (Some rules)
+    let* tel, rows, machine_cycles, minor_words =
+      run_fleet ~personality ~key ~procs ~scale ~no_fastpath names
     in
-    (* --audit-out: chain every audit entry (execve, violations and the
-       alerts recorded below) in a tamper-evident CMAC log, keyed like the
-       checker, and export it after the run — asc_run's convention. *)
-    let authlog =
-      match audit_out with Some _ -> Some (Asc_obs.Authlog.create ~key ()) | None -> None
-    in
-    let* kernel, tel, rows, machine_cycles, minor_words, fast =
-      run_fleet ~personality ~key ~procs ~scale ~interval ~no_fastpath ?authlog names
-    in
-    (match snapshots_out with
-     | Some path -> Common.write_file path (Telemetry.snapshots_jsonl tel)
-     | None -> ());
-    (* Evaluate the SLO rules over the run's snapshot rows (oldest first,
-       one per emitter interval) and route every transition both to the
-       structured JSONL stream and — as Alert audit entries — into the
-       kernel's audit funnel, where the authlog chains them. *)
-    let health =
-      match rules with
-      | None -> None
-      | Some rules ->
-        let engine = Health.create rules in
-        let trs = Health.observe_all engine (Telemetry.snapshots tel) in
-        List.iter
-          (fun (tr : Health.transition) ->
-            Kernel.record_alert kernel ~pid:0 ~program:"fleet" ~rule:tr.Health.tr_rule
-              ~event:(Health.event_label tr.Health.tr_event) ~ts:tr.Health.tr_ts
-              ~value:tr.Health.tr_value ~threshold:tr.Health.tr_threshold)
-          trs;
-        (match alerts_out with
-         | Some path ->
-           Common.write_file path
-             (String.concat ""
-                (List.map
-                   (fun tr -> Json.to_string (Health.transition_to_json tr) ^ "\n")
-                   trs))
-         | None -> ());
-        Some (engine, trs)
-    in
-    if verbose_stats then Option.iter Common.print_fastpath_stats fast;
-    (match (authlog, audit_out) with
-     | Some log, Some path ->
-       Asc_obs.Authlog.export_file log path;
-       Format.eprintf "[audit chain: %d records -> %s, head %s]@."
-         (Asc_obs.Authlog.appended log) path
-         (Asc_obs.Authlog.hex (Asc_obs.Authlog.head_mac log))
-     | _ -> ());
     if json then
-      let doc =
-        fleet_json ~procs ~scale ~names ~interval ?health tel rows machine_cycles minor_words
-      in
+      let doc = fleet_json ~procs ~scale ~names tel rows machine_cycles minor_words in
       let* s = self_check doc in
       print_endline s;
       Ok 0
     else begin
-      print_human ~procs ~scale ~names ~interval ?health tel rows machine_cycles minor_words;
+      print_human ~procs ~scale ~names tel rows machine_cycles minor_words;
       Ok 0
     end
   in
@@ -398,39 +297,11 @@ let json_arg =
          ~doc:"Emit the machine-readable fleet summary (schema self-checked) instead of \
                the human table.")
 
-let interval_arg =
-  Arg.(value & opt int 2_000_000 & info [ "interval" ] ~docv:"CYCLES"
-         ~doc:"Snapshot emitter interval in virtual cycles (0 disables the time series).")
-
-let snapshots_out_arg =
-  Arg.(value & opt (some string) None & info [ "snapshots-out" ] ~docv:"FILE"
-         ~doc:"Write the time-series snapshots as JSONL (one row per interval).")
-
-let rules_arg =
-  Arg.(value & opt (some string) None & info [ "rules" ] ~docv:"FILE"
-         ~doc:"Evaluate fleet-health SLO rules over the telemetry snapshots: $(b,default) \
-               for the compiled-in rules, or a JSON spec ({\"rules\": [...]}).")
-
-let alerts_out_arg =
-  Arg.(value & opt (some string) None & info [ "alerts-out" ] ~docv:"FILE"
-         ~doc:"Write rule transitions (armed/disarmed/fired/cleared) as JSONL, one per line.")
-
-let audit_out_arg =
-  Arg.(value & opt (some string) None & info [ "audit-out" ] ~docv:"FILE"
-         ~doc:"Chain audit entries (execve, violations, health alerts) in a tamper-evident \
-               CMAC log and export it as JSONL.")
-
-let verbose_stats_arg =
-  Arg.(value & flag & info [ "verbose-stats" ]
-         ~doc:"Print the fast-path layers' statistics (vcache, precomp, cfpre) to stderr \
-               after the run (asc-run's format).")
-
 let cmd =
   let doc = "aggregate fleet telemetry from a simulated multi-process run" in
   Cmd.v (Cmd.info "asc-top" ~doc)
     Term.(
       const run $ procs_arg $ workloads_arg $ scale_arg $ key_arg $ os_arg $ json_arg
-      $ interval_arg $ snapshots_out_arg $ Common.no_fastpath_arg $ rules_arg $ alerts_out_arg
-      $ audit_out_arg $ verbose_stats_arg)
+      $ Common.no_fastpath_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -45,7 +45,6 @@ let append t entry =
 
 let length t = Ring.length t.ring
 let appended t = t.next_seq - 1
-let records t = Ring.to_list t.ring
 let head_mac t = t.head
 
 (* ----- export ----- *)

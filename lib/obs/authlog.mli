@@ -46,9 +46,6 @@ val length : t -> int
 val appended : t -> int
 (** Records ever appended (survives eviction). *)
 
-val records : t -> record list
-(** Retained records, oldest first. *)
-
 val head_mac : t -> string
 (** Raw 16-byte chain value of the newest record (the genesis MAC when
     the chain is empty). *)

@@ -3,4 +3,3 @@ type t = { mutable now : int }
 let create ?(start = 0) () = { now = start }
 let now t = t.now
 let advance t n = t.now <- t.now + n
-let tick t = advance t 1

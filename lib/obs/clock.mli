@@ -14,5 +14,3 @@ val create : ?start:int -> unit -> t
 
 val now : t -> int
 val advance : t -> int -> unit
-val tick : t -> unit
-(** [advance t 1]. *)

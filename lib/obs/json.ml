@@ -283,6 +283,5 @@ let parse input =
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 let to_int = function Int i -> Some i | _ -> None
-let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List l -> Some l | _ -> None

@@ -35,6 +35,5 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 val to_int : t -> int option
-val to_float : t -> float option
 val to_str : t -> string option
 val to_list : t -> t list option

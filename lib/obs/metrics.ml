@@ -196,16 +196,3 @@ let instrument_json name { r_instrument; r_help } =
 
 let to_json registry =
   Json.List (List.map (fun (name, r) -> instrument_json name r) (sorted registry))
-
-let pp_summary ppf registry =
-  List.iter
-    (fun (name, { r_instrument; _ }) ->
-      match r_instrument with
-      | Counter c -> Format.fprintf ppf "%-40s %12d@." name c.c_value
-      | Gauge g -> Format.fprintf ppf "%-40s %12d (gauge)@." name g.g_value
-      | Histogram h ->
-        if h.h_count = 0 then Format.fprintf ppf "%-40s (no observations)@." name
-        else
-          Format.fprintf ppf "%-40s %12d obs, sum %d, mean %d@." name h.h_count h.h_sum
-            (h.h_sum / h.h_count))
-    (sorted registry)

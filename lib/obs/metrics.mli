@@ -83,5 +83,3 @@ val to_json : registry -> Json.t
 (** One object per instrument, sorted by name:
     [{"name","kind","value"}] for counters/gauges, and buckets/sum/count
     for histograms. *)
-
-val pp_summary : Format.formatter -> registry -> unit

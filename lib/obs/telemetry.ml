@@ -106,38 +106,21 @@ type stats = {
 }
 
 type t = {
-  bounds : int array;          (* shared cycle-histogram bucket bounds *)
-  nslots : int;                (* Array.length bounds + 1 (overflow) *)
-  a_bounds : int array;        (* alloc-histogram bucket bounds (words) *)
-  a_nslots : int;
   ring_capacity : int;
   shards : (int, shard) Hashtbl.t;
   mutable retired : stats;
-  (* plane-global cumulative mirrors, feeding the snapshot emitter *)
-  g_hist : mhist;
-  g_alloc : mhist;
-  g_reasons : int array;
-  g_cf : int array;
-  mutable g_records : int;
-  mutable g_denies : int;
-  mutable g_self : int;
-  (* emitter state *)
-  mutable em_interval : int;   (* 0 = disarmed *)
-  mutable em_next : int;
-  mutable em_rows : Json.t list;  (* newest first *)
-  mutable em_last_counts : int array;  (* g_hist.m_counts at the last row *)
-  mutable em_last_calls : int;
-  mutable em_last_denies : int;
-  mutable em_last_cycles : int;
-  mutable em_last_alloc : int;
 }
 
-let default_buckets = lazy (Metrics.log_linear_buckets ~lo:100 ~hi:1_000_000)
-
-(* per-call minor words run two orders of magnitude below per-call cycles
+(* Bucket bounds are shared by every shard so merging is element-wise.
+   Per-call minor words run two orders of magnitude below per-call cycles
    (~10^2..10^3 words vs ~10^3..10^6 cycles), so the alloc histograms get
-   their own log-linear ladder starting at 10 words *)
-let default_alloc_buckets = lazy (Metrics.log_linear_buckets ~lo:10 ~hi:1_000_000)
+   their own log-linear ladder starting at 10 words. *)
+let cycle_bounds = Array.of_list (Metrics.log_linear_buckets ~lo:100 ~hi:1_000_000)
+let alloc_bounds = Array.of_list (Metrics.log_linear_buckets ~lo:10 ~hi:1_000_000)
+
+(* one slot per bound plus the overflow slot *)
+let cycle_nslots = Array.length cycle_bounds + 1
+let alloc_nslots = Array.length alloc_bounds + 1
 
 let empty_hist = { q_counts = [||]; q_sum = 0; q_count = 0 }
 
@@ -156,48 +139,13 @@ let empty_stats = {
   t_alloc = empty_hist;
 }
 
-let check_bounds what bounds =
-  if Array.length bounds = 0 then invalid_arg ("Telemetry.create: empty " ^ what);
-  Array.iteri
-    (fun i b -> if i > 0 && b <= bounds.(i - 1) then
-        invalid_arg ("Telemetry.create: " ^ what ^ " must be strictly increasing"))
-    bounds
-
-let create ?(ring_capacity = 256) ?buckets ?alloc_buckets () =
-  let buckets = match buckets with Some b -> b | None -> Lazy.force default_buckets in
-  let alloc_buckets =
-    match alloc_buckets with Some b -> b | None -> Lazy.force default_alloc_buckets
-  in
-  let bounds = Array.of_list buckets in
-  let a_bounds = Array.of_list alloc_buckets in
-  check_bounds "buckets" bounds;
-  check_bounds "alloc buckets" a_bounds;
-  let nslots = Array.length bounds + 1 in
-  let a_nslots = Array.length a_bounds + 1 in
-  { bounds;
-    nslots;
-    a_bounds;
-    a_nslots;
-    ring_capacity;
+let create ?(ring_capacity = 256) () =
+  { ring_capacity;
     shards = Hashtbl.create 16;
     (* the retired aggregate's alloc hist must be shaped like the live
        shards' so [merge]'s element-wise bucket addition lines up *)
-    retired = { empty_stats with t_alloc = { empty_hist with q_counts = Array.make a_nslots 0 } };
-    g_hist = { m_counts = Array.make nslots 0; m_sum = 0; m_count = 0 };
-    g_alloc = { m_counts = Array.make a_nslots 0; m_sum = 0; m_count = 0 };
-    g_reasons = Array.make num_reasons 0;
-    g_cf = Array.make num_cf_reasons 0;
-    g_records = 0;
-    g_denies = 0;
-    g_self = 0;
-    em_interval = 0;
-    em_next = 0;
-    em_rows = [];
-    em_last_counts = Array.make nslots 0;
-    em_last_calls = 0;
-    em_last_denies = 0;
-    em_last_cycles = 0;
-    em_last_alloc = 0 }
+    retired =
+      { empty_stats with t_alloc = { empty_hist with q_counts = Array.make alloc_nslots 0 } } }
 
 let shard t ~pid =
   match Hashtbl.find_opt t.shards pid with
@@ -211,7 +159,7 @@ let shard t ~pid =
       sh_per_sem = Hashtbl.create 16;
       sh_sites = Hashtbl.create 32;
       sh_site_alloc = Hashtbl.create 32;
-      sh_alloc = { m_counts = Array.make t.a_nslots 0; m_sum = 0; m_count = 0 };
+      sh_alloc = { m_counts = Array.make alloc_nslots 0; m_sum = 0; m_count = 0 };
       sh_ledger = Ring.create ~capacity:t.ring_capacity;
       sh_calls = 0;
       sh_cycles = 0;
@@ -220,69 +168,33 @@ let shard t ~pid =
     Hashtbl.replace t.shards pid sh;
     sh
 
+(* First slot whose bound is >= v; [Array.length bounds] is the overflow
+   slot. A top-level loop, so an observation allocates no closure; the
+   annotation keeps the comparison on ints instead of polymorphic. *)
+let rec slot_of (bounds : int array) (v : int) i =
+  if i >= Array.length bounds || v <= bounds.(i) then i
+  else slot_of bounds v (i + 1)
+
 let mhist_observe bounds h v =
-  let n = Array.length bounds in
-  let rec slot i = if i >= n || v <= bounds.(i) then i else slot (i + 1) in
-  h.m_counts.(slot 0) <- h.m_counts.(slot 0) + 1;
+  let s = slot_of bounds v 0 in
+  h.m_counts.(s) <- h.m_counts.(s) + 1;
   h.m_sum <- h.m_sum + v;
   h.m_count <- h.m_count + 1
 
-let snapshot_of_counts bounds counts sum count =
-  { Metrics.h_buckets =
-      Array.to_list (Array.mapi (fun i b -> (b, counts.(i))) bounds);
-    h_overflow = counts.(Array.length bounds);
-    h_count = count;
-    h_sum = sum }
+let hist_snapshot_of bounds h =
+  { Metrics.h_buckets = Array.to_list (Array.mapi (fun i b -> (b, h.q_counts.(i))) bounds);
+    h_overflow = h.q_counts.(Array.length bounds);
+    h_count = h.q_count;
+    h_sum = h.q_sum }
 
-let hist_snapshot_of bounds h = snapshot_of_counts bounds h.q_counts h.q_sum h.q_count
-let hist_snapshot t h = hist_snapshot_of t.bounds h
-let alloc_hist_snapshot t h = hist_snapshot_of t.a_bounds h
+let hist_snapshot _t h = hist_snapshot_of cycle_bounds h
+let alloc_hist_snapshot _t h = hist_snapshot_of alloc_bounds h
 
-(* Cut one time-series row: cumulative counters, the interval's deltas,
-   and p50/p95/p99 over the interval's verification-cycle observations
-   (quantiles of the bucket-count deltas since the previous row). *)
-let cut_row t ~now =
-  let d_counts = Array.mapi (fun i c -> c - t.em_last_counts.(i)) t.g_hist.m_counts in
-  let d_calls = t.g_hist.m_count - t.em_last_calls in
-  let d_cycles = t.g_hist.m_sum - t.em_last_cycles in
-  let d_denies = t.g_denies - t.em_last_denies in
-  let d_alloc = t.g_alloc.m_sum - t.em_last_alloc in
-  let snap = snapshot_of_counts t.bounds d_counts d_cycles d_calls in
-  let q p = Metrics.quantile snap p in
-  let row =
-    Json.Obj [
-      ("ts", Json.Int now);
-      ("calls", Json.Int t.g_hist.m_count);
-      ("denies", Json.Int t.g_denies);
-      ("cycles", Json.Int t.g_hist.m_sum);
-      ("self_cycles", Json.Int t.g_self);
-      ("alloc_words", Json.Int t.g_alloc.m_sum);
-      ("interval_calls", Json.Int d_calls);
-      ("interval_denies", Json.Int d_denies);
-      ("interval_cycles", Json.Int d_cycles);
-      ("interval_alloc_words", Json.Int d_alloc);
-      ("reasons",
-       Json.Obj
-         (Array.to_list
-            (Array.mapi (fun i l -> (l, Json.Int t.g_reasons.(i))) reason_labels)));
-      ("p50", Json.Int (q 0.50));
-      ("p95", Json.Int (q 0.95));
-      ("p99", Json.Int (q 0.99));
-    ]
-  in
-  t.em_rows <- row :: t.em_rows;
-  t.em_last_counts <- Array.copy t.g_hist.m_counts;
-  t.em_last_calls <- t.g_hist.m_count;
-  t.em_last_denies <- t.g_denies;
-  t.em_last_cycles <- t.g_hist.m_sum;
-  t.em_last_alloc <- t.g_alloc.m_sum
-
-let record t ?(cf = Cf_none) sh ~site ~sem ~reason ~cycles ~alloc ~now =
+let record _t ?(cf = Cf_none) sh ~site ~sem ~reason ~cycles ~alloc ~now =
   let idx = reason_index reason in
   sh.sh_reasons.(idx) <- sh.sh_reasons.(idx) + 1;
   let cfi = cf_index cf in
   sh.sh_cf.(cfi) <- sh.sh_cf.(cfi) + 1;
-  t.g_cf.(cfi) <- t.g_cf.(cfi) + 1;
   sh.sh_calls <- sh.sh_calls + 1;
   sh.sh_cycles <- sh.sh_cycles + cycles;
   (match reason with
@@ -294,12 +206,12 @@ let record t ?(cf = Cf_none) sh ~site ~sem ~reason ~cycles ~alloc ~now =
     match Hashtbl.find_opt sh.sh_per_sem sem with
     | Some h -> h
     | None ->
-      let h = { m_counts = Array.make t.nslots 0; m_sum = 0; m_count = 0 } in
+      let h = { m_counts = Array.make cycle_nslots 0; m_sum = 0; m_count = 0 } in
       Hashtbl.replace sh.sh_per_sem sem h;
       h
   in
-  mhist_observe t.bounds sem_hist cycles;
-  mhist_observe t.a_bounds sh.sh_alloc alloc;
+  mhist_observe cycle_bounds sem_hist cycles;
+  mhist_observe alloc_bounds sh.sh_alloc alloc;
   let site_counts =
     match Hashtbl.find_opt sh.sh_sites site with
     | Some a -> a
@@ -313,20 +225,9 @@ let record t ?(cf = Cf_none) sh ~site ~sem ~reason ~cycles ~alloc ~now =
     (alloc + (match Hashtbl.find_opt sh.sh_site_alloc site with Some w -> w | None -> 0));
   Ring.push sh.sh_ledger
     { le_site = site; le_sem = sem; le_reason = reason; le_cycles = cycles;
-      le_alloc = alloc; le_ts = now };
-  t.g_records <- t.g_records + 1;
-  t.g_reasons.(idx) <- t.g_reasons.(idx) + 1;
-  if idx = reason_index (Deny "") then t.g_denies <- t.g_denies + 1;
-  mhist_observe t.bounds t.g_hist cycles;
-  mhist_observe t.a_bounds t.g_alloc alloc;
-  if t.em_interval > 0 && now >= t.em_next then begin
-    cut_row t ~now;
-    t.em_next <- now + t.em_interval
-  end
+      le_alloc = alloc; le_ts = now }
 
-let note_self t sh n =
-  sh.sh_self <- sh.sh_self + n;
-  t.g_self <- t.g_self + n
+let note_self _t sh n = sh.sh_self <- sh.sh_self + n
 
 (* Sorted-assoc helpers: shard hashtables are exported as sorted assoc
    lists so aggregates built in any order compare structurally equal. *)
@@ -414,20 +315,9 @@ let ledger t ~pid =
 let live_pids t =
   List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) t.shards [])
 
-let set_emitter t ~interval =
-  if interval < 1 then invalid_arg "Telemetry.set_emitter: interval must be >= 1";
-  t.em_interval <- interval;
-  t.em_next <- interval
+let self_cycles t = (aggregate t).t_self_cycles
 
-let snapshots t = List.rev t.em_rows
-
-let snapshots_jsonl t =
-  String.concat "" (List.map (fun row -> Json.to_string row ^ "\n") (snapshots t))
-
-let self_cycles t = t.g_self
-let records t = t.g_records
-
-let stats_to_json t s =
+let stats_to_json _t s =
   let quantiles bounds unit h =
     let snap = hist_snapshot_of bounds h in
     Json.Obj [
@@ -455,11 +345,11 @@ let stats_to_json t s =
     ("deny_steps",
      Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) s.t_deny_steps));
     ("per_syscall",
-     Json.Obj (List.map (fun (k, h) -> (k, quantiles t.bounds "cycles" h)) s.t_per_sem));
+     Json.Obj (List.map (fun (k, h) -> (k, quantiles cycle_bounds "cycles" h)) s.t_per_sem));
     ("alloc",
      if Array.length s.t_alloc.q_counts = 0 then
        quantiles [||] "words" { s.t_alloc with q_counts = [| 0 |] }
-     else quantiles t.a_bounds "words" s.t_alloc);
+     else quantiles alloc_bounds "words" s.t_alloc);
     ("sites",
      Json.List
        (List.map

@@ -1,5 +1,5 @@
-(** The fleet telemetry plane: sharded per-pid verification statistics,
-    the fast-path decision ledger, and periodic time-series snapshots.
+(** The fleet telemetry plane: sharded per-pid verification statistics
+    and the fast-path decision ledger.
 
     Every monitored system call resolves its call-MAC verification through
     exactly one of the fast/slow paths, or is denied. The checker reports
@@ -107,15 +107,14 @@ type ledger_entry = {
   le_ts : int;                (** machine cycle timestamp *)
 }
 
-val create : ?ring_capacity:int -> ?buckets:int list -> ?alloc_buckets:int list -> unit -> t
-(** [ring_capacity] (default 256) bounds each pid's decision ledger;
-    [buckets] (default [Metrics.log_linear_buckets ~lo:100 ~hi:1_000_000])
-    are the shared bounds of every per-syscall verification-cycles
-    histogram — shared so shard merge is element-wise. [alloc_buckets]
-    (default [log_linear_buckets ~lo:10 ~hi:1_000_000]) are the separate
-    bounds of the per-call minor-words histograms, scaled down because a
-    verified call allocates orders of magnitude fewer words than it
-    spends cycles. *)
+val create : ?ring_capacity:int -> unit -> t
+(** [ring_capacity] (default 256) bounds each pid's decision ledger.
+    Every per-syscall verification-cycles histogram shares one bucket
+    ladder ([Metrics.log_linear_buckets ~lo:100 ~hi:1_000_000]), so shard
+    merge is element-wise. The per-call minor-words histograms use a
+    second ladder ([~lo:10 ~hi:1_000_000]), scaled down because a verified
+    call allocates orders of magnitude fewer words than it spends
+    cycles. *)
 
 val shard : t -> pid:int -> shard
 (** The pid's live shard, created on first use (the kernel calls this
@@ -126,9 +125,8 @@ val record :
   alloc:int -> now:int -> unit
 (** The hot-path write: bump the shard's reason/site/syscall statistics
     and alloc rollups ([alloc] = host minor words the call's verification
-    allocated), append to its ledger ring, and (when an emitter is armed)
-    cut a snapshot if [now] crossed the emission interval. Touches only
-    the one shard plus plane-global counters. *)
+    allocated) and append to its ledger ring, stamped [now]. Touches only
+    the one shard. *)
 
 val note_self : t -> shard -> int -> unit
 (** Account [n] modeled cycles of telemetry self-overhead (the
@@ -201,26 +199,9 @@ val cf_total : stats -> int
     recorded call carries exactly one {!cf_reason}, [Cf_none]
     included). *)
 
-(** {1 Snapshots (time series)} *)
-
-val set_emitter : t -> interval:int -> unit
-(** Arm the periodic snapshot emitter: whenever a recorded call's [now]
-    timestamp crosses a multiple of [interval] virtual cycles, one
-    time-series row is cut. Each row carries the virtual timestamp,
-    cumulative and per-interval call/deny/cycle/minor-word counters,
-    per-reason cumulative counts and p50/p95/p99 of the interval's
-    verification cycles (quantiles over the bucket deltas since the
-    previous row).
-    @raise Invalid_argument when [interval < 1]. *)
-
-val snapshots : t -> Json.t list
-(** Rows cut so far, oldest first. *)
-
-val snapshots_jsonl : t -> string
-(** One compact JSON object per line. *)
-
 val self_cycles : t -> int
-val records : t -> int
+(** Telemetry's own charged cycles over live and retired shards: the
+    [t_self_cycles] of {!aggregate}. *)
 
 (** {1 Export} *)
 

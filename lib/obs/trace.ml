@@ -95,37 +95,3 @@ let to_json_lines t =
       Buffer.add_char buf '\n')
     t.ring;
   Buffer.contents buf
-
-type agg = {
-  mutable a_count : int;
-  mutable a_total : int;
-  mutable a_min : int;
-  mutable a_max : int;
-}
-
-let pp_summary ppf t =
-  let tbl = Hashtbl.create 16 in
-  Ring.iter
-    (fun ev ->
-      let a =
-        match Hashtbl.find_opt tbl ev.ev_name with
-        | Some a -> a
-        | None ->
-          let a = { a_count = 0; a_total = 0; a_min = max_int; a_max = min_int } in
-          Hashtbl.replace tbl ev.ev_name a;
-          a
-      in
-      a.a_count <- a.a_count + 1;
-      a.a_total <- a.a_total + ev.ev_dur;
-      a.a_min <- min a.a_min ev.ev_dur;
-      a.a_max <- max a.a_max ev.ev_dur)
-    t.ring;
-  let rows = Hashtbl.fold (fun name a acc -> (name, a) :: acc) tbl [] in
-  let rows = List.sort (fun (_, a) (_, b) -> compare b.a_total a.a_total) rows in
-  Format.fprintf ppf "%-24s %8s %12s %10s %10s %10s@." "span" "count" "total" "mean" "min" "max";
-  List.iter
-    (fun (name, a) ->
-      Format.fprintf ppf "%-24s %8d %12d %10d %10d %10d@." name a.a_count a.a_total
-        (a.a_total / a.a_count) a.a_min a.a_max)
-    rows;
-  if dropped t > 0 then Format.fprintf ppf "(%d events dropped by the bounded collector)@." (dropped t)

@@ -68,7 +68,3 @@ val chrome_string : t -> string
 
 val to_json_lines : t -> string
 (** One compact JSON object per line, oldest first. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** Per-name aggregation: count, total/mean/min/max duration, sorted by
-    total duration descending. *)

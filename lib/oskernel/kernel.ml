@@ -55,15 +55,6 @@ type audit_entry =
       violation : Violation.t;
       snapshot : Violation.snapshot;
     }
-  | Alert of {
-      pid : int;
-      program : string;
-      rule : string;
-      event : string;
-      ts : int;
-      value : float;
-      threshold : float;
-    }
 
 let audit_to_string = function
   | Denied { pid; program; site; number; reason } ->
@@ -71,9 +62,6 @@ let audit_to_string = function
   | Execve { pid; program = _; path } -> Printf.sprintf "pid %d execve %s" pid path
   | Violation { pid; program; violation; snapshot = _ } ->
     Printf.sprintf "pid %d VIOLATION %s %s" pid program (Violation.to_string violation)
-  | Alert { pid = _; program; rule; event; ts; value; threshold } ->
-    Printf.sprintf "ALERT %s rule %s %s at ts %d (value %.2f, threshold %.2f)" program rule
-      event ts value threshold
 
 (* Every variant carries the same envelope — "kind", "pid", "program" — and
    call-shaped variants share the "site"/"number" field names, so consumers
@@ -90,10 +78,6 @@ let audit_to_json entry =
     let fields = match Violation.to_json violation with Obj f -> f | _ -> [] in
     envelope "violation" pid program
       (fields @ [ ("snapshot", Violation.snapshot_to_json snapshot) ])
-  | Alert { pid; program; rule; event; ts; value; threshold } ->
-    envelope "alert" pid program
-      [ ("rule", Str rule); ("event", Str event); ("ts", Int ts);
-        ("value", Float value); ("threshold", Float threshold) ]
 
 let audit_of_json j =
   let open Asc_obs.Json in
@@ -107,11 +91,6 @@ let audit_of_json j =
     match Option.bind (member k j) to_str with
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "audit entry: missing string field %S" k)
-  in
-  let get_float k =
-    match Option.bind (member k j) to_float with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "audit entry: missing numeric field %S" k)
   in
   let* kind = get_str "kind" in
   let* pid = get_int "pid" in
@@ -133,13 +112,6 @@ let audit_of_json j =
       | None -> Error "audit entry: violation missing snapshot"
     in
     Ok (Violation { pid; program; violation; snapshot })
-  | "alert" ->
-    let* rule = get_str "rule" in
-    let* event = get_str "event" in
-    let* ts = get_int "ts" in
-    let* value = get_float "value" in
-    let* threshold = get_float "threshold" in
-    Ok (Alert { pid; program; rule; event; ts; value; threshold })
   | k -> Error (Printf.sprintf "audit entry: unknown kind %S" k)
 
 type t = {
@@ -294,7 +266,6 @@ type outcome =
   | Exited of int
 
 let err e = Ret (-Errno.code e)
-let lift = function Ok v -> v | Error e -> -Errno.code e
 let lift_unit = function Ok () -> 0 | Error e -> -Errno.code e
 
 (* Every kernel-side cycle charge goes through here so the shadow-stack
@@ -862,14 +833,7 @@ let clear_trace t =
 
 let audit_log t = Asc_obs.Ring.to_list t.audit
 let clear_audit t = Asc_obs.Ring.clear t.audit
-
-(* Fleet-health alert transitions enter the audit stream through the same
-   funnel as denies and violations, so an attached authlog chains them
-   tamper-evidently and asc_audit can report them alongside. *)
-let record_alert t ~pid ~program ~rule ~event ~ts ~value ~threshold =
-  audit_push t (Alert { pid; program; rule; event; ts; value; threshold })
 let syscall_count t = Asc_obs.Metrics.counter_value t.ctr_syscalls
 let denied_count t = Asc_obs.Metrics.counter_value t.ctr_denied
 let stdout_of (p : Process.t) = Buffer.contents p.stdout
 let stderr_of (p : Process.t) = Buffer.contents p.stderr
-let _ = lift

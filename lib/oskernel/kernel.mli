@@ -75,16 +75,6 @@ type audit_entry =
       snapshot : Violation.snapshot;
     }  (** a structured deny: which verification step failed, plus the
            machine/policy state at deny time *)
-  | Alert of {
-      pid : int;          (** 0 for fleet-scope alerts *)
-      program : string;   (** alert source, e.g. ["fleet"] *)
-      rule : string;      (** the {!Asc_obs.Health} rule name *)
-      event : string;     (** transition: armed / disarmed / fired / cleared *)
-      ts : int;           (** virtual-cycle timestamp of the snapshot row *)
-      value : float;      (** the evaluated signal *)
-      threshold : float;
-    }  (** a fleet-health rule transition ({!Asc_obs.Health}), recorded so
-           SLO incidents are tamper-evident alongside violations *)
 
 val audit_to_string : audit_entry -> string
 (** The traditional one-line rendering. *)
@@ -204,15 +194,6 @@ val audit_log : t -> audit_entry list
 (** Retained audit entries, oldest first. *)
 
 val clear_audit : t -> unit
-
-val record_alert :
-  t -> pid:int -> program:string -> rule:string -> event:string -> ts:int -> value:float ->
-  threshold:float -> unit
-(** Push an {!audit_entry.Alert} through the audit funnel: the bounded
-    ring plus, when attached, the tamper-evident authlog chain — the same
-    path denies and violations take, so fleet-health incidents share
-    their integrity guarantees. Use [pid:0]/[program:"fleet"] for
-    fleet-scope alerts. *)
 
 val stdout_of : Process.t -> string
 val stderr_of : Process.t -> string

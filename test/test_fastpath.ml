@@ -205,13 +205,11 @@ let test_hot_loop_accounting () =
    configurations). *)
 let observed kernel (proc : Process.t) stop =
   let verdicts =
-    List.filter_map
+    List.map
       (function
-        | Kernel.Violation { violation = v; _ } ->
-          Some ("v:" ^ Violation.step_name v.Violation.v_step)
-        | Kernel.Denied { reason; _ } -> Some ("d:" ^ reason)
-        | Kernel.Execve { path; _ } -> Some ("e:" ^ path)
-        | Kernel.Alert _ -> None)
+        | Kernel.Violation { violation = v; _ } -> "v:" ^ Violation.step_name v.Violation.v_step
+        | Kernel.Denied { reason; _ } -> "d:" ^ reason
+        | Kernel.Execve { path; _ } -> "e:" ^ path)
       (Kernel.audit_log kernel)
   in
   (stop, Kernel.stdout_of proc, Kernel.trace kernel, verdicts)
@@ -514,6 +512,71 @@ let warm_tamper_cases =
       test_warm_tamper ~src:access_loop ~reg:1 ~off:1 ~byte:(Char.code 'x') ~step:"string_mac"
         (layer "vcache") ) ]
 
+(* ---- the 32-bit number field ---- *)
+
+(* [Encoded.encode] writes the syscall number as a u32, so a covered
+   number + 2^32 in r0 at an installed site still verifies. The kernel
+   dispatches on the full register value, so such a call must run nothing
+   and return -ENOSYS, under the reference and the fast path alike. This
+   runs [img] one instruction at a time up to the [k]-th [sys] that would
+   issue [number], adds 2^32 to r0 there, and runs on to the end. *)
+let run_high_number config ~number ~k img =
+  let kernel = Kernel.create ~personality () in
+  kernel.Kernel.tracing <- true;
+  let fast = arm config kernel in
+  Kernel.set_monitor kernel (Some (Checker.monitor_with ~kernel ~key fast));
+  let proc = Kernel.spawn kernel ~program:"high" img in
+  let m = proc.Process.machine in
+  let rec step seen =
+    let at_call =
+      Svm.Isa.decode m.Svm.Machine.mem ~pos:m.Svm.Machine.pc = Some Svm.Isa.Sys
+      && m.Svm.Machine.regs.(0) = number
+    in
+    if at_call && seen + 1 = k then m.Svm.Machine.regs.(0) <- number + (1 lsl 32)
+    else
+      match Kernel.run kernel proc ~max_cycles:m.Svm.Machine.cycles with
+      | Svm.Machine.Cycle_limit ->
+        m.Svm.Machine.stopped <- None;
+        step (if at_call then seen + 1 else seen)
+      | _ -> Alcotest.failf "the run ended before call %d" k
+  in
+  step 0;
+  let stop = Kernel.run kernel proc ~max_cycles:10_000_000 in
+  (observed kernel proc stop, fast)
+
+let test_high_number_enosys () =
+  let img =
+    install ~program:"high"
+      {|
+int main() {
+  int k;
+  for (k = 0; k < 3; k = k + 1) {
+    if (write(1, "gap\n", 4) == 4) { write(1, "ok\n", 3); } else { write(1, "no\n", 3); }
+  }
+  return 0;
+}
+|}
+  in
+  let number = Option.get (Personality.number_of personality Syscall.Write) in
+  (* the third write repeats the first one's site, so the fast path is warm *)
+  let ((stop, out, trace, verdicts) as reference), _ =
+    run_high_number Reference ~number ~k:3 img
+  in
+  let fast, fp = run_high_number Fast ~number ~k:3 img in
+  (match stop with
+   | Svm.Machine.Halted 0 -> ()
+   | _ -> Alcotest.fail "the run did not complete");
+  Alcotest.(check (list string)) "the call MAC verified" [] verdicts;
+  Alcotest.(check string) "the call wrote nothing" "gap\nok\nno\ngap\nok\n" out;
+  (match List.filter (fun e -> e.Kernel.t_sem = None) trace with
+   | [ e ] ->
+     Alcotest.(check int) "the number as issued" (number + (1 lsl 32)) e.Kernel.t_number;
+     Alcotest.(check int) "-ENOSYS" (-Errno.code Errno.ENOSYS) e.Kernel.t_result
+   | _ -> Alcotest.fail "expected exactly one undispatched call");
+  Alcotest.(check bool) "the fast path was warm" true
+    (Precomp.hits (Option.get fp).Checker.precomp > 0);
+  Alcotest.(check bool) "the fast path runs identically" true (fast = reference)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_differential; prop_mutation_deny_parity; prop_tamper_parity ]
@@ -548,4 +611,6 @@ let () =
       ( "differential",
         props
         @ [ Alcotest.test_case "rdcyc mutation (2, 56) exempt" `Quick test_mutation_rdcyc ]
-        @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) warm_tamper_cases ) ]
+        @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) warm_tamper_cases
+        @ [ Alcotest.test_case "covered number + 2^32 returns -ENOSYS" `Quick
+              test_high_number_enosys ] ) ]

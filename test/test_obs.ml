@@ -761,183 +761,6 @@ let qcheck_diffprof_stack_conservation =
       let sum = List.fold_left (fun acc d -> acc + Diffprof.d_delta d) 0 rp.Diffprof.rp_stacks in
       sum = rp.Diffprof.rp_total_actual - rp.Diffprof.rp_total_base)
 
-(* --- fleet health rules --- *)
-
-module Health = Asc_obs.Health
-
-let row ?(reasons = []) ?(interval_calls = 100) ?(interval_denies = 0) ?(p99 = 2000)
-    ?(interval_alloc_words = 0) ts =
-  Json.Obj
-    [ ("ts", Json.Int ts);
-      ("interval_calls", Json.Int interval_calls);
-      ("interval_denies", Json.Int interval_denies);
-      ("interval_alloc_words", Json.Int interval_alloc_words);
-      ("p99", Json.Int p99);
-      ("reasons", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) reasons)) ]
-
-let deny_rule ?(window = 1) ?(r_for = 2) ?(cool = 2) () =
-  Health.{ r_name = "deny"; r_signal = Deny_rate; r_op = Gt; r_threshold = 1.0;
-           r_window = window; r_for; r_cool = cool }
-
-let events trs = List.map (fun tr -> Health.event_label tr.Health.tr_event) trs
-
-let test_health_hysteresis () =
-  let t = Health.create [ deny_rule () ] in
-  (* breach, breach -> armed then fired; healthy, healthy -> cleared *)
-  let rows =
-    [ row ~interval_denies:5 1;    (* breach 1: arms *)
-      row ~interval_denies:5 2;    (* breach 2: fires (for=2) *)
-      row ~interval_denies:5 3;    (* still firing: no transition *)
-      row 4;                       (* healthy 1: cooling *)
-      row 5 ]                      (* healthy 2: clears (cool=2) *)
-  in
-  let trs = Health.observe_all t rows in
-  Alcotest.(check (list string)) "armed/fired/cleared" [ "armed"; "fired"; "cleared" ]
-    (events trs);
-  Alcotest.(check (list string)) "nothing left firing" [] (Health.firing t);
-  (* transitions are timestamped with the triggering row *)
-  Alcotest.(check (list int)) "transition timestamps" [ 1; 2; 5 ]
-    (List.map (fun tr -> tr.Health.tr_ts) trs);
-  (* one noisy interval disarms without firing *)
-  let t2 = Health.create [ deny_rule () ] in
-  let trs2 = Health.observe_all t2 [ row ~interval_denies:5 1; row 2 ] in
-  Alcotest.(check (list string)) "armed then disarmed" [ "armed"; "disarmed" ] (events trs2)
-
-let test_health_burn_rate () =
-  (* window=3: fires on the windowed mean, not the raw interval *)
-  let rule = Health.{ (deny_rule ~window:3 ~r_for:1 ~cool:1 ()) with r_threshold = 3.0 } in
-  let t = Health.create [ rule ] in
-  (* deny rates 12%, 0%, 0%: means 12, 6, 4 — all breach 3% *)
-  let trs1 = Health.observe t (row ~interval_denies:12 1) in
-  Alcotest.(check (list string)) "first interval fires" [ "fired" ] (events trs1);
-  ignore (Health.observe t (row 2));
-  let trs3 = Health.observe t (row 3) in
-  Alcotest.(check (list string)) "mean still above threshold" [] (events trs3);
-  Alcotest.(check (list string)) "still firing on the mean" [ "deny" ] (Health.firing t);
-  (* a fourth quiet interval drops the mean to 0 and clears *)
-  let trs4 = Health.observe t (row 4) in
-  Alcotest.(check (list string)) "cleared when the window drains" [ "cleared" ] (events trs4)
-
-let test_health_reason_deltas () =
-  (* precomp hit rate comes from deltas of the cumulative reason counters *)
-  let rule =
-    Health.{ r_name = "pc"; r_signal = Precomp_hit_rate; r_op = Lt; r_threshold = 40.0;
-             r_window = 1; r_for = 1; r_cool = 1 }
-  in
-  let t = Health.create [ rule ] in
-  (* first row: 90/100 precomp hits — healthy *)
-  let trs1 = Health.observe t (row ~reasons:[ ("precomp_hit", 90) ] 1) in
-  Alcotest.(check (list string)) "90% hit rate healthy" [] (events trs1);
-  (* second row: cumulative 100, so only 10 new hits over 100 calls — fires *)
-  let trs2 = Health.observe t (row ~reasons:[ ("precomp_hit", 100) ] 2) in
-  Alcotest.(check (list string)) "10% hit rate fires" [ "fired" ] (events trs2)
-
-let test_health_undefined_signal () =
-  let t = Health.create [ deny_rule ~r_for:1 () ] in
-  (* zero interval_calls: the rate is undefined, state must not move *)
-  let trs = Health.observe t (row ~interval_calls:0 ~interval_denies:0 1) in
-  Alcotest.(check (list string)) "no transitions" [] (events trs);
-  Alcotest.(check (list string)) "not firing" [] (Health.firing t)
-
-let test_health_spec_roundtrip () =
-  let rules =
-    Health.default_rules
-    @ [ Health.{ r_name = "ratio"; r_signal = Ratio ("interval_denies", "interval_calls");
-                 r_op = Ge; r_threshold = 2.5; r_window = 4; r_for = 2; r_cool = 3 };
-        Health.{ r_name = "field"; r_signal = Field "p95"; r_op = Le; r_threshold = 10.0;
-                 r_window = 1; r_for = 1; r_cool = 1 } ]
-  in
-  let spec = Json.Obj [ ("rules", Json.List (List.map Health.rule_to_json rules)) ] in
-  (match Health.rules_of_json spec with
-   | Ok parsed -> Alcotest.(check bool) "round-trip equal" true (parsed = rules)
-   | Error e -> Alcotest.failf "round-trip failed: %s" e);
-  (match Health.rules_of_string "{\"rules\": [{\"name\": \"x\"}]}" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "rule without signal accepted");
-  (match Health.rules_of_string "{}" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "spec without rules accepted");
-  Alcotest.check_raises "duplicate names rejected"
-    (Invalid_argument "Health.create: duplicate rule name \"deny\"") (fun () ->
-      ignore (Health.create [ deny_rule (); deny_rule () ]))
-
-let qcheck_health_conservation =
-  (* whatever the rule parameters and the deny pattern, every fired alert
-     is either cleared or still firing: fired = cleared + |firing| — and
-     arm/disarm bookkeeping balances the same way *)
-  QCheck.Test.make ~name:"rule transitions conserve: fired = cleared + firing" ~count:300
-    QCheck.(triple (list (int_bound 8)) (pair (int_range 1 4) (int_range 1 4))
-              (int_range 1 3))
-    (fun (denies, (r_for, cool), window) ->
-      let t = Health.create [ deny_rule ~window ~r_for ~cool () ] in
-      List.iteri (fun i d -> ignore (Health.observe t (row ~interval_denies:d (i + 1)))) denies;
-      let armed, disarmed, fired, cleared = Health.counts t in
-      let firing = List.length (Health.firing t) in
-      let pending =
-        (* armed but not yet fired or disarmed: at most one (single rule) *)
-        armed - disarmed
-        - (if r_for > 1 then fired else 0 (* for=1 fires without arming *))
-      in
-      fired = cleared + firing && pending >= 0 && pending <= 1)
-
-(* --- bounded history files --- *)
-
-module History = Asc_obs.History
-
-let temp_dir () =
-  let path = Filename.temp_file "asc_history" "" in
-  Sys.remove path;
-  path
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
-let hrow i = Json.Obj [ ("n", Json.Int i) ]
-
-let test_history_append_read () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  Alcotest.(check bool) "missing file reads empty" true
-    (History.read ~dir ~name:"t4" = Ok []);
-  for i = 1 to 5 do History.append ~dir ~name:"t4" (hrow i) done;
-  (match History.read ~dir ~name:"t4" with
-   | Ok rows -> Alcotest.(check int) "uncapped grows" 5 (List.length rows)
-   | Error e -> Alcotest.fail e);
-  (* a second bench file in the same dir is independent *)
-  History.append ~dir ~name:"t5" (hrow 0);
-  (match History.read ~dir ~name:"t5" with
-   | Ok [ _ ] -> ()
-   | _ -> Alcotest.fail "second file wrong")
-
-let test_history_keep_truncates () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  for i = 1 to 7 do History.append ~dir ~name:"t4" ~keep:3 (hrow i) done;
-  (match History.read ~dir ~name:"t4" with
-   | Ok rows ->
-     Alcotest.(check int) "capped at keep" 3 (List.length rows);
-     Alcotest.(check (list int)) "newest rows survive, oldest first" [ 5; 6; 7 ]
-       (List.filter_map (fun r -> Option.bind (Json.member "n" r) Json.to_int) rows)
-   | Error e -> Alcotest.fail e);
-  (* the cap applies on append: an uncapped append after a capped one grows *)
-  History.append ~dir ~name:"t4" (hrow 8);
-  (match History.read ~dir ~name:"t4" with
-   | Ok rows -> Alcotest.(check int) "append without keep grows" 4 (List.length rows)
-   | Error e -> Alcotest.fail e);
-  Alcotest.check_raises "keep < 1 rejected"
-    (Invalid_argument "History.append: keep must be >= 1") (fun () ->
-      History.append ~dir ~name:"t4" ~keep:0 (hrow 9));
-  (* malformed rows are reported with file and line *)
-  let oc = open_out_gen [ Open_append ] 0o644 (Filename.concat dir "t4.jsonl") in
-  output_string oc "{nope\n";
-  close_out oc;
-  match History.read ~dir ~name:"t4" with
-  | Error e -> Alcotest.(check bool) "error names the line" true (contains e "t4.jsonl:5")
-  | Ok _ -> Alcotest.fail "malformed line parsed"
-
 let () =
   Alcotest.run "asc_obs"
     [ ( "metrics",
@@ -982,14 +805,4 @@ let () =
           Alcotest.test_case "profile json loading" `Quick test_diffprof_of_json;
           Alcotest.test_case "document attribution" `Quick test_diffprof_doc;
           QCheck_alcotest.to_alcotest qcheck_diffprof_self_empty;
-          QCheck_alcotest.to_alcotest qcheck_diffprof_stack_conservation ] );
-      ( "health",
-        [ Alcotest.test_case "arm/fire/clear hysteresis" `Quick test_health_hysteresis;
-          Alcotest.test_case "burn-rate window" `Quick test_health_burn_rate;
-          Alcotest.test_case "cumulative reason deltas" `Quick test_health_reason_deltas;
-          Alcotest.test_case "undefined signal is inert" `Quick test_health_undefined_signal;
-          Alcotest.test_case "rule spec round-trip" `Quick test_health_spec_roundtrip;
-          QCheck_alcotest.to_alcotest qcheck_health_conservation ] );
-      ( "history",
-        [ Alcotest.test_case "append + read" `Quick test_history_append_read;
-          Alcotest.test_case "--history-keep truncation" `Quick test_history_keep_truncates ] ) ]
+          QCheck_alcotest.to_alcotest qcheck_diffprof_stack_conservation ] ) ]

@@ -1,13 +1,13 @@
 (* The fleet telemetry plane (Asc_obs.Telemetry).
 
-   End-to-end: an enforced run must record exactly one reason code per
-   monitored call (the exhaustiveness invariant — reason buckets sum to
-   the kernel's trap count), charge exactly telemetry_record_cost per call
-   to the self-overhead meter, and retire shards losslessly at process
-   teardown. The QCheck properties pin the merge algebra: commutative,
-   associative, and count-conserving on every scalar, bucket and assoc
-   leaf — the contract that makes read-side aggregation order-independent
-   over concurrently written shards. *)
+   End-to-end: an enforced run must record exactly one reason code and
+   one control-flow code per monitored call (the exhaustiveness invariant
+   — each set of buckets sums to the kernel's trap count), charge exactly
+   telemetry_record_cost per call to the self-overhead meter, and retire
+   shards losslessly at process teardown. The QCheck properties pin the
+   merge algebra: commutative, associative, and count-conserving on every
+   scalar, bucket and assoc leaf — the contract that makes read-side
+   aggregation order-independent over concurrently written shards. *)
 
 open Oskernel
 module T = Asc_obs.Telemetry
@@ -44,6 +44,8 @@ let test_exhaustiveness () =
   let agg = T.aggregate (Kernel.telemetry kernel) in
   Alcotest.(check bool) "calls recorded" true (agg.T.t_calls > 0);
   Alcotest.(check int) "one reason per monitored call" agg.T.t_calls (T.reasons_total agg);
+  Alcotest.(check int) "one control-flow code per monitored call" agg.T.t_calls
+    (T.cf_total agg);
   Alcotest.(check int) "every trap recorded" (Kernel.syscall_count kernel) agg.T.t_calls;
   Alcotest.(check int) "self-overhead exactly accounted"
     (agg.T.t_calls * Svm.Cost_model.telemetry_record_cost)
@@ -82,7 +84,22 @@ let test_shard_lifecycle () =
     (List.map (fun _ -> (0, "")) (T.ledger tel ~pid:proc.Process.pid));
   let agg = T.aggregate tel in
   Alcotest.(check int) "retired counts conserved" (Kernel.syscall_count kernel) agg.T.t_calls;
-  Alcotest.(check int) "one retired shard folded" 1 agg.T.t_shards
+  Alcotest.(check int) "one retired shard folded" 1 agg.T.t_shards;
+  (* a second run stopped half-way keeps its shard live: the self-overhead
+     meter covers the retired shard and the live one, one charge per call *)
+  let proc2 = Kernel.spawn kernel ~program:"loop" image in
+  let half = proc.Process.machine.Svm.Machine.cycles / 2 in
+  (match Kernel.run kernel proc2 ~max_cycles:half with
+   | Svm.Machine.Cycle_limit -> ()
+   | _ -> Alcotest.fail "second run was not stopped half-way");
+  Alcotest.(check (list int)) "second shard live" [ proc2.Process.pid ] (T.live_pids tel);
+  let live = T.stats_of_shard tel (T.shard tel ~pid:proc2.Process.pid) in
+  Alcotest.(check bool) "live shard recorded calls" true (live.T.t_calls > 0);
+  Alcotest.(check int) "self cycles = retired + live charges"
+    ((agg.T.t_calls + live.T.t_calls) * Svm.Cost_model.telemetry_record_cost)
+    (T.self_cycles tel);
+  Alcotest.(check int) "self cycles = the shards' sum"
+    (agg.T.t_self_cycles + live.T.t_self_cycles) (T.self_cycles tel)
 
 let test_ledger_entries () =
   let t = T.create ~ring_capacity:4 () in
@@ -219,41 +236,6 @@ let test_reason_taxonomy () =
     (T.reason_index (T.Deny "call_mac"))
     (T.reason_index (T.Deny "control_flow"))
 
-(* ---- snapshot emitter ---- *)
-
-let test_emitter_rows () =
-  let t = T.create () in
-  T.set_emitter t ~interval:1000;
-  let sh = T.shard t ~pid:1 in
-  let record ~now =
-    T.record t sh ~site:0x40 ~sem:"read" ~reason:T.Slow_path ~cycles:500 ~alloc:32 ~now
-  in
-  record ~now:400;   (* below the first boundary: no row *)
-  record ~now:1200;  (* crosses 1000: row 1 *)
-  record ~now:1300;  (* next boundary now 2200: no row *)
-  record ~now:2500;  (* crosses 2200: row 2 *)
-  let rows = T.snapshots t in
-  Alcotest.(check int) "two rows cut" 2 (List.length rows);
-  let ts_of row =
-    match Asc_obs.Json.member "ts" row with
-    | Some ts -> Option.get (Asc_obs.Json.to_int ts)
-    | None -> Alcotest.fail "row missing ts"
-  in
-  Alcotest.(check (list int)) "stamped at the crossing calls" [ 1200; 2500 ]
-    (List.map ts_of rows);
-  (* cumulative counters are monotone; interval deltas cover all calls *)
-  let calls_of row = Option.get (Asc_obs.Json.to_int (Option.get (Asc_obs.Json.member "calls" row))) in
-  Alcotest.(check (list int)) "cumulative calls" [ 2; 4 ] (List.map calls_of rows);
-  let jsonl = T.snapshots_jsonl t in
-  let lines = String.split_on_char '\n' (String.trim jsonl) in
-  Alcotest.(check int) "jsonl row per snapshot" 2 (List.length lines);
-  List.iter
-    (fun line ->
-      match Asc_obs.Json.parse line with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "snapshot line unreadable: %s" e)
-    lines
-
 let () =
   Alcotest.run "telemetry"
     [ ( "end-to-end",
@@ -266,6 +248,4 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_merge_associates;
           QCheck_alcotest.to_alcotest qcheck_aggregate_equals_fold ] );
       ( "taxonomy",
-        [ Alcotest.test_case "labels exhaustive and distinct" `Quick test_reason_taxonomy ] );
-      ( "emitter",
-        [ Alcotest.test_case "interval rows" `Quick test_emitter_rows ] ) ]
+        [ Alcotest.test_case "labels exhaustive and distinct" `Quick test_reason_taxonomy ] ) ]
