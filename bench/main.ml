@@ -13,9 +13,7 @@
 let usage =
   "usage: main.exe [table1|table2|table3|table4|table5|table6|andrew|attacks|parity|telemetry|ablation|bechamel|all]* \
    [--scale N] [--iterations N] [--json] [--check-baselines DIR] [--tolerance PCT] \
-   [--tolerance-abs W] [--inject-step-cost STEP PCT]\n\
-   \       main.exe diff A.json B.json [--tolerance PCT] [--tolerance-abs W]\n\
-   \       (diff exits 0 on match, 1 on mismatch, 2 on unreadable input)"
+   [--tolerance-abs W]"
 
 let bechamel_run () =
   let open Bechamel in
@@ -31,9 +29,6 @@ let bechamel_run () =
         test "attacks" Tables.attacks ]
   in
   (* silence the table printers while Bechamel drives them repeatedly *)
-  let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  let saved = Format.std_formatter in
-  ignore saved;
   let stdout_backup = Unix.dup Unix.stdout in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   Unix.dup2 devnull Unix.stdout;
@@ -43,7 +38,6 @@ let bechamel_run () =
   Unix.dup2 stdout_backup Unix.stdout;
   Unix.close devnull;
   Unix.close stdout_backup;
-  ignore null;
   let results =
     List.map
       (fun instance -> Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]) instance raw)
@@ -64,12 +58,8 @@ let () =
   let scale = ref 1 in
   let iterations = ref 1 in
   let selected = ref [] in
-  let diff_job = ref None in
   let rec parse = function
     | [] -> ()
-    | "diff" :: a :: b :: rest ->
-      diff_job := Some (a, b);
-      parse rest
     | "--scale" :: v :: rest ->
       scale := int_of_string v;
       parse rest
@@ -88,14 +78,6 @@ let () =
     | "--tolerance-abs" :: v :: rest ->
       Export.tolerance_abs := float_of_string v;
       parse rest
-    | "--inject-step-cost" :: step :: pct :: rest ->
-      (* deliberate regression: inflate one checker step's cycle charges
-         in the table4 monitors; exists so CI can prove the gate-failure
-         attribution names the step and site (see bench/dune's injection
-         smoke) *)
-      Microbench.inject :=
-        Some (Asc_core.Checker.cost_injection ~step ~pct:(int_of_string pct));
-      parse rest
     | ("--help" | "-h") :: _ ->
       print_endline usage;
       exit 0
@@ -103,13 +85,7 @@ let () =
       selected := name :: !selected;
       parse rest
   in
-  Export.attribution_hook := Some Microbench.attribute_gate;
   parse (List.tl (Array.to_list Sys.argv));
-  (match !diff_job with
-   | Some (a, b) ->
-     exit
-       (Export.diff_files ~tolerance:!Export.tolerance ~tolerance_abs:!Export.tolerance_abs a b)
-   | None -> ());
   let selected = if !selected = [] then [ "all" ] else List.rev !selected in
   let run name =
     match name with
@@ -125,7 +101,6 @@ let () =
     | "telemetry" -> Tables.telemetry_gate ()
     | "ablation" ->
       Microbench.ablation_control_flow ();
-      Microbench.control_flow_step ();
       Microbench.ablation_userspace ();
       Tables.ablation_patterns ()
     | "bechamel" -> bechamel_run ()
@@ -141,7 +116,6 @@ let () =
       Tables.fastpath_parity ();
       Tables.telemetry_gate ();
       Microbench.ablation_control_flow ();
-      Microbench.control_flow_step ();
       Microbench.ablation_userspace ();
       Tables.ablation_patterns ()
     | other ->

@@ -64,14 +64,19 @@ let cases =
     { c_name = "brk()"; c_stdin = ""; c_setup = ignore;
       c_body = Printf.sprintf "        movi r0, %d\n        movi r1, 0\n        sys\n" (num Syscall.Brk) } ]
 
-(* --inject-step-cost STEP PCT: a deliberate regression passed to every
-   authenticated monitor this module builds (see bench/dune's injection
-   smoke). *)
-let inject : Asc_core.Checker.cost_injection option ref = ref None
+(* One run of [case]'s loop on a fresh kernel, armed with the reference
+   checker or (with [fast]) the deployed fast path when [authenticated]:
+   the per-iteration cycles the guest's rdcyc measured, the kernel's
+   metrics registry (the checker's per-step counters and, with [fast], the
+   fast-path layers'), and the host-side minor-heap words per iteration
+   strictly around [Kernel.run]. *)
+type run = {
+  r_cycles : int;
+  r_raw : string -> int;  (* registry value by name, 0 when absent *)
+  r_words : int;
+}
 
-(* A fresh kernel running [case]'s loop, armed with the reference checker
-   or (with [fast]) the deployed fast path when [authenticated]. *)
-let spawn_case ~authenticated ~fast ~control_flow case =
+let run ~authenticated ?(fast = false) ?(control_flow = true) case =
   let img = Svm.Asm.assemble_exn (loop_program ~body:case.c_body) in
   let img =
     if not authenticated then img
@@ -86,22 +91,9 @@ let spawn_case ~authenticated ~fast ~control_flow case =
   if authenticated then
     Kernel.set_monitor kernel
       (Some
-         (Asc_core.Checker.monitor_with ~kernel ~key ?inject:!inject
+         (Asc_core.Checker.monitor_with ~kernel ~key
             (if fast then Some (Asc_core.Checker.fastpath ~key kernel) else None)));
-  (kernel, Kernel.spawn kernel ~stdin:case.c_stdin ~program:case.c_name img)
-
-(* One run of [case]'s loop: the per-iteration cycles the guest's rdcyc
-   measured, the kernel's metrics registry (the checker's per-step
-   counters and, with [fast], the fast-path layers'), and the host-side
-   minor-heap words per iteration strictly around [Kernel.run]. *)
-type run = {
-  r_cycles : int;
-  r_raw : string -> int;  (* registry value by name, 0 when absent *)
-  r_words : int;
-}
-
-let run ~authenticated ?(fast = false) ?(control_flow = true) case =
-  let kernel, proc = spawn_case ~authenticated ~fast ~control_flow case in
+  let proc = Kernel.spawn kernel ~stdin:case.c_stdin ~program:case.c_name img in
   let mw0 = Gc.minor_words () in
   match Kernel.run kernel proc ~max_cycles:4_000_000_000 with
   | Svm.Machine.Halted _ ->
@@ -243,100 +235,6 @@ let table4 () =
          ("alloc_harness_words", Int (Lazy.force harness).r_words);
          ("rows", List rows) ])
 
-(* --- gate attribution -------------------------------------------------- *)
-
-(* Re-run one case under the shadow-stack profiler and locate the call
-   site whose subtree carries the named checker step — the "+412 cycles
-   in <kernel:control_flow> at getpid@site_0x18" half of a gate failure
-   message. Returns the heaviest (site frame, step cycles) pair. *)
-let profile_step_site ~fast ~step case =
-  let kernel, proc = spawn_case ~authenticated:true ~fast ~control_flow:true case in
-  let prof = Asc_obs.Profile.create () in
-  Svm.Machine.attach_profile proc.Process.machine prof;
-  (match Kernel.run kernel proc ~max_cycles:4_000_000_000 with
-   | Svm.Machine.Halted _ -> ()
-   | _ -> failwith (case.c_name ^ ": attribution run did not halt"));
-  let symbolize = function
-    | Asc_obs.Profile.Label s -> s
-    | Asc_obs.Profile.Pc a -> Printf.sprintf "0x%x" a
-  in
-  let frame = "<kernel:" ^ step ^ ">" in
-  let sites = Hashtbl.create 8 in
-  List.iter
-    (fun (stack, w) ->
-      if List.mem frame stack then
-        let site =
-          List.fold_left
-            (fun acc f -> if Asc_obs.Diffprof.is_site_frame f then Some f else acc)
-            None stack
-        in
-        match site with
-        | Some site ->
-          let c = match Hashtbl.find_opt sites site with Some c -> c | None -> 0 in
-          Hashtbl.replace sites site (c + w)
-        | None -> ())
-    (Asc_obs.Profile.folded ~symbolize prof);
-  Hashtbl.fold
-    (fun site w best ->
-      match best with Some (_, bw) when bw >= w -> best | _ -> Some (site, w))
-    sites None
-
-(* Export's attribution hook for the table4 family: find the per-call
-   verification step that moved the most between baseline and actual,
-   then re-run that row's case under the profiler to name the offending
-   site. Printed after the generic numeric-leaf blame table, as part of
-   the gate failure output. *)
-let attribute_gate ~file ~baseline ~actual =
-  let is_table4 = String.length file >= 12 && String.sub file 0 12 = "BENCH_table4" in
-  if is_table4 then begin
-    let open Asc_obs.Json in
-    let rows doc = match member "rows" doc with Some (List rs) -> rs | _ -> [] in
-    let arows = rows actual in
-    let verif_keys = [ ("verification", false); ("verification_fast", true) ] in
-    let best = ref None in
-    List.iteri
-      (fun i brow ->
-        match List.nth_opt arows i with
-        | None -> ()
-        | Some arow ->
-          let name =
-            match Option.bind (member "name" arow) to_str with
-            | Some n -> n
-            | None -> Printf.sprintf "row %d" i
-          in
-          List.iter
-            (fun (vkey, cfg) ->
-              match (member vkey brow, member vkey arow) with
-              | Some bv, Some av ->
-                List.iter
-                  (fun s ->
-                    match
-                      (Option.bind (member s bv) to_int, Option.bind (member s av) to_int)
-                    with
-                    | Some b, Some a when a <> b ->
-                      (match !best with
-                       | Some (bd, _, _, _, _, _, _) when bd >= abs (a - b) -> ()
-                       | _ -> best := Some (abs (a - b), a - b, name, s, cfg, b, a))
-                    | _ -> ())
-                  step_names
-              | _ -> ())
-            verif_keys)
-      (rows baseline);
-    match !best with
-    | None -> ()
-    | Some (_, d, name, step, fast, b, a) ->
-      let case = List.find_opt (fun c -> c.c_name = name) cases in
-      let site =
-        match case with
-        | Some case ->
-          (try profile_step_site ~fast ~step case with _ -> None)
-        | None -> None
-      in
-      let where = match site with Some (s, _) -> " at " ^ s | None -> "" in
-      Format.printf "  [attribution] %s: %+d cycles/call in <kernel:%s>%s (%d -> %d)@." name d
-        step where b a
-  end
-
 (* ablation: authenticated calls with and without control-flow policies *)
 let ablation_control_flow () =
   Format.printf "@.Ablation: control-flow (predecessor set) policy cost@.";
@@ -348,32 +246,6 @@ let ablation_control_flow () =
       Format.printf "%-16s %14d %16d %11.1f%%@." case.c_name full nocf
         (100. *. float_of_int (full - nocf) /. float_of_int full))
     cases
-
-(* Microbenchmark isolating the §3.4 control-flow step: per-call cycles and
-   minor words charged to checker.{cycles,alloc}.control_flow on the getpid
-   loop, in the two ways the step can execute — the reference string-MAC
-   path (predecessor-set CMAC + two from-scratch lbMAC CMACs) and the
-   cfpre fast path (bitset load+test + single-AES lbMAC chain steps
-   against the monitor's scratch). The fast path must cut the step at
-   least 3x, and its allocation must sit within the scratch budget. *)
-let control_flow_step () =
-  Format.printf "@.Microbench: the control-flow step in isolation (getpid, per call)@.";
-  Format.printf "%-38s %10s %10s@." "configuration" "cycles" "words";
-  let case = List.hd cases in
-  let row name ~fast =
-    let r = run ~authenticated:true ~fast case in
-    let cyc = r.r_raw "checker.cycles.control_flow" / iterations in
-    let words = r.r_raw "checker.alloc.control_flow" / iterations in
-    Format.printf "%-38s %10d %10d@." name cyc words;
-    (cyc, words)
-  in
-  let slow, _ = row "string-MAC reference path" ~fast:false in
-  let fast, fast_words = row "bitset hit + lbMAC chain step" ~fast:true in
-  if 3 * fast > slow then
-    failwith (Printf.sprintf "control-flow step not cut 3x by the fast path (%d vs %d)" fast slow);
-  if fast_words > 16 then
-    failwith
-      (Printf.sprintf "control-flow fast path allocates %d words/call (budget 16)" fast_words)
 
 (* ablation: in-kernel ASC checking vs a user-space policy daemon that pays
    two context switches per checked call (§2.3's comparison) *)

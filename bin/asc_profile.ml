@@ -321,91 +321,11 @@ let output_arg =
          ~doc:"Write output to FILE instead of standard output.")
 
 let cmd =
-  let doc =
-    "cycle-exact profile of a program under the simulated kernel (invoke as asc-profile \
-     --diff A.json B.json to diff two exported profiles instead)"
-  in
+  let doc = "cycle-exact profile of a program under the simulated kernel" in
   Cmd.v
     (Cmd.info "asc-profile" ~doc)
     Term.(
       const run $ input_arg $ key_arg $ os_arg $ no_enforce_arg $ stdin_arg $ folded_arg
       $ top_arg $ sites_arg $ alloc_arg $ json_arg $ output_arg)
 
-(* --- differential mode -------------------------------------------------
-
-   asc_profile --diff A.json B.json [--noise N] [--top N] [--folded]
-
-   A and B are profile exports (either `asc_profile --json` documents or
-   the bare "profile" object inside one). Aligns the folded stacks of
-   both resources (cycles and minor words), applies the noise floor, and
-   prints the blame table (or folded delta lines with --folded).
-
-   Exit status: 0 when no delta survives the noise floor on either
-   resource, 1 when something moved, 2 on unreadable input — so a
-   self-diff gates in CI and a regression diff reads as a failure. *)
-
-let run_diff args =
-  let noise = ref 0 and top = ref 10 and folded = ref false and files = ref [] in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--noise" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 0 ->
-          noise := n;
-          parse rest
-        | _ -> Error "--noise wants a non-negative integer")
-    | "--top" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-          top := n;
-          parse rest
-        | _ -> Error "--top wants a positive integer")
-    | "--folded" :: rest ->
-      folded := true;
-      parse rest
-    | f :: rest ->
-      files := f :: !files;
-      parse rest
-  in
-  let ( let* ) = Result.bind in
-  let load path =
-    let* text =
-      try Ok (Common.read_file path) with Sys_error e -> Error e
-    in
-    let* j = Result.map_error (fun e -> path ^ ": " ^ e) (Json.parse text) in
-    Result.map_error (fun e -> path ^ ": " ^ e) (Asc_obs.Diffprof.of_json j)
-  in
-  let result =
-    let* () = parse args in
-    let* a, b =
-      match List.rev !files with
-      | [ a; b ] -> Ok (a, b)
-      | _ -> Error "--diff wants exactly two profile JSON files"
-    in
-    let* base = load a in
-    let* actual = load b in
-    let cycles, words =
-      Asc_obs.Diffprof.diff_sides ~noise:!noise ~base ~actual ()
-    in
-    let print rp =
-      if !folded then print_string (Asc_obs.Diffprof.folded_diff rp)
-      else print_string (Asc_obs.Diffprof.blame_table ~top:!top rp)
-    in
-    print cycles;
-    print words;
-    if Asc_obs.Diffprof.is_empty cycles && Asc_obs.Diffprof.is_empty words then begin
-      Printf.printf "diff: no deltas above the noise floor (%d) between %s and %s\n" !noise a b;
-      Ok 0
-    end
-    else Ok 1
-  in
-  match result with
-  | Ok code -> code
-  | Error e ->
-    Format.eprintf "asc-profile --diff: %s@." e;
-    2
-
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: "--diff" :: rest -> exit (run_diff rest)
-  | _ -> exit (Cmd.eval' cmd)
+let () = exit (Cmd.eval' cmd)

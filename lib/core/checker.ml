@@ -43,26 +43,6 @@ type step =
   | Control_flow
   | Ext
 
-(* Fault injection for the attribution pipeline: inflate one step's cycle
-   charges by a percentage. The surcharge flows through [charge], so the
-   machine counter, the per-step metrics, the profiler and telemetry all
-   see the same inflated number — every "steps sum to total" invariant
-   keeps holding while the step visibly regresses. Carried by one
-   monitor's [steps], so other kernels in the process are untouched. *)
-type cost_injection = step * int
-
-let cost_injection ~step ~pct =
-  if pct < 0 then invalid_arg "Checker.cost_injection: pct must be >= 0";
-  let step =
-    match step with
-    | "call_mac" -> Call_mac
-    | "string_mac" -> String_mac
-    | "control_flow" -> Control_flow
-    | "ext" -> Ext
-    | other -> invalid_arg (Printf.sprintf "Checker.cost_injection: unknown step %S" other)
-  in
-  (step, pct)
-
 (* Per-verification-step cycle attribution (§3.4 / Table 4): every cycle
    the checker charges to the machine is also credited to exactly one step
    counter, so the steps always sum to [steps.st_total]. *)
@@ -86,10 +66,9 @@ type steps = {
   sa_ext : Asc_obs.Metrics.counter;
   sa_telemetry : Asc_obs.Metrics.counter;
   sa_total : Asc_obs.Metrics.counter;
-  st_inject : cost_injection option;  (* this monitor's fault injection *)
 }
 
-let steps_of ?inject registry =
+let steps_of registry =
   { st_call_mac = Asc_obs.Metrics.counter registry "checker.cycles.call_mac";
     st_string_mac = Asc_obs.Metrics.counter registry "checker.cycles.string_mac";
     st_control_flow = Asc_obs.Metrics.counter registry "checker.cycles.control_flow";
@@ -101,8 +80,7 @@ let steps_of ?inject registry =
     sa_control_flow = Asc_obs.Metrics.counter registry "checker.alloc.control_flow";
     sa_ext = Asc_obs.Metrics.counter registry "checker.alloc.ext";
     sa_telemetry = Asc_obs.Metrics.counter registry "checker.alloc.telemetry";
-    sa_total = Asc_obs.Metrics.counter registry "checker.alloc.total";
-    st_inject = inject }
+    sa_total = Asc_obs.Metrics.counter registry "checker.alloc.total" }
 
 let step_counter steps = function
   | Call_mac -> steps.st_call_mac
@@ -125,11 +103,6 @@ let step_frame = function
   | Ext -> Asc_obs.Profile.Label "<kernel:ext>"
 
 let charge (m : Machine.t) steps step n =
-  let n =
-    match steps.st_inject with
-    | Some (s, pct) when s = step -> n + (n * pct / 100)
-    | _ -> n
-  in
   m.cycles <- m.cycles + n;
   Asc_obs.Metrics.add (step_counter steps step) n;
   Asc_obs.Metrics.add steps.st_total n;
@@ -538,14 +511,14 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
   end;
   reason
 
-let monitor ~kernel ~key ?(normalize_paths = false) ?inject ?vcache ?precomp ?cfpre () =
+let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
   let fast =
     match (vcache, precomp, cfpre) with
     | Some vcache, Some precomp, Some cfpre -> Some { vcache; precomp; cfpre }
     | None, None, None -> None
     | _ -> invalid_arg "Checker.monitor: arm vcache, precomp and cfpre together or not at all"
   in
-  let steps = steps_of ?inject kernel.Kernel.obs in
+  let steps = steps_of kernel.Kernel.obs in
   (* lifecycle: every entry is image-specific, so execve and teardown drop
      the pid's entries in all three layers; a pid's first entry creates
      its tables *)
@@ -627,8 +600,8 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?inject ?vcache ?precomp ?cf
               v_got_mac = f.f_got });
     post_syscall = Kernel.no_post }
 
-let monitor_with ~kernel ~key ?normalize_paths ?inject fast =
+let monitor_with ~kernel ~key ?normalize_paths fast =
   match fast with
   | Some { vcache; precomp; cfpre } ->
-    monitor ~kernel ~key ?normalize_paths ?inject ~vcache ~precomp ~cfpre ()
-  | None -> monitor ~kernel ~key ?normalize_paths ?inject ()
+    monitor ~kernel ~key ?normalize_paths ~vcache ~precomp ~cfpre ()
+  | None -> monitor ~kernel ~key ?normalize_paths ()

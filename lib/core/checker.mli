@@ -66,27 +66,10 @@ val fastpath : key:Asc_crypto.Cmac.key -> Oskernel.Kernel.t -> fastpath
 (** Fresh, empty layers publishing their counters into the kernel's
     metrics registry. [key] must be the checker's. *)
 
-(** {1 Fault injection} — regression-attribution test support. *)
-
-type cost_injection
-
-val cost_injection : step:string -> pct:int -> cost_injection
-(** Inflate every cycle charge to the named checker step ([call_mac],
-    [string_mac], [control_flow] or [ext]) by [pct] percent. The surcharge
-    goes through the machine's cycle counter, the per-step metrics and the
-    profiler alike, so the decomposition invariants keep holding while
-    the numbers move. It applies only to the monitor it is passed to.
-    This exists to prove the attribution pipeline: bench's
-    [--inject-step-cost] passes one to the table4 monitors to trip the
-    gate deliberately and assert that the failure names the step and
-    site.
-    @raise Invalid_argument on an unknown step name or [pct < 0]. *)
-
 val monitor :
   kernel:Oskernel.Kernel.t ->
   key:Asc_crypto.Cmac.key ->
   ?normalize_paths:bool ->
-  ?inject:cost_injection ->
   ?vcache:Vcache.t ->
   ?precomp:Precomp.t ->
   ?cfpre:Cfpre.t ->
@@ -108,7 +91,6 @@ val monitor_with :
   kernel:Oskernel.Kernel.t ->
   key:Asc_crypto.Cmac.key ->
   ?normalize_paths:bool ->
-  ?inject:cost_injection ->
   fastpath option ->
   Oskernel.Kernel.monitor
 (** {!monitor} with the fast path given as one value: [Some fp] arms it,

@@ -14,26 +14,6 @@ let kind = function
   | Json.List _ -> "list"
   | Json.Obj _ -> "object"
 
-(* A baseline leaf may be a tolerance-spec object instead of a bare number:
-     {"value": 42, "tolerance": {"kind": "abs", "max": 8}}
-     {"value": 42, "tolerance": {"kind": "pct", "max": 25}}
-   This overrides the comparison for that one field — the way to pin a
-   near-zero field (where percentage tolerance is meaningless) to an
-   absolute word/cycle budget, or to widen a single noisy field without
-   loosening the whole table. *)
-let spec_of = function
-  | Json.Obj kvs -> (
-    match (List.assoc_opt "value" kvs, List.assoc_opt "tolerance" kvs) with
-    | Some v, Some (Json.Obj tkvs) when List.length kvs = 2 -> (
-      match (number_of v, List.assoc_opt "kind" tkvs, Option.bind (List.assoc_opt "max" tkvs) number_of) with
-      | Some value, Some (Json.Str ("abs" as k)), Some max
-      | Some value, Some (Json.Str ("pct" as k)), Some max
-        when List.length tkvs = 2 ->
-        Some (value, k, max)
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
-
 let compare ~tolerance ?(tolerance_abs = 0.) ~baseline ~actual () =
   let problems = ref [] in
   let fail path fmt =
@@ -41,54 +21,40 @@ let compare ~tolerance ?(tolerance_abs = 0.) ~baseline ~actual () =
   in
   let drift b a = if b = 0. then Float.infinity else 100. *. (a -. b) /. Float.abs b in
   let rec go path base act =
-    match spec_of base with
-    | Some (b, tkind, max) -> (
-      match number_of act with
-      | None -> fail path "kind changed: baseline number (spec), got %s" (kind act)
-      | Some a -> (
-        match tkind with
-        | "abs" ->
-          if Float.abs (a -. b) > max then
-            fail path "%g outside abs tolerance %g of baseline %g (delta %+g)" a max b (a -. b)
-        | _ ->
-          if not (within ~tolerance:max a b) then
-            fail path "%g outside %g%% tolerance of baseline %g (drift %+.2f%%)" a max b
-              (drift b a)))
-    | None -> (
-      match number_of base, number_of act with
-      | Some b, Some a ->
-        (* the global absolute floor rescues near-zero fields where any
-           change is a huge percentage; a field passes on either criterion *)
-        if not (within ~tolerance b a || Float.abs (a -. b) <= tolerance_abs) then
-          fail path "%g outside %g%% tolerance of baseline %g (drift %+.2f%%)" a tolerance b
-            (drift b a)
-      | _ ->
-        (match base, act with
-         | Json.Null, Json.Null -> ()
-         | Json.Bool b, Json.Bool a -> if b <> a then fail path "expected %b, got %b" b a
-         | Json.Str b, Json.Str a -> if b <> a then fail path "expected %S, got %S" b a
-         | Json.List bs, Json.List as_ ->
-           if List.length bs <> List.length as_ then
-             fail path "list length changed: baseline %d, got %d" (List.length bs)
-               (List.length as_)
-           else
-             List.iteri
-               (fun i (b, a) -> go (Printf.sprintf "%s[%d]" path i) b a)
-               (List.combine bs as_)
-         | Json.Obj bs, Json.Obj as_ ->
-           let keys l = List.sort Stdlib.compare (List.map fst l) in
-           let bkeys = keys bs and akeys = keys as_ in
-           if bkeys <> akeys then begin
-             let missing = List.filter (fun k -> not (List.mem k akeys)) bkeys in
-             let extra = List.filter (fun k -> not (List.mem k bkeys)) akeys in
-             List.iter (fun k -> fail path "missing key %S" k) missing;
-             List.iter (fun k -> fail path "unexpected key %S" k) extra
-           end
-           else
-             List.iter
-               (fun (k, b) -> go (path ^ "." ^ k) b (List.assoc k as_))
-               bs
-         | b, a -> fail path "kind changed: baseline %s, got %s" (kind b) (kind a)))
+    match number_of base, number_of act with
+    | Some b, Some a ->
+      (* the global absolute floor rescues near-zero fields where any
+         change is a huge percentage; a field passes on either criterion *)
+      if not (within ~tolerance b a || Float.abs (a -. b) <= tolerance_abs) then
+        fail path "%g outside %g%% tolerance of baseline %g (drift %+.2f%%)" a tolerance b
+          (drift b a)
+    | _ ->
+      (match base, act with
+       | Json.Null, Json.Null -> ()
+       | Json.Bool b, Json.Bool a -> if b <> a then fail path "expected %b, got %b" b a
+       | Json.Str b, Json.Str a -> if b <> a then fail path "expected %S, got %S" b a
+       | Json.List bs, Json.List as_ ->
+         if List.length bs <> List.length as_ then
+           fail path "list length changed: baseline %d, got %d" (List.length bs)
+             (List.length as_)
+         else
+           List.iteri
+             (fun i (b, a) -> go (Printf.sprintf "%s[%d]" path i) b a)
+             (List.combine bs as_)
+       | Json.Obj bs, Json.Obj as_ ->
+         let keys l = List.sort Stdlib.compare (List.map fst l) in
+         let bkeys = keys bs and akeys = keys as_ in
+         if bkeys <> akeys then begin
+           let missing = List.filter (fun k -> not (List.mem k akeys)) bkeys in
+           let extra = List.filter (fun k -> not (List.mem k bkeys)) akeys in
+           List.iter (fun k -> fail path "missing key %S" k) missing;
+           List.iter (fun k -> fail path "unexpected key %S" k) extra
+         end
+         else
+           List.iter
+             (fun (k, b) -> go (path ^ "." ^ k) b (List.assoc k as_))
+             bs
+       | b, a -> fail path "kind changed: baseline %s, got %s" (kind b) (kind a))
   in
   go "$" baseline actual;
   match List.rev !problems with [] -> Ok () | ps -> Error ps

@@ -26,14 +26,6 @@ val compare :
     leaf also passes when [|actual - baseline| <= tolerance_abs] — the
     sane gate for fields whose expected value is at or near zero, where
     any drift is an enormous percentage. A leaf passes on {e either}
-    criterion.
-
-    A baseline leaf may also be a per-field tolerance spec instead of a
-    bare number:
-    {[ {"value": 42, "tolerance": {"kind": "abs", "max": 8}} ]}
-    with [kind] one of ["abs"] (absolute units) or ["pct"] (percentage,
-    same formula as [tolerance]). The spec overrides both global
-    tolerances for that leaf; the actual document still carries a plain
-    number there. [Int] and [Float] are numerically interchangeable. On
+    criterion. [Int] and [Float] are numerically interchangeable. On
     mismatch, returns every offending leaf as a ["$.path: reason"]
     message. *)

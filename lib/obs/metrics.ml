@@ -96,12 +96,17 @@ let inc c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 let set g v = g.g_value <- v
 
+(* First slot whose bound is >= v; [Array.length bounds] is the overflow
+   slot. A linear scan: bucket arrays are small (~10) and fixed, and the
+   common case (cheap syscalls) exits in the first few probes. A top-level
+   loop, so an observation allocates no closure; the annotation keeps the
+   comparison on ints instead of polymorphic. *)
+let rec slot_of (bounds : int array) (v : int) i =
+  if i >= Array.length bounds || v <= bounds.(i) then i else slot_of bounds v (i + 1)
+
 let observe h v =
-  (* linear scan: bucket arrays are small (~10) and fixed, and the common
-     case (cheap syscalls) exits in the first few probes *)
-  let n = Array.length h.bounds in
-  let rec slot i = if i >= n || v <= h.bounds.(i) then i else slot (i + 1) in
-  h.counts.(slot 0) <- h.counts.(slot 0) + 1;
+  let s = slot_of h.bounds v 0 in
+  h.counts.(s) <- h.counts.(s) + 1;
   h.h_sum <- h.h_sum + v;
   h.h_count <- h.h_count + 1
 

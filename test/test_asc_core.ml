@@ -288,23 +288,22 @@ let find_sys_slots (m : Svm.Machine.t) =
   done;
   List.rev !slots
 
+(* The address of the authenticated string "/etc/motd" inside [inst]'s
+   .asc section, as loaded in [m]. *)
+let motd_addr (inst : Installer.installed) (m : Svm.Machine.t) =
+  let asc = Option.get (Svm.Obj_file.section_named inst.Installer.image ".asc") in
+  let rec scan a =
+    if a > asc.Svm.Obj_file.sec_addr + asc.Svm.Obj_file.sec_size - 10 then
+      Alcotest.fail "string not found in .asc"
+    else if Svm.Machine.read_mem m ~addr:a ~len:9 = Some "/etc/motd" then a
+    else scan (a + 1)
+  in
+  scan asc.Svm.Obj_file.sec_addr
+
 let test_tampered_string_detected () =
   (* flip a byte of the authenticated string contents in .asc *)
   let inst = install_exn program_src in
-  let asc = Option.get (Svm.Obj_file.section_named inst.Installer.image ".asc") in
-  let patch (m : Svm.Machine.t) =
-    (* find "/etc/motd" inside the .asc section and corrupt it *)
-    let found = ref false in
-    for a = asc.Svm.Obj_file.sec_addr to asc.Svm.Obj_file.sec_addr + asc.Svm.Obj_file.sec_size - 10 do
-      if not !found then
-        match Svm.Machine.read_mem m ~addr:a ~len:9 with
-        | Some "/etc/motd" ->
-          found := true;
-          ignore (Svm.Machine.write_byte m (a + 5) (Char.code 'p'))
-        | _ -> ()
-    done;
-    if not !found then Alcotest.fail "string not found in .asc"
-  in
+  let patch m = ignore (Svm.Machine.write_byte m (motd_addr inst m + 5) (Char.code 'p')) in
   let _, _, stop = run_installed ~patch inst in
   match stop with
   | Svm.Machine.Killed reason ->
@@ -453,42 +452,47 @@ let test_authenticated_overhead_charged () =
   Alcotest.(check bool) "authenticated costs more cycles" true
     (p2.Process.machine.Svm.Machine.cycles > p1.Process.machine.Svm.Machine.cycles + 3 * 3000)
 
-(* A cost injection belongs to the monitor it was passed to: a second
-   kernel in the same process keeps the reference charges. *)
-let test_cost_injection_per_monitor () =
+(* A guest cannot make the checker read a string length the installer did
+   not MAC: the encoded call covers each string's address and length, and
+   step 2 reads contents only after step 1 has verified the call MAC. So
+   rewriting the length in "/etc/motd"'s header (true length 10, with its
+   NUL) kills the run at the call-MAC step, and no string-MAC cycle is
+   charged. Up to 1 MiB the header parses and the call MAC mismatches; one
+   byte past it, the header itself is refused. *)
+let test_string_length_covered_by_call_mac () =
   let inst = install_exn program_src in
-  let spawn ?inject () =
-    let kernel = Kernel.create () in
-    Kernel.set_monitor kernel (Some (Checker.monitor ~kernel ~key ?inject ()));
-    (kernel, Kernel.spawn kernel ~program:"victim" inst.Installer.image)
-  in
-  let run (kernel, proc) =
-    (match Kernel.run kernel proc ~max_cycles:50_000_000 with
-     | Svm.Machine.Halted _ -> ()
-     | _ -> Alcotest.fail "run did not halt");
-    let counter name =
-      Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) name)
-    in
-    (counter "checker.cycles.control_flow", counter "checker.cycles.call_mac")
-  in
-  let reference_cf, reference_call = run (spawn ()) in
-  (* both monitors exist before either kernel runs *)
-  let plain = spawn () in
-  let injected = spawn ~inject:(Checker.cost_injection ~step:"control_flow" ~pct:20) () in
-  let injected_cf, injected_call = run injected in
-  let plain_cf, plain_call = run plain in
-  Alcotest.(check bool) "control flow charged" true (reference_cf > 0);
-  Alcotest.(check int) "the other kernel keeps reference charges" reference_cf plain_cf;
-  Alcotest.(check int) "other steps untouched" reference_call plain_call;
-  Alcotest.(check int) "the injected step only" reference_call injected_call;
-  (* every control-flow charge is a CMAC cost, a multiple of 5 cycles, so
-     +20% per charge is exactly +20% of the sum *)
-  Alcotest.(check int) "the injected kernel is inflated by 20%"
-    (reference_cf + (reference_cf / 5))
-    injected_cf;
-  Alcotest.check_raises "unknown step refused"
-    (Invalid_argument "Checker.cost_injection: unknown step \"nope\"") (fun () ->
-      ignore (Checker.cost_injection ~step:"nope" ~pct:1))
+  let mib = 1 lsl 20 in
+  List.iter
+    (fun len ->
+      let patch m =
+        let hdr = motd_addr inst m - Auth_string.header_size in
+        for i = 0 to 3 do
+          ignore (Svm.Machine.write_byte m (hdr + i) ((len lsr (8 * i)) land 0xff))
+        done
+      in
+      let kernel, _, stop = run_installed ~patch inst in
+      let what = Printf.sprintf "length %d" len in
+      (match stop with
+       | Svm.Machine.Killed "call MAC mismatch" when len <= mib -> ()
+       | Svm.Machine.Killed r
+         when len > mib
+              && String.starts_with ~prefix:"argument 0: bad authenticated-string header" r ->
+         ()
+       | Svm.Machine.Killed r -> Alcotest.failf "%s: unexpected reason: %s" what r
+       | _ -> Alcotest.failf "%s: tampered length not denied" what);
+      let steps =
+        List.filter_map
+          (function
+            | Kernel.Violation { violation = v; _ } -> Some (Violation.step_name v.Violation.v_step)
+            | _ -> None)
+          (Kernel.audit_log kernel)
+      in
+      Alcotest.(check (list string)) (what ^ ": denied at the call-MAC step") [ "call_mac" ] steps;
+      Alcotest.(check (option int))
+        (what ^ ": no string-MAC cycle charged")
+        (Some 0)
+        (Asc_obs.Metrics.value (Kernel.metrics kernel) "checker.cycles.string_mac"))
+    [ 11; mib; mib + 1 ]
 
 let suite_mechanism =
   [ Alcotest.test_case "descriptor bits" `Quick test_descriptor_bits;
@@ -515,8 +519,8 @@ let suite_pipeline =
     Alcotest.test_case "opaque binaries rejected for install" `Quick test_install_rejects_opaque;
     Alcotest.test_case "program id range" `Quick test_program_id_range;
     Alcotest.test_case "verification cycles charged" `Quick test_authenticated_overhead_charged;
-    Alcotest.test_case "cost injection stays with its monitor" `Quick
-      test_cost_injection_per_monitor ]
+    Alcotest.test_case "string length is covered by the call MAC" `Quick
+      test_string_length_covered_by_call_mac ]
 
 let () =
   Alcotest.run "asc_core"

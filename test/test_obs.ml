@@ -49,7 +49,15 @@ let test_histogram_bucket_edges () =
   Alcotest.(check int) "overflow" 1 s.Metrics.h_overflow;
   Alcotest.(check int) "count" 6 s.Metrics.h_count;
   Alcotest.(check int) "sum" (0 + 10 + 11 + 100 + 1000 + 1001) s.Metrics.h_sum;
-  Alcotest.(check (option int)) "histograms have no scalar value" None (Metrics.value r "lat")
+  Alcotest.(check (option int)) "histograms have no scalar value" None (Metrics.value r "lat");
+  (* the kernel observes once per allowed trap: an observation, in any
+     bucket or the overflow, allocates nothing *)
+  let w0 = Asc_obs.Profile.minor_words () in
+  for v = 1 to 1100 do
+    Metrics.observe h v
+  done;
+  Alcotest.(check int) "minor words over 1100 observations" 0
+    (Asc_obs.Profile.minor_words () - w0)
 
 let test_reset () =
   let r = Metrics.create () in
@@ -305,48 +313,6 @@ let test_baseline_abs_tolerance () =
   with
   | Ok () -> ()
   | Error ps -> Alcotest.failf "5%% drift rejected at 10%%: %s" (String.concat "; " ps)
-
-let test_baseline_per_field_spec () =
-  let spec value kind max =
-    Json.Obj
-      [ ("value", value);
-        ("tolerance", Json.Obj [ ("kind", Json.Str kind); ("max", Json.Int max) ]) ]
-  in
-  (* per-field abs spec admits small drift on a zero-expected leaf even
-     with no global tolerances at all *)
-  (match
-     Baseline.compare ~tolerance:0.0
-       ~baseline:(Json.Obj [ ("words", spec (Json.Int 0) "abs" 8) ])
-       ~actual:(Json.Obj [ ("words", Json.Int 5) ]) ()
-   with
-   | Ok () -> ()
-   | Error ps -> Alcotest.failf "abs spec did not admit 0->5: %s" (String.concat "; " ps));
-  (* and rejects drift beyond its own max, even when the global gates are
-     wide open — the spec overrides them *)
-  (match
-     Baseline.compare ~tolerance:100.0 ~tolerance_abs:1000.0
-       ~baseline:(Json.Obj [ ("words", spec (Json.Int 0) "abs" 8) ])
-       ~actual:(Json.Obj [ ("words", Json.Int 20) ]) ()
-   with
-   | Ok () -> Alcotest.fail "abs spec max=8 admitted a drift of 20"
-   | Error _ -> ());
-  (* pct specs use the same formula as the global percentage gate *)
-  (match
-     Baseline.compare ~tolerance:0.0
-       ~baseline:(Json.Obj [ ("cycles", spec (Json.Int 1000) "pct" 10) ])
-       ~actual:(Json.Obj [ ("cycles", Json.Int 1050) ]) ()
-   with
-   | Ok () -> ()
-   | Error ps -> Alcotest.failf "pct spec rejected 5%% drift: %s" (String.concat "; " ps));
-  (* an object that merely resembles a spec (wrong keys) is still compared
-     structurally, so typos fail loudly instead of passing silently *)
-  match
-    Baseline.compare ~tolerance:100.0
-      ~baseline:(Json.Obj [ ("x", Json.Obj [ ("value", Json.Int 1) ]) ])
-      ~actual:(Json.Obj [ ("x", Json.Int 1) ]) ()
-  with
-  | Ok () -> Alcotest.fail "non-spec object compared as a spec"
-  | Error _ -> ()
 
 let test_baseline_schema_strict () =
   let check_fails name base actual =
@@ -607,160 +573,6 @@ let test_quantile_exact_cases () =
   let p100 = Metrics.quantile snap 1.0 in
   Alcotest.(check bool) "p100 in max's bucket" true (p100 > 20 && p100 <= 30)
 
-(* --- differential profiles --- *)
-
-module Diffprof = Asc_obs.Diffprof
-
-let find_delta key ds = List.find_opt (fun (d : Diffprof.delta) -> d.Diffprof.d_key = key) ds
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let test_diffprof_rollups () =
-  let base =
-    [ ([ "main"; "f"; "<kernel:call_mac>" ], 100);
-      ([ "main"; "getpid@site_0x40"; "<kernel:control_flow>" ], 200);
-      ([ "main"; "g" ], 50) ]
-  in
-  let actual =
-    [ ([ "main"; "f"; "<kernel:call_mac>" ], 100);
-      ([ "main"; "getpid@site_0x40"; "<kernel:control_flow>" ], 320);
-      ([ "main"; "h" ], 30) ]
-  in
-  let rp = Diffprof.diff ~base ~actual ~resource:"cycles" () in
-  Alcotest.(check int) "total base" 350 rp.Diffprof.rp_total_base;
-  Alcotest.(check int) "total actual" 450 rp.Diffprof.rp_total_actual;
-  (* the control-flow stack moved most and ranks first in every rollup *)
-  (match rp.Diffprof.rp_stacks with
-   | top :: _ ->
-     Alcotest.(check int) "top stack delta" 120 (Diffprof.d_delta top);
-     Alcotest.(check string) "top stack key"
-       "main;getpid@site_0x40;<kernel:control_flow>" top.Diffprof.d_key
-   | [] -> Alcotest.fail "no stack deltas");
-  (match find_delta "<kernel:control_flow>" rp.Diffprof.rp_steps with
-   | Some d ->
-     Alcotest.(check int) "step delta" 120 (Diffprof.d_delta d);
-     Alcotest.(check (float 0.01)) "step rel pct" 60.0 (Diffprof.d_rel d)
-   | None -> Alcotest.fail "control_flow step missing");
-  (* sites aggregate inclusively: the step frame below the site charges it *)
-  (match find_delta "getpid@site_0x40" rp.Diffprof.rp_sites with
-   | Some d -> Alcotest.(check int) "site delta inclusive" 120 (Diffprof.d_delta d)
-   | None -> Alcotest.fail "site rollup missing");
-  (* one-sided stacks survive as whole-weight deltas *)
-  (match find_delta "g" rp.Diffprof.rp_frames with
-   | Some d -> Alcotest.(check int) "removed frame" (-50) (Diffprof.d_delta d)
-   | None -> Alcotest.fail "removed frame missing");
-  (match find_delta "h" rp.Diffprof.rp_frames with
-   | Some d -> Alcotest.(check int) "added frame" 30 (Diffprof.d_delta d)
-   | None -> Alcotest.fail "added frame missing");
-  Alcotest.(check bool) "not empty" false (Diffprof.is_empty rp);
-  (* a noise floor above the largest delta silences the whole report *)
-  let quiet = Diffprof.diff ~noise:120 ~base ~actual ~resource:"cycles" () in
-  Alcotest.(check bool) "floored stacks gone" true (quiet.Diffprof.rp_stacks = []);
-  (* the folded output carries signed weights in ranked order *)
-  let folded = Diffprof.folded_diff rp in
-  Alcotest.(check bool) "folded has signed top line" true
-    (String.length folded > 0
-    && String.sub folded 0 (String.length "main;getpid@site_0x40;<kernel:control_flow> +120")
-       = "main;getpid@site_0x40;<kernel:control_flow> +120");
-  Alcotest.(check bool) "blame table mentions the step" true
-    (contains (Diffprof.blame_table rp) "<kernel:control_flow>")
-
-let test_diffprof_of_json () =
-  let profile =
-    Json.Obj
-      [ ("total_cycles", Json.Int 10);
-        ("total_alloc_words", Json.Int 4);
-        ( "stacks",
-          Json.List
-            [ Json.Obj
-                [ ("stack", Json.List [ Json.Str "main"; Json.Str "f" ]);
-                  ("cycles", Json.Int 10) ] ] );
-        ( "alloc_stacks",
-          Json.List
-            [ Json.Obj
-                [ ("stack", Json.List [ Json.Str "main" ]); ("words", Json.Int 4) ] ] ) ]
-  in
-  (* both the bare export and the asc_profile --json wrapper load *)
-  let check_side what j =
-    match Diffprof.of_json j with
-    | Error e -> Alcotest.failf "%s: %s" what e
-    | Ok side ->
-      Alcotest.(check int) (what ^ " cycles entries") 1 (List.length side.Diffprof.s_cycles);
-      Alcotest.(check int) (what ^ " alloc entries") 1 (List.length side.Diffprof.s_alloc)
-  in
-  check_side "bare" profile;
-  check_side "wrapped" (Json.Obj [ ("tool", Json.Str "asc-profile"); ("profile", profile) ]);
-  (match Diffprof.of_json (Json.Obj [ ("nope", Json.Int 1) ]) with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "schema-less document loaded");
-  let side = Result.get_ok (Diffprof.of_json profile) in
-  let cyc, words = Diffprof.diff_sides ~base:side ~actual:side () in
-  Alcotest.(check bool) "self diff cycles empty" true (Diffprof.is_empty cyc);
-  Alcotest.(check bool) "self diff words empty" true (Diffprof.is_empty words)
-
-let test_diffprof_doc () =
-  let doc a b =
-    Json.Obj
-      [ ( "rows",
-          Json.List
-            [ Json.Obj
-                [ ("name", Json.Str "getpid");
-                  ( "verification",
-                    Json.Obj [ ("control_flow", Json.Int a); ("call_mac", Json.Int b) ] ) ] ] ) ]
-  in
-  let deltas = Diffprof.diff_doc ~base:(doc 100 40) ~actual:(doc 160 42) in
-  (match deltas with
-   | top :: _ ->
-     Alcotest.(check string) "largest mover first"
-       "$.rows[0].verification.control_flow" top.Diffprof.l_path;
-     Alcotest.(check (float 0.001)) "signed delta" 60.0
-       (top.Diffprof.l_actual -. top.Diffprof.l_base);
-     Alcotest.(check (option string)) "step classified" (Some "control_flow")
-       (Diffprof.step_of_path top.Diffprof.l_path)
-   | [] -> Alcotest.fail "no doc deltas");
-  Alcotest.(check int) "both movers found" 2 (List.length deltas);
-  Alcotest.(check string) "empty diff renders empty" ""
-    (Diffprof.render_doc_blame (Diffprof.diff_doc ~base:(doc 1 2) ~actual:(doc 1 2)));
-  let blame = Diffprof.render_doc_blame deltas in
-  Alcotest.(check bool) "blame tags the step frame" true
-    (contains blame "[<kernel:control_flow>]")
-
-(* frames drawn from the shapes the profiler really emits, plus
-   arbitrary names *)
-let frame_gen =
-  QCheck.Gen.(
-    oneof
-      [ oneofl [ "<kernel:call_mac>"; "<kernel:string_mac>"; "<kernel:control_flow>";
-                 "<kernel:ext>" ];
-        map2 (Printf.sprintf "%s@site_0x%x") (oneofl [ "getpid"; "open"; "write" ])
-          (int_bound 0xffff);
-        oneofl [ "main"; "f"; "g"; "interpret"; "dispatch" ] ])
-
-let entries_gen =
-  QCheck.Gen.(
-    list_size (0 -- 12)
-      (pair (list_size (1 -- 5) frame_gen) (int_range 0 10_000)))
-
-let qcheck_diffprof_self_empty =
-  QCheck.Test.make ~name:"diff of a profile against itself is empty" ~count:200
-    (QCheck.make QCheck.Gen.(pair entries_gen (int_bound 50)))
-    (fun (entries, noise) ->
-      let rp = Diffprof.diff ~noise ~base:entries ~actual:entries ~resource:"cycles" () in
-      Diffprof.is_empty rp && Diffprof.folded_diff rp = "" && Diffprof.blame_table rp = "")
-
-let qcheck_diffprof_stack_conservation =
-  (* with no noise floor, the per-stack deltas account exactly for the
-     total movement between the two sides *)
-  QCheck.Test.make ~name:"stack deltas sum to the total delta at noise 0" ~count:200
-    (QCheck.make QCheck.Gen.(pair entries_gen entries_gen))
-    (fun (base, actual) ->
-      let rp = Diffprof.diff ~base ~actual ~resource:"cycles" () in
-      let sum = List.fold_left (fun acc d -> acc + Diffprof.d_delta d) 0 rp.Diffprof.rp_stacks in
-      sum = rp.Diffprof.rp_total_actual - rp.Diffprof.rp_total_base)
-
 let () =
   Alcotest.run "asc_obs"
     [ ( "metrics",
@@ -787,7 +599,6 @@ let () =
           Alcotest.test_case "regression detected" `Quick test_baseline_regression_detected;
           Alcotest.test_case "near-zero floor" `Quick test_baseline_near_zero_floor;
           Alcotest.test_case "global absolute floor" `Quick test_baseline_abs_tolerance;
-          Alcotest.test_case "per-field tolerance spec" `Quick test_baseline_per_field_spec;
           Alcotest.test_case "schema must match exactly" `Quick test_baseline_schema_strict ] );
       ( "json",
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
@@ -799,10 +610,4 @@ let () =
           Alcotest.test_case "eviction promotes the anchor" `Quick test_authlog_eviction;
           Alcotest.test_case "single-bit flips detected" `Quick test_authlog_bitflip;
           Alcotest.test_case "truncation detected" `Quick test_authlog_truncation;
-          Alcotest.test_case "reordering detected" `Quick test_authlog_reorder ] );
-      ( "diffprof",
-        [ Alcotest.test_case "rollups + ranking + noise floor" `Quick test_diffprof_rollups;
-          Alcotest.test_case "profile json loading" `Quick test_diffprof_of_json;
-          Alcotest.test_case "document attribution" `Quick test_diffprof_doc;
-          QCheck_alcotest.to_alcotest qcheck_diffprof_self_empty;
-          QCheck_alcotest.to_alcotest qcheck_diffprof_stack_conservation ] ) ]
+          Alcotest.test_case "reordering detected" `Quick test_authlog_reorder ] ) ]
