@@ -67,6 +67,9 @@ let probe_buffer_addr image =
   let kernel = Kernel.create ~personality () in
   let proc = Kernel.spawn kernel ~stdin:payload ~program:"victim" image in
   ignore (Kernel.run kernel proc ~max_cycles:50_000_000);
+  (* an exited process's memory stays readable until the next spawn on the
+     same kernel takes it over (Kernel.spawn); this kernel spawns nothing
+     else *)
   let mem = proc.Process.machine.Machine.mem in
   let n = Bytes.length mem in
   let mlen = String.length marker in

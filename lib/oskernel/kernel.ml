@@ -127,6 +127,7 @@ type t = {
   mutable tracing : bool;
   mutable authlog : Asc_obs.Authlog.t option;
   mutable lifecycle_hooks : (lifecycle -> unit) list;
+  mutable spare : Machine.t option;
   ctr_syscalls : Asc_obs.Metrics.counter;
   ctr_allowed : Asc_obs.Metrics.counter;
   ctr_denied : Asc_obs.Metrics.counter;
@@ -158,6 +159,7 @@ let create ?(personality = Personality.linux) ?obs ?(trace_capacity = 65536)
     tracing = false;
     authlog = None;
     lifecycle_hooks = [];
+    spare = None;
     ctr_syscalls =
       Asc_obs.Metrics.counter obs "kernel.syscalls.total" ~help:"traps taken (incl. denied)";
     ctr_allowed = Asc_obs.Metrics.counter obs "kernel.syscalls.allowed";
@@ -213,8 +215,21 @@ let extent (img : Obj_file.t) =
       (min lo s.sec_addr, max hi (s.sec_addr + s.sec_size)))
     (max_int, 0) img.sections
 
+(* A spawn takes over the memory of the last process that exited on this
+   kernel, if there is one. Zeroing a 4 MiB buffer is several times
+   cheaper than allocating one next to a live heap, where most of the
+   cost is the major-GC work the allocation triggers. *)
+let fresh_machine t img =
+  match t.spare with
+  | None -> Loader.load img
+  | Some old ->
+    t.spare <- None;
+    let m = Machine.take_over old in
+    Loader.load_into m img;
+    m
+
 let spawn t ?(stdin = "") ?(libs = []) ~program img =
-  let machine = Loader.load img in
+  let machine = fresh_machine t img in
   (* map shared libraries at their fixed bases, refusing overlaps *)
   let ranges = ref [ extent img ] in
   List.iter
@@ -245,19 +260,10 @@ let spawn t ?(stdin = "") ?(libs = []) ~program img =
   (* the pid's telemetry shard exists from the first instruction on, so
      monitored calls never race shard creation on the trap path *)
   ignore (Asc_obs.Telemetry.shard t.telemetry ~pid);
-  Asc_obs.Trace.name_track t.spans ~track:pid program;
   let proc = Process.create ~pid ~program ~machine ~heap_start in
   proc.Process.stdin <- stdin;
   lifecycle_event t (Proc_spawn { pid });
   proc
-
-let spawn_path t ?(stdin = "") path =
-  match Vfs.read_file t.vfs ~cwd:"/" path with
-  | Error e -> Error (Printf.sprintf "%s: %s" path (Errno.name e))
-  | Ok contents ->
-    (match Obj_file.parse contents with
-     | Error e -> Error (Printf.sprintf "%s: not a SEF binary (%s)" path e)
-     | Ok img -> Ok (spawn t ~stdin ~program:path img))
 
 (* ----- syscall implementation ----- *)
 
@@ -478,30 +484,26 @@ let sys_execve t (p : Process.t) path =
         | Error _ -> err Errno.EINVAL
         | Ok img ->
           let m = p.machine in
-          charge m 50_000;
-          Bytes.fill m.mem 0 (Bytes.length m.mem) '\000';
-          List.iter
-            (fun (s : Obj_file.section) ->
-              match s.sec_kind with
-              | Obj_file.Bss -> ()
-              | Obj_file.Text | Obj_file.Rodata | Obj_file.Data ->
-                ignore (Machine.write_mem m ~addr:s.sec_addr s.sec_payload))
-            img.Obj_file.sections;
-          Array.fill m.regs 0 Isa.num_regs 0;
-          m.regs.(Isa.sp) <- Machine.stack_top m;
-          m.pc <- img.Obj_file.entry;
-          Process.reset_for_exec p ~program:canon ~heap_start:(Loader.initial_brk img);
-          (* the old image's shadow call stack is gone with its memory; leave
-             a single <kernel:execve> frame for the dispatcher's trailing
-             [Profile.leave] to pop, landing the new image at the root *)
-          (match m.profile with
-           | Some prof ->
-             Asc_obs.Profile.reset_stack prof;
-             Asc_obs.Profile.enter prof (Asc_obs.Profile.Label "<kernel:execve>")
-           | None -> ());
-          audit_push t (Execve { pid = p.pid; program = caller; path = canon });
-          lifecycle_event t (Proc_exec { pid = p.pid });
-          Ret 0))
+          (match Loader.load_into m img with
+           | exception Invalid_argument _ ->
+             (* every section is checked before memory is touched, so an
+                image that does not fit leaves the caller as it was *)
+             err Errno.EINVAL
+           | () ->
+             charge m 50_000;
+             Process.reset_for_exec p ~program:canon ~heap_start:(Loader.initial_brk img);
+             (* the old image's shadow call stack is gone with its memory;
+                leave a single <kernel:execve> frame for the dispatcher's
+                trailing [Profile.leave] to pop, landing the new image at
+                the root *)
+             (match m.profile with
+              | Some prof ->
+                Asc_obs.Profile.reset_stack prof;
+                Asc_obs.Profile.enter prof (Asc_obs.Profile.Label "<kernel:execve>")
+              | None -> ());
+             audit_push t (Execve { pid = p.pid; program = caller; path = canon });
+             lifecycle_event t (Proc_exec { pid = p.pid });
+             Ret 0)))
 
 let path_arg (p : Process.t) addr k =
   match cstring p.machine addr with
@@ -700,6 +702,13 @@ let capture_snapshot t (p : Process.t) =
            prof
        | None -> []) }
 
+(* A pid's track is named when the kernel records its first span, so a
+   process that runs untraced leaves nothing in the span collector. *)
+let syscall_span t (p : Process.t) ~args ~name ~ts ~dur =
+  if Asc_obs.Trace.track_name t.spans ~track:p.pid = None then
+    Asc_obs.Trace.name_track t.spans ~track:p.pid p.program;
+  Asc_obs.Trace.complete t.spans ~cat:"syscall" ~track:p.pid ~args ~name ~ts ~dur ()
+
 let run t (p : Process.t) ~max_cycles =
   let on_sys (m : Machine.t) =
     let site = m.pc - Isa.instr_size in
@@ -723,14 +732,14 @@ let run t (p : Process.t) ~max_cycles =
     in
     let deny_span ~reason ~step =
       if t.tracing then
-        Asc_obs.Trace.complete t.spans ~cat:"syscall" ~track:p.pid
+        syscall_span t p
           ~args:
             ([ ("site", Asc_obs.Json.Int site);
                ("number", Asc_obs.Json.Int number);
                ("verdict", Asc_obs.Json.Str "deny");
                ("reason", Asc_obs.Json.Str reason) ]
             @ match step with None -> [] | Some s -> [ ("step", Asc_obs.Json.Str s) ])
-          ~name:(sem_name t number None) ~ts:ts0 ~dur:(m.cycles - ts0) ()
+          ~name:(sem_name t number None) ~ts:ts0 ~dur:(m.cycles - ts0)
     in
     let action =
       match verdict with
@@ -783,12 +792,12 @@ let run t (p : Process.t) ~max_cycles =
       if t.tracing then begin
         Asc_obs.Ring.push t.trace
           { t_sem = sem; t_number = number; t_site = site; t_args = args; t_result = result };
-        Asc_obs.Trace.complete t.spans ~cat:"syscall" ~track:p.pid
+        syscall_span t p
           ~args:
             [ ("site", Asc_obs.Json.Int site);
               ("number", Asc_obs.Json.Int number);
               ("result", Asc_obs.Json.Int result) ]
-          ~name:(sem_name t number sem) ~ts:ts0 ~dur:(m.cycles - ts0) ()
+          ~name:(sem_name t number sem) ~ts:ts0 ~dur:(m.cycles - ts0)
       end;
       (match t.monitor with
        | Some mon -> mon.post_syscall p ~site ~sem ~result
@@ -821,7 +830,11 @@ let run t (p : Process.t) ~max_cycles =
      lifecycle_event t (Proc_exit { pid = p.pid });
      (* fold the pid's live shard into the retired aggregate: counts stay
         visible in fleet aggregation, and a reused pid starts clean *)
-     Asc_obs.Telemetry.retire_pid t.telemetry ~pid:p.pid
+     Asc_obs.Telemetry.retire_pid t.telemetry ~pid:p.pid;
+     (* the memory stays readable through [p] until the next spawn takes
+        it over; a machine whose memory was already taken (a finished
+        process run again) has none to give *)
+     if Bytes.length m.mem = Machine.default_mem_size then t.spare <- Some m
    | Machine.Cycle_limit -> ());
   stop
 

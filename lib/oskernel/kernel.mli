@@ -111,6 +111,10 @@ type t = {
       CMAC chain; see {!set_authlog} *)
   mutable lifecycle_hooks : (lifecycle -> unit) list;
   (** subscribers to process lifecycle events; see {!add_lifecycle_hook} *)
+  mutable spare : Svm.Machine.t option;
+  (** the machine of the last process that ended in a terminal stop; the
+      next {!spawn} takes over its memory. See {!spawn} for the ownership
+      rule. *)
   ctr_syscalls : Asc_obs.Metrics.counter;
   ctr_allowed : Asc_obs.Metrics.counter;
   ctr_denied : Asc_obs.Metrics.counter;
@@ -176,13 +180,25 @@ val spawn :
 (** Create a process running the given image. [libs] are shared-library
     images mapped into the address space at their fixed (prelinked) bases;
     their sections must not overlap the program's or each other's.
+
+    Memory ownership: when {!run} ends a process in a terminal stop, the
+    kernel keeps its machine in [spare]. The next [spawn] on the same
+    kernel takes over that machine's 4 MiB buffer ({!Svm.Machine.take_over}),
+    zeroes all of it and loads the image into it
+    ({!Svm.Loader.load_into}); with no spare it allocates a fresh buffer.
+    So a terminated process's memory stays readable through its
+    {!Process.t} until the next spawn on the same kernel, even one that
+    then fails. After that the old machine has empty memory: its reads
+    return [None] and running it faults, and it never sees the new
+    process's bytes. The new process starts on all-zero memory either way.
     @raise Invalid_argument on a malformed image or an overlap. *)
 
-val spawn_path : t -> ?stdin:string -> string -> (Process.t, string) result
-(** Load and spawn the SEF binary installed at a VFS path. *)
-
 val run : t -> Process.t -> max_cycles:int -> Svm.Machine.stop
-(** Run the process to completion (exit, fault, kill or cycle budget). *)
+(** Run the process to completion (exit, fault, kill or cycle budget). A
+    terminal stop (halt, kill or fault, not a cycle-limit stop) fires
+    [Proc_exit] and parks the process's machine in [spare], where its
+    memory stays readable until the next {!spawn} takes it over. A machine
+    whose memory was already taken is not parked again. *)
 
 val trace : t -> trace_entry list
 (** Retained trace, oldest first (at most [trace_capacity] entries). *)

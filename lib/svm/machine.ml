@@ -10,7 +10,7 @@ type stop =
   | Cycle_limit
 
 type t = {
-  mem : Bytes.t;
+  mutable mem : Bytes.t;
   regs : int array;
   mutable pc : int;
   mutable cycles : int;
@@ -25,14 +25,21 @@ type sys_action =
 
 let default_mem_size = 4 * 1024 * 1024
 
-let create ~mem_size =
-  { mem = Bytes.make mem_size '\000';
+let of_mem mem =
+  { mem;
     regs = Array.make Isa.num_regs 0;
     pc = 0;
     cycles = 0;
     instrs = 0;
     stopped = None;
     profile = None }
+
+let create ~mem_size = of_mem (Bytes.make mem_size '\000')
+
+let take_over old =
+  let t = of_mem old.mem in
+  old.mem <- Bytes.empty;
+  t
 
 let attach_profile ?(alloc = false) t p =
   t.profile <- Some p;

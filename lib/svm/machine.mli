@@ -19,7 +19,10 @@ type stop =
   | Cycle_limit
 
 type t = {
-  mem : Bytes.t;
+  mutable mem : Bytes.t;
+  (** Guest memory. {!take_over} hands it to a new machine and leaves
+      [Bytes.empty] here, so every access through the old machine fails
+      closed: reads return [None] and the next fetch faults. *)
   regs : int array;
   mutable pc : int;
   mutable cycles : int;
@@ -39,6 +42,13 @@ type sys_action =
 
 val create : mem_size:int -> t
 (** Fresh machine with zeroed memory and registers, pc = 0. *)
+
+val take_over : t -> t
+(** [take_over old] is a fresh machine (zeroed registers, pc = 0, no
+    cycles, no profile) that owns [old]'s memory as it stands: the bytes
+    are not cleared (see {!Loader.load_into}). [old.mem] becomes
+    [Bytes.empty], so [old] can never read or write the new owner's
+    memory. *)
 
 val default_mem_size : int
 (** 4 MiB. *)

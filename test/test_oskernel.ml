@@ -387,6 +387,164 @@ path:   .asciz "/bin/target"
   check_exit "exec'd program exit code" 42 stop;
   Alcotest.(check string) "program name updated" "/bin/target" proc.Process.program
 
+(* [Kernel.spawn] refuses an image with a section past the end of memory,
+   and [execve] must refuse it too: with -EINVAL, before it wipes anything
+   of the caller, whose memory, registers and pc carry on as they were. *)
+let test_execve_rejects_image_outside_memory () =
+  let exit_42 =
+    Svm.Asm.assemble_exn
+      (Printf.sprintf "_start: movi r0, %d\n movi r1, 42\n sys\n halt" (num Syscall.Exit))
+  in
+  let caller =
+    Svm.Asm.assemble_exn
+      (Printf.sprintf
+         {|
+_start: movi r9, 77       ; must survive the failed execve
+        movi r0, %d       ; execve("/bin/bad")
+        movi r1, path
+        movi r2, 0
+        movi r3, 0
+        sys
+        mov r1, r0        ; exit(result)
+        movi r0, %d
+        sys
+        halt
+        .rodata
+path:   .asciz "/bin/bad"
+|}
+         (num Syscall.Execve) (num Syscall.Exit))
+  in
+  List.iter
+    (fun (kind, payload) ->
+      let tail =
+        { Svm.Obj_file.sec_name = ".tail";
+          sec_kind = kind;
+          sec_addr = Svm.Machine.default_mem_size - 8;
+          sec_size = 16;
+          sec_payload = payload }
+      in
+      let bad = { exit_42 with sections = exit_42.sections @ [ tail ] } in
+      let kernel = Kernel.create () in
+      (match Kernel.spawn kernel ~program:"bad" bad with
+       | exception Invalid_argument _ -> ()
+       | _ -> Alcotest.fail "spawn accepted a section past memory");
+      Kernel.install_binary kernel ~path:"/bin/bad" bad;
+      let proc = Kernel.spawn kernel ~program:"caller" caller in
+      let m = proc.Process.machine in
+      let before = Bytes.copy m.mem in
+      check_exit "execve returns -EINVAL" (-Errno.code Errno.EINVAL)
+        (Kernel.run kernel proc ~max_cycles:10_000_000);
+      Alcotest.(check bool) "caller memory intact" true (Bytes.equal before m.mem);
+      Alcotest.(check int) "r9 intact" 77 m.regs.(9);
+      Alcotest.(check int) "sp intact" (Svm.Machine.stack_top m) m.regs.(Svm.Isa.sp);
+      Alcotest.(check string) "still the caller" "caller" proc.Process.program;
+      Alcotest.(check int) "no execve audited" 0 (List.length (Kernel.audit_log kernel)))
+    [ (Svm.Obj_file.Data, String.make 16 'x'); (Svm.Obj_file.Bss, "") ]
+
+(* A spawn takes over the memory of the process that exited last on the
+   same kernel. Each process here leaves a marker just below its stack top,
+   in its heap and at a high unused address. The next process must start
+   exactly as on a fresh machine, and the exited one's handle must read
+   nothing any more. *)
+let test_spawn_reuses_exited_memory () =
+  let kernel = Kernel.create () in
+  let marker = 0x5eedcafe in
+  let img =
+    Svm.Asm.assemble_exn
+      (Printf.sprintf
+         {|
+_start: movi r1, %d
+        push r1           ; just below the stack top
+        movi r0, %d       ; brk(0): the heap start
+        movi r1, 0
+        sys
+        movi r1, %d
+        st [r0+0], r1
+        movi r2, 0x300000
+        st [r2+0], r1
+        movi r0, %d       ; exit(0)
+        movi r1, 0
+        sys
+        halt
+|}
+         marker (num Syscall.Brk) marker (num Syscall.Exit))
+  in
+  let fresh = Svm.Loader.load img in
+  let starts_fresh what (p : Process.t) =
+    let m = p.machine in
+    Alcotest.(check int) (what ^ ": 4 MiB") Svm.Machine.default_mem_size (Bytes.length m.mem);
+    Alcotest.(check bool) (what ^ ": memory equals a fresh load") true
+      (Bytes.equal fresh.mem m.mem);
+    Alcotest.(check (array int)) (what ^ ": registers") fresh.regs m.regs;
+    Alcotest.(check int) (what ^ ": pc") fresh.pc m.pc
+  in
+  let run_marking what (p : Process.t) =
+    check_exit (what ^ " exits") 0 (Kernel.run kernel p ~max_cycles:1_000_000);
+    let m = p.machine in
+    let addrs = [ Svm.Machine.stack_top m - 8; p.heap_start; 0x300000 ] in
+    List.iter
+      (fun addr ->
+        Alcotest.(check (option int)) (what ^ ": marker readable after exit") (Some marker)
+          (Svm.Machine.read_word m addr))
+      addrs;
+    addrs
+  in
+  let a = Kernel.spawn kernel ~program:"a" img in
+  let a_addrs = run_marking "a" a in
+  let a_mem = a.machine.mem in
+  let b = Kernel.spawn kernel ~program:"b" img in
+  starts_fresh "b" b;
+  Alcotest.(check bool) "b runs in a's buffer" true (b.machine.mem == a_mem);
+  List.iter
+    (fun addr ->
+      Alcotest.(check (option int)) "a's handle reads nothing" None
+        (Svm.Machine.read_word a.machine addr))
+    a_addrs;
+  ignore (run_marking "b" b);
+  let b_mem = b.machine.mem in
+  (* a is finished and its memory is gone: running it again must not park
+     its empty buffer in place of b's *)
+  check_exit "a stays halted" 0 (Kernel.run kernel a ~max_cycles:1_000_000);
+  let c = Kernel.spawn kernel ~program:"c" img in
+  starts_fresh "c" c;
+  Alcotest.(check bool) "c runs in b's buffer" true (c.machine.mem == b_mem)
+
+(* The kernel names a pid's trace track only when it records a span for
+   it: untraced processes leave nothing behind in the span collector. *)
+let test_track_names_only_when_traced () =
+  let kernel = Kernel.create () in
+  let img =
+    Svm.Asm.assemble_exn
+      (Printf.sprintf "_start: movi r0, %d\n sys\n halt" (num Syscall.Getpid))
+  in
+  let spawn_run program =
+    let p = Kernel.spawn kernel ~program img in
+    ignore (Kernel.run kernel p ~max_cycles:1_000_000);
+    p.Process.pid
+  in
+  for _ = 1 to 1000 do
+    let pid = spawn_run "tool" in
+    if Asc_obs.Trace.track_name (Kernel.spans kernel) ~track:pid <> None then
+      Alcotest.failf "untraced pid %d has a track name" pid
+  done;
+  kernel.Kernel.tracing <- true;
+  let pid = spawn_run "traced" in
+  let open Asc_obs in
+  let field k conv j = Option.bind (Json.member k j) conv in
+  let events =
+    Option.get (field "traceEvents" Json.to_list (Trace.to_chrome (Kernel.spans kernel)))
+  in
+  let thread_names =
+    List.filter_map
+      (fun ev ->
+        if field "name" Json.to_str ev = Some "thread_name" then
+          Some (field "tid" Json.to_int ev, field "args" (field "name" Json.to_str) ev)
+        else None)
+      events
+  in
+  Alcotest.(check (list (pair (option int) (option string)))) "one thread_name, the traced pid's"
+    [ (Some pid, Some "traced") ] thread_names
+
 let test_monitor_deny () =
   let kernel = Kernel.create () in
   let deny_all =
@@ -683,6 +841,10 @@ let suite_kernel =
     Alcotest.test_case "read near max_int -> EFAULT" `Quick test_read_efault_near_max_int;
     Alcotest.test_case "unknown syscall -> ENOSYS" `Quick test_unknown_syscall_enosys;
     Alcotest.test_case "execve replaces image" `Quick test_execve_replaces_image;
+    Alcotest.test_case "execve rejects an image outside memory" `Quick
+      test_execve_rejects_image_outside_memory;
+    Alcotest.test_case "spawn reuses exited memory" `Quick test_spawn_reuses_exited_memory;
+    Alcotest.test_case "track names only when traced" `Quick test_track_names_only_when_traced;
     Alcotest.test_case "monitor can deny" `Quick test_monitor_deny;
     Alcotest.test_case "violation snapshot" `Quick test_violation_snapshot;
     QCheck_alcotest.to_alcotest qcheck_audit_json_roundtrip;
