@@ -298,11 +298,10 @@ let run_non_control_data ~protected ?fastpath ~prepare () =
   let patch (m : Machine.t) =
     (* overwrite every occurrence of "/bin/ls" in writable+readable memory *)
     let needle = "/bin/ls" in
-    let mem = m.Machine.mem in
     let found = ref 0 in
-    for a = 0 to Bytes.length mem - String.length needle - 1 do
-      if Bytes.sub_string mem a (String.length needle) = needle then begin
-        Bytes.blit_string "/bin/sh" 0 mem a 7;
+    for a = 0 to Bytes.length m.Machine.mem - String.length needle - 1 do
+      if Machine.mem_equal m ~addr:a needle then begin
+        ignore (Machine.write_mem m ~addr:a "/bin/sh");
         incr found
       end
     done;

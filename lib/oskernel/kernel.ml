@@ -215,45 +215,52 @@ let extent (img : Obj_file.t) =
       (min lo s.sec_addr, max hi (s.sec_addr + s.sec_size)))
     (max_int, 0) img.sections
 
-(* A spawn takes over the memory of the last process that exited on this
-   kernel, if there is one. Zeroing a 4 MiB buffer is several times
-   cheaper than allocating one next to a live heap, where most of the
-   cost is the major-GC work the allocation triggers. *)
-let fresh_machine t img =
-  match t.spare with
-  | None -> Loader.load img
-  | Some old ->
-    t.spare <- None;
-    let m = Machine.take_over old in
-    Loader.load_into m img;
-    m
-
 let spawn t ?(stdin = "") ?(libs = []) ~program img =
-  let machine = fresh_machine t img in
-  (* map shared libraries at their fixed bases, refusing overlaps *)
-  let ranges = ref [ extent img ] in
+  (* everything that can refuse the spawn runs before the parked buffer is
+     taken, so a failed spawn leaves it for the next one *)
+  let mem_size = Machine.default_mem_size in
+  Loader.check ~mem_size img;
+  let ranges =
+    List.fold_left
+      (fun ranges (lib : Obj_file.t) ->
+        Loader.check ~mem_size lib;
+        let lo, hi = extent lib in
+        List.iter
+          (fun (l, h) ->
+            if lo < h && l < hi then
+              invalid_arg
+                (Printf.sprintf "Kernel.spawn: library [0x%x,0x%x) overlaps [0x%x,0x%x)" lo hi
+                   l h))
+          ranges;
+        (lo, hi) :: ranges)
+      [ extent img ] libs
+  in
+  (* take over the memory of the last process that exited on this kernel:
+     zeroing the few pages it wrote is far cheaper than allocating 4 MiB
+     next to a live heap, where most of the cost is the major-GC work the
+     allocation triggers *)
+  let machine =
+    match t.spare with
+    | None -> Machine.create ~mem_size
+    | Some old ->
+      t.spare <- None;
+      Machine.take_over old
+  in
+  Loader.load_into machine img;
+  (* map shared libraries at their fixed bases; checked above, so every
+     write succeeds *)
   List.iter
     (fun (lib : Obj_file.t) ->
-      let lo, hi = extent lib in
-      List.iter
-        (fun (l, h) ->
-          if lo < h && l < hi then
-            invalid_arg
-              (Printf.sprintf "Kernel.spawn: library [0x%x,0x%x) overlaps [0x%x,0x%x)" lo hi l
-                 h))
-        !ranges;
-      ranges := (lo, hi) :: !ranges;
       List.iter
         (fun (s : Obj_file.section) ->
           match s.sec_kind with
           | Obj_file.Bss -> ()
           | Obj_file.Text | Obj_file.Rodata | Obj_file.Data ->
-            if not (Machine.write_mem machine ~addr:s.sec_addr s.sec_payload) then
-              invalid_arg "Kernel.spawn: library section outside memory")
+            ignore (Machine.write_mem machine ~addr:s.sec_addr s.sec_payload))
         lib.sections)
     libs;
   (* the heap starts above everything mapped *)
-  let top = List.fold_left (fun acc (_, hi) -> max acc hi) 0 !ranges in
+  let top = List.fold_left (fun acc (_, hi) -> max acc hi) 0 ranges in
   let heap_start = (top + Svm.Asm.page_size - 1) / Svm.Asm.page_size * Svm.Asm.page_size in
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
@@ -426,6 +433,7 @@ let sys_lseek t (p : Process.t) fd off whence =
 
 let sys_getdirentries t (p : Process.t) fd buf nbytes =
   match Process.fd p fd with
+  | _ when nbytes < 0 -> err Errno.EINVAL
   | Some (Process.Dir d) ->
     if d.consumed then Ret 0
     else begin
@@ -531,12 +539,15 @@ let exec_sem t (p : Process.t) sem (args : int array) =
     else err Errno.ENOMEM
   | Syscall.Mmap ->
     let len = args.(1) in
+    let addr = p.mmap_next in
+    let room = Machine.stack_top p.machine - 65536 - addr in
+    (* bound [len] before rounding it up to pages: the rounding overflows
+       for a length near [max_int] *)
     if len <= 0 then err Errno.EINVAL
+    else if len > room then err Errno.ENOMEM
     else begin
       let aligned = (len + 4095) / 4096 * 4096 in
-      let addr = p.mmap_next in
-      let limit = Machine.stack_top p.machine - 65536 in
-      if addr + aligned > limit then err Errno.ENOMEM
+      if aligned > room then err Errno.ENOMEM
       else begin
         p.mmap_next <- addr + aligned;
         (* file-backed mapping: copy contents when fd argument names a file *)
@@ -581,6 +592,7 @@ let exec_sem t (p : Process.t) sem (args : int array) =
   | Syscall.Mkdir -> path_arg p args.(0) (fun s -> Ret (lift_unit (Vfs.mkdir t.vfs ~cwd:p.cwd s)))
   | Syscall.Rmdir -> path_arg p args.(0) (fun s -> Ret (lift_unit (Vfs.rmdir t.vfs ~cwd:p.cwd s)))
   | Syscall.Unlink -> path_arg p args.(0) (fun s -> Ret (lift_unit (Vfs.unlink t.vfs ~cwd:p.cwd s)))
+  | Syscall.Readlink when args.(2) < 0 -> err Errno.EINVAL
   | Syscall.Readlink ->
     path_arg p args.(0) (fun s ->
         match Vfs.readlink t.vfs ~cwd:p.cwd s with

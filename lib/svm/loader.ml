@@ -20,14 +20,16 @@ let check ~mem_size (img : Obj_file.t) =
     img.sections
 
 (* Write the sections into zeroed memory and point pc and sp at the entry
-   and the stack top; registers are already zero. *)
+   and the stack top; registers are already zero. The sections were
+   checked, so every write succeeds, and it marks its pages for the next
+   [load_into] to zero. *)
 let place (m : Machine.t) (img : Obj_file.t) =
   List.iter
     (fun (s : Obj_file.section) ->
       match s.sec_kind with
       | Obj_file.Bss -> ()
       | Obj_file.Text | Obj_file.Rodata | Obj_file.Data ->
-        Bytes.blit_string s.sec_payload 0 m.mem s.sec_addr (String.length s.sec_payload))
+        ignore (Machine.write_mem m ~addr:s.sec_addr s.sec_payload))
     img.sections;
   m.pc <- img.entry;
   m.regs.(Isa.sp) <- Machine.stack_top m
@@ -40,6 +42,6 @@ let load ?(mem_size = Machine.default_mem_size) img =
 
 let load_into (m : Machine.t) img =
   check ~mem_size:(Bytes.length m.mem) img;
-  Bytes.fill m.mem 0 (Bytes.length m.mem) '\000';
+  Machine.zero_written m;
   Array.fill m.regs 0 Isa.num_regs 0;
   place m img

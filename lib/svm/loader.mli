@@ -11,7 +11,9 @@ val load : ?mem_size:int -> Obj_file.t -> Machine.t
 
 val load_into : Machine.t -> Obj_file.t -> unit
 (** [load_into m img] loads [img] into [m]'s existing memory, as {!load}
-    does into a fresh one: it zeroes all of memory and every register,
+    does into a fresh one, and leaves the same bytes, registers, [pc] and
+    [sp]. It zeroes only the pages written since the last load
+    ({!Machine.zero_written}), not all of memory, then every register,
     writes the sections, and sets [pc] and [sp]. [cycles], [instrs],
     [stopped] and [profile] are left alone. The kernel uses it to reuse an
     exited process's buffer at spawn ({!Machine.take_over}) and to replace
@@ -19,6 +21,11 @@ val load_into : Machine.t -> Obj_file.t -> unit
     @raise Invalid_argument if a section, [Bss] included, falls outside
     [m]'s memory. Every section is checked before anything is zeroed, so
     [m] is then untouched. *)
+
+val check : mem_size:int -> Obj_file.t -> unit
+(** The check {!load} and {!load_into} start with.
+    @raise Invalid_argument if a section, [Bss] included, does not fit in
+    [mem_size] bytes of memory. *)
 
 val initial_brk : Obj_file.t -> int
 (** First heap address: the page boundary after the highest section end. *)

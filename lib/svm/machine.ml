@@ -11,6 +11,7 @@ type stop =
 
 type t = {
   mutable mem : Bytes.t;
+  mutable dirty : Bytes.t;
   regs : int array;
   mutable pc : int;
   mutable cycles : int;
@@ -24,9 +25,12 @@ type sys_action =
   | Sys_kill of string
 
 let default_mem_size = 4 * 1024 * 1024
+let page_bits = 12
+let page_size = 1 lsl page_bits
 
-let of_mem mem =
+let of_mem mem dirty =
   { mem;
+    dirty;
     regs = Array.make Isa.num_regs 0;
     pc = 0;
     cycles = 0;
@@ -34,11 +38,13 @@ let of_mem mem =
     stopped = None;
     profile = None }
 
-let create ~mem_size = of_mem (Bytes.make mem_size '\000')
+let create ~mem_size =
+  of_mem (Bytes.make mem_size '\000') (Bytes.make ((mem_size + page_size - 1) / page_size) '\000')
 
 let take_over old =
-  let t = of_mem old.mem in
+  let t = of_mem old.mem old.dirty in
   old.mem <- Bytes.empty;
+  old.dirty <- Bytes.empty;
   t
 
 let attach_profile ?(alloc = false) t p =
@@ -51,12 +57,35 @@ let stack_top t = Bytes.length t.mem - 16
    for a guest address near [max_int] and would pass. *)
 let[@inline] in_range t addr len = addr >= 0 && len >= 0 && addr <= Bytes.length t.mem - len
 
+(* Every write marks the page it starts in, after its bounds check, so
+   [a lsr page_bits] indexes the map. A word that starts in a page's last
+   7 bytes reaches into the next page unmarked: [zero_written] clears 7
+   bytes past each page instead, so a store stays one byte store. *)
+let[@inline] mark t a = Bytes.unsafe_set t.dirty (a lsr page_bits) '\001'
+
+let mark_range t addr len =
+  if len > 0 then
+    for p = addr lsr page_bits to (addr + len - 1) lsr page_bits do
+      Bytes.unsafe_set t.dirty p '\001'
+    done
+
+let zero_written t =
+  let size = Bytes.length t.mem in
+  for p = 0 to Bytes.length t.dirty - 1 do
+    if Bytes.unsafe_get t.dirty p <> '\000' then begin
+      let lo = p lsl page_bits in
+      Bytes.fill t.mem lo (min size (lo + page_size + 7) - lo) '\000';
+      Bytes.unsafe_set t.dirty p '\000'
+    end
+  done
+
 let read_word t addr =
   if in_range t addr 8 then Some (Int64.to_int (Bytes.get_int64_le t.mem addr)) else None
 
 let write_word t addr v =
   if in_range t addr 8 then begin
     Bytes.set_int64_le t.mem addr (Int64.of_int v);
+    mark t addr;
     true
   end
   else false
@@ -67,6 +96,7 @@ let read_byte t addr =
 let write_byte t addr v =
   if in_range t addr 1 then begin
     Bytes.set t.mem addr (Char.chr (v land 0xff));
+    mark t addr;
     true
   end
   else false
@@ -77,6 +107,7 @@ let read_mem t ~addr ~len =
 let write_mem t ~addr s =
   if in_range t addr (String.length s) then begin
     Bytes.blit_string s 0 t.mem addr (String.length s);
+    mark_range t addr (String.length s);
     true
   end
   else false
@@ -91,6 +122,7 @@ let read_into t ~addr ~buf ~pos ~len =
 let write_from t ~addr ~buf ~pos ~len =
   if in_range t addr len && pos >= 0 && pos <= Bytes.length buf - len then begin
     Bytes.blit buf pos t.mem addr len;
+    mark_range t addr len;
     true
   end
   else false
@@ -120,7 +152,8 @@ let word_at t addr =
 
 let set_word t addr v =
   if not (word_ok t addr) then invalid_arg "Machine.set_word: out of range";
-  Bytes.set_int64_le t.mem addr (Int64.of_int v)
+  Bytes.set_int64_le t.mem addr (Int64.of_int v);
+  mark t addr
 
 let read_cstring t ~addr ~max =
   if addr < 0 || addr >= Bytes.length t.mem then None
@@ -190,7 +223,10 @@ let rec run t ~on_sys ~max_cycles =
             else fault t (Bad_address a) pc
           | St ->
             let a = r.(rd) + Isa.imm_at mem ~pos:pc in
-            if word_ok t a then Bytes.set_int64_le mem a (Int64.of_int r.(rs))
+            if word_ok t a then begin
+              Bytes.set_int64_le mem a (Int64.of_int r.(rs));
+              mark t a
+            end
             else fault t (Bad_address a) pc
           | Ldb ->
             let a = r.(rs) + Isa.imm_at mem ~pos:pc in
@@ -198,7 +234,10 @@ let rec run t ~on_sys ~max_cycles =
             else fault t (Bad_address a) pc
           | Stb ->
             let a = r.(rd) + Isa.imm_at mem ~pos:pc in
-            if in_range t a 1 then Bytes.unsafe_set mem a (Char.unsafe_chr (r.(rs) land 0xff))
+            if in_range t a 1 then begin
+              Bytes.unsafe_set mem a (Char.unsafe_chr (r.(rs) land 0xff));
+              mark t a
+            end
             else fault t (Bad_address a) pc
           | Addi -> r.(rd) <- r.(rs) + Isa.imm_at mem ~pos:pc
           | Add -> r.(rd) <- r.(rs) + r.(rt)
@@ -228,6 +267,7 @@ let rec run t ~on_sys ~max_cycles =
             r.(Isa.sp) <- a;
             if word_ok t a then begin
               Bytes.set_int64_le mem a (Int64.of_int t.pc);
+              mark t a;
               t.pc <- target;
               match t.profile with
               | Some p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc target)
@@ -239,6 +279,7 @@ let rec run t ~on_sys ~max_cycles =
             r.(Isa.sp) <- a;
             if word_ok t a then begin
               Bytes.set_int64_le mem a (Int64.of_int t.pc);
+              mark t a;
               t.pc <- r.(rs);
               match t.profile with
               | Some p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc t.pc)
@@ -258,7 +299,10 @@ let rec run t ~on_sys ~max_cycles =
           | Push ->
             let v = r.(rs) and a = r.(Isa.sp) - 8 in
             r.(Isa.sp) <- a;
-            if word_ok t a then Bytes.set_int64_le mem a (Int64.of_int v)
+            if word_ok t a then begin
+              Bytes.set_int64_le mem a (Int64.of_int v);
+              mark t a
+            end
             else fault t (Bad_address a) pc
           | Pop ->
             let a = r.(Isa.sp) in

@@ -20,9 +20,20 @@ type stop =
 
 type t = {
   mutable mem : Bytes.t;
-  (** Guest memory. {!take_over} hands it to a new machine and leaves
-      [Bytes.empty] here, so every access through the old machine fails
-      closed: reads return [None] and the next fetch faults. *)
+  (** Guest memory. It is written only through this module: the
+      interpreter's stores and the writers below. Each marks [dirty], and
+      {!zero_written} zeroes only the marked pages, so a byte written
+      behind the map's back would survive into the next image loaded
+      here ({!Loader.load_into}). {!take_over} hands it to a new machine
+      and leaves [Bytes.empty] here, so every access through the old
+      machine fails closed: reads return [None] and the next fetch
+      faults. *)
+  mutable dirty : Bytes.t;
+  (** The dirty map: one byte per 4 KiB page of [mem], nonzero once a
+      write has touched the page since the last {!zero_written}. A write
+      marks the page it starts in; a word that starts in a page's last 7
+      bytes reaches into the next page unmarked, which {!zero_written}
+      covers. It moves with [mem] through {!take_over}. *)
   regs : int array;
   mutable pc : int;
   mutable cycles : int;
@@ -45,10 +56,16 @@ val create : mem_size:int -> t
 
 val take_over : t -> t
 (** [take_over old] is a fresh machine (zeroed registers, pc = 0, no
-    cycles, no profile) that owns [old]'s memory as it stands: the bytes
-    are not cleared (see {!Loader.load_into}). [old.mem] becomes
-    [Bytes.empty], so [old] can never read or write the new owner's
-    memory. *)
+    cycles, no profile) that owns [old]'s memory and dirty map as they
+    stand: the bytes are not cleared (see {!Loader.load_into}). [old.mem]
+    and [old.dirty] become [Bytes.empty], so [old] can never read or
+    write the new owner's memory. *)
+
+val zero_written : t -> unit
+(** Zero every page marked in [dirty], and the 7 bytes after each, then
+    clear the map: memory written since [create] or the last call reads
+    as zero again. It costs a scan of the map plus 4 KiB per marked page,
+    not a pass over all of memory. *)
 
 val default_mem_size : int
 (** 4 MiB. *)
@@ -71,7 +88,9 @@ val run : t -> on_sys:(t -> sys_action) -> max_cycles:int -> stop
     concern (the kernel mirrors deltas into its per-kernel registry), so
     concurrent machines never bleed into a shared counter. *)
 
-(** {2 Memory accessors (bounds-checked; [None] on out-of-range)} *)
+(** {2 Memory accessors (bounds-checked; [None] on out-of-range)}
+
+    Every writer here marks [dirty] for the pages it wrote. *)
 
 val read_word : t -> int -> int option
 val write_word : t -> int -> int -> bool

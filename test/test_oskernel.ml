@@ -818,6 +818,206 @@ buf:    .space 64
   let _, _, stop = run_program ~kernel src in
   check_exit "two entries a\\0b\\0" 4 stop
 
+(* A negative length must not reach [String.sub]: the call returns
+   -EINVAL and the guest runs on. The guest exits with the call's result
+   plus EINVAL, so 0 says the call returned -EINVAL. *)
+let run_negative_length what ~prepare call =
+  let kernel = Kernel.create () in
+  prepare kernel;
+  let src =
+    Printf.sprintf
+      "%s\n        addi r1, r0, %d\n        movi r0, %d\n        sys\n        halt\n\
+      \        .rodata\nlink:   .asciz \"/tmp/link\"\ndir:    .asciz \"/etc\"\n\
+      \        .bss\nbuf:    .space 64\n"
+      call (Errno.code Errno.EINVAL) (num Syscall.Exit)
+  in
+  let _, _, stop = run_program ~kernel src in
+  check_exit (what ^ " returns -EINVAL") 0 stop
+
+let test_readlink_negative_length () =
+  run_negative_length "readlink(link, buf, -1)"
+    ~prepare:(fun k ->
+      ok (Vfs.symlink k.Kernel.vfs ~cwd:"/" ~target:"/etc/passwd" ~linkpath:"/tmp/link"))
+    (Printf.sprintf "_start: movi r0, %d\n movi r1, link\n movi r2, buf\n movi r3, -1\n sys"
+       (num Syscall.Readlink))
+
+let test_getdirentries_negative_length () =
+  run_negative_length "getdirentries(dirfd, buf, -1)"
+    ~prepare:(fun k -> ok (Vfs.create_file k.Kernel.vfs ~cwd:"/" "/etc/a" ~contents:""))
+    (Printf.sprintf
+       "_start: movi r0, %d\n movi r1, dir\n movi r2, 0\n sys\n mov r1, r0\n movi r0, %d\n\
+       \ movi r2, buf\n movi r3, -1\n sys"
+       (num Syscall.Open) (num Syscall.Getdirentries))
+
+(* [mmap] bounds the length before rounding it up to pages: a length near
+   [max_int] is -ENOMEM, not a wrapped region, and the next mapping starts
+   where the refused one would have. *)
+let test_mmap_huge_length_enomem () =
+  let mmap = num Syscall.Mmap in
+  let src =
+    Printf.sprintf
+      {|
+_start: movi r0, %d       ; mmap(0, 4096)
+        movi r1, 0
+        movi r2, 4096
+        movi r5, -1
+        sys
+        mov r8, r0
+        movi r2, 1
+        movi r4, 62
+        shl r2, r2, r4    ; min_int
+        addi r2, r2, -1   ; max_int
+        movi r0, %d       ; mmap(0, max_int)
+        movi r1, 0
+        sys
+        mov r9, r0
+        movi r0, %d       ; mmap(0, 4096)
+        movi r1, 0
+        movi r2, 4096
+        sys
+        mov r10, r0
+        movi r0, %d       ; exit(0)
+        movi r1, 0
+        sys
+        halt
+|}
+      mmap mmap mmap (num Syscall.Exit)
+  in
+  let _, proc, stop = run_program src in
+  check_exit "exits" 0 stop;
+  let r = proc.Process.machine.regs in
+  Alcotest.(check int) "mmap(max_int) is -ENOMEM" (-Errno.code Errno.ENOMEM) r.(9);
+  Alcotest.(check int) "the next mmap follows the first" (r.(8) + 4096) r.(10);
+  Alcotest.(check int) "mmap_next" (r.(10) + 4096) proc.Process.mmap_next
+
+let exit_0_image () =
+  Svm.Asm.assemble_exn
+    (Printf.sprintf "_start: movi r0, %d\n movi r1, 0\n sys\n halt" (num Syscall.Exit))
+
+let library sections = { Svm.Obj_file.entry = 0; sections; symbols = []; relocs = [] }
+
+(* Every check that can refuse a spawn runs before it takes the parked
+   buffer: after refused spawns, the next good one still runs in the
+   buffer the last exited process left. *)
+let test_failed_spawn_keeps_parked_buffer () =
+  let kernel = Kernel.create () in
+  let img = exit_0_image () in
+  let a = Kernel.spawn kernel ~program:"a" img in
+  check_exit "a exits" 0 (Kernel.run kernel a ~max_cycles:1_000_000);
+  let a_mem = a.machine.mem in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "spawn accepted %s" what
+  in
+  let past_memory =
+    { Svm.Obj_file.sec_name = ".tail";
+      sec_kind = Svm.Obj_file.Data;
+      sec_addr = Svm.Machine.default_mem_size - 8;
+      sec_size = 16;
+      sec_payload = String.make 16 'x' }
+  in
+  refused "an image past memory" (fun () ->
+      Kernel.spawn kernel ~program:"bad" { img with sections = img.sections @ [ past_memory ] });
+  refused "a library overlapping the image" (fun () ->
+      Kernel.spawn kernel ~program:"bad" img
+        ~libs:[ library [ { past_memory with sec_addr = Svm.Asm.text_base } ] ]);
+  let b = Kernel.spawn kernel ~program:"b" img in
+  Alcotest.(check bool) "b runs in a's buffer" true (b.machine.mem == a_mem);
+  check_exit "b exits" 0 (Kernel.run kernel b ~max_cycles:1_000_000)
+
+(* A library's Bss is checked like the image's: one past the end of
+   memory would put the heap start past it too. *)
+let test_library_bss_past_memory () =
+  let bss =
+    { Svm.Obj_file.sec_name = ".bss";
+      sec_kind = Svm.Obj_file.Bss;
+      sec_addr = Svm.Machine.default_mem_size - 8;
+      sec_size = 64;
+      sec_payload = "" }
+  in
+  let kernel = Kernel.create () in
+  match Kernel.spawn kernel ~program:"p" ~libs:[ library [ bss ] ] (exit_0_image ()) with
+  | exception Invalid_argument _ -> ()
+  | p -> Alcotest.failf "spawn accepted it; heap start 0x%x" p.Process.heap_start
+
+(* Every syscall that writes guest memory marks what it wrote: a guest
+   makes each one into its own page, under the ASC monitor so the
+   checker's lbMAC write-back runs too (twice round, so the fast path
+   writes it as well as the reference path). After the guest exits, the
+   next spawn in its buffer must start exactly as on a fresh machine; after
+   the guest execs, so must the new image. *)
+let test_syscall_writes_leave_nothing () =
+  let key = Asc_crypto.Cmac.of_raw "dirty-map-key-16" in
+  let page k = 0x100000 + (k * Svm.Asm.page_size) + 0x800 in
+  let calls =
+    [ Printf.sprintf "read(fd, %d, 16) != 16" (page 0);
+      Printf.sprintf "stat(\"/tmp/data\", %d) != 0" (page 1);
+      Printf.sprintf "fstat(fd, %d) != 0" (page 2);
+      Printf.sprintf "fstatfs(fd, %d) != 0" (page 3);
+      Printf.sprintf "gettimeofday(%d, 0) != 0" (page 4);
+      Printf.sprintf "uname(%d) != 0" (page 5);
+      Printf.sprintf "getcwd(%d, 64) <= 0" (page 6);
+      Printf.sprintf "readlink(\"/tmp/link\", %d, 64) <= 0" (page 7);
+      Printf.sprintf "getdirentries(dir, %d, 256, 0) <= 0" (page 8);
+      "mmap(0, 4096, 3, 2, fd, 0) <= 0" ]
+  in
+  let guest tail =
+    Printf.sprintf
+      "int main() {\n  int i;\n  for (i = 0; i < 2; i = i + 1) {\n\
+      \    int fd = open(\"/tmp/data\", 0, 0);\n    int dir = open(\"/tmp\", 0, 0);\n%s  }\n%s\n}\n"
+      (String.concat ""
+         (List.mapi (fun k c -> Printf.sprintf "    if (%s) { return %d; }\n" c (k + 1)) calls))
+      tail
+  in
+  let install program src =
+    let img = Minic.Driver.compile_exn ~personality:Personality.linux src in
+    match Asc_core.Installer.install ~key ~personality:Personality.linux ~program img with
+    | Ok inst -> inst.Asc_core.Installer.image
+    | Error e -> Alcotest.failf "install %s: %s" program e
+  in
+  (* no syscall: the exec'd image is not installed; it halts with execve's
+     result, 0 *)
+  let after = Svm.Asm.assemble_exn "_start: halt" in
+  let starts_fresh what (m : Svm.Machine.t) img =
+    let fresh = Svm.Loader.load img in
+    Alcotest.(check bool) (what ^ ": memory equals a fresh load") true
+      (Bytes.equal fresh.mem m.mem)
+  in
+  List.iter
+    (fun (what, tail) ->
+      let kernel = Kernel.create () in
+      ok (Vfs.create_file kernel.Kernel.vfs ~cwd:"/" "/tmp/data" ~contents:"0123456789abcdefXYZ");
+      ok (Vfs.symlink kernel.Kernel.vfs ~cwd:"/" ~target:"/tmp/data" ~linkpath:"/tmp/link");
+      Kernel.install_binary kernel ~path:"/bin/after" after;
+      Kernel.set_monitor kernel
+        (Some
+           (Asc_core.Checker.monitor_with ~kernel ~key
+              (Some (Asc_core.Checker.fastpath ~key kernel))));
+      let p = Kernel.spawn kernel ~program:what (install what (guest tail)) in
+      let mmap_base = p.mmap_next in
+      check_exit (what ^ " exits") 0 (Kernel.run kernel p ~max_cycles:100_000_000);
+      (match Asc_obs.Metrics.value (Kernel.metrics kernel) "cfpre.hits" with
+       | Some n when n > 0 -> ()
+       | _ -> Alcotest.fail "the fast path never wrote the policy state");
+      let m = p.machine in
+      if what = "exit" then
+        List.iter
+          (fun a ->
+            match Svm.Machine.read_mem m ~addr:a ~len:16 with
+            | Some s when String.exists (fun c -> c <> '\000') s -> ()
+            | _ -> Alcotest.failf "nothing written at 0x%x" a)
+          (mmap_base :: List.init 9 page)
+      else begin
+        Alcotest.(check string) "execve reached" "/bin/after" p.program;
+        starts_fresh "the exec'd image" m after
+      end;
+      let mem = m.mem in
+      let next = Kernel.spawn kernel ~program:"next" after in
+      Alcotest.(check bool) (what ^ ": next runs in its buffer") true (next.machine.mem == mem);
+      starts_fresh (what ^ ", next spawn") next.machine after)
+    [ ("exit", "  return 0;"); ("execve", "  execve(\"/bin/after\", 0, 0);\n  return 11;") ]
+
 let suite_vfs =
   [ Alcotest.test_case "basic files" `Quick test_vfs_basic;
     Alcotest.test_case "relative paths" `Quick test_vfs_relative_paths;
@@ -852,7 +1052,17 @@ let suite_kernel =
     Alcotest.test_case "trace ring cap" `Quick test_trace_ring_cap;
     Alcotest.test_case "audit ring cap" `Quick test_audit_ring_cap;
     Alcotest.test_case "openbsd __syscall -> mmap" `Quick test_openbsd_indirect_mmap;
-    Alcotest.test_case "getdirentries" `Quick test_getdirentries ]
+    Alcotest.test_case "getdirentries" `Quick test_getdirentries;
+    Alcotest.test_case "readlink of a negative length -> EINVAL" `Quick
+      test_readlink_negative_length;
+    Alcotest.test_case "getdirentries of a negative length -> EINVAL" `Quick
+      test_getdirentries_negative_length;
+    Alcotest.test_case "mmap of a huge length -> ENOMEM" `Quick test_mmap_huge_length_enomem;
+    Alcotest.test_case "failed spawn keeps the parked buffer" `Quick
+      test_failed_spawn_keeps_parked_buffer;
+    Alcotest.test_case "library bss past memory refused" `Quick test_library_bss_past_memory;
+    Alcotest.test_case "syscall writes leave nothing behind" `Quick
+      test_syscall_writes_leave_nothing ]
 
 let () =
   Alcotest.run "oskernel"

@@ -716,6 +716,149 @@ let prop_asm_pp_roundtrip =
         let text = Obj_file.text_section img in
         Isa.decode (Bytes.of_string text.sec_payload) ~pos:0 = Some i)
 
+(* --- reloading a used machine --- *)
+
+(* [Loader.load_into] zeroes only the pages the dirty map marks, so a
+   writer that forgot to mark would leave its bytes in the next image. The
+   property writes through every writer, then reloads: the machine must
+   hold exactly what a fresh load of the second image holds. Addresses
+   lean to page edges, a page's last 1-7 bytes included, where a word
+   reaches into the next page. *)
+type write =
+  | Write_word of int * int
+  | Write_byte of int * int
+  | Write_mem of int * string
+  | Write_from of int * string
+  | Set_word of int * int
+  | Step of Isa.instr * int * int  (** instruction, store address, r2 *)
+
+let mem_size = Machine.default_mem_size
+
+let pp_write = function
+  | Write_word (a, v) -> Printf.sprintf "write_word 0x%x %d" a v
+  | Write_byte (a, v) -> Printf.sprintf "write_byte 0x%x %d" a v
+  | Write_mem (a, s) -> Printf.sprintf "write_mem 0x%x (%d bytes)" a (String.length s)
+  | Write_from (a, s) -> Printf.sprintf "write_from 0x%x (%d bytes)" a (String.length s)
+  | Set_word (a, v) -> Printf.sprintf "set_word 0x%x %d" a v
+  | Step (i, a, v) -> Format.asprintf "step %a at 0x%x, r2 = %d" Isa.pp i a v
+
+let gen_edge_addr =
+  let open QCheck.Gen in
+  let page = Asm.page_size in
+  frequency
+    [ (8,
+       let* p = int_bound ((mem_size / page) - 1) in
+       let* off =
+         frequency
+           [ (3, int_range (page - 8) (page - 1)); (2, int_bound 7); (1, int_bound (page - 1)) ]
+       in
+       return ((p * page) + off));
+      (1, oneofl [ -8; -1; mem_size - 8; mem_size - 7; mem_size; max_int; max_int - 7 ]) ]
+
+(* nonzero bytes, so a write that survives a reload shows *)
+let gen_payload =
+  let open QCheck.Gen in
+  string_size
+    ~gen:(char_range '\001' '\255')
+    (frequency [ (6, int_range 1 24); (1, int_range 4000 9000) ])
+
+let gen_write =
+  let open QCheck.Gen in
+  let* a = gen_edge_addr in
+  let* v = int_range 1 max_int in
+  let* s = gen_payload in
+  let* off = int_range (-16) 16 in
+  oneofl
+    [ Write_word (a, v); Write_byte (a, 1 + (v mod 255)); Write_mem (a, s); Write_from (a, s);
+      Set_word (a, v); Step (Isa.St (1, off, 2), a, v); Step (Isa.Stb (1, off, 2), a, v);
+      Step (Isa.Push 2, a, v); Step (Isa.Call 0x2000, a, v); Step (Isa.Callr 2, a, v) ]
+
+(* a text section at [Asm.text_base] plus up to three more sections at
+   page-edge addresses, moved down where they would not fit *)
+let gen_image =
+  let open QCheck.Gen in
+  let gen_section i =
+    let* kind = oneofl [ Obj_file.Rodata; Obj_file.Data; Obj_file.Bss ] in
+    let* addr = gen_edge_addr in
+    let* payload = gen_payload in
+    let size = String.length payload in
+    return
+      { Obj_file.sec_name = Printf.sprintf ".s%d" i;
+        sec_kind = kind;
+        sec_addr = max 0 (min addr (mem_size - size));
+        sec_size = size;
+        sec_payload = (if kind = Obj_file.Bss then "" else payload) }
+  in
+  let* text = string_size ~gen:(char_range '\001' '\255') (int_range 8 64) in
+  let* n = int_bound 3 in
+  let* extra = flatten_l (List.init n gen_section) in
+  return
+    { Obj_file.entry = Asm.text_base;
+      sections =
+        { Obj_file.sec_name = ".text";
+          sec_kind = Obj_file.Text;
+          sec_addr = Asm.text_base;
+          sec_size = String.length text;
+          sec_payload = text }
+        :: extra;
+      symbols = [];
+      relocs = [] }
+
+let step_pc = Asm.text_base
+
+(* [Step] runs one instruction, written at [step_pc], with r1 and sp aimed
+   so that it stores at the given address: [max_cycles = 0] stops the run
+   after the first instruction, since every store costs cycles. *)
+let apply (m : Machine.t) = function
+  | Write_word (a, v) -> ignore (Machine.write_word m a v)
+  | Write_byte (a, v) -> ignore (Machine.write_byte m a v)
+  | Write_mem (a, s) -> ignore (Machine.write_mem m ~addr:a s)
+  | Write_from (a, s) ->
+    let buf = Bytes.of_string ("pad" ^ s) in
+    ignore (Machine.write_from m ~addr:a ~buf ~pos:3 ~len:(String.length s))
+  | Set_word (a, v) -> if Machine.word_ok m a then Machine.set_word m a v
+  | Step (i, a, v) ->
+    let code = Bytes.create Isa.instr_size in
+    Isa.encode i code ~pos:0;
+    ignore (Machine.write_from m ~addr:step_pc ~buf:code ~pos:0 ~len:Isa.instr_size);
+    let off = match i with Isa.St (_, off, _) | Isa.Stb (_, off, _) -> off | _ -> 0 in
+    m.regs.(1) <- a - off;
+    m.regs.(2) <- v;
+    m.regs.(Isa.sp) <- a + 8;
+    m.pc <- step_pc;
+    m.cycles <- 0;
+    m.stopped <- None;
+    ignore (Machine.run m ~on_sys:(fun _ -> Machine.Sys_kill "sys") ~max_cycles:0);
+    m.stopped <- None
+
+let same_as_fresh_load (m : Machine.t) img =
+  let fresh = Loader.load img in
+  Bytes.equal m.mem fresh.mem && m.regs = fresh.regs && m.pc = fresh.pc
+
+(* Two rounds, the second through [Machine.take_over] as at spawn: the map
+   must start clean after a reload and move with the buffer. *)
+let prop_reload_equals_fresh_load =
+  let gen =
+    QCheck.Gen.(
+      quad gen_image (list_size (int_range 1 30) gen_write) gen_image
+        (list_size (int_range 1 30) gen_write))
+  in
+  let print (_, w1, _, w2) =
+    String.concat "\n" (List.map pp_write w1 @ ("-- reload --" :: List.map pp_write w2))
+  in
+  QCheck.Test.make ~name:"load_into after writes = fresh load" ~count:200
+    (QCheck.make ~print gen)
+    (fun (img_a, w1, img_b, w2) ->
+      let m = Loader.load img_a in
+      List.iter (apply m) w1;
+      Loader.load_into m img_b;
+      same_as_fresh_load m img_b
+      &&
+      let m = Machine.take_over m in
+      List.iter (apply m) w2;
+      Loader.load_into m img_a;
+      same_as_fresh_load m img_a)
+
 let suite =
   [ Alcotest.test_case "decode garbage" `Quick test_decode_garbage;
     Alcotest.test_case "encode bounds" `Quick test_encode_bounds;
@@ -744,6 +887,7 @@ let suite =
       [ prop_isa_roundtrip;
         prop_asm_pp_roundtrip;
         prop_dispatch_random_words;
-        prop_dispatch_instrs ]
+        prop_dispatch_instrs;
+        prop_reload_equals_fresh_load ]
 
 let () = Alcotest.run "svm" [ ("svm", suite) ]
