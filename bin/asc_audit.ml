@@ -111,9 +111,6 @@ let print_report ?img (seq, pid, program, (v : Violation.t), (sn : Violation.sna
   Format.printf "policy state:   kernel counter=%d lastBlock=%s lbMAC=%s@." sn.sn_counter
     (match sn.sn_last_block with Some b -> string_of_int b | None -> "(unreadable)")
     (match sn.sn_lb_mac with Some h -> h | None -> "(unreadable)");
-  (match sn.sn_shadow_stack with
-   | [] -> ()
-   | stack -> Format.printf "shadow stack:   %s@." (String.concat " > " stack));
   (match sn.sn_recent with
    | [] -> Format.printf "recent syscalls: (none recorded)@."
    | recent ->

@@ -36,7 +36,7 @@ let deny_mac step ~expected ~got fmt =
     fmt
 
 (* The verification step being charged; doubles as the metrics-counter
-   selector and (when a profiler is attached) the synthetic frame name. *)
+   selector. *)
 type step =
   | Call_mac
   | String_mac
@@ -94,45 +94,22 @@ let step_alloc_counter steps = function
   | Control_flow -> steps.sa_control_flow
   | Ext -> steps.sa_ext
 
-(* pre-built frames: constant constructors of string literals, so entering
-   a region allocates nothing before the region's minor-words mark *)
-let step_frame = function
-  | Call_mac -> Asc_obs.Profile.Label "<kernel:call_mac>"
-  | String_mac -> Asc_obs.Profile.Label "<kernel:string_mac>"
-  | Control_flow -> Asc_obs.Profile.Label "<kernel:control_flow>"
-  | Ext -> Asc_obs.Profile.Label "<kernel:ext>"
-
 let charge (m : Machine.t) steps step n =
   m.cycles <- m.cycles + n;
   Asc_obs.Metrics.add (step_counter steps step) n;
-  Asc_obs.Metrics.add steps.st_total n;
-  (* every charge happens inside the matching [step_region], whose
-     <kernel:step> frame is on top of the shadow stack — so verification
-     cycles show up in flamegraphs as children of the syscall-site frame *)
-  match m.profile with
-  | Some p -> Asc_obs.Profile.charge p n
-  | None -> ()
+  Asc_obs.Metrics.add steps.st_total n
 
-(* [step_region m steps step f] brackets one step's work: it pushes the
-   step's <kernel:step> profile frame (an allocation sampling point, so
-   pending words stay with the site frame) and marks the host minor-words
-   counter; on exit — normal or [Deny] — the delta is credited to the
-   step's alloc counter and the frame is popped, keeping the shadow stack
-   balanced for the deny-time forensic snapshot. *)
-let step_region (m : Machine.t) steps step f =
-  (match m.Machine.profile with
-   | Some p -> Asc_obs.Profile.enter p (step_frame step)
-   | None -> ());
+(* [step_region steps step f] brackets one step's work: it marks the host
+   minor-words counter, and on exit — normal or [Deny] — credits the delta
+   to the step's alloc counter. *)
+let step_region steps step f =
   let a0 = Asc_obs.Profile.minor_words () in
   let finish () =
     let d = Asc_obs.Profile.minor_words () - a0 in
     if d > 0 then begin
       Asc_obs.Metrics.add (step_alloc_counter steps step) d;
       Asc_obs.Metrics.add steps.sa_total d
-    end;
-    match m.Machine.profile with
-    | Some p -> Asc_obs.Profile.leave p
-    | None -> ()
+    end
   in
   match f () with
   | v ->
@@ -315,7 +292,7 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
      call MAC. The region returns the rebuilt references the later steps
      need, so their allocation is attributed here, where it happens. --- *)
   let reason, block, string_args, ext, control =
-    step_region m steps Call_mac (fun () ->
+    step_region steps Call_mac (fun () ->
       charge m steps Call_mac Cost_model.check_fixed;
       let descriptor = r 7 in
       if not (Descriptor.is_authenticated descriptor) then
@@ -387,7 +364,7 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
     match string_args with
     | [] -> []
     | args ->
-      step_region m steps String_mac (fun () ->
+      step_region steps String_mac (fun () ->
         List.map
           (fun (i, ar) ->
             (i, verify_as m steps String_mac ~fast ~pid:p.pid key ar i))
@@ -397,14 +374,14 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
     match ext with
     | None -> None
     | Some ar ->
-      step_region m steps Ext (fun () ->
+      step_region steps Ext (fun () ->
         Some (verify_as m steps Ext ~fast ~pid:p.pid key ar extension_block))
   in
   (* --- step 3: control-flow policy --- *)
   (match control with
    | None -> ()
    | Some (pred_ref, lbp) ->
-     step_region m steps Control_flow (fun () ->
+     step_region steps Control_flow (fun () ->
        (* The predecessor set is content-stable (cacheable like any
           authenticated string); the lbMAC below is nonce-fresh by design —
           the kernel-held counter changes every call — and is never cached.
@@ -465,7 +442,7 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
   (match ext_contents with
    | None -> ()
    | Some contents ->
-     step_region m steps Ext (fun () ->
+     step_region steps Ext (fun () ->
        List.iter
          (fun (argi, e) ->
            match e with
@@ -554,18 +531,11 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
            for memory: [alloc] below is the words the verification itself
            allocated, while the plane's own recording allocation is
            measured separately into checker.alloc.telemetry. *)
-        let telemetry_frame = Asc_obs.Profile.Label "<kernel:telemetry>" in
         let finish reason =
           let cycles = Asc_obs.Metrics.counter_value steps.st_total - total0 in
           let alloc = Asc_obs.Profile.minor_words () - alloc0 in
           m.Machine.cycles <- m.Machine.cycles + Cost_model.telemetry_record_cost;
-          (match m.Machine.profile with
-           | Some prof -> Asc_obs.Profile.enter prof telemetry_frame
-           | None -> ());
           let ta0 = Asc_obs.Profile.minor_words () in
-          (match m.Machine.profile with
-           | Some prof -> Asc_obs.Profile.charge prof Cost_model.telemetry_record_cost
-           | None -> ());
           Asc_obs.Telemetry.note_self telemetry shard Cost_model.telemetry_record_cost;
           let sem =
             match Personality.sem_of kernel.Kernel.pers number with
@@ -575,10 +545,7 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
           Asc_obs.Telemetry.record telemetry shard ~site ~sem ~reason ~cf:sc.cf ~cycles
             ~alloc ~now:m.Machine.cycles;
           let td = Asc_obs.Profile.minor_words () - ta0 in
-          if td > 0 then Asc_obs.Metrics.add steps.sa_telemetry td;
-          match m.Machine.profile with
-          | Some prof -> Asc_obs.Profile.leave prof
-          | None -> ()
+          if td > 0 then Asc_obs.Metrics.add steps.sa_telemetry td
         in
         sc.cf <- Asc_obs.Telemetry.Cf_none;
         match

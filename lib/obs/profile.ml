@@ -1,257 +1,4 @@
-type frame =
-  | Pc of int
-  | Label of string
-
-type node = {
-  n_frame : frame;
-  n_parent : node option;            (* None only for the root *)
-  n_children : (frame, node) Hashtbl.t;
-  mutable n_self : int;
-  mutable n_calls : int;
-  mutable n_alloc : int;             (* minor words sampled onto this frame *)
-}
-
-type t = {
-  root : node;
-  mutable current : node;
-  mutable total : int;
-  (* allocation sampling: [alloc_mark] is the host's cumulative
-     [Gc.minor_words] reading (as an int) at the last sample point, or -1
-     while tracking is off. Every word allocated between two sample points
-     is charged to the node that was current across that span, so the
-     charges telescope to exactly the machine-scope minor-words delta. *)
-  mutable alloc_mark : int;
-  mutable total_alloc : int;
-}
-
 (* [Gc.minor_words] is an unboxed [@@noalloc] external in native code, and
    the immediate [int_of_float] keeps the result unboxed — so taking a
    sample allocates nothing and cannot perturb what it measures. *)
-let minor_words_now () = int_of_float (Gc.minor_words ())
-let minor_words = minor_words_now
-
-let make_node ?parent frame =
-  { n_frame = frame;
-    n_parent = parent;
-    n_children = Hashtbl.create 4;
-    n_self = 0;
-    n_calls = 0;
-    n_alloc = 0 }
-
-let create () =
-  let root = make_node (Label "(root)") in
-  { root; current = root; total = 0; alloc_mark = -1; total_alloc = 0 }
-
-let track_alloc t = if t.alloc_mark < 0 then t.alloc_mark <- minor_words_now ()
-let alloc_tracked t = t.alloc_mark >= 0
-
-let sample_alloc t =
-  if t.alloc_mark >= 0 then begin
-    let now = minor_words_now () in
-    let d = now - t.alloc_mark in
-    if d > 0 then begin
-      t.current.n_alloc <- t.current.n_alloc + d;
-      t.total_alloc <- t.total_alloc + d
-    end;
-    t.alloc_mark <- now
-  end
-
-let enter t frame =
-  (* words allocated since the last sample belong to the caller, not the
-     frame being entered *)
-  sample_alloc t;
-  let child =
-    match Hashtbl.find_opt t.current.n_children frame with
-    | Some c -> c
-    | None ->
-      let c = make_node ~parent:t.current frame in
-      Hashtbl.replace t.current.n_children frame c;
-      c
-  in
-  child.n_calls <- child.n_calls + 1;
-  t.current <- child
-
-let leave t =
-  (* the span since the last sample ran inside the leaving frame *)
-  sample_alloc t;
-  match t.current.n_parent with
-  | Some p -> t.current <- p
-  | None -> ()
-
-let charge t n =
-  t.current.n_self <- t.current.n_self + n;
-  t.total <- t.total + n
-
-let charge_label t name n =
-  enter t (Label name);
-  charge t n;
-  leave t
-
-let reset_stack t =
-  (* flush pending words onto the stack being abandoned (execve) *)
-  sample_alloc t;
-  t.current <- t.root
-
-let depth t =
-  let rec go n acc = match n.n_parent with None -> acc | Some p -> go p (acc + 1) in
-  go t.current 0
-
-let total_cycles t = t.total
-let total_alloc_words t = t.total_alloc
-
-let current_stack ~symbolize t =
-  let rec go n acc =
-    match n.n_parent with None -> acc | Some p -> go p (symbolize n.n_frame :: acc)
-  in
-  go t.current []
-
-(* ----- exporters ----- *)
-
-let children_sorted ~symbolize node =
-  Hashtbl.fold (fun _ c acc -> c :: acc) node.n_children []
-  |> List.map (fun c -> (symbolize c.n_frame, c))
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let folded_by ~symbolize ~weight t =
-  let out = ref [] in
-  let rec go path node =
-    (* the root is not a real frame: its own charges (cycles retired before
-       any call) are reported under the root pseudo-name *)
-    let path =
-      match node.n_parent with None -> path | Some _ -> symbolize node.n_frame :: path
-    in
-    let w = weight node in
-    if w > 0 then begin
-      let stack = match path with [] -> [ "(root)" ] | p -> List.rev p in
-      out := (stack, w) :: !out
-    end;
-    List.iter (fun (_, c) -> go path c) (children_sorted ~symbolize node)
-  in
-  go [] t.root;
-  List.sort compare (List.rev !out)
-
-let folded ~symbolize t = folded_by ~symbolize ~weight:(fun n -> n.n_self) t
-let folded_alloc ~symbolize t = folded_by ~symbolize ~weight:(fun n -> n.n_alloc) t
-
-let folded_string_of entries =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (stack, w) ->
-      Buffer.add_string buf (String.concat ";" stack);
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int w);
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.contents buf
-
-let folded_string ~symbolize t = folded_string_of (folded ~symbolize t)
-let folded_alloc_string ~symbolize t = folded_string_of (folded_alloc ~symbolize t)
-
-let parse_folded s =
-  let parse_line lineno line =
-    match String.rindex_opt line ' ' with
-    | None -> Error (Printf.sprintf "line %d: missing cycle count in %S" lineno line)
-    | Some i ->
-      let stack_str = String.sub line 0 i in
-      let count_str = String.sub line (i + 1) (String.length line - i - 1) in
-      (match int_of_string_opt count_str with
-       | None -> Error (Printf.sprintf "line %d: bad cycle count %S" lineno count_str)
-       | Some n when n < 0 -> Error (Printf.sprintf "line %d: negative cycle count" lineno)
-       | Some n ->
-         let stack = String.split_on_char ';' stack_str in
-         if stack = [] || List.exists (fun f -> f = "") stack then
-           Error (Printf.sprintf "line %d: empty frame in %S" lineno stack_str)
-         else Ok (stack, n))
-  in
-  let lines = String.split_on_char '\n' s in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | "" :: rest -> go (lineno + 1) acc rest
-    | line :: rest ->
-      (match parse_line lineno line with
-       | Ok entry -> go (lineno + 1) (entry :: acc) rest
-       | Error _ as e -> e)
-  in
-  go 1 [] lines
-
-type row = {
-  r_name : string;
-  r_calls : int;
-  r_self : int;
-  r_total : int;
-  r_alloc : int;
-  r_total_alloc : int;
-}
-
-let top ~symbolize t =
-  let tbl : (string, row ref) Hashtbl.t = Hashtbl.create 64 in
-  let cell name =
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r
-    | None ->
-      let r =
-        ref { r_name = name; r_calls = 0; r_self = 0; r_total = 0; r_alloc = 0;
-              r_total_alloc = 0 }
-      in
-      Hashtbl.replace tbl name r;
-      r
-  in
-  (* DFS carrying the set of names already on the path, so recursive frames
-     contribute their subtree to r_total only once *)
-  let rec go active node =
-    let name = match node.n_parent with None -> None | Some _ -> Some (symbolize node.n_frame) in
-    (match name with
-     | Some nm ->
-       let r = cell nm in
-       r :=
-         { !r with
-           r_calls = !r.r_calls + node.n_calls;
-           r_self = !r.r_self + node.n_self;
-           r_alloc = !r.r_alloc + node.n_alloc }
-     | None -> ());
-    let active' = match name with Some nm -> nm :: active | None -> active in
-    let subtree, subtree_alloc =
-      Hashtbl.fold
-        (fun _ c (acc, acca) ->
-          let s, sa = go active' c in
-          (acc + s, acca + sa))
-        node.n_children
-        (node.n_self, node.n_alloc)
-    in
-    (match name with
-     | Some nm when not (List.mem nm active) ->
-       let r = cell nm in
-       r := { !r with r_total = !r.r_total + subtree;
-                      r_total_alloc = !r.r_total_alloc + subtree_alloc }
-     | _ -> ());
-    (subtree, subtree_alloc)
-  in
-  ignore (go [] t.root);
-  (* root self-cycles (work outside any call) appear as their own row *)
-  if t.root.n_self > 0 || t.root.n_alloc > 0 then begin
-    let r = cell "(root)" in
-    r :=
-      { !r with
-        r_self = !r.r_self + t.root.n_self;
-        r_total = !r.r_total + t.root.n_self;
-        r_alloc = !r.r_alloc + t.root.n_alloc;
-        r_total_alloc = !r.r_total_alloc + t.root.n_alloc }
-  end;
-  Hashtbl.fold (fun _ r acc -> !r :: acc) tbl []
-  |> List.sort (fun a b ->
-         match compare b.r_self a.r_self with 0 -> compare a.r_name b.r_name | c -> c)
-
-let to_json ~symbolize t =
-  let stacks_json entries key =
-    Json.List
-      (List.map
-         (fun (stack, w) ->
-           Json.Obj
-             [ ("stack", Json.List (List.map (fun f -> Json.Str f) stack)); (key, Json.Int w) ])
-         entries)
-  in
-  Json.Obj
-    [ ("total_cycles", Json.Int t.total);
-      ("total_alloc_words", Json.Int t.total_alloc);
-      ("stacks", stacks_json (folded ~symbolize t) "cycles");
-      ("alloc_stacks", stacks_json (folded_alloc ~symbolize t) "words") ]
+let minor_words () = int_of_float (Gc.minor_words ())

@@ -1,145 +1,7 @@
-(** A cycle- and allocation-exact call-graph profiler.
-
-    The instrumented interpreter maintains a *shadow call stack*: {!enter}
-    on every call, {!leave} on every return, and {!charge} for each retired
-    instruction's modeled cycles, which are credited to the node currently
-    on top of the stack. Because every charged cycle lands on exactly one
-    node, the sum over all nodes equals the machine's retired cycle counter
-    — the invariant the exporters (and [asc_profile]'s self-check) rely on.
-
-    The same discipline applies to a second resource: host minor-heap
-    words. When armed with {!track_alloc}, every shadow-stack transition
-    ({!enter}, {!leave}, {!reset_stack}) is also a *sampling point*: the
-    [Gc.minor_words] delta since the previous sample is charged to the
-    node that was current across the span. The deltas telescope, so
-    {!total_alloc_words} equals the machine-scope minor-words delta
-    between arming and the last sample — GC runs between samples cannot
-    break this, because [Gc.minor_words] counts cumulative allocation, not
-    live heap.
-
-    Frames are either raw program counters ([Pc] — call targets, resolved
-    to names only at report time via the caller's [symbolize]) or
-    pre-named synthetic frames ([Label] — kernel-side work such as
-    [<kernel:call_mac>], attributed under the application stack that
-    triggered it).
-
-    The profiler is deliberately independent of the SVM: it never decodes
-    instructions or reads images, so the kernel, the checker and any future
-    interpreter can all charge into the same profile. *)
-
-type frame =
-  | Pc of int        (** call-target address; symbolized at report time *)
-  | Label of string  (** synthetic frame, used verbatim *)
-
-type t
-
-val create : unit -> t
-(** Empty profile; the shadow stack holds only the implicit root.
-    Allocation tracking starts disarmed. *)
-
-(** {1 Hot-path updates} *)
-
-val enter : t -> frame -> unit
-(** Push a frame (descend into the matching child node, creating it on
-    first use). An allocation sampling point: pending words are charged to
-    the {e caller} before the stack changes. *)
-
-val leave : t -> unit
-(** Pop to the parent frame. A [leave] at the root is a no-op, so
-    unmatched returns (e.g. from code the profiler never saw call) cannot
-    corrupt the stack. An allocation sampling point: the span since the
-    last sample ran inside the leaving frame. *)
-
-val charge : t -> int -> unit
-(** Credit cycles to the frame currently on top of the stack. *)
-
-val charge_label : t -> string -> int -> unit
-(** [charge_label t name n] charges [n] cycles to a synthetic [Label name]
-    child of the current frame — equivalent to
-    [enter t (Label name); charge t n; leave t]. *)
-
-val reset_stack : t -> unit
-(** Unwind the shadow stack to the root without touching accumulated
-    cycles (sampling pending allocation first). Used on [execve], when the
-    application call stack it mirrored ceases to exist. *)
-
-(** {1 Allocation tracking} *)
+(** The host allocation clock. *)
 
 val minor_words : unit -> int
 (** The host's cumulative [Gc.minor_words] reading as an int — the clock
-    every allocation measurement (here and in the checker's step regions)
-    reads. Monotonic across GCs and allocation-free to sample in native
-    code. *)
-
-val track_alloc : t -> unit
-(** Arm minor-words sampling: record the current cumulative
-    [Gc.minor_words] reading as the first mark. Idempotent. *)
-
-val alloc_tracked : t -> bool
-
-val sample_alloc : t -> unit
-(** Charge the words allocated since the previous sample to the current
-    frame and advance the mark. Callers flush with this before reading
-    {!total_alloc_words}; no-op while tracking is disarmed. Sampling
-    itself allocates nothing ([Gc.minor_words] is an unboxed [@@noalloc]
-    external), so it cannot perturb what it measures. *)
-
-val total_alloc_words : t -> int
-(** Sum of every sampled word — after a flush, exactly the machine-scope
-    [Gc.minor_words] delta since {!track_alloc}. *)
-
-(** {1 Reading} *)
-
-val depth : t -> int
-(** Current shadow-stack depth (0 at the root). *)
-
-val total_cycles : t -> int
-(** Sum of every charge; equals the machine's retired cycle counter when
-    every cycle source is instrumented. *)
-
-val current_stack : symbolize:(frame -> string) -> t -> string list
-(** The live shadow stack, outermost frame first (empty at the root). Used
-    by the kernel's forensic snapshot to record what the process was
-    executing when a violation killed it. *)
-
-(** {1 Exporters} *)
-
-val folded : symbolize:(frame -> string) -> t -> (string list * int) list
-(** One entry per stack with non-zero self cycles:
-    [(\[caller; ...; leaf\], self_cycles)], sorted by stack for
-    deterministic output. The entries' cycles sum to {!total_cycles}. *)
-
-val folded_alloc : symbolize:(frame -> string) -> t -> (string list * int) list
-(** Same shape keyed by sampled minor words; entries sum to
-    {!total_alloc_words}. *)
-
-val folded_string : symbolize:(frame -> string) -> t -> string
-(** flamegraph.pl-compatible folded stacks: one
-    ["frame;frame;frame cycles"] line per entry of {!folded}. *)
-
-val folded_alloc_string : symbolize:(frame -> string) -> t -> string
-(** {!folded_alloc} in the same line format (weights are words). *)
-
-val parse_folded : string -> ((string list * int) list, string) result
-(** Parse folded-stacks text back into stacks ([Error] describes the first
-    malformed line). [parse_folded (folded_string ~symbolize t)]
-    round-trips whenever frame names contain no [' '] or [';']. *)
-
-type row = {
-  r_name : string;        (** symbolized frame name *)
-  r_calls : int;          (** times the frame was entered *)
-  r_self : int;           (** cycles charged directly to the frame *)
-  r_total : int;          (** self + descendants (recursion counted once) *)
-  r_alloc : int;          (** minor words sampled directly onto the frame *)
-  r_total_alloc : int;    (** alloc + descendants (recursion counted once) *)
-}
-
-val top : symbolize:(frame -> string) -> t -> row list
-(** Per-name aggregation over the whole tree, sorted by self cycles
-    descending (ties by name). The [r_self] column sums to
-    {!total_cycles} and [r_alloc] to {!total_alloc_words}. *)
-
-val to_json : symbolize:(frame -> string) -> t -> Json.t
-(** [{"total_cycles": n, "total_alloc_words": n,
-     "stacks": [{"stack": [...], "cycles": n}, ...],
-     "alloc_stacks": [{"stack": [...], "words": n}, ...]}] *)
+    every allocation measurement reads: the checker's step regions,
+    [kernel.host_minor_words] and the benchmarks. Monotonic across GCs and
+    allocation-free to sample in native code. *)

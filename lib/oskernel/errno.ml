@@ -14,6 +14,7 @@ type t =
   | ENOTEMPTY
   | ENOMEM
   | EFAULT
+  | EFBIG
 
 let code = function
   | EPERM -> 1
@@ -31,6 +32,7 @@ let code = function
   | ENOTEMPTY -> 39
   | ENOMEM -> 12
   | EFAULT -> 14
+  | EFBIG -> 27
 
 let name = function
   | EPERM -> "EPERM"
@@ -48,5 +50,6 @@ let name = function
   | ENOTEMPTY -> "ENOTEMPTY"
   | ENOMEM -> "ENOMEM"
   | EFAULT -> "EFAULT"
+  | EFBIG -> "EFBIG"
 
 let pp ppf e = Format.pp_print_string ppf (name e)

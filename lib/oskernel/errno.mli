@@ -16,6 +16,7 @@ type t =
   | ENOTEMPTY
   | ENOMEM
   | EFAULT
+  | EFBIG
 
 val code : t -> int
 (** Positive error code; syscalls return [- code e]. *)

@@ -281,13 +281,7 @@ type outcome =
 let err e = Ret (-Errno.code e)
 let lift_unit = function Ok () -> 0 | Error e -> -Errno.code e
 
-(* Every kernel-side cycle charge goes through here so the shadow-stack
-   profiler (when attached) sees the same total the machine counts. *)
-let charge (m : Machine.t) n =
-  m.cycles <- m.cycles + n;
-  match m.profile with
-  | Some p -> Asc_obs.Profile.charge p n
-  | None -> ()
+let charge (m : Machine.t) n = m.cycles <- m.cycles + n
 
 let max_io = 1 lsl 20
 
@@ -500,15 +494,6 @@ let sys_execve t (p : Process.t) path =
            | () ->
              charge m 50_000;
              Process.reset_for_exec p ~program:canon ~heap_start:(Loader.initial_brk img);
-             (* the old image's shadow call stack is gone with its memory;
-                leave a single <kernel:execve> frame for the dispatcher's
-                trailing [Profile.leave] to pop, landing the new image at
-                the root *)
-             (match m.profile with
-              | Some prof ->
-                Asc_obs.Profile.reset_stack prof;
-                Asc_obs.Profile.enter prof (Asc_obs.Profile.Label "<kernel:execve>")
-              | None -> ());
              audit_push t (Execve { pid = p.pid; program = caller; path = canon });
              lifecycle_event t (Proc_exec { pid = p.pid });
              Ret 0)))
@@ -703,16 +688,7 @@ let capture_snapshot t (p : Process.t) =
             c_number = e.t_number;
             c_site = e.t_site;
             c_result = e.t_result })
-        (ring_tail snapshot_history t.trace);
-    sn_shadow_stack =
-      (match m.Machine.profile with
-       | Some prof ->
-         Asc_obs.Profile.current_stack
-           ~symbolize:(function
-             | Asc_obs.Profile.Pc a -> Printf.sprintf "0x%x" a
-             | Asc_obs.Profile.Label l -> l)
-           prof
-       | None -> []) }
+        (ring_tail snapshot_history t.trace) }
 
 (* A pid's track is named when the kernel records its first span, so a
    process that runs untraced leaves nothing in the span collector. *)
@@ -727,14 +703,6 @@ let run t (p : Process.t) ~max_cycles =
     let number = m.regs.(0) in
     let args = Array.init 6 (fun i -> m.regs.(i + 1)) in
     let ts0 = m.cycles in
-    (* kernel-side work (trap, checks, dispatch) profiles under a synthetic
-       per-call-site frame, e.g. [write@site_0x1a0] *)
-    (match m.profile with
-     | Some prof ->
-       Asc_obs.Profile.enter prof
-         (Asc_obs.Profile.Label
-            (Printf.sprintf "%s@site_0x%x" (sem_name t number None) site))
-     | None -> ());
     Asc_obs.Metrics.inc t.ctr_syscalls;
     charge m (Cost_model.trap_entry + Cost_model.syscall_dispatch);
     let verdict =
@@ -753,8 +721,7 @@ let run t (p : Process.t) ~max_cycles =
             @ match step with None -> [] | Some s -> [ ("step", Asc_obs.Json.Str s) ])
           ~name:(sem_name t number None) ~ts:ts0 ~dur:(m.cycles - ts0)
     in
-    let action =
-      match verdict with
+    match verdict with
     | Deny reason ->
       Asc_obs.Metrics.inc t.ctr_denied;
       audit_push t (Denied { pid = p.pid; program = p.program; site; number; reason });
@@ -821,11 +788,6 @@ let run t (p : Process.t) ~max_cycles =
        | Ret v ->
          m.regs.(0) <- v;
          Machine.Sys_continue)
-    in
-    (match m.profile with
-     | Some prof -> Asc_obs.Profile.leave prof
-     | None -> ());
-    action
   in
   let m = p.machine in
   let start_instrs = m.instrs and start_cycles = m.cycles in

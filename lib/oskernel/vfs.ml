@@ -225,9 +225,14 @@ let read_at fs ~cwd path ~pos ~len =
     Ok (Bytes.sub_string f.data (min pos (Bytes.length f.data)) (min len avail))
   end
 
+let max_file_size = 16 * 1024 * 1024
+
 let write_at fs ~cwd path ~pos data =
   let* f = find_file fs ~cwd path in
   if pos < 0 then Error Errno.EINVAL
+  (* not [pos + len > max_file_size]: the sum wraps for [pos] near
+     [max_int] *)
+  else if pos > max_file_size - String.length data then Error Errno.EFBIG
   else begin
     let needed = pos + String.length data in
     if needed > Bytes.length f.data then begin

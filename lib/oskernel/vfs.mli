@@ -40,8 +40,14 @@ val file_size : t -> cwd:string -> string -> (int, Errno.t) result
 val read_at : t -> cwd:string -> string -> pos:int -> len:int -> (string, Errno.t) result
 (** Read up to [len] bytes at offset [pos]; short reads at EOF. *)
 
+val max_file_size : int
+(** 16 MiB: no write may end past this offset. *)
+
 val write_at : t -> cwd:string -> string -> pos:int -> string -> (int, Errno.t) result
-(** Write at offset [pos], extending the file as needed (zero-filled gap). *)
+(** Write at offset [pos], extending the file as needed (zero-filled gap).
+    [Error EFBIG], with the file unchanged, if the write would end past
+    {!max_file_size}: a guest's [lseek] offset must not choose how much
+    the host allocates. *)
 
 val truncate : t -> cwd:string -> string -> (unit, Errno.t) result
 val readdir : t -> cwd:string -> string -> (string list, Errno.t) result

@@ -53,7 +53,6 @@ type snapshot = {
   sn_last_block : int option;
   sn_lb_mac : string option;
   sn_recent : call list;
-  sn_shadow_stack : string list;
 }
 
 let snapshot_regs = 12
@@ -144,8 +143,7 @@ let snapshot_to_json s =
       ("counter", Int s.sn_counter);
       ("last_block", opt_int s.sn_last_block);
       ("lb_mac", opt_str s.sn_lb_mac);
-      ("recent", List (List.map call_to_json s.sn_recent));
-      ("shadow_stack", List (List.map (fun f -> Str f) s.sn_shadow_stack)) ]
+      ("recent", List (List.map call_to_json s.sn_recent)) ]
 
 let snapshot_of_json j =
   let ( let* ) = Result.bind in
@@ -176,17 +174,6 @@ let snapshot_of_json j =
       |> Result.map List.rev
     | None -> Error "snapshot: missing recent"
   in
-  let* stack =
-    match Option.bind (member "shadow_stack" j) to_list with
-    | Some l ->
-      let rec strs acc = function
-        | [] -> Ok (List.rev acc)
-        | Str s :: rest -> strs (s :: acc) rest
-        | _ -> Error "snapshot: non-string shadow frame"
-      in
-      strs [] l
-    | None -> Error "snapshot: missing shadow_stack"
-  in
   Ok
     { sn_regs = regs;
       sn_pc = pc;
@@ -195,5 +182,4 @@ let snapshot_of_json j =
       sn_counter = counter;
       sn_last_block = get_opt_int j "last_block";
       sn_lb_mac = get_opt_str j "lb_mac";
-      sn_recent = recent;
-      sn_shadow_stack = stack }
+      sn_recent = recent }

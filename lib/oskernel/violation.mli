@@ -6,9 +6,8 @@
     which verification step failed ({!step}), where, on which call, with the
     expected-vs-got MAC prefixes when a MAC comparison was involved — plus a
     {!snapshot} of the machine at deny time (registers, recent syscall
-    history, control-flow policy state, shadow call stack) so an
-    investigator can reconstruct what the process was doing without
-    re-running it. *)
+    history, control-flow policy state) so an investigator can reconstruct
+    what the process was doing without re-running it. *)
 
 (** The verification step that failed. The first three mirror the checker's
     §3.4 pipeline; [Unauthenticated] is the descriptor-marker gate before
@@ -68,9 +67,10 @@ type snapshot = {
   sn_counter : int;               (** kernel-held nonce counter (§3.3) *)
   sn_last_block : int option;     (** lastBlock word at the lbMAC pointer *)
   sn_lb_mac : string option;      (** hex of the 16-byte lbMAC *)
-  sn_recent : call list;          (** tail of the kernel trace ring, oldest first *)
-  sn_shadow_stack : string list;  (** profiler shadow stack, outermost first;
-                                      empty when profiling is off *)
+  sn_recent : call list;
+  (** tail of the kernel trace ring, oldest first. The ring is written
+      only while [Kernel.tracing] is on, so an untraced deny records no
+      recent calls. *)
 }
 
 val snapshot_regs : int

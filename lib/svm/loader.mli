@@ -14,8 +14,8 @@ val load_into : Machine.t -> Obj_file.t -> unit
     does into a fresh one, and leaves the same bytes, registers, [pc] and
     [sp]. It zeroes only the pages written since the last load
     ({!Machine.zero_written}), not all of memory, then every register,
-    writes the sections, and sets [pc] and [sp]. [cycles], [instrs],
-    [stopped] and [profile] are left alone. The kernel uses it to reuse an
+    writes the sections, and sets [pc] and [sp]. [cycles], [instrs] and
+    [stopped] are left alone. The kernel uses it to reuse an
     exited process's buffer at spawn ({!Machine.take_over}) and to replace
     the caller's image at [execve].
     @raise Invalid_argument if a section, [Bss] included, falls outside

@@ -17,7 +17,6 @@ type t = {
   mutable cycles : int;
   mutable instrs : int;
   mutable stopped : stop option;
-  mutable profile : Asc_obs.Profile.t option;
 }
 
 type sys_action =
@@ -35,8 +34,7 @@ let of_mem mem dirty =
     pc = 0;
     cycles = 0;
     instrs = 0;
-    stopped = None;
-    profile = None }
+    stopped = None }
 
 let create ~mem_size =
   of_mem (Bytes.make mem_size '\000') (Bytes.make ((mem_size + page_size - 1) / page_size) '\000')
@@ -46,10 +44,6 @@ let take_over old =
   old.mem <- Bytes.empty;
   old.dirty <- Bytes.empty;
   t
-
-let attach_profile ?(alloc = false) t p =
-  t.profile <- Some p;
-  if alloc then Asc_obs.Profile.track_alloc p
 
 let stack_top t = Bytes.length t.mem - 16
 
@@ -205,11 +199,6 @@ let rec run t ~on_sys ~max_cycles =
           let cost = Array.unsafe_get op_cost (Isa.opcode_of_head h) in
           t.cycles <- t.cycles + cost;
           t.instrs <- t.instrs + 1;
-          (* the instruction's cost belongs to the frame executing it:
-             charge before Call pushes / Ret pops the shadow stack *)
-          (match t.profile with
-           | Some p -> Asc_obs.Profile.charge p cost
-           | None -> ());
           t.pc <- pc + Isa.instr_size;
           let rd = Isa.rd_of_head h and rs = Isa.rs_of_head h and rt = Isa.rt_of_head h in
           match (op : Isa.Op.t) with
@@ -268,10 +257,7 @@ let rec run t ~on_sys ~max_cycles =
             if word_ok t a then begin
               Bytes.set_int64_le mem a (Int64.of_int t.pc);
               mark t a;
-              t.pc <- target;
-              match t.profile with
-              | Some p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc target)
-              | None -> ()
+              t.pc <- target
             end
             else fault t (Bad_address a) pc
           | Callr ->
@@ -280,20 +266,14 @@ let rec run t ~on_sys ~max_cycles =
             if word_ok t a then begin
               Bytes.set_int64_le mem a (Int64.of_int t.pc);
               mark t a;
-              t.pc <- r.(rs);
-              match t.profile with
-              | Some p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc t.pc)
-              | None -> ()
+              t.pc <- r.(rs)
             end
             else fault t (Bad_address a) pc
           | Ret ->
             let a = r.(Isa.sp) in
             if word_ok t a then begin
               t.pc <- Int64.to_int (Bytes.get_int64_le mem a);
-              r.(Isa.sp) <- a + 8;
-              match t.profile with
-              | Some p -> Asc_obs.Profile.leave p
-              | None -> ()
+              r.(Isa.sp) <- a + 8
             end
             else fault t (Bad_address a) pc
           | Push ->

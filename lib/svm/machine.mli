@@ -39,12 +39,6 @@ type t = {
   mutable cycles : int;
   mutable instrs : int;      (** instructions retired (deterministic) *)
   mutable stopped : stop option;
-  mutable profile : Asc_obs.Profile.t option;
-  (** When set, [run] mirrors control flow onto the profiler's shadow call
-      stack: each retired instruction's modeled cost is charged to the
-      current frame, [Call]/[Callr] enter a [Pc target] frame, [Ret]
-      leaves. [None] (the default) costs nothing and changes nothing —
-      cycle accounting is identical either way. *)
 }
 
 type sys_action =
@@ -56,7 +50,7 @@ val create : mem_size:int -> t
 
 val take_over : t -> t
 (** [take_over old] is a fresh machine (zeroed registers, pc = 0, no
-    cycles, no profile) that owns [old]'s memory and dirty map as they
+    cycles) that owns [old]'s memory and dirty map as they
     stand: the bytes are not cleared (see {!Loader.load_into}). [old.mem]
     and [old.dirty] become [Bytes.empty], so [old] can never read or
     write the new owner's memory. *)
@@ -71,11 +65,6 @@ val default_mem_size : int
 (** 4 MiB. *)
 
 val stack_top : t -> int
-
-val attach_profile : ?alloc:bool -> t -> Asc_obs.Profile.t -> unit
-(** [attach_profile t p] sets [t.profile]. With [~alloc:true] it also arms
-    the profiler's minor-words sampling ([Profile.track_alloc]) so every
-    shadow-stack transition attributes host allocation alongside cycles. *)
 
 val run : t -> on_sys:(t -> sys_action) -> max_cycles:int -> stop
 (** Execute until halt, fault, kill or cycle budget exhaustion. Each

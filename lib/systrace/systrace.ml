@@ -67,11 +67,7 @@ let monitor ~personality p =
         let m = proc.Process.machine in
         (* user-space daemon: switch to the monitor process and back *)
         Asc_obs.Metrics.add ctr_switches 2;
-        let cost = 2 * Svm.Cost_model.context_switch in
-        m.Svm.Machine.cycles <- m.Svm.Machine.cycles + cost;
-        (match m.Svm.Machine.profile with
-         | Some prof -> Asc_obs.Profile.charge_label prof "<kernel:context_switch>" cost
-         | None -> ());
+        m.Svm.Machine.cycles <- m.Svm.Machine.cycles + (2 * Svm.Cost_model.context_switch);
         let sem =
           match Personality.sem_of personality number with
           | Some Syscall.Indirect ->

@@ -388,8 +388,6 @@ module Reference = struct
     | Le -> a <= b
     | Gt -> a > b
 
-  let profile (t : Machine.t) f = match t.profile with Some p -> f p | None -> ()
-
   let rec run (t : Machine.t) ~on_sys ~max_cycles =
     let r = t.regs in
     let push v =
@@ -417,7 +415,6 @@ module Reference = struct
            let cost = Cost_model.instr_cost i in
            t.cycles <- t.cycles + cost;
            t.instrs <- t.instrs + 1;
-           profile t (fun p -> Asc_obs.Profile.charge p cost);
            t.pc <- pc + Isa.instr_size;
            (match i with
             | Halt -> t.stopped <- Some (Machine.Halted r.(0))
@@ -435,15 +432,11 @@ module Reference = struct
             | Jr rs -> t.pc <- r.(rs)
             | Call target ->
               push t.pc;
-              t.pc <- target;
-              profile t (fun p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc target))
+              t.pc <- target
             | Callr rs ->
               push t.pc;
-              t.pc <- r.(rs);
-              profile t (fun p -> Asc_obs.Profile.enter p (Asc_obs.Profile.Pc t.pc))
-            | Ret ->
-              t.pc <- pop ();
-              profile t Asc_obs.Profile.leave
+              t.pc <- r.(rs)
+            | Ret -> t.pc <- pop ()
             | Push rs -> push r.(rs)
             | Pop rd -> r.(rd) <- pop ()
             | Sys ->
@@ -488,10 +481,6 @@ let pp_diff_case c =
     (String.concat "; " (Array.to_list (Array.map string_of_int c.regs)))
     c.cycles
 
-let profile_sym = function
-  | Asc_obs.Profile.Pc a -> Printf.sprintf "0x%x" a
-  | Asc_obs.Profile.Label l -> l
-
 (* Run the case's instruction word at its pc under [run], then stop:
    [max_cycles] is the starting count, and every instruction (or the sys
    stand-in) charges at least one cycle. *)
@@ -503,17 +492,14 @@ let diff_run run c =
   Array.blit c.regs 0 m.regs 0 Isa.num_regs;
   m.pc <- c.pc;
   m.cycles <- c.cycles;
-  let p = Asc_obs.Profile.create () in
-  Machine.attach_profile m p;
   let stop = run m ~on_sys:diff_on_sys ~max_cycles:c.cycles in
-  (stop, m, Asc_obs.Profile.folded_string ~symbolize:profile_sym p, Asc_obs.Profile.depth p)
+  (stop, m)
 
 let same_as_reference c =
-  let stop, m, folded, depth = diff_run Machine.run c in
-  let stop', m', folded', depth' = diff_run Reference.run c in
+  let stop, m = diff_run Machine.run c in
+  let stop', m' = diff_run Reference.run c in
   stop = stop' && m.stopped = m'.stopped && m.pc = m'.pc && m.regs = m'.regs
   && m.cycles = m'.cycles && m.instrs = m'.instrs && Bytes.equal m.mem m'.mem
-  && folded = folded' && depth = depth'
 
 let edge_values =
   [ 0; -1; 1; 8; 0x100; max_int; min_int; max_int - 7; diff_mem_size - 8; diff_mem_size - 1;
@@ -664,26 +650,23 @@ let test_run_allocates_only_the_stop () =
     Alcotest.failf "%d minor words over %d instructions (the stop value is %d)" words m.instrs
       stop_words
 
-(* Whole programs, with a profile attached: the dispatcher and the
-   reference agree on the result, the machine state and the profile. *)
+(* Whole programs: the dispatcher and the reference agree on the result
+   and the machine state. *)
 let test_dispatch_programs () =
   List.iter
     (fun src ->
       let run_with run =
         let m = Loader.load (Asm.assemble_exn src) in
-        let p = Asc_obs.Profile.create () in
-        Machine.attach_profile m p;
         let stop = run m ~on_sys:diff_on_sys ~max_cycles:100_000_000 in
-        (stop, m, Asc_obs.Profile.folded_string ~symbolize:profile_sym p)
+        (stop, m)
       in
-      let stop, m, folded = run_with Machine.run in
-      let stop', m', folded' = run_with Reference.run in
+      let stop, m = run_with Machine.run in
+      let stop', m' = run_with Reference.run in
       Alcotest.(check bool) "same stop" true (stop = stop');
       Alcotest.(check int) "same cycles" m'.cycles m.cycles;
       Alcotest.(check int) "same instrs" m'.instrs m.instrs;
       Alcotest.(check bool) "same regs" true (m.regs = m'.regs);
-      Alcotest.(check bool) "same memory" true (Bytes.equal m.mem m'.mem);
-      Alcotest.(check string) "same profile" folded' folded)
+      Alcotest.(check bool) "same memory" true (Bytes.equal m.mem m'.mem))
     [ every_class_loop;
       "_start: movi r1, 5\n call f\n halt\nf: push r1\n pop r2\n add r0, r1, r2\n ret";
       "_start: call f\n movi r0, 1\n halt\nevil: movi r0, 666\n halt\n\
