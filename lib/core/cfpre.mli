@@ -16,8 +16,10 @@
       ({!Asc_crypto.Cmac.mac_block_into}, into the monitor's 16-byte
       buffers) instead of a from-scratch MAC — the nonce counter still
       changes every call and the tag is still computed fresh (§3.4's
-      freshness guarantee is untouched); only setup and allocation are
-      amortized.
+      freshness guarantee is untouched). The checker skips the verify
+      block when the incoming state equals its memo of the state it last
+      wrote itself (see {!Checker}); the modeled charge stays, so
+      {!note_saved} credits the same cycles either way.
 
     {!check} accepts an entry only when the live reference {e and} the
     live guest bytes equal the compiled ones — conditions under which the

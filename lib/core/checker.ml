@@ -167,12 +167,23 @@ let fastpath ~key kernel =
    telemetry on the allow and deny paths alike, and the lbMAC chain step's
    16-byte buffers — the policy-state block being MAC'd, the freshly
    computed tag, and the tag read back from guest memory. Reusing them is
-   what takes the fast path's host allocation toward zero. *)
+   what takes the fast path's host allocation toward zero.
+
+   The last three fields memo the last policy state the fast path wrote:
+   the counter, the lastBlock and the tag, with
+   [last_tag = CMAC_k(last_counter || last_block)] computed by the kernel
+   itself. That is a fact about the key, not about a pid, so one memo per
+   monitor serves every process; [last_counter] starts at -1, which no
+   counter equals. [last_tag] is its own buffer: [tag] is overwritten by
+   the verify on a memo miss, and a deny may follow. *)
 type scratch = {
   mutable cf : Asc_obs.Telemetry.cf_reason;
   state : Bytes.t;
   tag : Bytes.t;
   read : Bytes.t;
+  mutable last_counter : int;
+  mutable last_block : int;
+  last_tag : Bytes.t;
 }
 
 (* A vcache hit replaces the modeled CMAC cycles with the (much cheaper)
@@ -384,7 +395,9 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
      step_region steps Control_flow (fun () ->
        (* The predecessor set is content-stable (cacheable like any
           authenticated string); the lbMAC below is nonce-fresh by design —
-          the kernel-held counter changes every call — and is never cached.
+          the kernel-held counter changes every call — so its fresh tag is
+          computed and written on every call. Only its verify can be
+          decided by the monitor's memo of its own last write.
           The match is deliberately flat (no intermediate option/tuple):
           the hit branch's whole host-allocation budget is Cfpre.check's
           [Hit] block. *)
@@ -396,10 +409,8 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
                equal the slow-path-verified ones (Cfpre.check just compared
                both), so the set's string MAC would necessarily verify — the
                predecessor check is one load+test in the compiled bitset. The
-               lbMAC is still verified and rewritten fresh on this very call
-               (§3.4 nonce-freshness is untouched); the monitor's scratch
-               buffers and single-block CMAC only amortize setup and
-               allocation. *)
+               lbMAC is still checked, and its fresh tag computed and written,
+               on this very call (§3.4 nonce-freshness is untouched). *)
             sc.cf <- Asc_obs.Telemetry.Cf_hit;
             let len = Cfpre.contents_length entry in
             charge m steps Control_flow (Cost_model.cfpre_hit_cost len);
@@ -408,14 +419,31 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
             let last_block = Machine.word_at m lbp in
             if not (Machine.read_into m ~addr:(lbp + 8) ~buf:sc.read ~pos:0 ~len:16)
             then deny Violation.Control_flow "policy state MAC unreadable";
+            (* The verify is charged in full either way: lowering the
+               modeled charge waits on a refit of the cost model, and a
+               guest's modeled time must not reveal whether another
+               process trapped in between. *)
             charge m steps Control_flow Cost_model.lbmac_chain_cost;
-            Cfpre.state_into sc.state ~counter:p.counter ~last_block;
-            Cmac.mac_block_into key sc.state ~dst:sc.tag;
-            if not (Cmac.equal_tags_bytes sc.tag sc.read) then
-              deny_mac Violation.Control_flow
-                ~expected:(Bytes.to_string sc.tag)
-                ~got:(Bytes.to_string sc.read)
-                "policy state corrupted";
+            (* When the kernel-held counter, the live lastBlock and the live
+               lbMAC all equal the memo of the monitor's last write, the tag
+               is one the kernel computed over exactly this state, so the
+               MAC check must pass and its AES block is skipped. Any other
+               state — a rollback, a replay from another process, a flipped
+               byte — takes the AES check and its deny. *)
+            if
+              not
+                (p.counter = sc.last_counter
+                 && last_block = sc.last_block
+                 && Cmac.equal_tags_bytes sc.read sc.last_tag)
+            then begin
+              Cfpre.state_into sc.state ~counter:p.counter ~last_block;
+              Cmac.mac_block_into key sc.state ~dst:sc.tag;
+              if not (Cmac.equal_tags_bytes sc.tag sc.read) then
+                deny_mac Violation.Control_flow
+                  ~expected:(Bytes.to_string sc.tag)
+                  ~got:(Bytes.to_string sc.read)
+                  "policy state corrupted"
+            end;
             if not (Cfpre.member entry last_block) then
               deny Violation.Control_flow
                 "control-flow violation: block %d may not follow block %d" block last_block;
@@ -431,6 +459,9 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
                  && Machine.write_from m ~addr:(lbp + 8) ~buf:sc.tag ~pos:0 ~len:16)
             then deny Violation.Control_flow "policy state unwritable";
             Machine.set_word m lbp block;
+            sc.last_counter <- p.counter;
+            sc.last_block <- block;
+            Bytes.blit sc.tag 0 sc.last_tag 0 16;
             Cfpre.note_saved f.cfpre
               (Cost_model.mac_cost len - Cost_model.cfpre_hit_cost len
                + (2 * (Cost_model.mac_cost 16 - Cost_model.lbmac_chain_cost)))
@@ -512,7 +543,10 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
     { cf = Asc_obs.Telemetry.Cf_none;
       state = Bytes.create 16;
       tag = Bytes.create 16;
-      read = Bytes.create 16 }
+      read = Bytes.create 16;
+      last_counter = -1;
+      last_block = 0;
+      last_tag = Bytes.create 16 }
   in
   let telemetry = Kernel.telemetry kernel in
   { Kernel.monitor_name = "asc-checker";

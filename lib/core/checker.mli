@@ -44,8 +44,19 @@
       [Svm.Cost_model.precomp_hit_cost], respectively
       [precomp_lookup_cost + mac_resume_cost], and never serializes the
       encoded call.
-    - {!Cfpre} decides the predecessor check with a compiled bitset and
-      refreshes the nonce-fresh lbMAC with one AES block.
+    - {!Cfpre} decides the predecessor check with a compiled bitset. The
+      nonce-fresh lbMAC is verified with one AES block and refreshed with
+      one more; the fresh tag is computed and written, and the counter
+      advanced, on every call, so §3.4 freshness is untouched. The verify
+      block is skipped when the kernel-held counter, the live lastBlock
+      and the live lbMAC all equal the monitor's memo of its own last
+      write-back. That memo holds a tag the kernel computed over exactly
+      that counter and block, a fact about the key rather than a pid, so
+      the check must pass; any other state takes the AES check. The memo
+      is one per monitor, so interleaved processes only fall back to AES.
+      The skipped block is still charged [lbmac_chain_cost]: guests read
+      modeled time, which must not reveal another process's traps, and
+      lowering the charge waits on a refit of the cost model.
     - {!Vcache} remembers verified authenticated strings (arguments,
       extension blocks, and predecessor sets on a cfpre miss).
 

@@ -108,6 +108,17 @@ let set_word dst pos w =
   Bytes.set dst (pos + 2) (Char.unsafe_chr ((w lsr 8) land 0xff));
   Bytes.set dst (pos + 3) (Char.unsafe_chr (w land 0xff))
 
+(* AES begins by adding round key 0 to the input block, so XORing [w] into
+   that round key encrypts [b xor w] for every [b]: a whitening folded into
+   the schedule, computed once per key rather than once per block. *)
+let prewhiten (k : key) w =
+  if Bytes.length w <> 16 then invalid_arg "Aes.prewhiten: whitening must be 16 bytes";
+  let k' = Array.copy k in
+  for i = 0 to 3 do
+    k'.(i) <- k.(i) lxor get_word w (4 * i)
+  done;
+  k'
+
 (* Last round: SubBytes and ShiftRows without MixColumns, so the S-box
    itself rather than the tables. *)
 let final_word (k : key) a b c d i =

@@ -33,6 +33,15 @@ val encrypt_block : key -> bytes -> pos:int -> bytes -> dst_pos:int -> unit
     Allocates nothing. @raise Invalid_argument, before writing anything,
     if either block lies outside its buffer. *)
 
+val prewhiten : key -> bytes -> key
+(** [prewhiten k w] is [k] with the 16 bytes of [w] XORed into round
+    key 0. AES starts by adding that round key to the input, so
+    [encrypt_block (prewhiten k w)] encrypts [b xor w] for every block [b]
+    in one call, with no XOR pass over the block. {!Cmac} derives one such
+    schedule per key, whitened with its subkey K1, for its single-block
+    step. Allocates the new schedule; [k] is unchanged.
+    @raise Invalid_argument if [w] is not exactly 16 bytes. *)
+
 val encrypt : key -> string -> string
 (** [encrypt k block] encrypts a single 16-byte block given as a string.
     Convenience wrapper for tests. *)

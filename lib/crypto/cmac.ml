@@ -1,5 +1,6 @@
 type key = {
   aes : Aes.key;
+  aes_k1 : Aes.key;  (* [aes] with K1 folded into round key 0: AES(b xor K1) in one call *)
   k1 : bytes;
   k2 : bytes;
   (* per-key scratch reused by [mac_bytes] and [Streaming.final], hoisted
@@ -35,7 +36,13 @@ let of_raw raw =
   Aes.encrypt_block aes zero ~pos:0 l ~dst_pos:0;
   let k1 = double l in
   let k2 = double k1 in
-  { aes; k1; k2; s_x = Bytes.create 16; s_block = Bytes.create 16; s_last = Bytes.create 16 }
+  { aes;
+    aes_k1 = Aes.prewhiten aes k1;
+    k1;
+    k2;
+    s_x = Bytes.create 16;
+    s_block = Bytes.create 16;
+    s_last = Bytes.create 16 }
 
 let xor_into dst src =
   for i = 0 to 15 do
@@ -76,16 +83,14 @@ let mac key msg = mac_bytes key (Bytes.unsafe_of_string msg) ~pos:0 ~len:(String
 (* CMAC of a single complete 16-byte block, written into [dst] without
    allocating: the message is its own (complete) final block, so the tag is
    AES(M1 xor k1) — the degenerate case of the streaming chain, where the
-   saved state over the empty prefix is just the subkey schedule. Equal to
-   [mac] of the same 16 bytes (pinned by the unit tests). *)
+   saved state over the empty prefix is just the subkey schedule. [aes_k1]
+   already holds the XOR with k1, so this is one block encryption straight
+   from [b] into [dst] (which may alias it). Equal to [mac] of the same 16
+   bytes (pinned by the unit tests). *)
 let mac_block_into key b ~dst =
   if Bytes.length b < 16 then invalid_arg "Cmac.mac_block_into: block must be 16 bytes";
   if Bytes.length dst < 16 then invalid_arg "Cmac.mac_block_into: dst must hold 16 bytes";
-  let x = key.s_x in
-  Bytes.blit b 0 x 0 16;
-  xor_into x key.k1;
-  Aes.encrypt_block key.aes x ~pos:0 x ~dst_pos:0;
-  Bytes.blit x 0 dst 0 16
+  Aes.encrypt_block key.aes_k1 b ~pos:0 dst ~dst_pos:0
 
 let equal_tags a b =
   if String.length a <> String.length b then false

@@ -3,9 +3,10 @@
     ("AES-CBC-OMAC", producing a 128-bit code). *)
 
 type key
-(** A CMAC key: the expanded AES key, the two derived subkeys, and reusable
-    scratch buffers for the MAC computations (derive a key once per kernel
-    and reuse it; [of_raw] is the only allocation point). *)
+(** A CMAC key: the expanded AES key, the two derived subkeys, a second
+    schedule with the subkey K1 folded in (for {!mac_block_into}), and
+    reusable scratch buffers for the MAC computations (derive a key once
+    per kernel and reuse it; [of_raw] is the only allocation point). *)
 
 val of_raw : string -> key
 (** [of_raw raw] derives a CMAC key from a 16-byte raw AES key.
@@ -22,10 +23,13 @@ val mac_block_into : key -> bytes -> dst:bytes -> unit
 (** [mac_block_into k b ~dst] writes the 16-byte CMAC tag of the single
     complete block [b.[0..15]] into [dst.[0..15]] without allocating. A
     complete block is its own final block, so the tag is
-    [AES(b xor k1)] — one AES invocation, the degenerate case of the
-    {!Streaming} chain whose saved empty-prefix state is the subkey
-    schedule itself. Always equal to [mac k] of the same 16 bytes; this is
-    the amortized per-call step of the checker's lbMAC nonce chain.
+    [AES(b xor k1)] — the degenerate case of the {!Streaming} chain whose
+    saved empty-prefix state is the subkey schedule itself. The key keeps
+    a schedule with k1 folded into round key 0 ({!Aes.prewhiten}), so the
+    step is exactly one {!Aes.encrypt_block} from [b] to [dst], with no
+    copy and no XOR pass; [b] and [dst] may be the same buffer. Always
+    equal to [mac k] of the same 16 bytes; this is the per-call step of
+    the checker's lbMAC nonce chain.
     @raise Invalid_argument if [b] or [dst] is shorter than 16 bytes. *)
 
 val equal_tags : string -> string -> bool

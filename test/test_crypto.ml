@@ -222,6 +222,42 @@ let test_cmac_64 () =
        (hex
           "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e5130c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710"))
 
+(* The single-block step computes the same RFC 4493 tag with one AES call
+   under the K1-whitened schedule. *)
+let rfc4493_block = hex "6bc1bee22e409f96e93d7e117393172a"
+
+let test_mac_block_rfc4493 () =
+  let dst = Bytes.create 16 in
+  Cmac.mac_block_into cmac_key (Bytes.of_string rfc4493_block) ~dst;
+  check_hex "mac_block_into, len 16" "070a16b46b4d4144f79bdd9dd04a287c" (Bytes.to_string dst)
+
+let test_mac_block_in_place () =
+  let b = Bytes.of_string rfc4493_block in
+  Cmac.mac_block_into cmac_key b ~dst:b;
+  check_hex "dst is the block" "070a16b46b4d4144f79bdd9dd04a287c" (Bytes.to_string b)
+
+let prop_mac_block_matches_mac =
+  QCheck.Test.make ~name:"mac_block_into = mac on one block" ~count:1000
+    QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)))
+    (fun (raw, block) ->
+      let k = Cmac.of_raw raw in
+      let dst = Bytes.create 16 in
+      Cmac.mac_block_into k (Bytes.of_string block) ~dst;
+      Bytes.to_string dst = Cmac.mac k block)
+
+let prop_prewhiten =
+  QCheck.Test.make ~name:"prewhitened schedule encrypts the whitened block" ~count:1000
+    QCheck.(
+      triple (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16))
+        (string_of_size (Gen.return 16)))
+    (fun (raw, w, block) ->
+      let key = Aes.expand raw in
+      let dst = Bytes.create 16 in
+      Aes.encrypt_block (Aes.prewhiten key (Bytes.of_string w)) (Bytes.of_string block) ~pos:0
+        dst ~dst_pos:0;
+      let whitened = String.init 16 (fun i -> Char.chr (Char.code block.[i] lxor Char.code w.[i])) in
+      Bytes.to_string dst = Aes.encrypt key whitened)
+
 let test_cmac_slice () =
   (* mac_bytes on an inner slice must equal mac on the substring. *)
   let msg = "prefix--the real message--suffix" in
@@ -397,10 +433,12 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_mac_deterministic; prop_mac_distinguishes; prop_mac_key_separation;
         prop_tag_len; prop_streaming_split; prop_streaming_save_resume;
-        prop_aes_matches_reference ]
+        prop_aes_matches_reference; prop_mac_block_matches_mac; prop_prewhiten ]
   @ [ Alcotest.test_case "reference aes fips197 appendix B" `Quick test_ref_fips197;
       Alcotest.test_case "aes in place at offsets" `Quick test_aes_in_place;
       Alcotest.test_case "aes and cmac block step allocate nothing" `Quick test_aes_no_alloc;
-      Alcotest.test_case "aes out-of-range offsets raise" `Quick test_aes_out_of_range ]
+      Alcotest.test_case "aes out-of-range offsets raise" `Quick test_aes_out_of_range;
+      Alcotest.test_case "cmac block step rfc4493 16B" `Quick test_mac_block_rfc4493;
+      Alcotest.test_case "cmac block step in place" `Quick test_mac_block_in_place ]
 
 let () = Alcotest.run "asc_crypto" [ ("crypto", suite) ]

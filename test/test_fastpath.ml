@@ -433,32 +433,39 @@ let test_mutation_rdcyc () =
 
 (* A binary mutation lands before any layer has compiled anything. An
    attacker with a write primitive strikes later, after the fast path has
-   warmed up on the untouched bytes. This wrapper writes [byte] just
-   before the [k]-th trap reaches the checker, at [off] bytes from the
+   warmed up on the untouched bytes. [before_trap ~k f] runs [f] on the
+   guest machine just before the [k]-th trap (counting from 0) reaches the
+   checker. [tamper_at] writes [byte] there, at [off] bytes from the
    address in register [reg] — r9 points at the predecessor set, r10 at
-   the policy state, r11 at the call MAC and r1 at the first argument,
-   often an authenticated string. Offsets from -20 reach into an
-   authenticated string's header (length and tag). *)
-let tamper_at ~k ~reg ~off ~byte (inner : Kernel.monitor) =
+   the policy state (lastBlock, then lbMAC), r11 at the call MAC and r1 at
+   the first argument, often an authenticated string. Offsets from -20
+   reach into an authenticated string's header (length and tag). *)
+let before_trap ~k f (inner : Kernel.monitor) =
   let traps = ref 0 in
   { inner with
     Kernel.pre_syscall =
       (fun p ~site ~number ->
-        let m = p.Process.machine in
-        if !traps = k then ignore (Svm.Machine.write_byte m (m.Svm.Machine.regs.(reg) + off) byte);
+        if !traps = k then f p.Process.machine;
         incr traps;
         inner.Kernel.pre_syscall p ~site ~number) }
 
-let run_tampered config (k, reg, off, byte) img =
+let tamper_at ~k ~reg ~off ~byte =
+  before_trap ~k (fun m ->
+      ignore (Svm.Machine.write_byte m (m.Svm.Machine.regs.(reg) + off) byte))
+
+(* [wrap] stands between the kernel and the checker *)
+let run_wrapped config wrap img =
   let kernel = Kernel.create ~personality () in
   (* the trace shows which call was refused, not only that one was *)
   kernel.Kernel.tracing <- true;
   let fast = arm config kernel in
-  let checker = Checker.monitor_with ~kernel ~key fast in
-  Kernel.set_monitor kernel (Some (tamper_at ~k ~reg ~off ~byte checker));
+  Kernel.set_monitor kernel (Some (wrap (Checker.monitor_with ~kernel ~key fast)));
   let proc = Kernel.spawn kernel ~program:"tamper" img in
   let stop = Kernel.run kernel proc ~max_cycles:10_000_000 in
   (observed kernel proc stop, fast)
+
+let run_tampered config (k, reg, off, byte) img =
+  run_wrapped config (tamper_at ~k ~reg ~off ~byte) img
 
 let prop_tamper_parity =
   QCheck.Test.make ~name:"mid-run tampering trips identical verdicts on both paths" ~count:400
@@ -484,11 +491,10 @@ let getpid_loop = "int main() { int k; for (k = 0; k < 8; k = k + 1) { getpid();
 let access_loop =
   "int main() { int k; for (k = 0; k < 8; k = k + 1) { access(\"/etc/q\", 4); } return 0; }"
 
-let test_warm_tamper ~src ~reg ~off ~byte ~step layer () =
+let test_warm_tamper ~src ~tamper ~step layer () =
   let img = install ~program:"warm" src in
-  let tamper = (5, reg, off, byte) in
-  let ((stop, _, _, verdicts) as reference), _ = run_tampered Reference tamper img in
-  let fast, fp = run_tampered Fast tamper img in
+  let ((stop, _, _, verdicts) as reference), _ = run_wrapped Reference tamper img in
+  let fast, fp = run_wrapped Fast tamper img in
   (match stop with
    | Svm.Machine.Killed _ -> ()
    | _ -> Alcotest.fail "the reference let the tampered call through");
@@ -498,19 +504,132 @@ let test_warm_tamper ~src ~reg ~off ~byte ~step layer () =
 
 let layer name = List.find (fun l -> l.name = name) layers
 
+(* the strike lands at trap 5 *)
+let strike ~reg ~off ~byte = tamper_at ~k:5 ~reg ~off ~byte
+
+(* Every bit of one policy-state byte inverted: offsets 0-7 are lastBlock,
+   8-23 the lbMAC. *)
+let flip_policy_state ~off =
+  before_trap ~k:5 (fun m ->
+      let addr = m.Svm.Machine.regs.(10) + off in
+      match Svm.Machine.read_byte m addr with
+      | Some b -> ignore (Svm.Machine.write_byte m addr (b lxor 0xff))
+      | None -> ())
+
+(* Before trap 5, the 24 policy-state bytes go back to what the kernel
+   wrote at trap 3: a state that did verify, under a counter the kernel
+   has since moved past. Each byte equals one the fast path once wrote, so
+   only the counter, carried in the tag, gives the replay away. *)
+let rollback_policy_state inner =
+  let saved = ref "" in
+  let lbp (m : Svm.Machine.t) = m.Svm.Machine.regs.(10) in
+  before_trap ~k:4
+    (fun m -> saved := Option.get (Svm.Machine.read_mem m ~addr:(lbp m) ~len:24))
+    (before_trap ~k:5 (fun m -> ignore (Svm.Machine.write_mem m ~addr:(lbp m) !saved)) inner)
+
 let warm_tamper_cases =
   [ ( "warm precomp: tampered call MAC",
-      test_warm_tamper ~src:getpid_loop ~reg:11 ~off:0 ~byte:0x5a ~step:"call_mac"
-        (layer "precomp") );
+      test_warm_tamper ~src:getpid_loop ~tamper:(strike ~reg:11 ~off:0 ~byte:0x5a)
+        ~step:"call_mac" (layer "precomp") );
     ( "warm cfpre: tampered predecessor set",
-      test_warm_tamper ~src:getpid_loop ~reg:9 ~off:0 ~byte:0x5a ~step:"control_flow"
-        (layer "cfpre") );
+      test_warm_tamper ~src:getpid_loop ~tamper:(strike ~reg:9 ~off:0 ~byte:0x5a)
+        ~step:"control_flow" (layer "cfpre") );
     ( "warm cfpre: tampered policy state",
-      test_warm_tamper ~src:getpid_loop ~reg:10 ~off:0 ~byte:0x5a ~step:"control_flow"
-        (layer "cfpre") );
+      test_warm_tamper ~src:getpid_loop ~tamper:(strike ~reg:10 ~off:0 ~byte:0x5a)
+        ~step:"control_flow" (layer "cfpre") );
     ( "warm vcache: tampered string argument",
-      test_warm_tamper ~src:access_loop ~reg:1 ~off:1 ~byte:(Char.code 'x') ~step:"string_mac"
-        (layer "vcache") ) ]
+      test_warm_tamper ~src:access_loop ~tamper:(strike ~reg:1 ~off:1 ~byte:(Char.code 'x'))
+        ~step:"string_mac" (layer "vcache") ) ]
+  @ List.init 24 (fun off ->
+        ( Printf.sprintf "warm cfpre: policy-state byte %d flipped" off,
+          test_warm_tamper ~src:getpid_loop ~tamper:(flip_policy_state ~off)
+            ~step:"control_flow" (layer "cfpre") ))
+  @ [ ( "warm cfpre: policy state rolled back two calls",
+        test_warm_tamper ~src:getpid_loop ~tamper:rollback_policy_state ~step:"control_flow"
+          (layer "cfpre") ) ]
+
+(* ---- a policy state replayed across processes ---- *)
+
+(* Two processes of one image keep their policy state at the same
+   address. A starts one trap ahead, then the two run alternately one
+   instruction at a time, so their traps interleave and A's counter stays
+   ahead of B's. Just before B's trap 5 reaches the checker, A's current
+   24 policy-state bytes overwrite B's: a state the kernel itself wrote,
+   for A's counter, not B's. Returns what both runs observably did, and
+   whether the replay struck right after one of A's warm getpid traps
+   (its second to eighth trap; the first compiles the site, the ninth
+   is exit) with the two counters apart. *)
+let run_replay config img =
+  let kernel = Kernel.create ~personality () in
+  kernel.Kernel.tracing <- true;
+  let fast = arm config kernel in
+  let checker = Checker.monitor_with ~kernel ~key fast in
+  let a = Kernel.spawn kernel ~program:"replayA" img in
+  let b = Kernel.spawn kernel ~program:"replayB" img in
+  let a_traps = ref 0 and b_traps = ref 0 and last_pid = ref (-1) in
+  let struck_after_a = ref false in
+  Kernel.set_monitor kernel
+    (Some
+       { checker with
+         Kernel.pre_syscall =
+           (fun p ~site ~number ->
+             if p.Process.pid = b.Process.pid then begin
+               if !b_traps = 5 then begin
+                 let lbp = b.Process.machine.Svm.Machine.regs.(10) in
+                 let state = Svm.Machine.read_mem a.Process.machine ~addr:lbp ~len:24 in
+                 ignore (Svm.Machine.write_mem b.Process.machine ~addr:lbp (Option.get state));
+                 struck_after_a :=
+                   !last_pid = a.Process.pid
+                   && !a_traps >= 2 && !a_traps <= 8
+                   && a.Process.counter <> b.Process.counter
+               end;
+               incr b_traps
+             end
+             else incr a_traps;
+             last_pid := p.Process.pid;
+             checker.Kernel.pre_syscall p ~site ~number) });
+  (* one instruction: a budget of the cycles already spent stops right
+     after the next one retires *)
+  let step (proc : Process.t) =
+    let m = proc.Process.machine in
+    match Kernel.run kernel proc ~max_cycles:m.Svm.Machine.cycles with
+    | Svm.Machine.Cycle_limit ->
+      m.Svm.Machine.stopped <- None;
+      None
+    | stop -> Some stop
+  in
+  let rec head_start () =
+    match step a with
+    | None when !a_traps < 1 -> head_start ()
+    | None -> None
+    | stopped -> stopped
+  in
+  let rec alternate sa sb =
+    match (sa, sb) with
+    | Some sa, Some sb -> (sa, sb)
+    | _ ->
+      let sa = if Option.is_none sa then step a else sa in
+      let sb = if Option.is_none sb then step b else sb in
+      alternate sa sb
+  in
+  let stop_a, stop_b = alternate (head_start ()) None in
+  let _, _, trace, verdicts = observed kernel b stop_b in
+  ((stop_a, stop_b, trace, verdicts), !struck_after_a, fast)
+
+let test_cross_process_replay () =
+  let img = install ~program:"replay" getpid_loop in
+  let ((_, stop_b, _, verdicts) as reference), _, _ = run_replay Reference img in
+  let fast, struck_after_a, fp = run_replay Fast img in
+  (match stop_b with
+   | Svm.Machine.Killed _ -> ()
+   | _ -> Alcotest.fail "the reference let the replayed state through");
+  Alcotest.(check bool) "the replay followed a warm trap of A, counters apart" true
+    struck_after_a;
+  Alcotest.(check bool) "cfpre was warm" true (Cfpre.hits (Option.get fp).Checker.cfpre > 0);
+  let _, _, _, fast_verdicts = fast in
+  Alcotest.(check (list string)) "reference verdicts" [ "v:control_flow" ] verdicts;
+  Alcotest.(check (list string)) "fast verdicts" verdicts fast_verdicts;
+  Alcotest.(check bool) "the fast path runs identically" true (fast = reference)
 
 (* ---- the 32-bit number field ---- *)
 
@@ -612,5 +731,7 @@ let () =
         props
         @ [ Alcotest.test_case "rdcyc mutation (2, 56) exempt" `Quick test_mutation_rdcyc ]
         @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) warm_tamper_cases
-        @ [ Alcotest.test_case "covered number + 2^32 returns -ENOSYS" `Quick
+        @ [ Alcotest.test_case "policy state replayed from another process" `Quick
+              test_cross_process_replay;
+            Alcotest.test_case "covered number + 2^32 returns -ENOSYS" `Quick
               test_high_number_enosys ] ) ]
