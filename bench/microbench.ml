@@ -193,10 +193,13 @@ let table4 () =
            or a step counter double-counts. *)
         if known > alloc then
           fail "attributed alloc (%d words) exceeds per-call gauge (%d)" known alloc;
-        (* the monitor's scratch buffers must take the step's host
-           allocation to (near) zero — the fast path's entire budget is the
-           probe *)
+        (* the monitor's scratch buffers must take each step's host
+           allocation to (near) zero: control flow's budget is cfpre's
+           probe, and the call MAC's is precomp's live probe, which
+           rebuilds nothing *)
         if cf a > 16 then fail "cfpre control_flow allocates %d words/call (budget 16)" (cf a);
+        let cm = List.assoc "call_mac" in
+        if cm a > 16 then fail "precomp call_mac allocates %d words/call (budget 16)" (cm a);
         Format.printf "%-16s %10d %14d %9.1f%% %10d %9.1f%%@." case.c_name orig auth
           (pct orig auth) auth_fast (pct orig auth_fast);
         let open Asc_obs.Json in

@@ -163,8 +163,9 @@ let fastpath ~key kernel =
     cfpre = Cfpre.create ~registry () }
 
 (* The monitor's per-trap scratch, reused by every trap since the kernel
-   runs one at a time: the call's control-flow resolution, reported to
-   telemetry on the allow and deny paths alike, and the lbMAC chain step's
+   runs one at a time: step 1's resolution, reported as the allowed call's
+   telemetry reason; the call's control-flow resolution, reported to
+   telemetry on the allow and deny paths alike; and the lbMAC chain step's
    16-byte buffers — the policy-state block being MAC'd, the freshly
    computed tag, and the tag read back from guest memory. Reusing them is
    what takes the fast path's host allocation toward zero.
@@ -177,6 +178,7 @@ let fastpath ~key kernel =
    counter equals. [last_tag] is its own buffer: [tag] is overwritten by
    the verify on a memo miss, and a deny may follow. *)
 type scratch = {
+  mutable reason : Asc_obs.Telemetry.reason;
   mutable cf : Asc_obs.Telemetry.cf_reason;
   state : Bytes.t;
   tag : Bytes.t;
@@ -255,6 +257,90 @@ let call_mac_slow m steps key (call : Encoded.t) ~supplied =
     deny_mac Violation.Call_mac ~expected:call_mac ~got:supplied "call MAC mismatch";
   encoded
 
+(* Step 1's rebuild: the encoded call as the live registers and the
+   authenticated-string headers they point at describe it, denying an
+   unauthenticated descriptor or an unreadable header. *)
+let rebuild_call m ~site ~number =
+  let r i = m.Machine.regs.(i) in
+  let descriptor = r 7 in
+  if not (Descriptor.is_authenticated descriptor) then
+    deny Violation.Unauthenticated "unauthenticated system call";
+  let const_args = List.map (fun i -> (i, r (i + 1))) (Descriptor.const_args descriptor) in
+  let string_args =
+    List.map (fun i -> (i, read_as_header m ~ptr:(r (i + 1)) i)) (Descriptor.string_args descriptor)
+  in
+  let ext =
+    if Descriptor.has_ext descriptor then Some (read_as_header m ~ptr:(r 14) extension_block)
+    else None
+  in
+  let control =
+    if Descriptor.has_control_flow descriptor then
+      Some (read_as_header m ~ptr:(r 9) predecessor_set, r 10)
+    else None
+  in
+  { Encoded.e_number = number;
+    e_site = site;
+    e_descriptor = descriptor;
+    e_block = r 8;
+    e_const_args = const_args;
+    e_string_args = string_args;
+    e_ext = ext;
+    e_control = control }
+
+(* A call MAC precomp proved is charged [cost] in place of the full CMAC,
+   into the same call-MAC counter; the difference feeds precomp's
+   cycles-saved gauge. *)
+let charge_precomp m steps pc ~descriptor cost =
+  charge m steps Call_mac cost;
+  Precomp.note_saved pc (Cost_model.mac_cost (Encoded.encoded_length descriptor) - cost)
+
+let precomp_suffix_len descriptor = Encoded.encoded_length descriptor - Encoded.static_prefix_len
+
+(* Step 1: check the call MAC and return the call whose references steps
+   2 and 3 verify, with the resolution — the call's telemetry reason — in
+   [sc.reason]. With the fast path armed, the live probe goes first: when
+   the registers and header bytes equal the site's memo, the memo is the
+   call and nothing is rebuilt. Otherwise the call is rebuilt and
+   [Precomp.check] proves its MAC by memo equality or by resuming the saved
+   chaining state over the dynamic suffix. A declined check charges
+   nothing: the reference CMAC decides, compiles the site, and the reason
+   records why the table declined. *)
+let call_mac_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~number =
+  charge m steps Call_mac Cost_model.check_fixed;
+  match fast with
+  | None ->
+    let call = rebuild_call m ~site ~number in
+    ignore (call_mac_slow m steps key call ~supplied:(read_mac m m.Machine.regs.(11)));
+    sc.reason <- Asc_obs.Telemetry.Slow_path;
+    call
+  | Some { precomp = pc; _ } ->
+    (match Precomp.probe pc ~m ~pid:p.pid ~site ~number with
+     | Some memo ->
+       let descriptor = memo.Encoded.e_descriptor in
+       charge_precomp m steps pc ~descriptor
+         (Cost_model.precomp_hit_cost (precomp_suffix_len descriptor));
+       sc.reason <- Asc_obs.Telemetry.Precomp_hit;
+       memo
+     | None ->
+       let call = rebuild_call m ~site ~number in
+       let supplied = read_mac m m.Machine.regs.(11) in
+       let descriptor = call.Encoded.e_descriptor in
+       (match Precomp.check pc ~pid:p.pid ~call ~supplied with
+        | Precomp.Hit ->
+          charge_precomp m steps pc ~descriptor
+            (Cost_model.precomp_hit_cost (precomp_suffix_len descriptor));
+          sc.reason <- Asc_obs.Telemetry.Precomp_hit
+        | Precomp.Resumed ->
+          charge_precomp m steps pc ~descriptor
+            (Cost_model.precomp_lookup_cost
+             + Cost_model.mac_resume_cost (precomp_suffix_len descriptor));
+          sc.reason <- Asc_obs.Telemetry.Precomp_resumed
+        | Precomp.Declined cause ->
+          let encoded = call_mac_slow m steps key call ~supplied in
+          Precomp.compile pc ~pid:p.pid ~call ~encoded ~mac:supplied;
+          sc.reason <- Asc_obs.Telemetry.Precomp_fallback cause);
+       call)
+
 (* Step 3 reference path: verify the predecessor-set authenticated
    string (vcache-aided), check the nonce-fresh lbMAC over the policy
    state, decide membership from the live set bytes, then advance the
@@ -299,80 +385,17 @@ let control_flow_slow ~m ~steps ~fast ~key (p : Process.t) ~site
 let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~site ~number =
   let m = p.machine in
   let r i = m.regs.(i) in
-  (* --- step 1 (one alloc region): rebuild the encoded call and check the
-     call MAC. The region returns the rebuilt references the later steps
-     need, so their allocation is attributed here, where it happens. --- *)
-  let reason, block, string_args, ext, control =
+  (* --- step 1 (one alloc region): check the call MAC. The region returns
+     the call whose references the later steps need, so the allocation of
+     a rebuild is attributed here, where it happens. --- *)
+  let call =
     step_region steps Call_mac (fun () ->
-      charge m steps Call_mac Cost_model.check_fixed;
-      let descriptor = r 7 in
-      if not (Descriptor.is_authenticated descriptor) then
-        deny Violation.Unauthenticated "unauthenticated system call";
-      let block = r 8 in
-      let pred_ptr = r 9 and lb_ptr = r 10 and mac_ptr = r 11 and ext_ptr = r 14 in
-      let const_args = List.map (fun i -> (i, r (i + 1))) (Descriptor.const_args descriptor) in
-      let string_args =
-        List.map
-          (fun i -> (i, read_as_header m ~ptr:(r (i + 1)) i))
-          (Descriptor.string_args descriptor)
-      in
-      let ext =
-        if Descriptor.has_ext descriptor then Some (read_as_header m ~ptr:ext_ptr extension_block)
-        else None
-      in
-      let control =
-        if Descriptor.has_control_flow descriptor then
-          Some (read_as_header m ~ptr:pred_ptr predecessor_set, lb_ptr)
-        else None
-      in
-      let call =
-        { Encoded.e_number = number;
-          e_site = site;
-          e_descriptor = descriptor;
-          e_block = block;
-          e_const_args = const_args;
-          e_string_args = string_args;
-          e_ext = ext;
-          e_control = control }
-      in
-      let supplied = read_mac m mac_ptr in
-      (* Step 1 resolution, reported as the call's telemetry reason code. *)
-      let reason =
-        match fast with
-        | None ->
-          ignore (call_mac_slow m steps key call ~supplied);
-          Asc_obs.Telemetry.Slow_path
-        | Some { precomp = pc; _ } ->
-          (* Precompiled-site fast path (step 1 only): when the per-pid table
-             proves the call MAC — by memo equality or by resuming the saved
-             chaining state over the dynamic suffix — charge the precomp cost
-             into the same call-MAC counter and skip the encoded-string
-             serialization. A declined probe charges nothing: the reference
-             CMAC decides, compiles the site, and the reason records why the
-             table declined. *)
-          let encoded_len = Encoded.encoded_length descriptor in
-          let suffix_len = encoded_len - Encoded.static_prefix_len in
-          (match Precomp.check pc ~pid:p.pid ~call ~supplied with
-           | Precomp.Hit ->
-             let cost = Cost_model.precomp_hit_cost suffix_len in
-             charge m steps Call_mac cost;
-             Precomp.note_saved pc (Cost_model.mac_cost encoded_len - cost);
-             Asc_obs.Telemetry.Precomp_hit
-           | Precomp.Resumed ->
-             let cost = Cost_model.precomp_lookup_cost + Cost_model.mac_resume_cost suffix_len in
-             charge m steps Call_mac cost;
-             Precomp.note_saved pc (Cost_model.mac_cost encoded_len - cost);
-             Asc_obs.Telemetry.Precomp_resumed
-           | Precomp.Declined cause ->
-             let encoded = call_mac_slow m steps key call ~supplied in
-             Precomp.compile pc ~pid:p.pid ~call ~encoded ~mac:supplied;
-             Asc_obs.Telemetry.Precomp_fallback cause)
-      in
-      (reason, block, string_args, ext, control))
+      call_mac_step ~m ~steps ~fast ~key ~sc p ~site ~number)
   in
+  let block = call.Encoded.e_block in
   (* --- step 2: verify authenticated string contents --- *)
   let verified_strings =
-    match string_args with
+    match call.Encoded.e_string_args with
     | [] -> []
     | args ->
       step_region steps String_mac (fun () ->
@@ -382,14 +405,14 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
           args)
   in
   let ext_contents =
-    match ext with
+    match call.Encoded.e_ext with
     | None -> None
     | Some ar ->
       step_region steps Ext (fun () ->
         Some (verify_as m steps Ext ~fast ~pid:p.pid key ar extension_block))
   in
   (* --- step 3: control-flow policy --- *)
-  (match control with
+  (match call.Encoded.e_control with
    | None -> ()
    | Some (pred_ref, lbp) ->
      step_region steps Control_flow (fun () ->
@@ -517,7 +540,7 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
           end)
         verified_strings
   end;
-  reason
+  sc.reason
 
 let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
   let fast =
@@ -540,7 +563,8 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
          Cfpre.drop_pid f.cfpre pid)
    | None -> ());
   let sc =
-    { cf = Asc_obs.Telemetry.Cf_none;
+    { reason = Asc_obs.Telemetry.Slow_path;
+      cf = Asc_obs.Telemetry.Cf_none;
       state = Bytes.create 16;
       tag = Bytes.create 16;
       read = Bytes.create 16;

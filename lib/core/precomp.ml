@@ -1,4 +1,5 @@
 module Cmac = Asc_crypto.Cmac
+module Machine = Svm.Machine
 module Metrics = Asc_obs.Metrics
 
 (* Per-pid, site-indexed table of precompiled policy verification state.
@@ -18,7 +19,18 @@ module Metrics = Asc_obs.Metrics
    patched suffix computes the exact MAC the slow path would compute.
    Any structural mismatch, missing entry or tag mismatch falls back to
    the untouched slow path, so denies are byte-identical with the table
-   on or off (nothing is ever remembered from a failed verification). *)
+   on or off (nothing is ever remembered from a failed verification).
+
+   The live probe in front of [check] decides a memo hit without the
+   rebuilt call. Every field of the call the checker would rebuild is a
+   register or the 20 header bytes behind a register, so comparing the
+   registers at full width and the header bytes in guest memory against
+   the memo is comparing exactly what [statics_match], [fields_match] and
+   the tag compare would compare, read from the guest instead of from a
+   rebuilt record. Equal bytes also mean the rebuild could not have
+   denied: the memo's descriptor is authenticated and its headers were
+   readable and in bounds. Any difference declines with nothing counted,
+   and the caller runs the rebuild and [check] as before. *)
 
 type entry = {
   mutable pe_call : Encoded.t;   (* last verified call at this site (memo) *)
@@ -30,6 +42,8 @@ type entry = {
 
 type t = {
   p_key : Cmac.key;
+  p_mac : Bytes.t;             (* the live call MAC, read by [probe] *)
+  mutable p_suffix : Bytes.t;  (* [patched_suffix]'s scratch; grows to the longest suffix *)
   sites : (int, entry) Pid_table.t;
   hits : Metrics.counter;
   resumes : Metrics.counter;
@@ -45,6 +59,8 @@ type verdict =
 
 let create ~key ~registry () =
   { p_key = key;
+    p_mac = Bytes.create Cmac.tag_len;
+    p_suffix = Bytes.create 64;
     sites = Pid_table.create registry ~prefix:"precomp";
     hits = Metrics.counter registry "precomp.hits" ~help:"precompiled-site memo hits";
     resumes =
@@ -95,9 +111,14 @@ let fields_match entry (call : Encoded.t) =
 
 (* Rebuild the live call's dynamic suffix by patching the template at the
    precompiled offsets — equals Encoded.encode of the live call from byte
-   16 on (every unpatched byte is a function of the statics just checked). *)
-let patched_suffix entry (call : Encoded.t) =
-  let b = Bytes.of_string entry.pe_suffix in
+   16 on (every unpatched byte is a function of the statics just checked).
+   It is built in the table's scratch buffer, valid until the next call,
+   and its length is the template's. *)
+let patched_suffix t entry (call : Encoded.t) =
+  let n = String.length entry.pe_suffix in
+  if Bytes.length t.p_suffix < n then t.p_suffix <- Bytes.create n;
+  let b = t.p_suffix in
+  Bytes.blit_string entry.pe_suffix 0 b 0 n;
   let base = Encoded.static_prefix_len in
   List.iter
     (fun f ->
@@ -117,7 +138,7 @@ let patched_suffix entry (call : Encoded.t) =
            Encoded.set_u32 b ~pos:(d_off - base + 24) lbptr
          | None -> raise Not_found))
     entry.pe_fields;
-  b
+  n
 
 (* A declined probe names its cause with a constant, so declining
    allocates nothing either. *)
@@ -136,21 +157,21 @@ let check t ~pid ~(call : Encoded.t) ~supplied =
       match
         if fields_match e call && Cmac.equal_tags e.pe_mac supplied then `Hit
         else begin
-          let suffix = patched_suffix e call in
+          let n = patched_suffix t e call in
           let st = Cmac.Streaming.resume t.p_key e.pe_state in
-          Cmac.Streaming.update st suffix ~pos:0 ~len:(Bytes.length suffix);
-          if Cmac.equal_tags (Cmac.Streaming.final st) supplied then `Resumed suffix
+          Cmac.Streaming.update st t.p_suffix ~pos:0 ~len:n;
+          if Cmac.equal_tags (Cmac.Streaming.final st) supplied then `Resumed n
           else `Mismatch
         end
       with
       | `Hit ->
         Metrics.inc t.hits;
         Hit
-      | `Resumed suffix ->
+      | `Resumed n ->
         (* a second valid (call, tag) pair at this site: move the memo *)
         e.pe_call <- call;
         e.pe_mac <- supplied;
-        e.pe_suffix <- Bytes.to_string suffix;
+        e.pe_suffix <- Bytes.sub_string t.p_suffix 0 n;
         Metrics.inc t.resumes;
         Resumed
       | `Mismatch ->
@@ -161,6 +182,54 @@ let check t ~pid ~(call : Encoded.t) ~supplied =
            problem, not a tag problem *)
         statics_mismatch t
     end
+
+(* The live probe. Top-level functions over the memo's own lists, not
+   closures: a hit allocates only the [Some] it returns. *)
+
+(* [ptr] names an authenticated string whose header — the u32 length,
+   then the tag — is the 20 bytes behind it; [r] is the memo's reference. *)
+let header_live m ~ptr (r : Encoded.as_ref) =
+  ptr = r.Encoded.as_addr
+  && begin
+    let hdr = ptr - Auth_string.header_size in
+    Machine.word_ok m hdr
+    && Machine.word_at m hdr land 0xffff_ffff = r.Encoded.as_len
+    && Machine.mem_equal m ~addr:(hdr + 4) r.Encoded.as_mac
+  end
+
+let rec consts_live (regs : int array) = function
+  | [] -> true
+  | (i, v) :: rest -> regs.(i + 1) = v && consts_live regs rest
+
+let rec strings_live m = function
+  | [] -> true
+  | (i, r) :: rest -> header_live m ~ptr:m.Machine.regs.(i + 1) r && strings_live m rest
+
+let live_matches t m ~number (e : entry) =
+  let c = e.pe_call and regs = m.Machine.regs in
+  number = c.Encoded.e_number
+  && regs.(7) = c.Encoded.e_descriptor
+  && regs.(8) = c.Encoded.e_block
+  && consts_live regs c.Encoded.e_const_args
+  && strings_live m c.Encoded.e_string_args
+  && (match c.Encoded.e_ext with
+      | None -> true
+      | Some r -> header_live m ~ptr:regs.(14) r)
+  && (match c.Encoded.e_control with
+      | None -> true
+      | Some (r, lbptr) -> regs.(10) = lbptr && header_live m ~ptr:regs.(9) r)
+  && Machine.read_into m ~addr:regs.(11) ~buf:t.p_mac ~pos:0 ~len:Cmac.tag_len
+  && Cmac.equal_tags (Bytes.unsafe_to_string t.p_mac) e.pe_mac
+
+let probe t ~m ~pid ~site ~number =
+  match Pid_table.find t.sites ~pid site with
+  | exception Not_found -> None
+  | e ->
+    if live_matches t m ~number e then begin
+      Metrics.inc t.hits;
+      Some e.pe_call
+    end
+    else None
 
 let compile t ~pid ~(call : Encoded.t) ~encoded ~mac =
   let len = String.length encoded in

@@ -12,7 +12,24 @@
     - a saved CMAC chaining state ({!Asc_crypto.Cmac.Streaming}) over the
       16-byte static prefix ({!Encoded.static_prefix_len}).
 
-    On later traps {!check} compares the structural statics (number, site,
+    On a later trap the checker first asks {!probe} whether the live
+    state still equals the memo. It compares the registers and the guest
+    bytes the checker would rebuild the call from: the number, r7
+    (descriptor) and r8 (block id) and each constant-argument register at
+    full width, each string, extension and predecessor-set pointer with
+    the 20 header bytes behind it (u32 length, then the tag), r10 (the
+    policy-state pointer), and, in constant time, the 16 call-MAC bytes at
+    r11. These are exactly the values {!check}'s compares of the statics,
+    the dynamic fields and the tag would compare, read from the guest
+    instead of from a rebuilt record. So when all are equal the rebuilt
+    call would {e be} the memo, with the tag the memo was verified under:
+    a memo hit with no rebuild. Equal bytes also mean the rebuild could
+    not have denied, since the memo's descriptor is authenticated and its
+    headers were readable and in bounds. Any difference declines,
+    counting nothing, and the checker rebuilds the call and runs
+    {!check}.
+
+    {!check} compares the structural statics (number, site,
     descriptor, block id — which pin the whole static prefix and every
     template byte outside the dynamic payloads) and then either
 
@@ -57,6 +74,18 @@ type verdict =
   | Hit
   | Resumed
   | Declined of Asc_obs.Telemetry.fallback
+
+val probe : t -> m:Svm.Machine.t -> pid:int -> site:int -> number:int -> Encoded.t option
+(** [probe t ~m ~pid ~site ~number] is [Some memo] when [pid]'s entry at
+    [site] exists and the live state of [m] — [number] (the trap's r0),
+    the registers, the authenticated-string headers they point at and
+    the call-MAC bytes at r11 — equals its memo (see above). Then the
+    call MAC is verified exactly as a {!check} [Hit] would verify it:
+    [precomp.hits] is counted and the checker charges
+    [Svm.Cost_model.precomp_hit_cost]. [memo] is the call the checker
+    would have rebuilt, so its references serve steps 2 and 3. [None]
+    counts nothing and charges nothing: rebuild the call and {!check}
+    it. A hit allocates only the [Some]. *)
 
 val check : t -> pid:int -> call:Encoded.t -> supplied:string -> verdict
 

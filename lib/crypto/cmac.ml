@@ -44,10 +44,11 @@ let of_raw raw =
     s_block = Bytes.create 16;
     s_last = Bytes.create 16 }
 
+(* [dst.[0..15] <- dst.[0..15] xor src.[0..15]] as two 64-bit words; the
+   native compiler keeps the [int64]s unboxed *)
 let xor_into dst src =
-  for i = 0 to 15 do
-    Bytes.set dst i (Char.chr (Char.code (Bytes.get dst i) lxor Char.code (Bytes.get src i)))
-  done
+  Bytes.set_int64_ne dst 0 (Int64.logxor (Bytes.get_int64_ne dst 0) (Bytes.get_int64_ne src 0));
+  Bytes.set_int64_ne dst 8 (Int64.logxor (Bytes.get_int64_ne dst 8) (Bytes.get_int64_ne src 8))
 
 let mac_bytes key msg ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length msg then

@@ -697,11 +697,26 @@ let syscall_span t (p : Process.t) ~args ~name ~ts ~dur =
     Asc_obs.Trace.name_track t.spans ~track:p.pid p.program;
   Asc_obs.Trace.complete t.spans ~cat:"syscall" ~track:p.pid ~args ~name ~ts ~dur ()
 
+(* The span of a denied call; only a deny calls this. *)
+let deny_span t (p : Process.t) ~site ~number ~ts ~reason ~step =
+  if t.tracing then
+    syscall_span t p
+      ~args:
+        ([ ("site", Asc_obs.Json.Int site);
+           ("number", Asc_obs.Json.Int number);
+           ("verdict", Asc_obs.Json.Str "deny");
+           ("reason", Asc_obs.Json.Str reason) ]
+        @ match step with None -> [] | Some s -> [ ("step", Asc_obs.Json.Str s) ])
+      ~name:(sem_name t number None) ~ts ~dur:(p.machine.Machine.cycles - ts)
+
 let run t (p : Process.t) ~max_cycles =
+  (* one argument array per run, refilled by every trap: nothing keeps it
+     past the trap except a trace entry, which takes a copy *)
+  let args = Array.make 6 0 in
   let on_sys (m : Machine.t) =
     let site = m.pc - Isa.instr_size in
     let number = m.regs.(0) in
-    let args = Array.init 6 (fun i -> m.regs.(i + 1)) in
+    Array.blit m.regs 1 args 0 6;
     let ts0 = m.cycles in
     Asc_obs.Metrics.inc t.ctr_syscalls;
     charge m (Cost_model.trap_entry + Cost_model.syscall_dispatch);
@@ -710,22 +725,11 @@ let run t (p : Process.t) ~max_cycles =
       | None -> Allow
       | Some mon -> mon.pre_syscall p ~site ~number
     in
-    let deny_span ~reason ~step =
-      if t.tracing then
-        syscall_span t p
-          ~args:
-            ([ ("site", Asc_obs.Json.Int site);
-               ("number", Asc_obs.Json.Int number);
-               ("verdict", Asc_obs.Json.Str "deny");
-               ("reason", Asc_obs.Json.Str reason) ]
-            @ match step with None -> [] | Some s -> [ ("step", Asc_obs.Json.Str s) ])
-          ~name:(sem_name t number None) ~ts:ts0 ~dur:(m.cycles - ts0)
-    in
     match verdict with
     | Deny reason ->
       Asc_obs.Metrics.inc t.ctr_denied;
       audit_push t (Denied { pid = p.pid; program = p.program; site; number; reason });
-      deny_span ~reason ~step:None;
+      deny_span t p ~site ~number ~ts:ts0 ~reason ~step:None;
       Machine.Sys_kill reason
     | Deny_violation v ->
       Asc_obs.Metrics.inc t.ctr_denied;
@@ -746,7 +750,7 @@ let run t (p : Process.t) ~max_cycles =
              program = p.program;
              violation = v;
              snapshot = capture_snapshot t p });
-      deny_span ~reason:v.Violation.v_reason
+      deny_span t p ~site ~number ~ts:ts0 ~reason:v.Violation.v_reason
         ~step:(Some (Violation.step_name v.Violation.v_step));
       Machine.Sys_kill v.Violation.v_reason
     | Allow ->
@@ -770,7 +774,11 @@ let run t (p : Process.t) ~max_cycles =
       Asc_obs.Metrics.observe t.hist_syscall_cycles (m.cycles - ts0);
       if t.tracing then begin
         Asc_obs.Ring.push t.trace
-          { t_sem = sem; t_number = number; t_site = site; t_args = args; t_result = result };
+          { t_sem = sem;
+            t_number = number;
+            t_site = site;
+            t_args = Array.copy args;
+            t_result = result };
         syscall_span t p
           ~args:
             [ ("site", Asc_obs.Json.Int site);

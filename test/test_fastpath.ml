@@ -28,11 +28,11 @@ module Cfpre = Asc_core.Cfpre
 let key = Cmac.of_raw "fastpath-testkey"
 let personality = Personality.linux
 
-let install ?(program_id = 1) ~program src =
+let install ?(program_id = 1) ?(use_extensions = false) ~program src =
   let img = Minic.Driver.compile_exn ~personality src in
   match
     Asc_core.Installer.install ~key ~personality
-      ~options:{ Asc_core.Installer.default_options with program_id }
+      ~options:{ Asc_core.Installer.default_options with program_id; use_extensions }
       ~program img
   with
   | Ok inst -> inst.Asc_core.Installer.image
@@ -491,8 +491,8 @@ let getpid_loop = "int main() { int k; for (k = 0; k < 8; k = k + 1) { getpid();
 let access_loop =
   "int main() { int k; for (k = 0; k < 8; k = k + 1) { access(\"/etc/q\", 4); } return 0; }"
 
-let test_warm_tamper ~src ~tamper ~step layer () =
-  let img = install ~program:"warm" src in
+let test_warm_tamper ?use_extensions ~src ~tamper ~step layer () =
+  let img = install ?use_extensions ~program:"warm" src in
   let ((stop, _, _, verdicts) as reference), _ = run_wrapped Reference tamper img in
   let fast, fp = run_wrapped Fast tamper img in
   (match stop with
@@ -507,14 +507,17 @@ let layer name = List.find (fun l -> l.name = name) layers
 (* the strike lands at trap 5 *)
 let strike ~reg ~off ~byte = tamper_at ~k:5 ~reg ~off ~byte
 
-(* Every bit of one policy-state byte inverted: offsets 0-7 are lastBlock,
-   8-23 the lbMAC. *)
-let flip_policy_state ~off =
+(* Every bit of the byte at [off] from the address in [reg] inverted. *)
+let flip_at ~reg ~off =
   before_trap ~k:5 (fun m ->
-      let addr = m.Svm.Machine.regs.(10) + off in
+      let addr = m.Svm.Machine.regs.(reg) + off in
       match Svm.Machine.read_byte m addr with
       | Some b -> ignore (Svm.Machine.write_byte m addr (b lxor 0xff))
       | None -> ())
+
+(* One policy-state byte flipped: offsets 0-7 are lastBlock, 8-23 the
+   lbMAC. *)
+let flip_policy_state ~off = flip_at ~reg:10 ~off
 
 (* Before trap 5, the 24 policy-state bytes go back to what the kernel
    wrote at trap 3: a state that did verify, under a counter the kernel
@@ -526,6 +529,130 @@ let rollback_policy_state inner =
   before_trap ~k:4
     (fun m -> saved := Option.get (Svm.Machine.read_mem m ~addr:(lbp m) ~len:24))
     (before_trap ~k:5 (fun m -> ignore (Svm.Machine.write_mem m ~addr:(lbp m) !saved)) inner)
+
+(* ---- the precomp live probe ---- *)
+
+(* Strikes on each field the probe reads in place of a rebuilt call: at a
+   warm site the call MAC no longer verifies, so the reference denies at
+   step 1 and a probe that skipped the field would let the call through. *)
+let set_reg ~reg f =
+  before_trap ~k:5 (fun m -> m.Svm.Machine.regs.(reg) <- f m.Svm.Machine.regs.(reg))
+
+(* the length in the authenticated-string header behind [ptr] *)
+let string_length m ~ptr =
+  fst (Option.get (Asc_core.Auth_string.read_header (Svm.Machine.read_byte m) ~ptr))
+
+(* An authenticated string copied whole, header and contents, to an
+   unused address and [reg] pointed at the copy: every header byte equals
+   the memo's, only the pointer differs. *)
+let relocate_string ~reg =
+  before_trap ~k:5 (fun m ->
+      let hdr = Asc_core.Auth_string.header_size in
+      let ptr = m.Svm.Machine.regs.(reg) in
+      let len = string_length m ~ptr in
+      let copy = Option.get (Svm.Machine.read_mem m ~addr:(ptr - hdr) ~len:(hdr + len)) in
+      let dst = 0x30_0000 in
+      ignore (Svm.Machine.write_mem m ~addr:dst copy);
+      m.Svm.Machine.regs.(reg) <- dst + hdr)
+
+let precomp_probe_case ?use_extensions name ~src tamper =
+  ( "warm precomp probe: " ^ name,
+    test_warm_tamper ?use_extensions ~src ~tamper ~step:"call_mac" (layer "precomp") )
+
+(* one write site whose fd takes two values: an extension block (r14)
+   carries the allowed set *)
+let two_fd_loop =
+  {|
+int main() {
+  int k;
+  int fd;
+  for (k = 0; k < 8; k = k + 1) {
+    if (k % 2) { fd = 1; } else { fd = 2; }
+    write(fd, "x", 1);
+  }
+  return 0;
+}
+|}
+
+let precomp_probe_cases =
+  [ precomp_probe_case "descriptor bit flipped in r7" ~src:getpid_loop
+      (set_reg ~reg:7 (fun d -> d lxor 1));
+    precomp_probe_case "block id in r8 changed" ~src:getpid_loop (set_reg ~reg:8 succ);
+    precomp_probe_case "policy-state pointer r10 moved" ~src:getpid_loop
+      (set_reg ~reg:10 (fun p -> p + 8));
+    precomp_probe_case "call-MAC pointer r11 moved" ~src:getpid_loop (set_reg ~reg:11 succ);
+    precomp_probe_case "call-MAC byte 15 flipped" ~src:getpid_loop (flip_at ~reg:11 ~off:15);
+    precomp_probe_case "constant argument r2 changed" ~src:access_loop (set_reg ~reg:2 succ);
+    precomp_probe_case "string pointer r1 moved" ~src:access_loop (set_reg ~reg:1 succ);
+    precomp_probe_case "path string relocated" ~src:access_loop (relocate_string ~reg:1) ]
+  @ List.init 20 (fun i ->
+        precomp_probe_case
+          (Printf.sprintf "path header byte %d flipped" i)
+          ~src:access_loop
+          (flip_at ~reg:1 ~off:(i - Asc_core.Auth_string.header_size)))
+  @ [ precomp_probe_case "predecessor-set pointer r9 moved" ~src:getpid_loop
+        (set_reg ~reg:9 (fun p -> p + 8));
+      precomp_probe_case "predecessor-set header byte 0 flipped" ~src:getpid_loop
+        (flip_at ~reg:9 ~off:(-Asc_core.Auth_string.header_size));
+      precomp_probe_case "predecessor set relocated" ~src:getpid_loop (relocate_string ~reg:9);
+      precomp_probe_case ~use_extensions:true "extension header byte 0 flipped"
+        ~src:two_fd_loop
+        (flip_at ~reg:14 ~off:(-Asc_core.Auth_string.header_size));
+      precomp_probe_case ~use_extensions:true "extension block relocated" ~src:two_fd_loop
+        (relocate_string ~reg:14) ]
+
+(* The call the checker rebuilds from the live registers and headers. *)
+let live_call (m : Svm.Machine.t) =
+  let r i = m.Svm.Machine.regs.(i) in
+  let header ptr =
+    match Asc_core.Auth_string.read_header (Svm.Machine.read_byte m) ~ptr with
+    | Some (len, mac) -> { Asc_core.Encoded.as_addr = ptr; as_len = len; as_mac = mac }
+    | None -> Alcotest.failf "no authenticated-string header at 0x%x" ptr
+  in
+  let d = r 7 in
+  let module D = Asc_core.Descriptor in
+  { Asc_core.Encoded.e_number = r 0;
+    e_site = m.Svm.Machine.pc - Svm.Isa.instr_size;
+    e_descriptor = d;
+    e_block = r 8;
+    e_const_args = List.map (fun i -> (i, r (i + 1))) (D.const_args d);
+    e_string_args = List.map (fun i -> (i, header (r (i + 1)))) (D.string_args d);
+    e_ext = (if D.has_ext d then Some (header (r 14)) else None);
+    e_control = (if D.has_control_flow d then Some (header (r 9), r 10) else None) }
+
+(* Before trap 5 the access site switches to a second valid variant, as
+   hot_loop's guest does: the path is authenticated with one more byte,
+   the one after it, under a fresh string MAC, and the site's call MAC is
+   replaced by the MAC of the call so changed. *)
+let switch_variant =
+  before_trap ~k:5 (fun m ->
+      let hdr = Asc_core.Auth_string.header_size in
+      let ptr = m.Svm.Machine.regs.(1) in
+      let len = string_length m ~ptr in
+      let contents = Option.get (Svm.Machine.read_mem m ~addr:ptr ~len:(len + 1)) in
+      let header = Bytes.create hdr in
+      Bytes.set_int32_le header 0 (Int32.of_int (len + 1));
+      Bytes.blit_string (Asc_core.Auth_string.mac_of key contents) 0 header 4 16;
+      ignore (Svm.Machine.write_mem m ~addr:(ptr - hdr) (Bytes.to_string header));
+      let mac = Cmac.mac key (Asc_core.Encoded.encode (live_call m)) in
+      ignore (Svm.Machine.write_mem m ~addr:m.Svm.Machine.regs.(11) mac))
+
+(* The probe declines the switched call, precomp resumes on it and moves
+   its memo, and the probe hits the new memo on the two calls after it:
+   of the seven warm access traps, six hit and one resumes. *)
+let test_warm_variant_switch () =
+  let img = install ~program:"warm" access_loop in
+  let ((stop, _, _, verdicts) as reference), _ = run_wrapped Reference switch_variant img in
+  let fast, fp = run_wrapped Fast switch_variant img in
+  let fp = Option.get fp in
+  (match stop with
+   | Svm.Machine.Halted 0 -> ()
+   | _ -> Alcotest.fail "the reference refused the second valid variant");
+  Alcotest.(check (list string)) "no verdict" [] verdicts;
+  Alcotest.(check int) "one resume" 1 (Precomp.resumes fp.Checker.precomp);
+  Alcotest.(check int) "six hits" 6 (Precomp.hits fp.Checker.precomp);
+  Alcotest.(check int) "no fallback" 0 (Precomp.fallbacks fp.Checker.precomp);
+  Alcotest.(check bool) "the fast path runs identically" true (fast = reference)
 
 let warm_tamper_cases =
   [ ( "warm precomp: tampered call MAC",
@@ -547,6 +674,8 @@ let warm_tamper_cases =
   @ [ ( "warm cfpre: policy state rolled back two calls",
         test_warm_tamper ~src:getpid_loop ~tamper:rollback_policy_state ~step:"control_flow"
           (layer "cfpre") ) ]
+  @ precomp_probe_cases
+  @ [ ("warm precomp probe: a second valid variant resumes", test_warm_variant_switch) ]
 
 (* ---- a policy state replayed across processes ---- *)
 
@@ -638,8 +767,9 @@ let test_cross_process_replay () =
    dispatches on the full register value, so such a call must run nothing
    and return -ENOSYS, under the reference and the fast path alike. This
    runs [img] one instruction at a time up to the [k]-th [sys] that would
-   issue [number], adds 2^32 to r0 there, and runs on to the end. *)
-let run_high_number config ~number ~k img =
+   issue [number], replaces r0 there with [renumber number], and runs on
+   to the end. *)
+let run_renumbered config ~number ~k ~renumber img =
   let kernel = Kernel.create ~personality () in
   kernel.Kernel.tracing <- true;
   let fast = arm config kernel in
@@ -651,7 +781,7 @@ let run_high_number config ~number ~k img =
       Svm.Isa.decode m.Svm.Machine.mem ~pos:m.Svm.Machine.pc = Some Svm.Isa.Sys
       && m.Svm.Machine.regs.(0) = number
     in
-    if at_call && seen + 1 = k then m.Svm.Machine.regs.(0) <- number + (1 lsl 32)
+    if at_call && seen + 1 = k then m.Svm.Machine.regs.(0) <- renumber number
     else
       match Kernel.run kernel proc ~max_cycles:m.Svm.Machine.cycles with
       | Svm.Machine.Cycle_limit ->
@@ -678,10 +808,11 @@ int main() {
   in
   let number = Option.get (Personality.number_of personality Syscall.Write) in
   (* the third write repeats the first one's site, so the fast path is warm *)
+  let renumber n = n + (1 lsl 32) in
   let ((stop, out, trace, verdicts) as reference), _ =
-    run_high_number Reference ~number ~k:3 img
+    run_renumbered Reference ~number ~k:3 ~renumber img
   in
-  let fast, fp = run_high_number Fast ~number ~k:3 img in
+  let fast, fp = run_renumbered Fast ~number ~k:3 ~renumber img in
   (match stop with
    | Svm.Machine.Halted 0 -> ()
    | _ -> Alcotest.fail "the run did not complete");
@@ -695,6 +826,24 @@ int main() {
   Alcotest.(check bool) "the fast path was warm" true
     (Precomp.hits (Option.get fp).Checker.precomp > 0);
   Alcotest.(check bool) "the fast path runs identically" true (fast = reference)
+
+(* The probe compares the trap's number too: the sixth getpid of a warm
+   site issued as getuid no longer matches its call MAC. *)
+let test_warm_number_changed () =
+  let img = install ~program:"warm" getpid_loop in
+  let number = Option.get (Personality.number_of personality Syscall.Getpid) in
+  let renumber _ = Option.get (Personality.number_of personality Syscall.Getuid) in
+  let ((stop, _, _, verdicts) as reference), _ =
+    run_renumbered Reference ~number ~k:6 ~renumber img
+  in
+  let fast, fp = run_renumbered Fast ~number ~k:6 ~renumber img in
+  (match stop with
+   | Svm.Machine.Killed _ -> ()
+   | _ -> Alcotest.fail "the reference let the renumbered call through");
+  Alcotest.(check (list string)) "the reference's verdict" [ "v:call_mac" ] verdicts;
+  Alcotest.(check bool) "precomp was warm" true
+    (Precomp.hits (Option.get fp).Checker.precomp > 0);
+  Alcotest.(check bool) "the fast path denies identically" true (fast = reference)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -734,4 +883,6 @@ let () =
         @ [ Alcotest.test_case "policy state replayed from another process" `Quick
               test_cross_process_replay;
             Alcotest.test_case "covered number + 2^32 returns -ENOSYS" `Quick
-              test_high_number_enosys ] ) ]
+              test_high_number_enosys;
+            Alcotest.test_case "warm precomp probe: number changed at the trap" `Quick
+              test_warm_number_changed ] ) ]

@@ -772,6 +772,47 @@ let test_tracing () =
      Alcotest.(check int) "result is pid" 1 first.Kernel.t_result
    | [] -> Alcotest.fail "empty trace")
 
+(* One argument array serves every trap of a run, so each trace entry
+   must hold its own copy: the first call's arguments survive the second
+   call's. *)
+let test_traced_args_distinct () =
+  let kernel = Kernel.create () in
+  kernel.Kernel.tracing <- true;
+  let src =
+    Printf.sprintf
+      "_start: movi r0, %d\n movi r1, 11\n movi r6, 16\n sys\n\
+      \ movi r0, %d\n movi r1, 21\n movi r6, 26\n sys\n\
+      \ movi r0, %d\n movi r1, 0\n sys\n halt"
+      (num Syscall.Getpid) (num Syscall.Getuid) (num Syscall.Exit)
+  in
+  let _, _, stop = run_program ~kernel src in
+  check_exit "exit" 0 stop;
+  match Kernel.trace kernel with
+  | first :: second :: _ ->
+    Alcotest.(check (array int)) "first call's arguments" [| 11; 0; 0; 0; 0; 16 |]
+      first.Kernel.t_args;
+    Alcotest.(check (array int)) "second call's arguments" [| 21; 0; 0; 0; 0; 26 |]
+      second.Kernel.t_args;
+    Alcotest.(check bool) "two arrays" false (first.Kernel.t_args == second.Kernel.t_args)
+  | _ -> Alcotest.fail "expected three traced calls"
+
+(* [sem_of] indexes a table by number: anything outside it, negative,
+   past the largest number or above bit 31, has no operation *)
+let test_sem_of_outside_table () =
+  List.iter
+    (fun pers ->
+      let write = Option.get (Personality.number_of pers Syscall.Write) in
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d on %s" n (Personality.os_name pers))
+            true
+            (Personality.sem_of pers n = None))
+        [ -1; min_int; 2; 100_000; max_int; write + (1 lsl 32) ])
+    [ Personality.linux; Personality.openbsd ];
+  Alcotest.(check bool) "openbsd: mmap by its indirect-only number" true
+    (Personality.sem_of Personality.openbsd 197 = Some Syscall.Mmap)
+
 (* the trace ring is bounded but syscall_count sees every trap *)
 let test_trace_ring_cap () =
   let kernel = Kernel.create ~trace_capacity:3 () in
@@ -1135,7 +1176,8 @@ let suite_vfs =
 
 let suite_pers =
   [ Alcotest.test_case "tables roundtrip + divergences" `Quick test_personality_tables;
-    Alcotest.test_case "syscall names" `Quick test_syscall_names ]
+    Alcotest.test_case "syscall names" `Quick test_syscall_names;
+    Alcotest.test_case "sem_of outside the table is None" `Quick test_sem_of_outside_table ]
 
 let suite_kernel =
   [ Alcotest.test_case "hello stdout" `Quick test_hello_stdout;
@@ -1172,7 +1214,9 @@ let suite_kernel =
       test_failed_spawn_keeps_parked_buffer;
     Alcotest.test_case "library bss past memory refused" `Quick test_library_bss_past_memory;
     Alcotest.test_case "syscall writes leave nothing behind" `Quick
-      test_syscall_writes_leave_nothing ]
+      test_syscall_writes_leave_nothing;
+    Alcotest.test_case "consecutive traced calls keep distinct args" `Quick
+      test_traced_args_distinct ]
 
 let () =
   Alcotest.run "oskernel"
