@@ -72,8 +72,11 @@ let fastpath_counters (fp : Asc_core.Checker.fastpath) =
     ( "precomp",
       [ ("hits", Precomp.hits fp.precomp);
         ("resumes", Precomp.resumes fp.precomp);
+        ("misses", Precomp.misses fp.precomp);
         ("fallbacks", Precomp.fallbacks fp.precomp);
         ("compiles", Precomp.compiles fp.precomp);
+        ("shared_hits", Precomp.shared_hits fp.precomp);
+        ("shared_evictions", Precomp.shared_evictions fp.precomp);
         ("invalidations", Precomp.invalidations fp.precomp);
         ("cycles_saved", Precomp.cycles_saved fp.precomp) ] );
     ( "cfpre",
@@ -81,6 +84,8 @@ let fastpath_counters (fp : Asc_core.Checker.fastpath) =
         ("misses", Cfpre.misses fp.cfpre);
         ("fallbacks", Cfpre.fallbacks fp.cfpre);
         ("compiles", Cfpre.compiles fp.cfpre);
+        ("shared_hits", Cfpre.shared_hits fp.cfpre);
+        ("shared_evictions", Cfpre.shared_evictions fp.cfpre);
         ("invalidations", Cfpre.invalidations fp.cfpre);
         ("cycles_saved", Cfpre.cycles_saved fp.cfpre) ] ) ]
 

@@ -98,6 +98,17 @@ let checker_monitor ~fastpath kernel =
   Asc_core.Checker.monitor_with ~kernel ~key
     (if fastpath then Some (Asc_core.Checker.fastpath ~key kernel) else None)
 
+(* With the fast path armed, a benign run of each image goes first on the
+   attack's kernel, so the attack's first visit to every site that run
+   reached is tried against the facts it left in the shared tables. *)
+let warm_up kernel ?stdin image =
+  let proc = Kernel.spawn kernel ?stdin ~program:"warm-up" image in
+  match Kernel.run kernel proc ~max_cycles:100_000_000 with
+  | Machine.Halted 0 -> ()
+  | _ -> failwith "attacks: the benign warm-up run did not complete"
+
+let benign_input = "notes.txt\n"
+
 let run_victim ~protected ?(fastpath = false) ?(prepare = fun (_ : Kernel.t) -> ()) ~payload
     ?(patch = fun (_ : Machine.t) -> ()) () =
   let kernel = Kernel.create ~personality () in
@@ -110,6 +121,8 @@ let run_victim ~protected ?(fastpath = false) ?(prepare = fun (_ : Kernel.t) -> 
   Kernel.install_binary kernel ~path:"/bin/ls" ls;
   Kernel.install_binary kernel ~path:"/bin/sh" sh;
   let image = Lazy.force (if protected then victim_auth else victim_plain) in
+  (* the victim's benign run also execs /bin/ls *)
+  if protected && fastpath then warm_up kernel ~stdin:benign_input image;
   let proc = Kernel.spawn kernel ~stdin:payload ~program:"victim" image in
   patch proc.Process.machine;
   let stop = Kernel.run kernel proc ~max_cycles:100_000_000 in
@@ -307,7 +320,7 @@ let run_non_control_data ~protected ?fastpath ~prepare () =
     done;
     if !found = 0 then failwith "attacks: /bin/ls not found in memory"
   in
-  run_victim ~protected ?fastpath ~prepare ~payload:"notes.txt\n" ~patch ()
+  run_victim ~protected ?fastpath ~prepare ~payload:benign_input ~patch ()
 
 let non_control_data_expect = [ Violation.String_mac ]
 
@@ -353,6 +366,10 @@ let frankenstein ?(fastpath = false) ~cross () =
   let kernel = Kernel.create ~personality () in
   Kernel.set_monitor kernel (Some (checker_monitor ~fastpath kernel));
   kernel.Kernel.tracing <- true;
+  if fastpath then begin
+    warm_up kernel a_img;
+    warm_up kernel b_img
+  end;
   let proc = Kernel.spawn kernel ~program:"frankenstein" b_img in
   let m = proc.Process.machine in
   (* splice A's authenticated site and A's high sections (rodata/.asc) *)

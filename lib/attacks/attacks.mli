@@ -50,7 +50,11 @@ val key : Asc_crypto.Cmac.key
     accepts only inputs under which the reference checker would verify
     the same bytes, and anything else falls back to the reference path,
     so every attack must trip the exact same violation step with it on —
-    the deny parity that [bench/main.exe parity] gates. *)
+    the deny parity that [bench/main.exe parity] gates. With the fast
+    path, a benign run of the same installed images goes first on the
+    attack's kernel, so the attack meets the facts that run left in the
+    shared tables.
+    @raise Failure if that benign run does not exit cleanly. *)
 
 val shellcode : ?fastpath:bool -> protected:bool -> unit -> outcome
 

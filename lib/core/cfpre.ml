@@ -14,7 +14,12 @@
    would decide. Any missing entry, changed reference or changed byte
    falls back to the untouched slow path, so denies are byte-identical
    with the table on or off. The nonce-fresh lbMAC is deliberately NOT
-   cached here: the checker recomputes it on every call. *)
+   cached here: the checker recomputes it on every call.
+
+   What an entry asserts holds whichever pid verified it, so [compile]
+   also files it in [facts], keyed by (site, block id), and a pid with no
+   entry at a site accepts that fact under the same two compares. Entries
+   are immutable, so the pid's entry is the fact itself. *)
 
 module Metrics = Asc_obs.Metrics
 
@@ -28,6 +33,7 @@ type entry = {
 
 type t = {
   sites : (int, entry) Pid_table.t;
+  facts : entry Pid_table.Shared.t;  (* first compiled entry per (site, block) *)
   hits : Metrics.counter;
   misses : Metrics.counter;
   fallbacks : Metrics.counter;
@@ -43,6 +49,7 @@ let block_limit = 65536
 
 let create ~registry () =
   { sites = Pid_table.create registry ~prefix:"cfpre";
+    facts = Pid_table.Shared.create registry ~prefix:"cfpre";
     hits =
       Metrics.counter registry "cfpre.hits"
         ~help:"control-flow bitset hits (predecessor check by load+test)";
@@ -61,12 +68,16 @@ let fallbacks t = Metrics.counter_value t.fallbacks
 let compiles t = Metrics.counter_value t.compiles
 let invalidations t = Pid_table.invalidations t.sites
 let cycles_saved t = Pid_table.cycles_saved t.sites
+let shared_size t = Pid_table.Shared.size t.facts
+let shared_hits t = Pid_table.Shared.hits t.facts
+let shared_evictions t = Pid_table.Shared.evictions t.facts
 
 let member entry bid =
   let o = bid - entry.ce_base in
   o >= 0 && o < entry.ce_span
   && Char.code (Bytes.get entry.ce_bits (o lsr 3)) land (1 lsl (o land 7)) <> 0
 
+let contents entry = entry.ce_contents
 let contents_length entry = String.length entry.ce_contents
 
 let state_into buf ~counter ~last_block =
@@ -103,38 +114,58 @@ let check t ~m ~pid ~site ~(pred_ref : Encoded.as_ref) =
       Hit e
     end
 
-(* Parse the sorted-unique u64 LE block ids the verified set carries.
-   Returns [None] — compile declined — on a malformed length, an id that
-   overflows the host int (negative after 63-bit truncation), or a set
-   whose ids span more than [block_limit] (ids are globally unique —
-   program id in the high bits — so the bitset is offset from the set's
-   smallest id and only the *span* must stay dense); such sites simply
-   keep taking the slow path, which decides membership from the string
-   itself. *)
-let parse_ids contents =
-  let n = String.length contents in
-  if n = 0 || n mod 8 <> 0 then None
-  else begin
-    let ids = List.init (n / 8) (fun i -> Int64.to_int (String.get_int64_le contents (8 * i))) in
-    let base = List.fold_left min max_int ids in
-    let span = List.fold_left max 0 ids - base + 1 in
-    if base < 0 || span > block_limit then None else Some (base, span, ids)
-  end
+let check_shared t ~m ~pid ~site ~block ~(pred_ref : Encoded.as_ref) =
+  if Pid_table.mem t.sites ~pid site then None
+  else
+    match Pid_table.Shared.find t.facts ~site ~block with
+    | exception Not_found -> None
+    | e ->
+      if
+        ref_equal e.ce_ref pred_ref
+        && Svm.Machine.mem_equal m ~addr:pred_ref.Encoded.as_addr e.ce_contents
+      then Some e
+      else None
 
-let compile t ~pid ~site ~(pred_ref : Encoded.as_ref) ~contents =
-  if not (Pid_table.mem t.sites ~pid site) then begin
-    match parse_ids contents with
-    | None -> ()
-    | Some (base, span, ids) ->
+let adopt t ~pid ~site e =
+  Pid_table.add t.sites ~pid site e;
+  Metrics.inc t.compiles;
+  Pid_table.Shared.note_hit t.facts
+
+(* The [i]-th u64 LE block id of a verified set's contents. *)
+let id_at contents i = Int64.to_int (String.get_int64_le contents (8 * i))
+
+(* Compile the verified set's sorted-unique u64 LE block ids into a
+   bitset offset from its smallest id. Declined — no entry, the site keeps
+   taking the slow path, which decides membership from the string itself
+   — on a malformed length, an id that overflows the host int (negative
+   after 63-bit truncation), or a set whose ids span more than
+   [block_limit] (ids are globally unique — program id in the high bits —
+   so only the *span* must stay dense). Loops rather than lists, so a
+   compile allocates only the bitset and the entry. *)
+let compile t ~pid ~site ~block ~(pred_ref : Encoded.as_ref) ~contents =
+  let n = String.length contents / 8 in
+  if n > 0 && String.length contents mod 8 = 0 && not (Pid_table.mem t.sites ~pid site) then begin
+    let base = ref max_int and top = ref 0 in
+    for i = 0 to n - 1 do
+      let v = id_at contents i in
+      if v < !base then base := v;
+      if v > !top then top := v
+    done;
+    let base = !base in
+    if base >= 0 && !top - base < block_limit then begin
+      let span = !top - base + 1 in
       let bits = Bytes.make ((span + 7) / 8) '\000' in
-      List.iter
-        (fun v ->
-          let o = v - base in
-          Bytes.set bits (o lsr 3)
-            (Char.chr (Char.code (Bytes.get bits (o lsr 3)) lor (1 lsl (o land 7)))))
-        ids;
-      Pid_table.add t.sites ~pid site
+      for i = 0 to n - 1 do
+        let o = id_at contents i - base in
+        Bytes.set bits (o lsr 3)
+          (Char.chr (Char.code (Bytes.get bits (o lsr 3)) lor (1 lsl (o land 7))))
+      done;
+      let e =
         { ce_ref = pred_ref; ce_contents = contents; ce_bits = bits; ce_base = base;
-          ce_span = span };
+          ce_span = span }
+      in
+      Pid_table.add t.sites ~pid site e;
+      Pid_table.Shared.add t.facts ~site ~block e;
       Metrics.inc t.compiles
+    end
   end

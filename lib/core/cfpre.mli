@@ -1,5 +1,6 @@
 (** Per-pid, site-indexed precompiled control-flow policy — predecessor
-    bitsets, the fast path in front of the checker's step 3.
+    bitsets, the fast path in front of the checker's step 3 — over one
+    table of compiled sets that every process shares.
 
     The control-flow step pays, on every trap, for re-proving the
     predecessor-set authenticated string (a MAC or vcache probe) and for
@@ -28,10 +29,22 @@
     {!constructor-Declined}: the untouched slow path decides, so denies
     are byte-identical with the table on or off.
 
-    The entries live in a {!Pid_table} keyed by site. Counters are
-    published in the registry passed at creation: [cfpre.hits],
-    [cfpre.misses], [cfpre.fallbacks], [cfpre.compiles] and the
-    {!Pid_table} instruments under the [cfpre] prefix. *)
+    The entries live in a {!Pid_table} keyed by site. Every {!compile}
+    also files its entry in a {!Pid_table.Shared} table keyed by (site,
+    block id), first writer wins: a verified reference, the bytes its tag
+    covers and their bitset are a fact about the key and the bytes, not
+    about a pid. On a per-pid miss the checker asks {!check_shared}
+    whether the live reference and bytes equal that fact; if so the
+    set's string MAC would verify, and the checker runs the lbMAC chain
+    step against the fact's bitset while charging and counting the slow
+    path's cycles, then {!adopt}s the fact as the pid's entry. Nothing
+    drops the shared table at exec or exit.
+
+    Counters are published in the registry passed at creation:
+    [cfpre.hits], [cfpre.misses], [cfpre.fallbacks], [cfpre.compiles],
+    the {!Pid_table} instruments under the [cfpre] prefix, and
+    [cfpre.shared_hits] (pid entries adopted from a shared fact) and
+    [cfpre.shared_evictions]. *)
 
 type t
 
@@ -68,16 +81,36 @@ val check :
     reference, and an allocation-free compare of the live guest bytes
     against the compiled contents. *)
 
-val compile : t -> pid:int -> site:int -> pred_ref:Encoded.as_ref -> contents:string -> unit
+val check_shared :
+  t -> m:Svm.Machine.t -> pid:int -> site:int -> block:int -> pred_ref:Encoded.as_ref ->
+  entry option
+(** [Some fact] when [pid] has no entry at [site] and the shared fact at
+    ([site], [block]) has [pred_ref] as its reference and the live guest
+    bytes as its contents — the compares {!check} makes. The set's string
+    MAC would then verify. Counts nothing; {!adopt} the fact once the
+    whole control-flow step has succeeded. *)
+
+val adopt : t -> pid:int -> site:int -> entry -> unit
+(** Make the fact {!check_shared} returned [pid]'s entry at [site],
+    counted as the compile the slow path would have made, and as a
+    shared hit. *)
+
+val compile :
+  t -> pid:int -> site:int -> block:int -> pred_ref:Encoded.as_ref -> contents:string -> unit
 (** Compile a site entry from a predecessor set that just verified on the
-    slow path: [contents] are the bytes [pred_ref.as_mac] was checked
-    against. First writer wins; declined (no entry, site stays on the
-    slow path) when the set is malformed or spans more than
-    {!block_limit} ids. Never call this on a failed verification. *)
+    slow path at a call with block id [block]: [contents] are the bytes
+    [pred_ref.as_mac] was checked against. First writer wins; declined
+    (no entry, site stays on the slow path) when the set is malformed or
+    spans more than {!block_limit} ids. A new entry is also filed as the
+    shared fact at ([site], [block]) unless one is held. Never call this
+    on a failed verification. *)
 
 val member : entry -> int -> bool
 (** One load+test: equals [Encoded.predset_mem contents bid] for every
     [bid], by construction of the bitset. *)
+
+val contents : entry -> string
+(** The compiled set's verified bytes. *)
 
 val contents_length : entry -> int
 (** Length in bytes of the compiled set (the charge parameter of
@@ -102,3 +135,9 @@ val fallbacks : t -> int
 val compiles : t -> int
 val invalidations : t -> int
 val cycles_saved : t -> int
+
+val shared_size : t -> int
+(** Facts held in the shared table. *)
+
+val shared_hits : t -> int
+val shared_evictions : t -> int

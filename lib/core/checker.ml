@@ -193,6 +193,11 @@ type scratch = {
    decomposition keeps summing; the skipped cycles feed the cache's
    cycles-saved gauge. The miss path is the reference checker's, including
    what it denies and how; only a successful verification is remembered. *)
+let charge_vcache_hit m steps step f len =
+  let hit = Cost_model.vcache_hit_cost len in
+  charge m steps step hit;
+  Vcache.note_saved f.vcache (Cost_model.mac_cost len - hit)
+
 let verify_as m steps step ~fast ~pid key (r : Encoded.as_ref) what =
   match Machine.read_mem m ~addr:r.as_addr ~len:r.as_len with
   | None -> deny (vstep_of step) "%s: string contents unreadable" (as_label what)
@@ -201,9 +206,7 @@ let verify_as m steps step ~fast ~pid key (r : Encoded.as_ref) what =
        the string MAC covers — so tampered bytes or a tampered tag miss *)
     (match fast with
      | Some f when Vcache.check f.vcache ~pid ~bytes:contents ~mac:r.as_mac ->
-       let hit = Cost_model.vcache_hit_cost r.as_len in
-       charge m steps step hit;
-       Vcache.note_saved f.vcache (Cost_model.mac_cost r.as_len - hit)
+       charge_vcache_hit m steps step f r.as_len
      | _ ->
        charge m steps step (Cost_model.mac_cost r.as_len);
        let expect = Auth_string.mac_of key contents in
@@ -294,17 +297,26 @@ let charge_precomp m steps pc ~descriptor cost =
   charge m steps Call_mac cost;
   Precomp.note_saved pc (Cost_model.mac_cost (Encoded.encoded_length descriptor) - cost)
 
+(* A pid's first visit to a site is charged the full CMAC of the slow
+   path, even when a shared fact decided it: guests read modeled time,
+   which must not reveal which sites another process has run. *)
+let charge_first_visit m steps ~descriptor =
+  charge m steps Call_mac (Cost_model.mac_cost (Encoded.encoded_length descriptor))
+
 let precomp_suffix_len descriptor = Encoded.encoded_length descriptor - Encoded.static_prefix_len
 
 (* Step 1: check the call MAC and return the call whose references steps
    2 and 3 verify, with the resolution — the call's telemetry reason — in
    [sc.reason]. With the fast path armed, the live probe goes first: when
    the registers and header bytes equal the site's memo, the memo is the
-   call and nothing is rebuilt. Otherwise the call is rebuilt and
-   [Precomp.check] proves its MAC by memo equality or by resuming the saved
-   chaining state over the dynamic suffix. A declined check charges
-   nothing: the reference CMAC decides, compiles the site, and the reason
-   records why the table declined. *)
+   call and nothing is rebuilt. On a per-pid miss the same compare runs
+   against the shared fact another process verified. Otherwise the call
+   is rebuilt and [Precomp.check] proves its MAC by memo equality or by
+   resuming the saved chaining state over the dynamic suffix. A declined
+   check charges nothing: the shared fact, else the reference CMAC,
+   decides, the site is compiled, and the reason records why the pid's
+   table declined. A shared fact changes only the host's work: the call
+   is charged, counted and labelled as the slow path. *)
 let call_mac_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~number =
   charge m steps Call_mac Cost_model.check_fixed;
   match fast with
@@ -322,24 +334,34 @@ let call_mac_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~number =
        sc.reason <- Asc_obs.Telemetry.Precomp_hit;
        memo
      | None ->
-       let call = rebuild_call m ~site ~number in
-       let supplied = read_mac m m.Machine.regs.(11) in
-       let descriptor = call.Encoded.e_descriptor in
-       (match Precomp.check pc ~pid:p.pid ~call ~supplied with
-        | Precomp.Hit ->
-          charge_precomp m steps pc ~descriptor
-            (Cost_model.precomp_hit_cost (precomp_suffix_len descriptor));
-          sc.reason <- Asc_obs.Telemetry.Precomp_hit
-        | Precomp.Resumed ->
-          charge_precomp m steps pc ~descriptor
-            (Cost_model.precomp_lookup_cost
-             + Cost_model.mac_resume_cost (precomp_suffix_len descriptor));
-          sc.reason <- Asc_obs.Telemetry.Precomp_resumed
-        | Precomp.Declined cause ->
-          let encoded = call_mac_slow m steps key call ~supplied in
-          Precomp.compile pc ~pid:p.pid ~call ~encoded ~mac:supplied;
-          sc.reason <- Asc_obs.Telemetry.Precomp_fallback cause);
-       call)
+       (match Precomp.probe_shared pc ~m ~pid:p.pid ~site ~number with
+        | Some memo ->
+          charge_first_visit m steps ~descriptor:memo.Encoded.e_descriptor;
+          sc.reason <- Asc_obs.Telemetry.Precomp_fallback Asc_obs.Telemetry.F_no_entry;
+          memo
+        | None ->
+          let call = rebuild_call m ~site ~number in
+          let supplied = read_mac m m.Machine.regs.(11) in
+          let descriptor = call.Encoded.e_descriptor in
+          (match Precomp.check pc ~pid:p.pid ~call ~supplied with
+           | Precomp.Hit ->
+             charge_precomp m steps pc ~descriptor
+               (Cost_model.precomp_hit_cost (precomp_suffix_len descriptor));
+             sc.reason <- Asc_obs.Telemetry.Precomp_hit
+           | Precomp.Resumed ->
+             charge_precomp m steps pc ~descriptor
+               (Cost_model.precomp_lookup_cost
+                + Cost_model.mac_resume_cost (precomp_suffix_len descriptor));
+             sc.reason <- Asc_obs.Telemetry.Precomp_resumed
+           | Precomp.Declined cause ->
+             if Precomp.check_shared pc ~pid:p.pid ~call ~supplied then
+               charge_first_visit m steps ~descriptor
+             else begin
+               let encoded = call_mac_slow m steps key call ~supplied in
+               Precomp.compile pc ~pid:p.pid ~call ~encoded ~mac:supplied
+             end;
+             sc.reason <- Asc_obs.Telemetry.Precomp_fallback cause);
+          call))
 
 (* Step 3 reference path: verify the predecessor-set authenticated
    string (vcache-aided), check the nonce-fresh lbMAC over the policy
@@ -379,8 +401,87 @@ let control_flow_slow ~m ~steps ~fast ~key (p : Process.t) ~site
   (* the whole step just succeeded from the live bytes: compile the
      site's bitset so the next trap is one load+test *)
   match fast with
-  | Some f -> Cfpre.compile f.cfpre ~pid:p.pid ~site ~pred_ref ~contents:pred_contents
+  | Some f -> Cfpre.compile f.cfpre ~pid:p.pid ~site ~block ~pred_ref ~contents:pred_contents
   | None -> ()
+
+(* One lbMAC of the chain step, charged [cost] in place of the full
+   single-block CMAC; the difference feeds cfpre's cycles-saved gauge at
+   once, so a deny later in the step leaves the savings accounted. *)
+let charge_lbmac m steps cfpre cost =
+  charge m steps Control_flow cost;
+  Cfpre.note_saved cfpre (Cost_model.mac_cost 16 - cost)
+
+(* The lbMAC chain step behind a compiled bitset: verify the policy state
+   at [lbp], decide membership with one load+test, advance the counter and
+   write the fresh lastBlock and tag. [cost] is charged for the verify and
+   again for the refresh. The verify is charged in full either way:
+   lowering the modeled charge waits on a refit of the cost model, and a
+   guest's modeled time must not reveal whether another process trapped
+   in between. A top-level function, so the hit path allocates nothing
+   for it. *)
+let chain_step ~m ~steps ~key ~sc ~cfpre (p : Process.t) entry ~lbp ~block ~cost =
+  if not (Machine.word_ok m lbp) then deny Violation.Control_flow "policy state unreadable";
+  let last_block = Machine.word_at m lbp in
+  if not (Machine.read_into m ~addr:(lbp + 8) ~buf:sc.read ~pos:0 ~len:16) then
+    deny Violation.Control_flow "policy state MAC unreadable";
+  charge_lbmac m steps cfpre cost;
+  (* When the kernel-held counter, the live lastBlock and the live lbMAC
+     all equal the memo of the monitor's last write, the tag is one the
+     kernel computed over exactly this state, so the MAC check must pass
+     and its AES block is skipped. Any other state — a rollback, a replay
+     from another process, a flipped byte — takes the AES check and its
+     deny. *)
+  if
+    not
+      (p.counter = sc.last_counter
+       && last_block = sc.last_block
+       && Cmac.equal_tags_bytes sc.read sc.last_tag)
+  then begin
+    Cfpre.state_into sc.state ~counter:p.counter ~last_block;
+    Cmac.mac_block_into key sc.state ~dst:sc.tag;
+    if not (Cmac.equal_tags_bytes sc.tag sc.read) then
+      deny_mac Violation.Control_flow
+        ~expected:(Bytes.to_string sc.tag)
+        ~got:(Bytes.to_string sc.read)
+        "policy state corrupted"
+  end;
+  if not (Cfpre.member entry last_block) then
+    deny Violation.Control_flow "control-flow violation: block %d may not follow block %d"
+      block last_block;
+  (* update: counter++ in kernel space, lastBlock/lbMAC in the
+     application *)
+  p.counter <- p.counter + 1;
+  charge_lbmac m steps cfpre cost;
+  Cfpre.state_into sc.state ~counter:p.counter ~last_block:block;
+  Cmac.mac_block_into key sc.state ~dst:sc.tag;
+  if
+    not
+      (Machine.word_ok m lbp && Machine.write_from m ~addr:(lbp + 8) ~buf:sc.tag ~pos:0 ~len:16)
+  then deny Violation.Control_flow "policy state unwritable";
+  Machine.set_word m lbp block;
+  sc.last_counter <- p.counter;
+  sc.last_block <- block;
+  Bytes.blit sc.tag 0 sc.last_tag 0 16
+
+(* Step 3 on a per-pid miss that a shared fact proved: the live
+   predecessor reference and bytes equal a set another process verified,
+   so its string MAC would verify. The host runs the fast path's chain
+   step against the fact's bitset; the modeled charges are the slow
+   path's, in its order: the pid's vcache probe on the set (a hit's cost,
+   or the full string MAC, and the entry the slow path would remember),
+   then two full lbMACs. Only when the whole step succeeds does the fact
+   become the pid's entry. *)
+let control_flow_shared ~m ~steps ~f ~key ~sc (p : Process.t) ~site
+    ~(pred_ref : Encoded.as_ref) ~lbp ~block entry =
+  let contents = Cfpre.contents entry in
+  if Vcache.check f.vcache ~pid:p.pid ~bytes:contents ~mac:pred_ref.as_mac then
+    charge_vcache_hit m steps Control_flow f pred_ref.as_len
+  else begin
+    charge m steps Control_flow (Cost_model.mac_cost pred_ref.as_len);
+    Vcache.remember f.vcache ~pid:p.pid ~bytes:contents ~mac:pred_ref.as_mac
+  end;
+  chain_step ~m ~steps ~key ~sc ~cfpre:f.cfpre p entry ~lbp ~block ~cost:(Cost_model.mac_cost 16);
+  Cfpre.adopt f.cfpre ~pid:p.pid ~site entry
 
 let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~site ~number =
   let m = p.machine in
@@ -436,61 +537,17 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
                on this very call (§3.4 nonce-freshness is untouched). *)
             sc.cf <- Asc_obs.Telemetry.Cf_hit;
             let len = Cfpre.contents_length entry in
-            charge m steps Control_flow (Cost_model.cfpre_hit_cost len);
-            if not (Machine.word_ok m lbp) then
-              deny Violation.Control_flow "policy state unreadable";
-            let last_block = Machine.word_at m lbp in
-            if not (Machine.read_into m ~addr:(lbp + 8) ~buf:sc.read ~pos:0 ~len:16)
-            then deny Violation.Control_flow "policy state MAC unreadable";
-            (* The verify is charged in full either way: lowering the
-               modeled charge waits on a refit of the cost model, and a
-               guest's modeled time must not reveal whether another
-               process trapped in between. *)
-            charge m steps Control_flow Cost_model.lbmac_chain_cost;
-            (* When the kernel-held counter, the live lastBlock and the live
-               lbMAC all equal the memo of the monitor's last write, the tag
-               is one the kernel computed over exactly this state, so the
-               MAC check must pass and its AES block is skipped. Any other
-               state — a rollback, a replay from another process, a flipped
-               byte — takes the AES check and its deny. *)
-            if
-              not
-                (p.counter = sc.last_counter
-                 && last_block = sc.last_block
-                 && Cmac.equal_tags_bytes sc.read sc.last_tag)
-            then begin
-              Cfpre.state_into sc.state ~counter:p.counter ~last_block;
-              Cmac.mac_block_into key sc.state ~dst:sc.tag;
-              if not (Cmac.equal_tags_bytes sc.tag sc.read) then
-                deny_mac Violation.Control_flow
-                  ~expected:(Bytes.to_string sc.tag)
-                  ~got:(Bytes.to_string sc.read)
-                  "policy state corrupted"
-            end;
-            if not (Cfpre.member entry last_block) then
-              deny Violation.Control_flow
-                "control-flow violation: block %d may not follow block %d" block last_block;
-            (* update: counter++ in kernel space, lastBlock/lbMAC in the
-               application *)
-            p.counter <- p.counter + 1;
-            charge m steps Control_flow Cost_model.lbmac_chain_cost;
-            Cfpre.state_into sc.state ~counter:p.counter ~last_block:block;
-            Cmac.mac_block_into key sc.state ~dst:sc.tag;
-            if
-              not
-                (Machine.word_ok m lbp
-                 && Machine.write_from m ~addr:(lbp + 8) ~buf:sc.tag ~pos:0 ~len:16)
-            then deny Violation.Control_flow "policy state unwritable";
-            Machine.set_word m lbp block;
-            sc.last_counter <- p.counter;
-            sc.last_block <- block;
-            Bytes.blit sc.tag 0 sc.last_tag 0 16;
-            Cfpre.note_saved f.cfpre
-              (Cost_model.mac_cost len - Cost_model.cfpre_hit_cost len
-               + (2 * (Cost_model.mac_cost 16 - Cost_model.lbmac_chain_cost)))
+            let hit = Cost_model.cfpre_hit_cost len in
+            charge m steps Control_flow hit;
+            Cfpre.note_saved f.cfpre (Cost_model.mac_cost len - hit);
+            chain_step ~m ~steps ~key ~sc ~cfpre:f.cfpre p entry ~lbp ~block
+              ~cost:Cost_model.lbmac_chain_cost
           | Cfpre.Declined cause ->
             sc.cf <- cause;
-            control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block)
+            (match Cfpre.check_shared f.cfpre ~m ~pid:p.pid ~site ~block ~pred_ref with
+             | Some entry ->
+               control_flow_shared ~m ~steps ~f ~key ~sc p ~site ~pred_ref ~lbp ~block entry
+             | None -> control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block))
        | None -> control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block));
   (* --- §5 extensions: allowed-value sets and argument patterns --- *)
   (match ext_contents with
@@ -550,9 +607,9 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
     | _ -> invalid_arg "Checker.monitor: arm vcache, precomp and cfpre together or not at all"
   in
   let steps = steps_of kernel.Kernel.obs in
-  (* lifecycle: every entry is image-specific, so execve and teardown drop
-     the pid's entries in all three layers; a pid's first entry creates
-     its tables *)
+  (* lifecycle: execve and teardown drop the pid's entries in all three
+     layers, which decide its charges; a pid's first entry creates its
+     tables. The shared facts hold for any pid and stay. *)
   (match fast with
    | Some f ->
      Kernel.add_lifecycle_hook kernel (function

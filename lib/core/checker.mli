@@ -61,7 +61,16 @@
       extension blocks, and predecessor sets on a cfpre miss).
 
     All three keep their entries in a {!Pid_table}: one table per pid,
-    one bound, dropped on execve and exit.
+    one bound, dropped on execve and exit. Precomp and cfpre also file
+    each first verified entry in one table shared by every process, keyed
+    by (site, block id) and never dropped ({!Pid_table.Shared}). A pid's
+    first visit to a site another process verified is decided by the
+    same live compares against that fact, so the host skips the call
+    CMAC, the predecessor-set MAC and the full lbMACs. The pid's tables
+    still decide every charge: that first visit is charged, counted and
+    labelled as the slow path, with the pid's own vcache probe on the
+    predecessor set, so a process's modeled time is a function of its own
+    traps.
 
     Each layer accepts only inputs under which the reference path would
     verify the same bytes. Anything else falls back to the reference path,
@@ -94,8 +103,8 @@ val monitor :
     or none; none is the paper's reference checker. The monitor
     registers one kernel lifecycle hook: execve and teardown drop the
     pid's entries in all three layers (spawn needs nothing, since a pid's
-    first entry creates its tables). [precomp] must be created with the
-    same [key].
+    first entry creates its tables); the shared facts stay. [precomp]
+    must be created with the same [key].
     @raise Invalid_argument when given a strict subset of the three. *)
 
 val monitor_with :

@@ -66,3 +66,72 @@ let size t = Metrics.gauge_value t.size
 let evictions t = Metrics.counter_value t.evictions
 let invalidations t = Metrics.counter_value t.invalidations
 let cycles_saved t = Metrics.gauge_value t.saved
+
+module Shared = struct
+  (* Open addressing with linear probing over twice [bound] slots, so a
+     probe ends at an empty slot within a few steps. A lookup allocates
+     nothing and an insert one slot. There are no deletions: past the
+     bound the whole table is emptied. *)
+  type 'v slot =
+    | Empty
+    | Fact of { site : int; block : int; v : 'v }
+
+  type 'v t = {
+    slots : 'v slot array;
+    mutable facts : int;
+    hits : Metrics.counter;
+    evictions : Metrics.counter;
+  }
+
+  let bound = 1024
+
+  (* 2 * bound = 2^11 slots *)
+  let capacity = 2 * bound
+
+  let create registry ~prefix =
+    let name s = prefix ^ "." ^ s in
+    { slots = Array.make capacity Empty;
+      facts = 0;
+      hits =
+        Metrics.counter registry (name "shared_hits")
+          ~help:"pid entries made from a fact another process verified";
+      evictions =
+        Metrics.counter registry (name "shared_evictions")
+          ~help:"shared facts dropped by the global bound" }
+
+  (* the top 11 bits of a multiplicative hash, which depend on every bit
+     of the site and of the block id (program id included) *)
+  let index ~site ~block =
+    (((site * 0x1e37_79b9_7f4a_7c15) + block) * 0x3f58_476d_1ce4_e5b9) lsr 52
+
+  let rec find_from t ~site ~block i =
+    match t.slots.(i) with
+    | Empty -> raise Not_found
+    | Fact f ->
+      if f.site = site && f.block = block then f.v
+      else find_from t ~site ~block ((i + 1) land (capacity - 1))
+
+  let find t ~site ~block = find_from t ~site ~block (index ~site ~block)
+
+  let rec free_from t i =
+    match t.slots.(i) with
+    | Empty -> i
+    | Fact _ -> free_from t ((i + 1) land (capacity - 1))
+
+  let add t ~site ~block v =
+    match find t ~site ~block with
+    | _ -> ()
+    | exception Not_found ->
+      if t.facts >= bound then begin
+        Array.fill t.slots 0 capacity Empty;
+        Metrics.add t.evictions t.facts;
+        t.facts <- 0
+      end;
+      t.slots.(free_from t (index ~site ~block)) <- Fact { site; block; v };
+      t.facts <- t.facts + 1
+
+  let note_hit t = Metrics.inc t.hits
+  let size t = t.facts
+  let hits t = Metrics.counter_value t.hits
+  let evictions t = Metrics.counter_value t.evictions
+end

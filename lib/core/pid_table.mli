@@ -1,19 +1,31 @@
-(** The per-pid storage under the fast path: {!Vcache}, {!Precomp} and
-    {!Cfpre} each keep one of these, and nothing else.
+(** The storage under the fast path: per-pid tables that decide every
+    charge and counter, and one shared table of verified facts per layer.
 
-    Every fast-path entry was verified against one pid's current image, so
-    the storage is one hash table per pid, created by that pid's first
-    entry. The lifecycle is one rule, applied by [Checker.monitor]: execve
-    and exit {!drop_pid} (the image the entries were verified against is
-    gone, and the pid could be reused). Each pid's table holds at most
-    {!bound} entries; adding past the bound drops that pid's table and
-    starts it again, which no other pid observes.
+    {b Per-pid tables.} {!Vcache}, {!Precomp} and {!Cfpre} each keep one
+    [t]. It is one hash table per pid, created by that pid's first entry.
+    An entry says what this pid's own traps have already been charged for:
+    a pid's first trap at a site is charged the slow path's cycles however
+    its MAC was decided, and only its later traps are charged the fast
+    path's. The lifecycle is one rule, applied by [Checker.monitor]:
+    execve and exit {!drop_pid} (the image the entries were verified
+    against is gone, and the pid could be reused). Each pid's table holds
+    at most {!bound} entries; adding past the bound drops that pid's table
+    and starts it again, which no other pid observes.
 
     Counters live only in the metrics registry passed at creation, under
     the layer's prefix: [<prefix>.evictions] (entries dropped by the
     bound), [<prefix>.invalidations] (entries dropped by {!drop_pid}),
     [<prefix>.size] (entries held) and [<prefix>.cycles_saved] (modeled
-    cycles the layer skipped, per {!note_saved}). *)
+    cycles the layer skipped, per {!note_saved}).
+
+    {b Shared facts} ({!Shared}). A precomp memo or a cfpre bitset states
+    a fact about the monitor's key and the verified bytes, not about a
+    pid, so {!Precomp} and {!Cfpre} also keep each first verified entry in
+    one table that every process reads, keyed by (site, block id). A pid's
+    first visit to a site that another process of the image already
+    verified is decided by comparing the live state with that fact,
+    without the slow path's MAC work, and is still charged and counted as
+    the slow path. *)
 
 type ('k, 'v) t
 
@@ -48,3 +60,33 @@ val size : ('k, 'v) t -> int
 val evictions : ('k, 'v) t -> int
 val invalidations : ('k, 'v) t -> int
 val cycles_saved : ('k, 'v) t -> int
+
+(** One layer's shared facts: one table under the monitor's key, keyed by
+    (site, block id). Block ids carry the installer's program id in their
+    high bits, so two images rarely share a key, and when they do the
+    layer's live compare declines. Only successful verifications are
+    added; the first writer wins. A lookup allocates nothing. The table
+    holds at most {!Shared.bound} facts: adding past it empties the table,
+    counted in [<prefix>.shared_evictions]. A process that churns the
+    table can cost others their shared resolutions, never a verdict or a
+    charge. Nothing drops it at exec or exit. [<prefix>.shared_hits]
+    counts the pid entries made from a fact ({!note_hit}). *)
+module Shared : sig
+  type 'v t
+
+  val bound : int
+  (** 1024 facts per table, in twice as many slots. *)
+
+  val create : Asc_obs.Metrics.registry -> prefix:string -> 'v t
+
+  val find : 'v t -> site:int -> block:int -> 'v
+  (** @raise Not_found when no fact is held for (site, block). *)
+
+  val add : 'v t -> site:int -> block:int -> 'v -> unit
+
+  val note_hit : 'v t -> unit
+
+  val size : 'v t -> int
+  val hits : 'v t -> int
+  val evictions : 'v t -> int
+end

@@ -2,7 +2,8 @@ module Cmac = Asc_crypto.Cmac
 module Machine = Svm.Machine
 module Metrics = Asc_obs.Metrics
 
-(* Per-pid, site-indexed table of precompiled policy verification state.
+(* Per-pid, site-indexed table of precompiled policy verification state,
+   over one shared table of the first verified entry per (site, block id).
 
    Soundness rests on what a compiled entry asserts and what the fast path
    re-checks. An entry is only created from a verification that just
@@ -30,7 +31,16 @@ module Metrics = Asc_obs.Metrics
    rebuilt record. Equal bytes also mean the rebuild could not have
    denied: the memo's descriptor is authenticated and its headers were
    readable and in bounds. Any difference declines with nothing counted,
-   and the caller runs the rebuild and [check] as before. *)
+   and the caller runs the rebuild and [check] as before.
+
+   An entry asserts CMAC(key, E) = tag for one byte string E, which holds
+   whichever pid verified it. So [compile] also files a copy in [facts],
+   and a pid with no entry at a site is proved by the same compares
+   against that copy: the live probe, else the structural compare and a
+   memo hit or a resume from the copy's prefix state. Its own entry is
+   then the one the slow path would have compiled: the same statics give
+   the same prefix state, and the verified call, tag and suffix are this
+   trap's. The copy is never mutated; only pid entries move their memo. *)
 
 type entry = {
   mutable pe_call : Encoded.t;   (* last verified call at this site (memo) *)
@@ -45,6 +55,7 @@ type t = {
   p_mac : Bytes.t;             (* the live call MAC, read by [probe] *)
   mutable p_suffix : Bytes.t;  (* [patched_suffix]'s scratch; grows to the longest suffix *)
   sites : (int, entry) Pid_table.t;
+  facts : entry Pid_table.Shared.t;  (* first verified entry per (site, block) *)
   hits : Metrics.counter;
   resumes : Metrics.counter;
   misses : Metrics.counter;
@@ -62,6 +73,7 @@ let create ~key ~registry () =
     p_mac = Bytes.create Cmac.tag_len;
     p_suffix = Bytes.create 64;
     sites = Pid_table.create registry ~prefix:"precomp";
+    facts = Pid_table.Shared.create registry ~prefix:"precomp";
     hits = Metrics.counter registry "precomp.hits" ~help:"precompiled-site memo hits";
     resumes =
       Metrics.counter registry "precomp.resumes"
@@ -82,6 +94,9 @@ let fallbacks t = Metrics.counter_value t.fallbacks
 let compiles t = Metrics.counter_value t.compiles
 let invalidations t = Pid_table.invalidations t.sites
 let cycles_saved t = Pid_table.cycles_saved t.sites
+let shared_size t = Pid_table.Shared.size t.facts
+let shared_hits t = Pid_table.Shared.hits t.facts
+let shared_evictions t = Pid_table.Shared.evictions t.facts
 
 let statics_match entry (call : Encoded.t) =
   let e = entry.pe_call in
@@ -146,6 +161,20 @@ let statics_mismatch t =
   Metrics.inc t.fallbacks;
   Declined Asc_obs.Telemetry.F_statics
 
+(* What [e] proves about [call], whose statics equal its memo's: [`Memo]
+   when every dynamic field and [supplied] equal the memo's, [`Resumed n]
+   when the MAC resumed from [e]'s prefix state over the patched n-byte
+   suffix (left in [t.p_suffix]) equals [supplied], else [`Mismatch].
+   Raises Not_found on a malformed argument list. *)
+let prove t e (call : Encoded.t) ~supplied =
+  if fields_match e call && Cmac.equal_tags e.pe_mac supplied then `Memo
+  else begin
+    let n = patched_suffix t e call in
+    let st = Cmac.Streaming.resume t.p_key e.pe_state in
+    Cmac.Streaming.update st t.p_suffix ~pos:0 ~len:n;
+    if Cmac.equal_tags (Cmac.Streaming.final st) supplied then `Resumed n else `Mismatch
+  end
+
 let check t ~pid ~(call : Encoded.t) ~supplied =
   match Pid_table.find t.sites ~pid call.Encoded.e_site with
   | exception Not_found ->
@@ -154,17 +183,8 @@ let check t ~pid ~(call : Encoded.t) ~supplied =
   | e ->
     if not (statics_match e call) then statics_mismatch t
     else begin
-      match
-        if fields_match e call && Cmac.equal_tags e.pe_mac supplied then `Hit
-        else begin
-          let n = patched_suffix t e call in
-          let st = Cmac.Streaming.resume t.p_key e.pe_state in
-          Cmac.Streaming.update st t.p_suffix ~pos:0 ~len:n;
-          if Cmac.equal_tags (Cmac.Streaming.final st) supplied then `Resumed n
-          else `Mismatch
-        end
-      with
-      | `Hit ->
+      match prove t e call ~supplied with
+      | `Memo ->
         Metrics.inc t.hits;
         Hit
       | `Resumed n ->
@@ -231,17 +251,67 @@ let probe t ~m ~pid ~site ~number =
     end
     else None
 
+(* A fresh entry over [f]'s field map and prefix state, so that a resume
+   moving the pid's memo leaves the shared fact as it was. *)
+let entry_of ~call ~mac ~suffix (f : entry) =
+  { pe_call = call; pe_mac = mac; pe_suffix = suffix; pe_fields = f.pe_fields;
+    pe_state = f.pe_state }
+
+(* [pid]'s entry at [site], made from a shared fact and counted as the
+   compile the slow path would have made. *)
+let adopt t ~pid ~site e =
+  Pid_table.add t.sites ~pid site e;
+  Metrics.inc t.compiles;
+  Pid_table.Shared.note_hit t.facts
+
+let probe_shared t ~m ~pid ~site ~number =
+  if Pid_table.mem t.sites ~pid site then None
+  else
+    match Pid_table.Shared.find t.facts ~site ~block:m.Machine.regs.(8) with
+    | exception Not_found -> None
+    | f ->
+      if live_matches t m ~number f then begin
+        Metrics.inc t.misses;
+        adopt t ~pid ~site (entry_of ~call:f.pe_call ~mac:f.pe_mac ~suffix:f.pe_suffix f);
+        Some f.pe_call
+      end
+      else None
+
+let check_shared t ~pid ~(call : Encoded.t) ~supplied =
+  let site = call.Encoded.e_site in
+  (not (Pid_table.mem t.sites ~pid site))
+  &&
+  match Pid_table.Shared.find t.facts ~site ~block:call.Encoded.e_block with
+  | exception Not_found -> false
+  | f ->
+    statics_match f call
+    &&
+    (match prove t f call ~supplied with
+     | `Memo ->
+       adopt t ~pid ~site (entry_of ~call ~mac:supplied ~suffix:f.pe_suffix f);
+       true
+     | `Resumed n ->
+       adopt t ~pid ~site
+         (entry_of ~call ~mac:supplied ~suffix:(Bytes.sub_string t.p_suffix 0 n) f);
+       true
+     | `Mismatch -> false
+     | exception Not_found -> false)
+
 let compile t ~pid ~(call : Encoded.t) ~encoded ~mac =
   let len = String.length encoded in
   let site = call.Encoded.e_site in
   if len > Encoded.static_prefix_len && not (Pid_table.mem t.sites ~pid site) then begin
     let st = Cmac.Streaming.init t.p_key in
     Cmac.Streaming.update st (Bytes.unsafe_of_string encoded) ~pos:0 ~len:Encoded.static_prefix_len;
-    Pid_table.add t.sites ~pid site
+    let e =
       { pe_call = call;
         pe_mac = mac;
         pe_suffix = String.sub encoded Encoded.static_prefix_len (len - Encoded.static_prefix_len);
         pe_fields = Encoded.dyn_fields call.Encoded.e_descriptor;
-        pe_state = Cmac.Streaming.save st };
+        pe_state = Cmac.Streaming.save st }
+    in
+    Pid_table.add t.sites ~pid site e;
+    Pid_table.Shared.add t.facts ~site ~block:call.Encoded.e_block
+      (entry_of ~call ~mac ~suffix:e.pe_suffix e);
     Metrics.inc t.compiles
   end

@@ -1,5 +1,6 @@
 (** Per-pid, site-indexed precompiled policy verification state — the
-    exec-time fast path in front of the call-MAC check.
+    exec-time fast path in front of the call-MAC check — over one table
+    of verified facts that every process shares.
 
     The reference slow path serializes the encoded call and CMACs it on
     every trap. This table moves that work to (at most) once per call
@@ -48,11 +49,24 @@
     table on or off. Entries are only ever created from successful
     verifications; a failed resume remembers nothing.
 
-    The entries live in a {!Pid_table} keyed by site. Counters are
-    published in the registry passed at creation: [precomp.hits],
-    [precomp.resumes], [precomp.misses], [precomp.fallbacks],
-    [precomp.compiles] and the {!Pid_table} instruments under the
-    [precomp] prefix. *)
+    The entries live in a {!Pid_table} keyed by site. Every {!compile}
+    also files a copy of its entry in a {!Pid_table.Shared} table keyed by
+    (site, block id), first writer wins: the memo, its tag and its saved
+    prefix state assert [CMAC(key, encoded memo) = tag], a fact about the
+    key and the bytes that holds for every pid. A miss in a pid's own
+    table then first tries that fact, by the live compare ({!probe_shared}), else by
+    the structural compare and a memo hit or resume from the fact's
+    prefix state ({!check_shared}). A fact that proves the call gives the
+    pid the entry the slow path would have compiled, and the checker
+    charges, counts and labels the call exactly as the slow path: only
+    the host's MAC work is skipped. Nothing drops the shared table at
+    exec or exit.
+
+    Counters are published in the registry passed at creation:
+    [precomp.hits], [precomp.resumes], [precomp.misses],
+    [precomp.fallbacks], [precomp.compiles], the {!Pid_table} instruments
+    under the [precomp] prefix, and [precomp.shared_hits] (pid entries
+    made from a shared fact) and [precomp.shared_evictions]. *)
 
 type t
 
@@ -89,12 +103,31 @@ val probe : t -> m:Svm.Machine.t -> pid:int -> site:int -> number:int -> Encoded
 
 val check : t -> pid:int -> call:Encoded.t -> supplied:string -> verdict
 
+val probe_shared : t -> m:Svm.Machine.t -> pid:int -> site:int -> number:int -> Encoded.t option
+(** A per-pid miss decided from the live state: [Some memo] when [pid]
+    has no entry at [site] and the live state of [m] equals the shared
+    fact at ([site], r8) by {!probe}'s compares. The call MAC is then
+    verified, and [pid]'s entry is made from the fact. It counts what the
+    slow path's {!check} and {!compile} would count, a miss and a compile,
+    plus a shared hit; the checker charges the slow path's
+    [Svm.Cost_model.mac_cost]. [None] counts nothing. *)
+
+val check_shared : t -> pid:int -> call:Encoded.t -> supplied:string -> bool
+(** A per-pid miss decided from the rebuilt call, after {!check} declined
+    it: [true] when [pid] has no entry at the call's site and the shared
+    fact at (site, block) proves [supplied] by {!check}'s structural
+    compare and memo hit or resume. [pid]'s entry is then the one
+    {!compile} would make from this call, counted as a compile and a
+    shared hit (the miss was {!check}'s). [false] changes nothing: run the
+    slow path. *)
+
 val compile : t -> pid:int -> call:Encoded.t -> encoded:string -> mac:string -> unit
 (** Compile a site entry from a verification that just succeeded on the
     slow path: [encoded] = [Encoded.encode call], [mac] = the supplied tag
     that matched. First writer wins (the statics are site-fixed, so
-    recompiling would store the same prefix state). Never call this on a
-    failed comparison. *)
+    recompiling would store the same prefix state). A new entry is also
+    filed as the shared fact at (site, block) unless one is held. Never
+    call this on a failed comparison. *)
 
 val drop_pid : t -> int -> unit
 (** Drop every entry owned by [pid] (execve and teardown). *)
@@ -111,3 +144,9 @@ val fallbacks : t -> int
 val compiles : t -> int
 val invalidations : t -> int
 val cycles_saved : t -> int
+
+val shared_size : t -> int
+(** Facts held in the shared table. *)
+
+val shared_hits : t -> int
+val shared_evictions : t -> int

@@ -15,9 +15,14 @@
     and is {e never} cached.
 
     The [pid] is not needed for MAC soundness (the tag does not depend on
-    it) but provides lifecycle isolation: the entries live in a
+    it) but scopes what a process is charged: the entries live in a
     {!Pid_table}, dropped on [execve] and on process teardown, so a
-    recycled pid can never observe another image's warm cache.
+    recycled pid pays for its own strings again and never observes
+    another image's warm cache. Unlike {!Precomp} and {!Cfpre}, the
+    vcache has no shared table: a hit's lower charge must come from the
+    pid's own earlier verification, and the checker probes it on every
+    predecessor set a shared cfpre fact proves, exactly as the slow path
+    would, and remembers the set on a miss.
 
     Only successful verifications are remembered. Counters are published
     into the registry passed at creation: [vcache.hits], [vcache.misses]

@@ -3,8 +3,11 @@
    The unit tests pin the verdict lattice (miss / hit / ref fallback /
    contents fallback), the base-offset bitset against globally-unique
    block ids (program id in the high bits), the span bound, the
-   single-block CMAC chain step against the one-shot MAC, and the per-pid
-   lifecycle and bound. Its behaviour inside the checker — the kernel lifecycle
+   single-block CMAC chain step against the one-shot MAC, the per-pid
+   lifecycle and bound, and the shared facts: a second pid's miss
+   accepted from the first pid's compiled set, and nothing entering the
+   shared table from a failed verification, checked inside the checker
+   too. Its other behaviour inside the checker — the kernel lifecycle
    hook, the cycles-saved accounting, and verdict parity with the
    reference checker — is tested with the rest of the deployed fast path
    in test_fastpath.ml. *)
@@ -43,7 +46,7 @@ let test_compile_and_hit () =
   let t = create () in
   let m, r, contents = machine_with_set ~addr:0x100 [ 3; 7; 9 ] in
   check_is "cold table misses" "cf_slow" t ~m ~pid:1 ~site:0x40 ~pred_ref:r;
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
+  Cfpre.compile t ~pid:1 ~block:0 ~site:0x40 ~pred_ref:r ~contents;
   Alcotest.(check int) "one entry" 1 (Cfpre.size t);
   (match Cfpre.check t ~m ~pid:1 ~site:0x40 ~pred_ref:r with
    | Cfpre.Hit entry ->
@@ -66,7 +69,7 @@ let test_globally_unique_ids () =
   let ids = [ pid_bits lor 2; pid_bits lor 5; pid_bits lor 40 ] in
   let t = create () in
   let m, r, contents = machine_with_set ~addr:0x100 ids in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
+  Cfpre.compile t ~pid:1 ~block:0 ~site:0x40 ~pred_ref:r ~contents;
   Alcotest.(check int) "wide ids still compile" 1 (Cfpre.size t);
   (match Cfpre.check t ~m ~pid:1 ~site:0x40 ~pred_ref:r with
    | Cfpre.Hit entry ->
@@ -85,21 +88,21 @@ let test_span_bound_declines () =
   (* a span one past the limit must decline; the site simply stays on the
      slow path *)
   let _, r, contents = machine_with_set ~addr:0x100 [ 100; 100 + Cfpre.block_limit ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
+  Cfpre.compile t ~pid:1 ~block:0 ~site:0x40 ~pred_ref:r ~contents;
   Alcotest.(check int) "over-span set not compiled" 0 (Cfpre.size t);
   (* a span of exactly the limit is fine *)
   let _, r2, c2 = machine_with_set ~addr:0x200 [ 100; 99 + Cfpre.block_limit ] in
-  Cfpre.compile t ~pid:1 ~site:0x44 ~pred_ref:r2 ~contents:c2;
+  Cfpre.compile t ~pid:1 ~block:0 ~site:0x44 ~pred_ref:r2 ~contents:c2;
   Alcotest.(check int) "at-span set compiled" 1 (Cfpre.size t);
   (* malformed contents (not a multiple of 8, or empty) decline too *)
-  Cfpre.compile t ~pid:1 ~site:0x48 ~pred_ref:r ~contents:"short";
-  Cfpre.compile t ~pid:1 ~site:0x4c ~pred_ref:r ~contents:"";
+  Cfpre.compile t ~pid:1 ~block:0 ~site:0x48 ~pred_ref:r ~contents:"short";
+  Cfpre.compile t ~pid:1 ~block:0 ~site:0x4c ~pred_ref:r ~contents:"";
   Alcotest.(check int) "malformed sets not compiled" 1 (Cfpre.size t)
 
 let test_fallbacks () =
   let t = create () in
   let m, r, contents = machine_with_set ~addr:0x100 [ 3; 7 ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
+  Cfpre.compile t ~pid:1 ~block:0 ~site:0x40 ~pred_ref:r ~contents;
   (* a moved/forged reference: same site, different (addr, len, mac) *)
   check_is "forged mac falls back" "cf_fallback_ref" t ~m ~pid:1 ~site:0x40
     ~pred_ref:{ r with Encoded.as_mac = String.make 16 'f' };
@@ -115,8 +118,8 @@ let test_fallbacks () =
 let test_pid_lifecycle () =
   let t = create () in
   let m, r, contents = machine_with_set ~addr:0x100 [ 3 ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
-  Cfpre.compile t ~pid:2 ~site:0x40 ~pred_ref:r ~contents;
+  Cfpre.compile t ~pid:1 ~block:0 ~site:0x40 ~pred_ref:r ~contents;
+  Cfpre.compile t ~pid:2 ~block:0 ~site:0x40 ~pred_ref:r ~contents;
   Alcotest.(check int) "two entries" 2 (Cfpre.size t);
   Cfpre.drop_pid t 1;
   check_is "exec emptied pid 1" "cf_slow" t ~m ~pid:1 ~site:0x40 ~pred_ref:r;
@@ -132,18 +135,75 @@ let test_max_sites_and_block_limit () =
   let bound = Asc_core.Pid_table.bound in
   let m, r, contents = machine_with_set ~addr:0x100 [ 3 ] in
   for i = 0 to bound - 1 do
-    Cfpre.compile t ~pid:1 ~site:(4 * i) ~pred_ref:r ~contents
+    Cfpre.compile t ~pid:1 ~block:0 ~site:(4 * i) ~pred_ref:r ~contents
   done;
   Alcotest.(check int) "full" bound (Cfpre.size t);
   let _, wide_r, wide = machine_with_set ~addr:0x200 [ 100; 100 + Cfpre.block_limit ] in
-  Cfpre.compile t ~pid:1 ~site:(4 * bound) ~pred_ref:wide_r ~contents:wide;
+  Cfpre.compile t ~pid:1 ~block:0 ~site:(4 * bound) ~pred_ref:wide_r ~contents:wide;
   Alcotest.(check int) "over-span set leaves the full table" bound (Cfpre.size t);
   Alcotest.(check int) "over-span set not compiled" bound (Cfpre.compiles t);
-  Cfpre.compile t ~pid:1 ~site:(4 * bound) ~pred_ref:r ~contents;
+  Cfpre.compile t ~pid:1 ~block:0 ~site:(4 * bound) ~pred_ref:r ~contents;
   Alcotest.(check int) "flushed to the new site" 1 (Cfpre.size t);
   Alcotest.(check int) "every site compiled" (bound + 1) (Cfpre.compiles t);
   check_is "a flushed site misses" "cf_slow" t ~m ~pid:1 ~site:0 ~pred_ref:r;
   check_is "the new site hits" "Hit" t ~m ~pid:1 ~site:(4 * bound) ~pred_ref:r
+
+let test_shared_fact () =
+  let t = create () in
+  let m, r, contents = machine_with_set ~addr:0x100 [ 3; 7 ] in
+  let shared ~pid ?(block = 5) ?(pred_ref = r) m =
+    Option.is_some (Cfpre.check_shared t ~m ~pid ~site:0x40 ~block ~pred_ref)
+  in
+  Alcotest.(check bool) "a cold table has no fact" false (shared ~pid:2 m);
+  Cfpre.compile t ~pid:1 ~site:0x40 ~block:5 ~pred_ref:r ~contents;
+  Alcotest.(check int) "one fact" 1 (Cfpre.shared_size t);
+  check_is "pid 2 misses its own table" "cf_slow" t ~m ~pid:2 ~site:0x40 ~pred_ref:r;
+  Alcotest.(check bool) "the fact accepts pid 2's set" true (shared ~pid:2 m);
+  Alcotest.(check bool) "not at another block" false (shared ~pid:2 ~block:6 m);
+  Alcotest.(check bool) "not under a forged tag" false
+    (shared ~pid:2 ~pred_ref:{ r with Encoded.as_mac = String.make 16 'f' } m);
+  Alcotest.(check bool) "a pid with an entry does not ask" false (shared ~pid:1 m);
+  (match Cfpre.check_shared t ~m ~pid:2 ~site:0x40 ~block:5 ~pred_ref:r with
+   | Some e -> Cfpre.adopt t ~pid:2 ~site:0x40 e
+   | None -> Alcotest.fail "no fact");
+  Alcotest.(check int) "adopting counts a compile" 2 (Cfpre.compiles t);
+  Alcotest.(check int) "and a shared hit" 1 (Cfpre.shared_hits t);
+  check_is "pid 2 now hits its own entry" "Hit" t ~m ~pid:2 ~site:0x40 ~pred_ref:r;
+  (* the reference matches but the guest bytes differ: the fact's tag
+     covers other bytes, so it proves nothing *)
+  assert (Machine.write_byte m 0x100 0xff);
+  Alcotest.(check bool) "a flipped set byte" false (shared ~pid:3 m);
+  Alcotest.(check int) "no further hit" 1 (Cfpre.shared_hits t)
+
+(* ---- inside the checker: only a verified call enters the shared table ---- *)
+
+open In_turn
+
+let cfpre_run =
+  run_in_turn ~key
+    ~hits:(fun fp -> Cfpre.shared_hits fp.Asc_core.Checker.cfpre)
+    ~size:(fun fp -> Cfpre.shared_size fp.Asc_core.Checker.cfpre)
+
+let test_flipped_set_not_shared () =
+  (* A's first getpid finds its predecessor set's first byte flipped and
+     is denied: B's first getpid finds no compiled set, and C's finds B's *)
+  match cfpre_run ~sem:Oskernel.Syscall.Getpid [ flip ~reg:9 ~off:0; clean; clean ] with
+  | [ a; b; c ] ->
+    check_run "A" ~killed:true ~shared:false a;
+    check_run "B" ~killed:false ~shared:false b;
+    check_run "C" ~killed:false ~shared:true c
+  | _ -> assert false
+
+let test_flipped_set_refused_by_the_fact () =
+  (* B flips its set at a site A compiled: the fact refuses the bytes, the
+     reference denies, and the table holds what it held *)
+  match cfpre_run ~sem:Oskernel.Syscall.Getpid [ clean; flip ~reg:9 ~off:0; clean ] with
+  | [ ((_, _, size_a) as a); ((_, _, size_b) as b); c ] ->
+    check_run "A" ~killed:false ~shared:false a;
+    check_run "B" ~killed:true ~shared:false b;
+    Alcotest.(check int) "B's set left no fact" size_a size_b;
+    check_run "C" ~killed:false ~shared:true c
+  | _ -> assert false
 
 (* ---- the amortized chain step vs the one-shot MAC ---- *)
 
@@ -153,7 +213,7 @@ let test_chain_step_equals_one_shot () =
      written back to guest memory is bit-identical on both paths *)
   let t = create () in
   let _, r, contents = machine_with_set ~addr:0x100 [ 3 ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
+  Cfpre.compile t ~pid:1 ~block:0 ~site:0x40 ~pred_ref:r ~contents;
   let m2, _, _ = machine_with_set ~addr:0x100 [ 3 ] in
   match Cfpre.check t ~m:m2 ~pid:1 ~site:0x40 ~pred_ref:r with
   | Cfpre.Hit _ ->
@@ -205,6 +265,12 @@ let () =
           Alcotest.test_case "pid lifecycle" `Quick test_pid_lifecycle;
           Alcotest.test_case "max_sites and block_limit bounds" `Quick
             test_max_sites_and_block_limit ] );
+      ( "shared",
+        [ Alcotest.test_case "a fact accepts a second pid's set" `Quick test_shared_fact;
+          Alcotest.test_case "a flipped set byte enters nothing" `Quick
+            test_flipped_set_not_shared;
+          Alcotest.test_case "a fact refuses a flipped set byte" `Quick
+            test_flipped_set_refused_by_the_fact ] );
       ( "chain",
         [ Alcotest.test_case "chain step equals one-shot MAC" `Quick
             test_chain_step_equals_one_shot;

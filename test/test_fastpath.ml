@@ -435,18 +435,21 @@ let test_mutation_rdcyc () =
    attacker with a write primitive strikes later, after the fast path has
    warmed up on the untouched bytes. [before_trap ~k f] runs [f] on the
    guest machine just before the [k]-th trap (counting from 0) reaches the
-   checker. [tamper_at] writes [byte] there, at [off] bytes from the
+   checker; with [~pid], the [k]-th trap of that process. [tamper_at] writes [byte] there, at [off] bytes from the
    address in register [reg] — r9 points at the predecessor set, r10 at
    the policy state (lastBlock, then lbMAC), r11 at the call MAC and r1 at
    the first argument, often an authenticated string. Offsets from -20
    reach into an authenticated string's header (length and tag). *)
-let before_trap ~k f (inner : Kernel.monitor) =
+let before_trap ?pid ~k f (inner : Kernel.monitor) =
   let traps = ref 0 in
   { inner with
     Kernel.pre_syscall =
       (fun p ~site ~number ->
-        if !traps = k then f p.Process.machine;
-        incr traps;
+        (match pid with
+         | Some only when only <> p.Process.pid -> ()
+         | _ ->
+           if !traps = k then f p.Process.machine;
+           incr traps);
         inner.Kernel.pre_syscall p ~site ~number) }
 
 let tamper_at ~k ~reg ~off ~byte =
@@ -845,9 +848,433 @@ let test_warm_number_changed () =
     (Precomp.hits (Option.get fp).Checker.precomp > 0);
   Alcotest.(check bool) "the fast path denies identically" true (fast = reference)
 
+(* ---- several processes of one image on one kernel ---- *)
+
+(* Precomp and cfpre share what they verified across the processes of an
+   image: a pid's first visit to a site another process verified is
+   decided by that fact, without the slow path's MAC work, but charged as
+   the slow path. Each property below reruns with two or three processes
+   of one image on one kernel, under the reference and the fast path with
+   the same schedule, and requires every process to run observably like
+   its reference twin, with its savings fully accounted. *)
+
+type schedule =
+  | Sequential   (* each process spawned when the one before it exits *)
+  | Interleaved  (* all spawned first, then run in turn by cycle slices *)
+  | Flushed      (* sequential, with both shared tables flushed by their bound in between *)
+
+let schedule_name = function
+  | Sequential -> "sequential"
+  | Interleaved -> "interleaved"
+  | Flushed -> "flushed"
+
+let slice = 20_000
+let budget = 10_000_000
+
+(* What one process observably did, the cycles it was charged, and the
+   cycles the layers credited while it ran. *)
+type proc_run = {
+  obs : Svm.Machine.stop * string * Kernel.trace_entry list * string list;
+  cycles : int;
+  saved : int;
+}
+
+let verdicts_of kernel pid =
+  List.filter_map
+    (function
+      | Kernel.Violation { pid = p; violation = v; _ } when p = pid ->
+        Some ("v:" ^ Violation.step_name v.Violation.v_step)
+      | Kernel.Denied { pid = p; reason; _ } when p = pid -> Some ("d:" ^ reason)
+      | Kernel.Execve { pid = p; path; _ } when p = pid -> Some ("e:" ^ path)
+      | _ -> None)
+    (Kernel.audit_log kernel)
+
+(* Fill both shared tables past their bound with facts verified at sites
+   no image uses, under a pid that then exits: the image's own facts are
+   flushed with them. *)
+let flush_shared (fp : Checker.fastpath) =
+  let pid = -1 in
+  let d = Asc_core.Descriptor.(with_const_arg empty 0) in
+  let contents = Asc_core.Encoded.predset_contents [ 1 ] in
+  let pred_ref =
+    { Asc_core.Encoded.as_addr = 0; as_len = String.length contents;
+      as_mac = Asc_core.Auth_string.mac_of key contents }
+  in
+  for i = 0 to Asc_core.Pid_table.Shared.bound do
+    let site = 0x3f_0000 + (8 * i) in
+    let call =
+      { Asc_core.Encoded.e_number = 20; e_site = site; e_descriptor = d; e_block = -1;
+        e_const_args = [ (0, i) ]; e_string_args = []; e_ext = None; e_control = None }
+    in
+    let encoded = Asc_core.Encoded.encode call in
+    Precomp.compile fp.precomp ~pid ~call ~encoded ~mac:(Cmac.mac key encoded);
+    Cfpre.compile fp.cfpre ~pid ~site ~block:(-1) ~pred_ref ~contents
+  done;
+  Precomp.drop_pid fp.precomp pid;
+  Cfpre.drop_pid fp.cfpre pid;
+  if Precomp.shared_evictions fp.precomp = 0 || Cfpre.shared_evictions fp.cfpre = 0 then
+    QCheck.Test.fail_reportf "the flood did not flush the shared tables"
+
+(* Run [p] up to [cycles] more modeled cycles, within [budget] in all;
+   [Some stop] once it has stopped for good. *)
+let run_for kernel (p : Process.t) ~cycles =
+  let m = p.Process.machine in
+  match Kernel.run kernel p ~max_cycles:(min budget (m.Svm.Machine.cycles + cycles)) with
+  | Svm.Machine.Cycle_limit when m.Svm.Machine.cycles < budget ->
+    m.Svm.Machine.stopped <- None;
+    None
+  | stop -> Some stop
+
+(* Run [procs] processes of [img] under [config] and [schedule]. [wrap]
+   stands between the kernel and the checker; it is given the pid of each
+   process, in spawn order. *)
+let run_procs ?(wrap = fun _ m -> m) ?(procs = 2) config schedule img =
+  let kernel = Kernel.create ~personality () in
+  kernel.Kernel.tracing <- true;
+  let fast = arm config kernel in
+  let pids = List.init procs (fun i -> kernel.Kernel.next_pid + i) in
+  Kernel.set_monitor kernel (Some (wrap pids (Checker.monitor_with ~kernel ~key fast)));
+  let saved () = match fast with Some fp -> cycles_saved fp | None -> 0 in
+  let traces = Array.make procs [] and credit = Array.make procs 0 in
+  (* [run_for], crediting process [i] with the slice's trace and savings *)
+  let run_slice i p ~cycles =
+    Kernel.clear_trace kernel;
+    let s0 = saved () in
+    let stop = run_for kernel p ~cycles in
+    credit.(i) <- credit.(i) + (saved () - s0);
+    traces.(i) <- traces.(i) @ Kernel.trace kernel;
+    stop
+  in
+  let spawn i = Kernel.spawn kernel ~program:(Printf.sprintf "proc%d" i) img in
+  let finish i (p : Process.t) stop =
+    { obs = (stop, Kernel.stdout_of p, traces.(i), verdicts_of kernel p.Process.pid);
+      cycles = cycles p;
+      saved = credit.(i) }
+  in
+  let runs =
+    match schedule with
+    | Sequential | Flushed ->
+      List.init procs (fun i ->
+          if i = 1 && schedule = Flushed then Option.iter flush_shared fast;
+          let p = spawn i in
+          let stop = Option.get (run_slice i p ~cycles:budget) in
+          finish i p stop)
+    | Interleaved ->
+      let ps = Array.init procs spawn in
+      let stops = Array.make procs None in
+      while Array.exists Option.is_none stops do
+        Array.iteri
+          (fun i p -> if Option.is_none stops.(i) then stops.(i) <- run_slice i p ~cycles:slice)
+          ps
+      done;
+      List.init procs (fun i -> finish i ps.(i) (Option.get stops.(i)))
+  in
+  (runs, fast)
+
+let runaway (r : proc_run) =
+  match r.obs with
+  | Svm.Machine.Cycle_limit, _, _, _ -> true
+  | _ -> false
+
+(* Every process of a fast-path run agrees with its reference twin:
+   stop, output, trace and verdicts, no more cycles, and savings equal to
+   what the layers credited while it ran. A runaway process hits the
+   budget at different points on the two paths and is exempt. *)
+let procs_agree ?wrap ?procs ~what ~benign schedule img =
+  let reference, _ = run_procs ?wrap ?procs Reference schedule img in
+  let fast, _ = run_procs ?wrap ?procs Fast schedule img in
+  List.iteri
+    (fun i (r, f) ->
+      let what = Printf.sprintf "%s, %s, process %d" what (schedule_name schedule) i in
+      if not (runaway r || runaway f) then begin
+        if r.obs <> f.obs then QCheck.Test.fail_reportf "%s: diverged from the reference" what;
+        (match r.obs with
+         | Svm.Machine.Killed k, _, _, _ when benign ->
+           QCheck.Test.fail_reportf "%s: false alarm: %s" what k
+         | _ -> ());
+        if r.cycles - f.cycles <> f.saved then
+          QCheck.Test.fail_reportf "%s: saved %d cycles but accounted %d" what
+            (r.cycles - f.cycles) f.saved
+      end)
+    (List.combine reference fast)
+
+let schedules = [ Sequential; Interleaved; Flushed ]
+
+let prop_multi_differential =
+  QCheck.Test.make ~name:"processes sharing facts run like the reference" ~count:15
+    QCheck.(pair arbitrary_program (int_range 2 3))
+    (fun (src, procs) ->
+      match Minic.Driver.compile ~personality src with
+      | Error e -> QCheck.Test.fail_reportf "generated program does not compile: %s" e
+      | Ok img ->
+        (match Asc_core.Installer.install ~key ~personality ~program:"ft" img with
+         | Error e -> QCheck.Test.fail_reportf "install failed: %s" e
+         | Ok inst ->
+           List.iter
+             (fun sch ->
+               procs_agree ~procs ~what:"random program" ~benign:true sch
+                 inst.Asc_core.Installer.image)
+             schedules;
+           true))
+
+let prop_multi_mutation =
+  QCheck.Test.make ~name:"mutants sharing facts trip the reference's verdicts" ~count:60
+    QCheck.(pair small_nat (int_bound 255))
+    (fun case ->
+      match mutant case with
+      | Error _ -> true
+      | Ok img when reads_cycle_counter img -> true
+      | Ok img ->
+        (match Kernel.spawn (Kernel.create ~personality ()) ~program:"probe" img with
+         | exception Invalid_argument _ -> true (* refused before any code ran *)
+         | _ ->
+           List.iter
+             (fun sch -> procs_agree ~what:"mutant" ~benign:false sch img)
+             schedules;
+           true))
+
+(* The strike lands in the last process, so in a sequential schedule at a
+   site every earlier process has already verified. *)
+let strike_last ~k ~reg ~off ~byte pids inner =
+  before_trap ~pid:(List.nth pids (List.length pids - 1)) ~k
+    (fun m -> ignore (Svm.Machine.write_byte m (m.Svm.Machine.regs.(reg) + off) byte))
+    inner
+
+let victim_image () =
+  match Svm.Obj_file.parse (Lazy.force fixed_victim) with
+  | Ok img -> img
+  | Error e -> failwith e
+
+let prop_multi_tamper =
+  QCheck.Test.make ~name:"tampering a later process trips the reference's verdicts" ~count:80
+    QCheck.(
+      set_print Print.(quad int int int int)
+        (quad (int_bound 12) (oneofl [ 1; 9; 9; 9; 10; 11 ]) (int_range (-20) 23) (int_bound 255)))
+    (fun (k, reg, off, byte) ->
+      List.iter
+        (fun sch ->
+          procs_agree ~wrap:(strike_last ~k ~reg ~off ~byte) ~what:"tamper" ~benign:false sch
+            (victim_image ()))
+        schedules;
+      true)
+
+(* The fixed cases: B's first trap at a site only A has verified, struck
+   in each structure a shared fact stands for. [strike m n] edits B's
+   machine before its first trap that issues [sem] and returns the number
+   the checker is handed for it. The reference denies at the named step;
+   the fast path must deny identically, and A must have left the facts
+   B's first visit was tried against. *)
+let test_first_visit_tamper ~src ~sem ~strike ~step () =
+  let img = install ~program:"shared" src in
+  let number = Option.get (Personality.number_of personality sem) in
+  let wrap pids (inner : Kernel.monitor) =
+    let struck = ref false in
+    { inner with
+      Kernel.pre_syscall =
+        (fun p ~site ~number:n ->
+          if p.Process.pid = List.nth pids 1 && n = number && not !struck then begin
+            struck := true;
+            inner.Kernel.pre_syscall p ~site ~number:(strike p.Process.machine n)
+          end
+          else inner.Kernel.pre_syscall p ~site ~number:n) }
+  in
+  let reference, _ = run_procs ~wrap Reference Sequential img in
+  let fast, fp = run_procs ~wrap Fast Sequential img in
+  let fp = Option.get fp in
+  Alcotest.(check bool) "A left shared facts" true
+    (Precomp.shared_size fp.Checker.precomp > 0 && Cfpre.shared_size fp.Checker.cfpre > 0);
+  (match reference with
+   | [ a; b ] ->
+     (match a.obs with
+      | Svm.Machine.Halted 0, _, _, [] -> ()
+      | _ -> Alcotest.fail "process A did not run cleanly");
+     let _, _, _, verdicts = b.obs in
+     Alcotest.(check (list string)) "the reference's verdict" [ "v:" ^ step ] verdicts
+   | _ -> Alcotest.fail "two processes expected");
+  List.iter2
+    (fun r f ->
+      Alcotest.(check bool) "the fast path runs identically" true (r.obs = f.obs);
+      Alcotest.(check int) "savings accounted" (r.cycles - f.cycles) f.saved)
+    reference fast
+
+(* every bit of the byte at [off] from the address in [reg] inverted *)
+let flip_byte ~reg ~off m n =
+  let addr = m.Svm.Machine.regs.(reg) + off in
+  (match Svm.Machine.read_byte m addr with
+   | Some b -> ignore (Svm.Machine.write_byte m addr (b lxor 0xff))
+   | None -> ());
+  n
+
+let first_visit_cases =
+  List.map
+    (fun (what, src, sem, strike, step) ->
+      ( "first visit in B, shared by A: " ^ what,
+        test_first_visit_tamper ~src ~sem ~strike ~step ))
+    [ ("call-MAC byte flipped", getpid_loop, Syscall.Getpid, flip_byte ~reg:11 ~off:0, "call_mac");
+      ( "number changed at the trap",
+        getpid_loop,
+        Syscall.Getpid,
+        (fun _ _ -> Option.get (Personality.number_of personality Syscall.Getuid)),
+        "call_mac" );
+      ( "predecessor-set byte flipped",
+        getpid_loop,
+        Syscall.Getpid,
+        flip_byte ~reg:9 ~off:0,
+        "control_flow" );
+      ("lbMAC byte flipped", getpid_loop, Syscall.Getpid, flip_byte ~reg:10 ~off:8, "control_flow");
+      ( "lastBlock byte flipped",
+        getpid_loop,
+        Syscall.Getpid,
+        flip_byte ~reg:10 ~off:0,
+        "control_flow" );
+      ("path string byte flipped", access_loop, Syscall.Access, flip_byte ~reg:1 ~off:1, "string_mac")
+    ]
+
+(* ---- pid locality: a process's modeled time is its own ---- *)
+
+(* Guests read modeled time ([rdcyc], [gettimeofday] and [time] all derive
+   from [m.cycles]), so a process must be charged the same at every trap
+   whether or not another process of its image has warmed the shared
+   facts. B runs alone on a fresh kernel, after A, and interleaved with A
+   after A has trapped at every site. Its cycles at entry to and exit from
+   every trap, each call's telemetry reason and cycles, its output and its
+   layer count deltas must be the same in all three. *)
+let locality_src =
+  {|
+int main() {
+  int k;
+  char tv[16];
+  for (k = 0; k < 4; k = k + 1) {
+    getpid();
+    access("/etc/q", 4);
+    gettimeofday(tv, 0);
+    print_int(time(0) + k);
+    write(1, "\n", 1);
+  }
+  return 0;
+}
+|}
+
+let layer_counts (fp : Checker.fastpath) =
+  [ Vcache.hits fp.vcache; Vcache.misses fp.vcache; Vcache.evictions fp.vcache;
+    Precomp.hits fp.precomp; Precomp.resumes fp.precomp; Precomp.misses fp.precomp;
+    Precomp.fallbacks fp.precomp; Precomp.compiles fp.precomp; Precomp.cycles_saved fp.precomp;
+    Cfpre.hits fp.cfpre; Cfpre.misses fp.cfpre; Cfpre.fallbacks fp.cfpre;
+    Cfpre.compiles fp.cfpre; Cfpre.cycles_saved fp.cfpre; Vcache.cycles_saved fp.vcache ]
+
+let shared_hits (fp : Checker.fastpath) =
+  Precomp.shared_hits fp.precomp + Cfpre.shared_hits fp.cfpre
+
+type locality = {
+  traps : (int * int * string * int * int) list;  (* cycles in, out; reason, cycles, ts *)
+  counts : int list;
+  out : string;
+  final : int;
+  b_shared : int;  (* shared resolutions during B's slices *)
+}
+
+let run_locality img ~with_a =
+  let kernel = Kernel.create ~personality () in
+  let fp = Checker.fastpath ~key kernel in
+  let checker = Checker.monitor_with ~kernel ~key (Some fp) in
+  let tel = Kernel.telemetry kernel in
+  let a_traps = ref 0 and b_pid = ref (-1) and traps = ref [] in
+  Kernel.set_monitor kernel
+    (Some
+       { checker with
+         Kernel.pre_syscall =
+           (fun p ~site ~number ->
+             let m = p.Process.machine in
+             let c0 = m.Svm.Machine.cycles in
+             let v = checker.Kernel.pre_syscall p ~site ~number in
+             if p.Process.pid = !b_pid then begin
+               let le = List.hd (List.rev (Asc_obs.Telemetry.ledger tel ~pid:p.Process.pid)) in
+               traps :=
+                 ( c0,
+                   m.Svm.Machine.cycles,
+                   Asc_obs.Telemetry.reason_label le.Asc_obs.Telemetry.le_reason,
+                   le.Asc_obs.Telemetry.le_cycles,
+                   le.Asc_obs.Telemetry.le_ts )
+                 :: !traps
+             end
+             else incr a_traps;
+             v) });
+  let counts = ref (List.map (fun _ -> 0) (layer_counts fp)) and b_shared = ref 0 in
+  (* a slice of B, crediting it the count deltas; [true] once B is done *)
+  let run_b b ~cycles =
+    let c0 = layer_counts fp and s0 = shared_hits fp in
+    let stop = run_for kernel b ~cycles in
+    counts := List.map2 ( + ) !counts (List.map2 ( - ) (layer_counts fp) c0);
+    b_shared := !b_shared + (shared_hits fp - s0);
+    match stop with
+    | None -> false
+    | Some (Svm.Machine.Halted 0) -> true
+    | Some _ -> Alcotest.fail "B did not run cleanly"
+  in
+  let step p ~cycles = Option.is_some (run_for kernel p ~cycles) in
+  let b =
+    match with_a with
+    | `Alone ->
+      let b = Kernel.spawn kernel ~program:"B" img in
+      b_pid := b.Process.pid;
+      while not (run_b b ~cycles:budget) do () done;
+      b
+    | `After ->
+      let a = Kernel.spawn kernel ~program:"A" img in
+      while not (step a ~cycles:budget) do () done;
+      let b = Kernel.spawn kernel ~program:"B" img in
+      b_pid := b.Process.pid;
+      while not (run_b b ~cycles:budget) do () done;
+      b
+    | `Interleaved ->
+      let a = Kernel.spawn kernel ~program:"A" img in
+      let b = Kernel.spawn kernel ~program:"B" img in
+      b_pid := b.Process.pid;
+      (* A runs ahead, past its first loop iteration, before they alternate *)
+      let a_done = ref false in
+      while (not !a_done) && !a_traps < 8 do a_done := step a ~cycles:1_000 done;
+      let b_done = ref false in
+      while not (!a_done && !b_done) do
+        if not !a_done then a_done := step a ~cycles:3_000;
+        if not !b_done then b_done := run_b b ~cycles:3_000
+      done;
+      b
+  in
+  { traps = List.rev !traps; counts = !counts; out = Kernel.stdout_of b; final = cycles b;
+    b_shared = !b_shared }
+
+let test_pid_locality () =
+  let img = install ~program:"local" locality_src in
+  let alone = run_locality img ~with_a:`Alone in
+  Alcotest.(check int) "alone, B resolves nothing from shared facts" 0 alone.b_shared;
+  List.iter
+    (fun (name, with_a) ->
+      let r = run_locality img ~with_a in
+      Alcotest.(check bool) (name ^ ": shared facts decided B's first visits") true
+        (r.b_shared > 0);
+      Alcotest.(check int) (name ^ ": trap count") (List.length alone.traps)
+        (List.length r.traps);
+      List.iteri
+        (fun i ((c0, c1, reason, cyc, ts), (c0', c1', reason', cyc', ts')) ->
+          let at what = Printf.sprintf "%s: trap %d: %s" name i what in
+          Alcotest.(check int) (at "cycles at entry") c0 c0';
+          Alcotest.(check int) (at "cycles at exit") c1 c1';
+          Alcotest.(check string) (at "reason") reason reason';
+          Alcotest.(check int) (at "verification cycles") cyc cyc';
+          Alcotest.(check int) (at "timestamp") ts ts')
+        (List.combine alone.traps r.traps);
+      Alcotest.(check (list int)) (name ^ ": layer count deltas") alone.counts r.counts;
+      Alcotest.(check string) (name ^ ": output") alone.out r.out;
+      Alcotest.(check int) (name ^ ": final cycles") alone.final r.final)
+    [ ("after A", `After); ("interleaved with A", `Interleaved) ]
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_differential; prop_mutation_deny_parity; prop_tamper_parity ]
+
+let multi_props =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_multi_differential; prop_multi_mutation; prop_multi_tamper ]
 
 let () =
   Alcotest.run "fastpath"
@@ -885,4 +1312,9 @@ let () =
             Alcotest.test_case "covered number + 2^32 returns -ENOSYS" `Quick
               test_high_number_enosys;
             Alcotest.test_case "warm precomp probe: number changed at the trap" `Quick
-              test_warm_number_changed ] ) ]
+              test_warm_number_changed ] );
+      ( "shared",
+        multi_props
+        @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) first_visit_cases
+        @ [ Alcotest.test_case "a process's modeled time is its own" `Quick test_pid_locality
+          ] ) ]

@@ -1,6 +1,8 @@
 (* The per-pid table under every fast-path layer (Asc_core.Pid_table):
    first writer wins, the bound flushes one pid only, drops are counted,
-   probes create nothing, and a hit allocates nothing. *)
+   probes create nothing, and a hit allocates nothing. The shared facts
+   table: keyed by (site, block id), first writer wins, and its global
+   bound flushes the whole table into its eviction counter. *)
 
 module Pid_table = Asc_core.Pid_table
 module Metrics = Asc_obs.Metrics
@@ -62,6 +64,36 @@ let test_hit_allocates_nothing () =
   done;
   Alcotest.(check int) "minor words over 1000 hits" 0 (Asc_obs.Profile.minor_words () - w0)
 
+let create_shared () =
+  let registry = Metrics.create () in
+  (registry, (Pid_table.Shared.create registry ~prefix:"layer" : string Pid_table.Shared.t))
+
+let test_shared_keys () =
+  let registry, t = create_shared () in
+  Pid_table.Shared.add t ~site:0x40 ~block:1 "a";
+  Pid_table.Shared.add t ~site:0x40 ~block:2 "b";
+  Pid_table.Shared.add t ~site:0x40 ~block:1 "late";
+  Alcotest.(check string) "first writer wins" "a" (Pid_table.Shared.find t ~site:0x40 ~block:1);
+  Alcotest.(check string) "a second block at the site" "b"
+    (Pid_table.Shared.find t ~site:0x40 ~block:2);
+  Alcotest.check_raises "another site" Not_found (fun () ->
+      ignore (Pid_table.Shared.find t ~site:0x44 ~block:1));
+  Alcotest.(check int) "two facts" 2 (Pid_table.Shared.size t);
+  Pid_table.Shared.note_hit t;
+  Alcotest.(check int) "hits in the registry" 1 (value registry "layer.shared_hits")
+
+let test_shared_bound () =
+  let registry, t = create_shared () in
+  for i = 1 to Pid_table.Shared.bound do
+    Pid_table.Shared.add t ~site:i ~block:0 "x"
+  done;
+  Alcotest.(check int) "no eviction at the bound" 0 (value registry "layer.shared_evictions");
+  Pid_table.Shared.add t ~site:0 ~block:0 "late";
+  Alcotest.(check int) "every fact evicted" Pid_table.Shared.bound
+    (value registry "layer.shared_evictions");
+  Alcotest.(check int) "the late fact is kept" 1 (Pid_table.Shared.size t);
+  Alcotest.(check string) "and found" "late" (Pid_table.Shared.find t ~site:0 ~block:0)
+
 let () =
   Alcotest.run "pid_table"
     [ ( "unit",
@@ -71,4 +103,8 @@ let () =
           Alcotest.test_case "drop_pid counts invalidations" `Quick test_drop_pid_counts;
           Alcotest.test_case "probing an unknown pid creates no table" `Quick
             test_probe_creates_nothing;
-          Alcotest.test_case "1000 hits allocate nothing" `Quick test_hit_allocates_nothing ] ) ]
+          Alcotest.test_case "1000 hits allocate nothing" `Quick test_hit_allocates_nothing ] );
+      ( "shared",
+        [ Alcotest.test_case "keyed by (site, block), first writer wins" `Quick
+            test_shared_keys;
+          Alcotest.test_case "the global bound flushes the table" `Quick test_shared_bound ] ) ]
