@@ -297,12 +297,6 @@ let charge_precomp m steps pc ~descriptor cost =
   charge m steps Call_mac cost;
   Precomp.note_saved pc (Cost_model.mac_cost (Encoded.encoded_length descriptor) - cost)
 
-(* A pid's first visit to a site is charged the full CMAC of the slow
-   path, even when a shared fact decided it: guests read modeled time,
-   which must not reveal which sites another process has run. *)
-let charge_first_visit m steps ~descriptor =
-  charge m steps Call_mac (Cost_model.mac_cost (Encoded.encoded_length descriptor))
-
 let precomp_suffix_len descriptor = Encoded.encoded_length descriptor - Encoded.static_prefix_len
 
 (* Step 1: check the call MAC and return the call whose references steps
@@ -310,13 +304,13 @@ let precomp_suffix_len descriptor = Encoded.encoded_length descriptor - Encoded.
    [sc.reason]. With the fast path armed, the live probe goes first: when
    the registers and header bytes equal the site's memo, the memo is the
    call and nothing is rebuilt. On a per-pid miss the same compare runs
-   against the shared fact another process verified. Otherwise the call
-   is rebuilt and [Precomp.check] proves its MAC by memo equality or by
-   resuming the saved chaining state over the dynamic suffix. A declined
-   check charges nothing: the shared fact, else the reference CMAC,
-   decides, the site is compiled, and the reason records why the pid's
-   table declined. A shared fact changes only the host's work: the call
-   is charged, counted and labelled as the slow path. *)
+   against the shared fact another process verified; a fact changes only
+   the host's work, and the call is charged, counted and labelled as the
+   slow path. Otherwise the call is rebuilt and [Precomp.check] proves
+   its MAC by memo equality or by resuming the saved chaining state over
+   the dynamic suffix. A declined check charges nothing: the reference
+   CMAC decides, compiles the site, and the reason records why the table
+   declined. *)
 let call_mac_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~number =
   charge m steps Call_mac Cost_model.check_fixed;
   match fast with
@@ -336,7 +330,10 @@ let call_mac_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~number =
      | None ->
        (match Precomp.probe_shared pc ~m ~pid:p.pid ~site ~number with
         | Some memo ->
-          charge_first_visit m steps ~descriptor:memo.Encoded.e_descriptor;
+          (* the slow path's full CMAC: guests read modeled time, which
+             must not reveal which sites another process has run *)
+          charge m steps Call_mac
+            (Cost_model.mac_cost (Encoded.encoded_length memo.Encoded.e_descriptor));
           sc.reason <- Asc_obs.Telemetry.Precomp_fallback Asc_obs.Telemetry.F_no_entry;
           memo
         | None ->
@@ -354,12 +351,8 @@ let call_mac_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~number =
                 + Cost_model.mac_resume_cost (precomp_suffix_len descriptor));
              sc.reason <- Asc_obs.Telemetry.Precomp_resumed
            | Precomp.Declined cause ->
-             if Precomp.check_shared pc ~pid:p.pid ~call ~supplied then
-               charge_first_visit m steps ~descriptor
-             else begin
-               let encoded = call_mac_slow m steps key call ~supplied in
-               Precomp.compile pc ~pid:p.pid ~call ~encoded ~mac:supplied
-             end;
+             let encoded = call_mac_slow m steps key call ~supplied in
+             Precomp.compile pc ~pid:p.pid ~call ~encoded ~mac:supplied;
              sc.reason <- Asc_obs.Telemetry.Precomp_fallback cause);
           call))
 

@@ -63,14 +63,17 @@ val cycles_saved : ('k, 'v) t -> int
 
 (** One layer's shared facts: one table under the monitor's key, keyed by
     (site, block id). Block ids carry the installer's program id in their
-    high bits, so two images rarely share a key, and when they do the
-    layer's live compare declines. Only successful verifications are
-    added; the first writer wins. A lookup allocates nothing. The table
-    holds at most {!Shared.bound} facts: adding past it empties the table,
-    counted in [<prefix>.shared_evictions]. A process that churns the
-    table can cost others their shared resolutions, never a verdict or a
-    charge. Nothing drops it at exec or exit. [<prefix>.shared_hits]
-    counts the pid entries made from a fact ({!note_hit}). *)
+    high bits, so keys are distinct only across images installed under
+    distinct program ids. Images under one id (the installer's default is
+    1) share a text base and can trap at the same key: there the first
+    image to verify holds the fact until a flush, the layer's compare
+    declines the others, and their first visits take the slow path. Only successful verifications are added; the first writer wins.
+    A lookup allocates nothing. The table holds at most {!Shared.bound}
+    facts: adding past it empties the table, counted in
+    [<prefix>.shared_evictions]. A process that churns the table can cost
+    others their shared resolutions, never a verdict or a charge. Nothing
+    drops it at exec or exit. [<prefix>.shared_hits] counts the pid
+    entries made from a fact ({!note_hit}). *)
 module Shared : sig
   type 'v t
 

@@ -35,12 +35,10 @@ module Metrics = Asc_obs.Metrics
 
    An entry asserts CMAC(key, E) = tag for one byte string E, which holds
    whichever pid verified it. So [compile] also files a copy in [facts],
-   and a pid with no entry at a site is proved by the same compares
-   against that copy: the live probe, else the structural compare and a
-   memo hit or a resume from the copy's prefix state. Its own entry is
-   then the one the slow path would have compiled: the same statics give
-   the same prefix state, and the verified call, tag and suffix are this
-   trap's. The copy is never mutated; only pid entries move their memo. *)
+   and a pid with no entry at a site is proved by the live probe against
+   that copy. Its own entry is then the one the slow path would have
+   compiled: equal live state is the memo's call under the memo's tag.
+   The copy is never mutated; only pid entries move their memo. *)
 
 type entry = {
   mutable pe_call : Encoded.t;   (* last verified call at this site (memo) *)
@@ -161,20 +159,6 @@ let statics_mismatch t =
   Metrics.inc t.fallbacks;
   Declined Asc_obs.Telemetry.F_statics
 
-(* What [e] proves about [call], whose statics equal its memo's: [`Memo]
-   when every dynamic field and [supplied] equal the memo's, [`Resumed n]
-   when the MAC resumed from [e]'s prefix state over the patched n-byte
-   suffix (left in [t.p_suffix]) equals [supplied], else [`Mismatch].
-   Raises Not_found on a malformed argument list. *)
-let prove t e (call : Encoded.t) ~supplied =
-  if fields_match e call && Cmac.equal_tags e.pe_mac supplied then `Memo
-  else begin
-    let n = patched_suffix t e call in
-    let st = Cmac.Streaming.resume t.p_key e.pe_state in
-    Cmac.Streaming.update st t.p_suffix ~pos:0 ~len:n;
-    if Cmac.equal_tags (Cmac.Streaming.final st) supplied then `Resumed n else `Mismatch
-  end
-
 let check t ~pid ~(call : Encoded.t) ~supplied =
   match Pid_table.find t.sites ~pid call.Encoded.e_site with
   | exception Not_found ->
@@ -183,8 +167,17 @@ let check t ~pid ~(call : Encoded.t) ~supplied =
   | e ->
     if not (statics_match e call) then statics_mismatch t
     else begin
-      match prove t e call ~supplied with
-      | `Memo ->
+      match
+        if fields_match e call && Cmac.equal_tags e.pe_mac supplied then `Hit
+        else begin
+          let n = patched_suffix t e call in
+          let st = Cmac.Streaming.resume t.p_key e.pe_state in
+          Cmac.Streaming.update st t.p_suffix ~pos:0 ~len:n;
+          if Cmac.equal_tags (Cmac.Streaming.final st) supplied then `Resumed n
+          else `Mismatch
+        end
+      with
+      | `Hit ->
         Metrics.inc t.hits;
         Hit
       | `Resumed n ->
@@ -251,18 +244,9 @@ let probe t ~m ~pid ~site ~number =
     end
     else None
 
-(* A fresh entry over [f]'s field map and prefix state, so that a resume
-   moving the pid's memo leaves the shared fact as it was. *)
-let entry_of ~call ~mac ~suffix (f : entry) =
-  { pe_call = call; pe_mac = mac; pe_suffix = suffix; pe_fields = f.pe_fields;
-    pe_state = f.pe_state }
-
-(* [pid]'s entry at [site], made from a shared fact and counted as the
-   compile the slow path would have made. *)
-let adopt t ~pid ~site e =
-  Pid_table.add t.sites ~pid site e;
-  Metrics.inc t.compiles;
-  Pid_table.Shared.note_hit t.facts
+(* A copy, so that a resume moving one entry's memo leaves the other as
+   it was. *)
+let copy e = { e with pe_call = e.pe_call }
 
 let probe_shared t ~m ~pid ~site ~number =
   if Pid_table.mem t.sites ~pid site then None
@@ -271,31 +255,14 @@ let probe_shared t ~m ~pid ~site ~number =
     | exception Not_found -> None
     | f ->
       if live_matches t m ~number f then begin
+        (* [pid]'s entry, counted as the slow path's miss and compile *)
+        Pid_table.add t.sites ~pid site (copy f);
         Metrics.inc t.misses;
-        adopt t ~pid ~site (entry_of ~call:f.pe_call ~mac:f.pe_mac ~suffix:f.pe_suffix f);
+        Metrics.inc t.compiles;
+        Pid_table.Shared.note_hit t.facts;
         Some f.pe_call
       end
       else None
-
-let check_shared t ~pid ~(call : Encoded.t) ~supplied =
-  let site = call.Encoded.e_site in
-  (not (Pid_table.mem t.sites ~pid site))
-  &&
-  match Pid_table.Shared.find t.facts ~site ~block:call.Encoded.e_block with
-  | exception Not_found -> false
-  | f ->
-    statics_match f call
-    &&
-    (match prove t f call ~supplied with
-     | `Memo ->
-       adopt t ~pid ~site (entry_of ~call ~mac:supplied ~suffix:f.pe_suffix f);
-       true
-     | `Resumed n ->
-       adopt t ~pid ~site
-         (entry_of ~call ~mac:supplied ~suffix:(Bytes.sub_string t.p_suffix 0 n) f);
-       true
-     | `Mismatch -> false
-     | exception Not_found -> false)
 
 let compile t ~pid ~(call : Encoded.t) ~encoded ~mac =
   let len = String.length encoded in
@@ -311,7 +278,6 @@ let compile t ~pid ~(call : Encoded.t) ~encoded ~mac =
         pe_state = Cmac.Streaming.save st }
     in
     Pid_table.add t.sites ~pid site e;
-    Pid_table.Shared.add t.facts ~site ~block:call.Encoded.e_block
-      (entry_of ~call ~mac ~suffix:e.pe_suffix e);
+    Pid_table.Shared.add t.facts ~site ~block:call.Encoded.e_block (copy e);
     Metrics.inc t.compiles
   end

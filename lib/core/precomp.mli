@@ -51,15 +51,14 @@
 
     The entries live in a {!Pid_table} keyed by site. Every {!compile}
     also files a copy of its entry in a {!Pid_table.Shared} table keyed by
-    (site, block id), first writer wins: the memo, its tag and its saved
-    prefix state assert [CMAC(key, encoded memo) = tag], a fact about the
-    key and the bytes that holds for every pid. A miss in a pid's own
-    table then first tries that fact, by the live compare ({!probe_shared}), else by
-    the structural compare and a memo hit or resume from the fact's
-    prefix state ({!check_shared}). A fact that proves the call gives the
-    pid the entry the slow path would have compiled, and the checker
-    charges, counts and labels the call exactly as the slow path: only
-    the host's MAC work is skipped. Nothing drops the shared table at
+    (site, block id), first writer wins: the memo and its tag assert
+    [CMAC(key, encoded memo) = tag], a fact about the key and the bytes
+    that holds for every pid, and its saved prefix state serves any pid's
+    later resumes. A miss in a pid's own table then first tries that fact
+    by the live compare ({!probe_shared}). A fact that proves the call
+    gives the pid the entry the slow path would have compiled, and the
+    checker charges, counts and labels the call exactly as the slow path:
+    only the host's MAC work is skipped. Nothing drops the shared table at
     exec or exit.
 
     Counters are published in the registry passed at creation:
@@ -111,15 +110,6 @@ val probe_shared : t -> m:Svm.Machine.t -> pid:int -> site:int -> number:int -> 
     slow path's {!check} and {!compile} would count, a miss and a compile,
     plus a shared hit; the checker charges the slow path's
     [Svm.Cost_model.mac_cost]. [None] counts nothing. *)
-
-val check_shared : t -> pid:int -> call:Encoded.t -> supplied:string -> bool
-(** A per-pid miss decided from the rebuilt call, after {!check} declined
-    it: [true] when [pid] has no entry at the call's site and the shared
-    fact at (site, block) proves [supplied] by {!check}'s structural
-    compare and memo hit or resume. [pid]'s entry is then the one
-    {!compile} would make from this call, counted as a compile and a
-    shared hit (the miss was {!check}'s). [false] changes nothing: run the
-    slow path. *)
 
 val compile : t -> pid:int -> call:Encoded.t -> encoded:string -> mac:string -> unit
 (** Compile a site entry from a verification that just succeeded on the

@@ -5,12 +5,12 @@
    block ids (program id in the high bits), the span bound, the
    single-block CMAC chain step against the one-shot MAC, the per-pid
    lifecycle and bound, and the shared facts: a second pid's miss
-   accepted from the first pid's compiled set, and nothing entering the
-   shared table from a failed verification, checked inside the checker
-   too. Its other behaviour inside the checker — the kernel lifecycle
-   hook, the cycles-saved accounting, and verdict parity with the
-   reference checker — is tested with the rest of the deployed fast path
-   in test_fastpath.ml. *)
+   accepted from the first pid's compiled set, and refused on other
+   bytes. Its behaviour inside the checker — the kernel lifecycle hook,
+   the cycles-saved accounting, the shared facts deciding another
+   process's first visits, and verdict parity with the reference checker
+   — is tested with the rest of the deployed fast path in
+   test_fastpath.ml. *)
 
 module Cmac = Asc_crypto.Cmac
 module Encoded = Asc_core.Encoded
@@ -175,36 +175,6 @@ let test_shared_fact () =
   Alcotest.(check bool) "a flipped set byte" false (shared ~pid:3 m);
   Alcotest.(check int) "no further hit" 1 (Cfpre.shared_hits t)
 
-(* ---- inside the checker: only a verified call enters the shared table ---- *)
-
-open In_turn
-
-let cfpre_run =
-  run_in_turn ~key
-    ~hits:(fun fp -> Cfpre.shared_hits fp.Asc_core.Checker.cfpre)
-    ~size:(fun fp -> Cfpre.shared_size fp.Asc_core.Checker.cfpre)
-
-let test_flipped_set_not_shared () =
-  (* A's first getpid finds its predecessor set's first byte flipped and
-     is denied: B's first getpid finds no compiled set, and C's finds B's *)
-  match cfpre_run ~sem:Oskernel.Syscall.Getpid [ flip ~reg:9 ~off:0; clean; clean ] with
-  | [ a; b; c ] ->
-    check_run "A" ~killed:true ~shared:false a;
-    check_run "B" ~killed:false ~shared:false b;
-    check_run "C" ~killed:false ~shared:true c
-  | _ -> assert false
-
-let test_flipped_set_refused_by_the_fact () =
-  (* B flips its set at a site A compiled: the fact refuses the bytes, the
-     reference denies, and the table holds what it held *)
-  match cfpre_run ~sem:Oskernel.Syscall.Getpid [ clean; flip ~reg:9 ~off:0; clean ] with
-  | [ ((_, _, size_a) as a); ((_, _, size_b) as b); c ] ->
-    check_run "A" ~killed:false ~shared:false a;
-    check_run "B" ~killed:true ~shared:false b;
-    Alcotest.(check int) "B's set left no fact" size_a size_b;
-    check_run "C" ~killed:false ~shared:true c
-  | _ -> assert false
-
 (* ---- the amortized chain step vs the one-shot MAC ---- *)
 
 let test_chain_step_equals_one_shot () =
@@ -266,11 +236,7 @@ let () =
           Alcotest.test_case "max_sites and block_limit bounds" `Quick
             test_max_sites_and_block_limit ] );
       ( "shared",
-        [ Alcotest.test_case "a fact accepts a second pid's set" `Quick test_shared_fact;
-          Alcotest.test_case "a flipped set byte enters nothing" `Quick
-            test_flipped_set_not_shared;
-          Alcotest.test_case "a fact refuses a flipped set byte" `Quick
-            test_flipped_set_refused_by_the_fact ] );
+        [ Alcotest.test_case "a fact accepts a second pid's set" `Quick test_shared_fact ] );
       ( "chain",
         [ Alcotest.test_case "chain step equals one-shot MAC" `Quick
             test_chain_step_equals_one_shot;

@@ -871,12 +871,16 @@ let schedule_name = function
 let slice = 20_000
 let budget = 10_000_000
 
-(* What one process observably did, the cycles it was charged, and the
-   cycles the layers credited while it ran. *)
+(* What one process observably did, the cycles it was charged, and what
+   the layers credited while it ran: the cycles saved, and for precomp
+   and cfpre in turn, the first visits a shared fact decided and the
+   facts filed. *)
 type proc_run = {
   obs : Svm.Machine.stop * string * Kernel.trace_entry list * string list;
   cycles : int;
   saved : int;
+  drawn : int * int;
+  filed : int * int;
 }
 
 let verdicts_of kernel pid =
@@ -934,22 +938,32 @@ let run_procs ?(wrap = fun _ m -> m) ?(procs = 2) config schedule img =
   let fast = arm config kernel in
   let pids = List.init procs (fun i -> kernel.Kernel.next_pid + i) in
   Kernel.set_monitor kernel (Some (wrap pids (Checker.monitor_with ~kernel ~key fast)));
-  let saved () = match fast with Some fp -> cycles_saved fp | None -> 0 in
-  let traces = Array.make procs [] and credit = Array.make procs 0 in
-  (* [run_for], crediting process [i] with the slice's trace and savings *)
+  let totals () =
+    match fast with
+    | Some fp ->
+      [| cycles_saved fp; Precomp.shared_hits fp.precomp; Cfpre.shared_hits fp.cfpre;
+         Precomp.shared_size fp.precomp; Cfpre.shared_size fp.cfpre |]
+    | None -> Array.make 5 0
+  in
+  let traces = Array.make procs [] and credit = Array.make_matrix procs 5 0 in
+  (* [run_for], crediting process [i] with the slice's trace and the moves
+     of the layers' totals *)
   let run_slice i p ~cycles =
     Kernel.clear_trace kernel;
-    let s0 = saved () in
+    let t0 = totals () in
     let stop = run_for kernel p ~cycles in
-    credit.(i) <- credit.(i) + (saved () - s0);
+    Array.iteri (fun j t -> credit.(i).(j) <- credit.(i).(j) + t - t0.(j)) (totals ());
     traces.(i) <- traces.(i) @ Kernel.trace kernel;
     stop
   in
   let spawn i = Kernel.spawn kernel ~program:(Printf.sprintf "proc%d" i) img in
   let finish i (p : Process.t) stop =
+    let c = credit.(i) in
     { obs = (stop, Kernel.stdout_of p, traces.(i), verdicts_of kernel p.Process.pid);
       cycles = cycles p;
-      saved = credit.(i) }
+      saved = c.(0);
+      drawn = (c.(1), c.(2));
+      filed = (c.(3), c.(4)) }
   in
   let runs =
     match schedule with
@@ -1129,6 +1143,57 @@ let first_visit_cases =
         "control_flow" );
       ("path string byte flipped", access_loop, Syscall.Access, flip_byte ~reg:1 ~off:1, "string_mac")
     ]
+
+(* ---- only a verified call enters a shared table ---- *)
+
+(* Three processes of [getpid_loop] in turn under the fast path. The
+   first trap of process [victim], A or B (brk(0), from the C runtime), is
+   struck and denied at [step]; [layer] picks precomp's or cfpre's side
+   of each process's credit. The denied trap draws on no fact and files
+   none. So after a denied A, B finds none of A's facts and files its
+   own, and the last process, C, draws on every fact the clean one before
+   it filed. *)
+let test_denied_files_nothing ~victim ~strike ~step ~layer () =
+  let img = install ~program:"facts" getpid_loop in
+  let wrap pids = before_trap ~pid:(List.nth pids victim) ~k:0 strike in
+  let runs, _ = run_procs ~wrap ~procs:3 Fast Sequential img in
+  let n = layer (List.nth runs (1 - victim)).filed in
+  Alcotest.(check bool) "the clean process filed facts" true (n > 0);
+  List.iteri
+    (fun i r ->
+      let _, _, _, verdicts = r.obs in
+      let expect =
+        if i = victim then ([ "v:" ^ step ], (0, 0))
+        else if i < 2 then ([], (0, n))
+        else ([], (n, 0))
+      in
+      Alcotest.(check (pair (list string) (pair int int)))
+        (Printf.sprintf "process %d: verdicts, facts drawn and filed" i)
+        expect
+        (verdicts, (layer r.drawn, layer r.filed)))
+    runs
+
+let denied_first_visit_cases =
+  let flip ~reg ~off m = ignore (flip_byte ~reg ~off m 0) in
+  List.map
+    (fun (what, victim, strike, step, layer) ->
+      (what, test_denied_files_nothing ~victim ~strike ~step ~layer))
+    [ ("a flipped call-MAC byte in A files no fact", 0, flip ~reg:11 ~off:0, "call_mac", fst);
+      ( "a call changed under A's tag in B draws on no fact",
+        1,
+        (fun m -> m.Svm.Machine.regs.(1) <- 4096),
+        "call_mac",
+        fst );
+      ( "a flipped predecessor-set byte in A files no fact",
+        0,
+        flip ~reg:9 ~off:0,
+        "control_flow",
+        snd );
+      ( "a flipped predecessor-set byte in B draws on no fact",
+        1,
+        flip ~reg:9 ~off:0,
+        "control_flow",
+        snd ) ]
 
 (* ---- pid locality: a process's modeled time is its own ---- *)
 
@@ -1316,5 +1381,6 @@ let () =
       ( "shared",
         multi_props
         @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) first_visit_cases
+        @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) denied_first_visit_cases
         @ [ Alcotest.test_case "a process's modeled time is its own" `Quick test_pid_locality
           ] ) ]

@@ -70,6 +70,8 @@ let create_shared () =
 
 let test_shared_keys () =
   let registry, t = create_shared () in
+  Alcotest.check_raises "a new table holds nothing" Not_found (fun () ->
+      ignore (Pid_table.Shared.find t ~site:0x40 ~block:1));
   Pid_table.Shared.add t ~site:0x40 ~block:1 "a";
   Pid_table.Shared.add t ~site:0x40 ~block:2 "b";
   Pid_table.Shared.add t ~site:0x40 ~block:1 "late";

@@ -3,13 +3,11 @@
    The unit tests pin the verdict lattice (miss / memo hit / streaming
    resume / fallback), the suffix-patching soundness (a resumed MAC is
    exactly the reference path's MAC of the live call), the per-pid
-   lifecycle and the site bound, and the shared facts: a second pid's
-   miss proved from the first pid's verified entry, and nothing entering
-   the shared table from a failed verification, checked inside the
-   checker too. Its other behaviour inside the checker — the kernel
-   lifecycle hook, the cycles-saved accounting, and verdict parity with
-   the reference checker — is tested with the rest of the deployed fast
-   path in test_fastpath.ml. *)
+   lifecycle, under which the shared facts stay, and the site bound. Its
+   behaviour inside the checker — the kernel lifecycle hook, the
+   cycles-saved accounting, the shared facts deciding another process's
+   first visits, and verdict parity with the reference checker — is
+   tested with the rest of the deployed fast path in test_fastpath.ml. *)
 
 module Cmac = Asc_crypto.Cmac
 module Encoded = Asc_core.Encoded
@@ -134,6 +132,7 @@ let test_pid_lifecycle () =
   compile_call t ~pid:1 call;
   compile_call t ~pid:2 call;
   Alcotest.(check int) "two entries" 2 (Precomp.size t);
+  Alcotest.(check int) "one shared fact: the first writer's" 1 (Precomp.shared_size t);
   Precomp.drop_pid t 1;
   Alcotest.check verdict "exec emptied pid 1" miss
     (Precomp.check t ~pid:1 ~call ~supplied:(mac_of call));
@@ -141,7 +140,8 @@ let test_pid_lifecycle () =
     (Precomp.check t ~pid:2 ~call ~supplied:(mac_of call));
   Precomp.drop_pid t 2;
   Alcotest.(check int) "both invalidations counted" 2 (Precomp.invalidations t);
-  Alcotest.(check int) "table empty" 0 (Precomp.size t)
+  Alcotest.(check int) "table empty" 0 (Precomp.size t);
+  Alcotest.(check int) "the shared fact stays" 1 (Precomp.shared_size t)
 
 let test_max_sites_bound () =
   (* the per-pid site bound: the site past it flushes the pid's table and
@@ -161,93 +161,6 @@ let test_max_sites_bound () =
   Alcotest.check verdict "the new site hits" Precomp.Hit
     (Precomp.check t ~pid:1 ~call:late ~supplied:(mac_of late))
 
-let test_shared_fact_proves_a_second_pid () =
-  let t = create () in
-  let call = mk () in
-  compile_call t ~pid:1 call;
-  Alcotest.(check int) "one fact" 1 (Precomp.shared_size t);
-  Alcotest.check verdict "pid 2 misses its own table" miss
-    (Precomp.check t ~pid:2 ~call ~supplied:(mac_of call));
-  Alcotest.(check bool) "the shared fact proves it" true
-    (Precomp.check_shared t ~pid:2 ~call ~supplied:(mac_of call));
-  Alcotest.(check int) "counted as a compile" 2 (Precomp.compiles t);
-  Alcotest.(check int) "and a shared hit" 1 (Precomp.shared_hits t);
-  Alcotest.check verdict "pid 2 now hits its own entry" Precomp.Hit
-    (Precomp.check t ~pid:2 ~call ~supplied:(mac_of call));
-  Alcotest.(check bool) "a pid with an entry does not ask again" false
-    (Precomp.check_shared t ~pid:2 ~call ~supplied:(mac_of call));
-  (* a changed dynamic field is proved by a resume from the fact's prefix
-     state, and the resume moves only the pid's memo *)
-  let call' = mk ~cval:43 () in
-  Alcotest.(check bool) "a resume from the fact proves a changed call" true
-    (Precomp.check_shared t ~pid:3 ~call:call' ~supplied:(mac_of call'));
-  Alcotest.check verdict "pid 3's memo is its own call" Precomp.Hit
-    (Precomp.check t ~pid:3 ~call:call' ~supplied:(mac_of call'));
-  Alcotest.(check bool) "the fact still holds the first call" true
-    (Precomp.check_shared t ~pid:4 ~call ~supplied:(mac_of call));
-  Alcotest.(check int) "one fact still" 1 (Precomp.shared_size t);
-  Alcotest.check verdict "another block at the site has no fact" miss
-    (Precomp.check t ~pid:5 ~call:(mk ~block:8 ()) ~supplied:(mac_of (mk ~block:8 ())));
-  Alcotest.(check bool) "so nothing proves it" false
-    (Precomp.check_shared t ~pid:5 ~call:(mk ~block:8 ()) ~supplied:(mac_of (mk ~block:8 ())))
-
-let test_shared_fact_refuses_bad_tags () =
-  let t = create () in
-  let call = mk () in
-  compile_call t ~pid:1 call;
-  let flipped =
-    String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 0xff) else c) (mac_of call)
-  in
-  Alcotest.(check bool) "a flipped tag byte" false
-    (Precomp.check_shared t ~pid:2 ~call ~supplied:flipped);
-  Alcotest.(check bool) "a changed call under the old tag: the resume mismatches" false
-    (Precomp.check_shared t ~pid:2 ~call:(mk ~cval:43 ()) ~supplied:(mac_of call));
-  (* another number at the same (site, block) shares the fact's key, not
-     its statics: the fact proves nothing about it, under either tag *)
-  let renumbered = { call with Encoded.e_number = 21 } in
-  Alcotest.(check bool) "another number under the old tag" false
-    (Precomp.check_shared t ~pid:2 ~call:renumbered ~supplied:(mac_of call));
-  Alcotest.(check bool) "another number under its own tag" false
-    (Precomp.check_shared t ~pid:2 ~call:renumbered ~supplied:(mac_of renumbered));
-  Alcotest.check verdict "pid 2 got no entry" miss
-    (Precomp.check t ~pid:2 ~call ~supplied:(mac_of call));
-  Alcotest.(check int) "no compile" 1 (Precomp.compiles t);
-  Alcotest.(check int) "no shared hit" 0 (Precomp.shared_hits t)
-
-(* ---- inside the checker: only a verified call enters the shared table ---- *)
-
-open In_turn
-
-let precomp_run =
-  run_in_turn ~key
-    ~hits:(fun fp -> Precomp.shared_hits fp.Asc_core.Checker.precomp)
-    ~size:(fun fp -> Precomp.shared_size fp.Asc_core.Checker.precomp)
-
-let test_flipped_call_mac_not_shared () =
-  (* A's first getpid carries a flipped call-MAC byte and is denied: B's
-     first getpid finds no fact, and C's finds B's *)
-  match precomp_run ~sem:Oskernel.Syscall.Getpid [ flip ~reg:11 ~off:0; clean; clean ] with
-  | [ a; b; c ] ->
-    check_run "A" ~killed:true ~shared:false a;
-    check_run "B" ~killed:false ~shared:false b;
-    check_run "C" ~killed:false ~shared:true c
-  | _ -> assert false
-
-let test_resumed_mismatch_not_shared () =
-  (* B's first access passes mode 5 under the call MAC of mode 4: the
-     resume from A's fact mismatches and the reference denies. The table
-     holds what it held, and C is still proved by A's fact. *)
-  match
-    precomp_run ~sem:Oskernel.Syscall.Access
-      [ clean; (fun m -> m.Svm.Machine.regs.(2) <- 5); clean ]
-  with
-  | [ ((_, _, size_a) as a); ((_, _, size_b) as b); c ] ->
-    check_run "A" ~killed:false ~shared:false a;
-    check_run "B" ~killed:true ~shared:false b;
-    Alcotest.(check int) "B's call left no fact" size_a size_b;
-    check_run "C" ~killed:false ~shared:true c
-  | _ -> assert false
-
 let () =
   Alcotest.run "precomp"
     [ ( "unit",
@@ -259,12 +172,4 @@ let () =
           Alcotest.test_case "patching covers every field kind" `Quick
             test_patching_covers_every_field_kind;
           Alcotest.test_case "pid lifecycle" `Quick test_pid_lifecycle;
-          Alcotest.test_case "max_sites bound" `Quick test_max_sites_bound ] );
-      ( "shared",
-        [ Alcotest.test_case "a fact proves a second pid's miss" `Quick
-            test_shared_fact_proves_a_second_pid;
-          Alcotest.test_case "a fact refuses a bad tag" `Quick test_shared_fact_refuses_bad_tags;
-          Alcotest.test_case "a flipped call-MAC byte enters nothing" `Quick
-            test_flipped_call_mac_not_shared;
-          Alcotest.test_case "a resumed tag mismatch enters nothing" `Quick
-            test_resumed_mismatch_not_shared ] ) ]
+          Alcotest.test_case "max_sites bound" `Quick test_max_sites_bound ] ) ]
