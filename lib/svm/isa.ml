@@ -123,15 +123,25 @@ let encode i b ~pos =
   | Rdcyc rd -> put b ~pos ~op:Rdcyc ~rd ~rs:0 ~rt:0 ~imm:0
 
 (* Field accessors: allocation-free, and shared by [decode] and the
-   interpreter so the layout above is read in one place. The head is the
-   first four bytes, read with one bounds check; the pad byte is dropped. *)
-let[@inline] head_at b ~pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xff_ffff
+   interpreter so the layout above is read in one place. An instruction is
+   one little-endian 64-bit word, read with one load and packed into an
+   int: the head (the first three bytes; the pad byte is dropped) in the
+   low 24 bits and the sign-extended immediate above them. The packed word
+   is an [int], not an [int64], so no accessor boxes it, inlined or not. *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] unsafe_word_at b ~pos =
+  let w = if Sys.big_endian then swap64 (get64u b pos) else get64u b pos in
+  (Int64.to_int (Int64.shift_right w 32) lsl 24) lor (Int64.to_int w land 0xff_ffff)
+
+let[@inline] head_of_word w = w land 0xff_ffff
+let[@inline] imm_of_word w = w asr 24
+let[@inline] target_of_word w = imm_of_word w land 0xffff_ffff
 let[@inline] opcode_of_head h = h land 0xff
 let[@inline] rd_of_head h = (h lsr 12) land 0xf
 let[@inline] rs_of_head h = (h lsr 8) land 0xf
 let[@inline] rt_of_head h = h lsr 16
-let[@inline] imm_at b ~pos = Int32.to_int (Bytes.get_int32_le b (pos + 4))
-let[@inline] target_at b ~pos = imm_at b ~pos land 0xffff_ffff
 
 let[@inline] op_of_head h =
   let op = Array.unsafe_get op_table (opcode_of_head h) in
@@ -140,9 +150,10 @@ let[@inline] op_of_head h =
 let decode b ~pos =
   if pos < 0 || pos > Bytes.length b - instr_size then None
   else begin
-    let h = head_at b ~pos in
+    let w = unsafe_word_at b ~pos in
+    let h = head_of_word w in
     let rd = rd_of_head h and rs = rs_of_head h and rt = rt_of_head h in
-    let imm = imm_at b ~pos and target = target_at b ~pos in
+    let imm = imm_of_word w and target = target_of_word w in
     match op_of_head h with
     | Halt -> Some Halt
     | Nop -> Some Nop

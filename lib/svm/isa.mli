@@ -58,9 +58,9 @@ val instr_size : int
 
     The interpreter dispatches on these without building an {!instr}, so a
     retired instruction allocates nothing; {!decode} is built on the same
-    accessors, so the two cannot disagree about the encoding. Each [_at]
-    accessor reads the instruction starting at [pos] and raises
-    [Invalid_argument] if a byte it reads lies outside the buffer. *)
+    accessors, so the two cannot disagree about the encoding. Both read an
+    instruction with {!unsafe_word_at} and take every field from the word
+    it returns. *)
 
 module Op : sig
   type t =
@@ -74,9 +74,14 @@ end
     per opcode, binops and branches included. [Invalid] stands for every
     byte the opcode map leaves unassigned. *)
 
-val head_at : bytes -> pos:int -> int
-(** The instruction's head: its opcode, register and rt bytes, read with
-    one bounds check. The [_of_head] functions take it apart. *)
+val unsafe_word_at : bytes -> pos:int -> int
+(** The instruction at [pos], read with one unchecked 8-byte load and
+    packed into an int for the [_of_word] accessors. The caller must have
+    checked [0 <= pos <= Bytes.length b - instr_size]. *)
+
+val head_of_word : int -> int
+(** The instruction's head: its opcode, register and rt bytes. The
+    [_of_head] functions take it apart. *)
 
 val op_of_head : int -> Op.t
 (** The operation. [Invalid] if the opcode byte is unassigned, or if the
@@ -93,10 +98,10 @@ val rt_of_head : int -> int
 (** The raw rt byte, in \[0, 255\]; a register only where {!op_of_head}
     is a binop or branch. *)
 
-val imm_at : bytes -> pos:int -> int
+val imm_of_word : int -> int
 (** The immediate, sign-extended from 32 bits. *)
 
-val target_at : bytes -> pos:int -> int
+val target_of_word : int -> int
 (** The immediate as an absolute code address: zero-extended from 32 bits,
     as branch, jump and call targets are. *)
 

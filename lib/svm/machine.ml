@@ -49,7 +49,8 @@ let stack_top t = Bytes.length t.mem - 16
 
 (* [addr <= length - len], not [addr + len <= length]: the sum overflows
    for a guest address near [max_int] and would pass. *)
-let[@inline] in_range t addr len = addr >= 0 && len >= 0 && addr <= Bytes.length t.mem - len
+let[@inline] fits mem addr len = addr >= 0 && len >= 0 && addr <= Bytes.length mem - len
+let[@inline] in_range t addr len = fits t.mem addr len
 
 (* Every write marks the page it starts in, after its bounds check, so
    [a lsr page_bits] indexes the map. A word that starts in a page's last
@@ -159,8 +160,6 @@ let read_cstring t ~addr ~max =
     | None -> None
   end
 
-let fault t f pc = t.stopped <- Some (Faulted (f, pc))
-
 (* The modeled cost of each opcode byte: [Cost_model.instr_cost] of the
    instruction the byte decodes to. The model prices an operation, never
    its operands, so one decode per byte keeps it the only source of
@@ -171,133 +170,254 @@ let op_cost =
       Bytes.set b 0 (Char.chr opcode);
       match Isa.decode b ~pos:0 with Some i -> Cost_model.instr_cost i | None -> 0)
 
+(* The operation of each opcode byte, [Isa.op_of_head] of a head with that
+   byte: in [ops] when the rt byte names a register, in [ops_no_rt] when
+   it does not. A binop or branch is in the first table only, so an
+   operation read from either reads rt only if rt is below 16. *)
+let ops = Array.init 256 Isa.op_of_head
+let ops_no_rt = Array.init 256 (fun opcode -> Isa.op_of_head (opcode lor (Isa.num_regs lsl 16)))
+
+(* Unchecked guest words, little-endian as [Bytes.get_int64_le]; every
+   caller has range-checked the address. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] load mem a =
+  Int64.to_int (if Sys.big_endian then swap64 (get64u mem a) else get64u mem a)
+
+let[@inline] store mem a v =
+  let v = Int64.of_int v in
+  set64u mem a (if Sys.big_endian then swap64 v else v)
+
+(* rd and rs are 4-bit fields, and [ops] admits an rt only below 16, so
+   every register index the interpreter uses is in range of [regs] ([run]
+   checks its length once). *)
+let[@inline] get (r : int array) i = Array.unsafe_get r i
+let[@inline] set (r : int array) i v = Array.unsafe_set r i v
+let[@inline] rd w = Isa.rd_of_head (Isa.head_of_word w)
+let[@inline] rs w = Isa.rs_of_head (Isa.head_of_word w)
+let[@inline] rt w = Isa.rt_of_head (Isa.head_of_word w)
+
+(* The state the loop carries in arguments reaches [t] here, at a stop.
+   Stops and traps are functions of their own that the loop tail-calls,
+   so the loop itself makes no call and keeps its state in registers. *)
+let[@inline never] stop_at t ~pc ~cycles ~instrs s =
+  t.pc <- pc;
+  t.cycles <- cycles;
+  t.instrs <- instrs;
+  (* [Some Cycle_limit] is a static constant: the cycle-limit stop that
+     ends every slice of a sliced run allocates nothing *)
+  t.stopped <- (match s with Cycle_limit -> Some Cycle_limit | s -> Some s);
+  s
+
+let[@inline never] fault_at t ~pc ~cycles ~instrs f at =
+  stop_at t ~pc ~cycles ~instrs (Faulted (f, at))
+
 (* The interpreter dispatches on the operation of the opcode byte it
-   fetches and reads operands straight from guest memory, so a retired
-   instruction allocates nothing: only a stop allocates its [stopped]
-   value. There is deliberately no decoded-instruction cache: injected and
-   overwritten code, which the shellcode and mimicry attacks run, needs no
-   invalidation. Every operand is read before the instruction stores
-   anything, as if decoded whole. A fault leaves [t.pc] past the faulting
-   instruction and the effects before the fault in place (a push that
-   faults has already moved sp), and records the instruction's own pc. *)
-let rec run t ~on_sys ~max_cycles =
+   fetches and reads operands straight from the instruction word, so a
+   retired instruction allocates nothing: only a stop allocates its
+   [stopped] value. There is deliberately no decoded-instruction cache:
+   injected and overwritten code, which the shellcode and mimicry attacks
+   run, needs no invalidation. The instruction is fetched as one word, so
+   every operand is read before the instruction stores anything, as if
+   decoded whole. A fault leaves pc past the faulting instruction and the
+   effects before the fault in place (a push that faults has already moved
+   sp), and records the instruction's own pc.
+
+   [exec] is one self-tail-recursive function, not a closure: pc, cycles
+   and the instruction count live in its arguments, and reach [t] only
+   before [on_sys] and at a stop. After [on_sys] it re-reads them from [t],
+   with [mem] and [stopped], since the kernel may have moved pc (execve),
+   charged cycles, written code or memory, or stopped the machine. *)
+let rec exec t mem r on_sys max_cycles pc cycles instrs =
+  if cycles > max_cycles then stop_at t ~pc ~cycles ~instrs Cycle_limit
+  else if pc < 0 || pc > Bytes.length mem - Isa.instr_size then
+    fault_at t ~pc ~cycles ~instrs (Bad_address pc) pc
+  else begin
+    let w = Isa.unsafe_word_at mem ~pos:pc in
+    let h = Isa.head_of_word w in
+    let opcode = Isa.opcode_of_head h in
+    let op = Array.unsafe_get (if Isa.rt_of_head h < Isa.num_regs then ops else ops_no_rt) opcode in
+    let c = cycles + Array.unsafe_get op_cost opcode and n = instrs + 1 in
+    let next = pc + Isa.instr_size in
+    match (op : Isa.Op.t) with
+    | Invalid -> fault_at t ~pc ~cycles ~instrs (Bad_opcode pc) pc
+    | Halt -> stop_at t ~pc:next ~cycles:c ~instrs:n (Halted (get r 0))
+    | Nop -> exec t mem r on_sys max_cycles next c n
+    | Movi ->
+      set r (rd w) (Isa.imm_of_word w);
+      exec t mem r on_sys max_cycles next c n
+    | Mov ->
+      set r (rd w) (get r (rs w));
+      exec t mem r on_sys max_cycles next c n
+    | Ld ->
+      let a = get r (rs w) + Isa.imm_of_word w in
+      if fits mem a 8 then begin
+        set r (rd w) (load mem a);
+        exec t mem r on_sys max_cycles next c n
+      end
+      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+    | St ->
+      let a = get r (rd w) + Isa.imm_of_word w in
+      if fits mem a 8 then begin
+        store mem a (get r (rs w));
+        mark t a;
+        exec t mem r on_sys max_cycles next c n
+      end
+      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+    | Ldb ->
+      let a = get r (rs w) + Isa.imm_of_word w in
+      if fits mem a 1 then begin
+        set r (rd w) (Char.code (Bytes.unsafe_get mem a));
+        exec t mem r on_sys max_cycles next c n
+      end
+      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+    | Stb ->
+      let a = get r (rd w) + Isa.imm_of_word w in
+      if fits mem a 1 then begin
+        Bytes.unsafe_set mem a (Char.unsafe_chr (get r (rs w) land 0xff));
+        mark t a;
+        exec t mem r on_sys max_cycles next c n
+      end
+      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+    | Addi ->
+      set r (rd w) (get r (rs w) + Isa.imm_of_word w);
+      exec t mem r on_sys max_cycles next c n
+    | Add ->
+      set r (rd w) (get r (rs w) + get r (rt w));
+      exec t mem r on_sys max_cycles next c n
+    | Sub ->
+      set r (rd w) (get r (rs w) - get r (rt w));
+      exec t mem r on_sys max_cycles next c n
+    | Mul ->
+      set r (rd w) (get r (rs w) * get r (rt w));
+      exec t mem r on_sys max_cycles next c n
+    | Div ->
+      if get r (rt w) = 0 then fault_at t ~pc:next ~cycles:c ~instrs:n Div_by_zero pc
+      else begin
+        set r (rd w) (get r (rs w) / get r (rt w));
+        exec t mem r on_sys max_cycles next c n
+      end
+    | Mod ->
+      if get r (rt w) = 0 then fault_at t ~pc:next ~cycles:c ~instrs:n Div_by_zero pc
+      else begin
+        set r (rd w) (get r (rs w) mod get r (rt w));
+        exec t mem r on_sys max_cycles next c n
+      end
+    | And ->
+      set r (rd w) (get r (rs w) land get r (rt w));
+      exec t mem r on_sys max_cycles next c n
+    | Or ->
+      set r (rd w) (get r (rs w) lor get r (rt w));
+      exec t mem r on_sys max_cycles next c n
+    | Xor ->
+      set r (rd w) (get r (rs w) lxor get r (rt w));
+      exec t mem r on_sys max_cycles next c n
+    | Shl ->
+      set r (rd w) (get r (rs w) lsl (get r (rt w) land 63));
+      exec t mem r on_sys max_cycles next c n
+    | Shr ->
+      set r (rd w) (get r (rs w) asr (get r (rt w) land 63));
+      exec t mem r on_sys max_cycles next c n
+    | Slt ->
+      set r (rd w) (Bool.to_int (get r (rs w) < get r (rt w)));
+      exec t mem r on_sys max_cycles next c n
+    | Sle ->
+      set r (rd w) (Bool.to_int (get r (rs w) <= get r (rt w)));
+      exec t mem r on_sys max_cycles next c n
+    | Seq ->
+      set r (rd w) (Bool.to_int (get r (rs w) = get r (rt w)));
+      exec t mem r on_sys max_cycles next c n
+    | Sne ->
+      set r (rd w) (Bool.to_int (get r (rs w) <> get r (rt w)));
+      exec t mem r on_sys max_cycles next c n
+    | Beq ->
+      let pc = if get r (rs w) = get r (rt w) then Isa.target_of_word w else next in
+      exec t mem r on_sys max_cycles pc c n
+    | Bne ->
+      let pc = if get r (rs w) <> get r (rt w) then Isa.target_of_word w else next in
+      exec t mem r on_sys max_cycles pc c n
+    | Blt ->
+      let pc = if get r (rs w) < get r (rt w) then Isa.target_of_word w else next in
+      exec t mem r on_sys max_cycles pc c n
+    | Bge ->
+      let pc = if get r (rs w) >= get r (rt w) then Isa.target_of_word w else next in
+      exec t mem r on_sys max_cycles pc c n
+    | Ble ->
+      let pc = if get r (rs w) <= get r (rt w) then Isa.target_of_word w else next in
+      exec t mem r on_sys max_cycles pc c n
+    | Bgt ->
+      let pc = if get r (rs w) > get r (rt w) then Isa.target_of_word w else next in
+      exec t mem r on_sys max_cycles pc c n
+    | Jmp -> exec t mem r on_sys max_cycles (Isa.target_of_word w) c n
+    | Jr -> exec t mem r on_sys max_cycles (get r (rs w)) c n
+    | Call ->
+      let a = get r Isa.sp - 8 in
+      set r Isa.sp a;
+      if fits mem a 8 then begin
+        store mem a next;
+        mark t a;
+        exec t mem r on_sys max_cycles (Isa.target_of_word w) c n
+      end
+      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+    | Callr ->
+      let a = get r Isa.sp - 8 in
+      set r Isa.sp a;
+      if fits mem a 8 then begin
+        store mem a next;
+        mark t a;
+        exec t mem r on_sys max_cycles (get r (rs w)) c n
+      end
+      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+    | Ret ->
+      let a = get r Isa.sp in
+      if fits mem a 8 then begin
+        let pc = load mem a in
+        set r Isa.sp (a + 8);
+        exec t mem r on_sys max_cycles pc c n
+      end
+      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+    | Push ->
+      let v = get r (rs w) and a = get r Isa.sp - 8 in
+      set r Isa.sp a;
+      if fits mem a 8 then begin
+        store mem a v;
+        mark t a;
+        exec t mem r on_sys max_cycles next c n
+      end
+      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+    | Pop ->
+      let a = get r Isa.sp in
+      if fits mem a 8 then begin
+        let v = load mem a in
+        set r Isa.sp (a + 8);
+        set r (rd w) v;
+        exec t mem r on_sys max_cycles next c n
+      end
+      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+    | Rdcyc ->
+      set r (rd w) c;
+      exec t mem r on_sys max_cycles next c n
+    | Sys -> trap t r on_sys max_cycles next c n
+  end
+
+and trap t r on_sys max_cycles pc cycles instrs =
+  t.pc <- pc;
+  t.cycles <- cycles;
+  t.instrs <- instrs;
+  match on_sys t with
+  | Sys_kill reason ->
+    let s = Killed reason in
+    t.stopped <- Some s;
+    s
+  | Sys_continue ->
+    (match t.stopped with
+     | Some s -> s
+     | None -> exec t t.mem r on_sys max_cycles t.pc t.cycles t.instrs)
+
+let run t ~on_sys ~max_cycles =
+  if Array.length t.regs < Isa.num_regs then invalid_arg "Machine.run: regs";
   match t.stopped with
   | Some s -> s
-  | None ->
-    if t.cycles > max_cycles then begin
-      t.stopped <- Some Cycle_limit;
-      Cycle_limit
-    end
-    else begin
-      let mem = t.mem and r = t.regs and pc = t.pc in
-      if pc < 0 || pc > Bytes.length mem - Isa.instr_size then fault t (Bad_address pc) pc
-      else begin
-        let h = Isa.head_at mem ~pos:pc in
-        let op = Isa.op_of_head h in
-        if op = Isa.Op.Invalid then fault t (Bad_opcode pc) pc
-        else begin
-          let cost = Array.unsafe_get op_cost (Isa.opcode_of_head h) in
-          t.cycles <- t.cycles + cost;
-          t.instrs <- t.instrs + 1;
-          t.pc <- pc + Isa.instr_size;
-          let rd = Isa.rd_of_head h and rs = Isa.rs_of_head h and rt = Isa.rt_of_head h in
-          match (op : Isa.Op.t) with
-          | Halt -> t.stopped <- Some (Halted r.(0))
-          | Nop | Invalid -> ()
-          | Movi -> r.(rd) <- Isa.imm_at mem ~pos:pc
-          | Mov -> r.(rd) <- r.(rs)
-          | Ld ->
-            let a = r.(rs) + Isa.imm_at mem ~pos:pc in
-            if word_ok t a then r.(rd) <- Int64.to_int (Bytes.get_int64_le mem a)
-            else fault t (Bad_address a) pc
-          | St ->
-            let a = r.(rd) + Isa.imm_at mem ~pos:pc in
-            if word_ok t a then begin
-              Bytes.set_int64_le mem a (Int64.of_int r.(rs));
-              mark t a
-            end
-            else fault t (Bad_address a) pc
-          | Ldb ->
-            let a = r.(rs) + Isa.imm_at mem ~pos:pc in
-            if in_range t a 1 then r.(rd) <- Char.code (Bytes.unsafe_get mem a)
-            else fault t (Bad_address a) pc
-          | Stb ->
-            let a = r.(rd) + Isa.imm_at mem ~pos:pc in
-            if in_range t a 1 then begin
-              Bytes.unsafe_set mem a (Char.unsafe_chr (r.(rs) land 0xff));
-              mark t a
-            end
-            else fault t (Bad_address a) pc
-          | Addi -> r.(rd) <- r.(rs) + Isa.imm_at mem ~pos:pc
-          | Add -> r.(rd) <- r.(rs) + r.(rt)
-          | Sub -> r.(rd) <- r.(rs) - r.(rt)
-          | Mul -> r.(rd) <- r.(rs) * r.(rt)
-          | Div -> if r.(rt) = 0 then fault t Div_by_zero pc else r.(rd) <- r.(rs) / r.(rt)
-          | Mod -> if r.(rt) = 0 then fault t Div_by_zero pc else r.(rd) <- r.(rs) mod r.(rt)
-          | And -> r.(rd) <- r.(rs) land r.(rt)
-          | Or -> r.(rd) <- r.(rs) lor r.(rt)
-          | Xor -> r.(rd) <- r.(rs) lxor r.(rt)
-          | Shl -> r.(rd) <- r.(rs) lsl (r.(rt) land 63)
-          | Shr -> r.(rd) <- r.(rs) asr (r.(rt) land 63)
-          | Slt -> r.(rd) <- Bool.to_int (r.(rs) < r.(rt))
-          | Sle -> r.(rd) <- Bool.to_int (r.(rs) <= r.(rt))
-          | Seq -> r.(rd) <- Bool.to_int (r.(rs) = r.(rt))
-          | Sne -> r.(rd) <- Bool.to_int (r.(rs) <> r.(rt))
-          | Beq -> if r.(rs) = r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
-          | Bne -> if r.(rs) <> r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
-          | Blt -> if r.(rs) < r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
-          | Bge -> if r.(rs) >= r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
-          | Ble -> if r.(rs) <= r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
-          | Bgt -> if r.(rs) > r.(rt) then t.pc <- Isa.target_at mem ~pos:pc
-          | Jmp -> t.pc <- Isa.target_at mem ~pos:pc
-          | Jr -> t.pc <- r.(rs)
-          | Call ->
-            let target = Isa.target_at mem ~pos:pc and a = r.(Isa.sp) - 8 in
-            r.(Isa.sp) <- a;
-            if word_ok t a then begin
-              Bytes.set_int64_le mem a (Int64.of_int t.pc);
-              mark t a;
-              t.pc <- target
-            end
-            else fault t (Bad_address a) pc
-          | Callr ->
-            let a = r.(Isa.sp) - 8 in
-            r.(Isa.sp) <- a;
-            if word_ok t a then begin
-              Bytes.set_int64_le mem a (Int64.of_int t.pc);
-              mark t a;
-              t.pc <- r.(rs)
-            end
-            else fault t (Bad_address a) pc
-          | Ret ->
-            let a = r.(Isa.sp) in
-            if word_ok t a then begin
-              t.pc <- Int64.to_int (Bytes.get_int64_le mem a);
-              r.(Isa.sp) <- a + 8
-            end
-            else fault t (Bad_address a) pc
-          | Push ->
-            let v = r.(rs) and a = r.(Isa.sp) - 8 in
-            r.(Isa.sp) <- a;
-            if word_ok t a then begin
-              Bytes.set_int64_le mem a (Int64.of_int v);
-              mark t a
-            end
-            else fault t (Bad_address a) pc
-          | Pop ->
-            let a = r.(Isa.sp) in
-            if word_ok t a then begin
-              let v = Int64.to_int (Bytes.get_int64_le mem a) in
-              r.(Isa.sp) <- a + 8;
-              r.(rd) <- v
-            end
-            else fault t (Bad_address a) pc
-          | Sys ->
-            (match on_sys t with
-             | Sys_continue -> ()
-             | Sys_kill reason -> t.stopped <- Some (Killed reason))
-          | Rdcyc -> r.(rd) <- t.cycles
-        end
-      end;
-      run t ~on_sys ~max_cycles
-    end
+  | None -> exec t t.mem t.regs on_sys max_cycles t.pc t.cycles t.instrs

@@ -68,14 +68,25 @@ val stack_top : t -> int
 
 val run : t -> on_sys:(t -> sys_action) -> max_cycles:int -> stop
 (** Execute until halt, fault, kill or cycle budget exhaustion. Each
-    instruction is dispatched on the {!Isa.op_of_head} of the bytes fetched at
-    pc and charged its {!Cost_model.instr_cost}; a retired instruction
-    allocates nothing (only the final stop value does). [on_sys] is
-    invoked for every [Sys] with pc already advanced past the instruction,
-    so the call site is [t.pc - Isa.instr_size]. Instruction/cycle totals
-    live only in [t.instrs]/[t.cycles]; metric accounting is the caller's
-    concern (the kernel mirrors deltas into its per-kernel registry), so
-    concurrent machines never bleed into a shared counter. *)
+    instruction is fetched as one 8-byte word, dispatched on its
+    {!Isa.op_of_head} and charged its {!Cost_model.instr_cost}; a retired
+    instruction allocates nothing (only the final stop value does).
+
+    While it runs, pc, [cycles] and [instrs] live in the interpreter's
+    registers, not in [t]. They reach [t] before every [on_sys] call and
+    at every stop. [on_sys] is invoked for every [Sys] and sees pc already
+    advanced past the instruction, so the call site is
+    [t.pc - Isa.instr_size], and the current [cycles] and [instrs], the
+    sys included. Its writes to [pc], [cycles], [instrs], the registers,
+    memory ([mem] itself included) and [stopped] take effect before the
+    next fetch: setting [stopped] ends the run with that stop.
+
+    Instruction/cycle totals live only in [t.instrs]/[t.cycles]; metric
+    accounting is the caller's concern (the kernel mirrors deltas into its
+    per-kernel registry), so concurrent machines never bleed into a
+    shared counter.
+    @raise Invalid_argument if [t.regs] has fewer than {!Isa.num_regs}
+    entries. *)
 
 (** {2 Memory accessors (bounds-checked; [None] on out-of-range)}
 

@@ -633,7 +633,9 @@ buf:    .space 16
 |}
 
 (* A retired instruction allocates nothing: over the whole loop the minor
-   heap grows by no more than the stop value the run ends with. *)
+   heap grows by no more than the stop value the run ends with. A
+   cycle-limit stop, which ends every slice of a sliced run, allocates
+   nothing at all. *)
 let test_run_allocates_only_the_stop () =
   let m = Loader.load (Asm.assemble_exn every_class_loop) in
   let on_sys _ = Machine.Sys_kill "unexpected sys" in
@@ -648,29 +650,185 @@ let test_run_allocates_only_the_stop () =
   let stop_words = Obj.reachable_words (Obj.repr m.stopped) in
   if words > stop_words then
     Alcotest.failf "%d minor words over %d instructions (the stop value is %d)" words m.instrs
-      stop_words
+      stop_words;
+  let m = Loader.load (Asm.assemble_exn "_start: jmp _start") in
+  let before = int_of_float (Gc.minor_words ()) in
+  for slice = 1 to 1000 do
+    m.stopped <- None;
+    ignore (Machine.run m ~on_sys ~max_cycles:(slice * 100))
+  done;
+  Alcotest.(check int) "minor words over 1000 cycle-limit stops" 0
+    (int_of_float (Gc.minor_words ()) - before)
 
-(* Whole programs: the dispatcher and the reference agree on the result
-   and the machine state. *)
+(* A kernel stand-in for whole programs. It does to the machine what the
+   kernel's handlers do, chosen by r0:
+   - 1 moves pc to r1, as execve's [Loader.load_into] does;
+   - 2 overwrites the instruction right after the sys with
+     [movi r5, cycles], as a read into code would;
+   - 3 halts with status r1 by setting [stopped] itself, as the kernel's
+     exit path does;
+   - 4 kills;
+   - 5 moves memory to a new buffer, as handing it to a new owner
+     ([Machine.take_over]) does;
+   - any other number returns pc in r0.
+   Every call charges 7 cycles plus r0's low bits, and logs the
+   (pc, cycles, instrs) it saw. *)
+let kernel_stand_in log (m : Machine.t) =
+  log := (m.pc, m.cycles, m.instrs) :: !log;
+  let number = m.regs.(0) in
+  m.cycles <- m.cycles + 7 + (number land 0xf);
+  match number with
+  | 1 ->
+    m.pc <- m.regs.(1);
+    Machine.Sys_continue
+  | 2 ->
+    let code = Bytes.create Isa.instr_size in
+    Isa.encode (Isa.Movi (5, m.cycles)) code ~pos:0;
+    ignore (Machine.write_from m ~addr:m.pc ~buf:code ~pos:0 ~len:Isa.instr_size);
+    Machine.Sys_continue
+  | 3 ->
+    m.stopped <- Some (Machine.Halted m.regs.(1));
+    Machine.Sys_continue
+  | 4 -> Machine.Sys_kill "stand-in kill"
+  | 5 ->
+    m.mem <- Bytes.copy m.mem;
+    Machine.Sys_continue
+  | _ ->
+    m.regs.(0) <- m.pc;
+    Machine.Sys_continue
+
+(* Programs that trap into [kernel_stand_in]. An interpreter that kept
+   pc, cycles or the next instruction across a trap instead of re-reading
+   them runs the wrong code or counts the wrong cycles here. *)
+let trapping_programs =
+  [ (* execve: the instructions after the first sys never run *)
+    {|
+_start: movi r0, 1
+        movi r1, image
+        sys
+        movi r0, 99
+        halt
+image:  movi r0, 0
+        sys
+        rdcyc r7
+        movi r0, 3
+        movi r1, 42
+        sys
+        movi r0, 77
+        halt
+|};
+    (* a read into code: each pass runs the movi the trap wrote *)
+    {|
+_start: movi r3, 0
+        movi r4, 0
+        movi r6, 5
+loop:   movi r0, 2
+        sys
+        nop
+        add r3, r3, r5
+        addi r4, r4, 1
+        blt r4, r6, loop
+        movi r0, 3
+        mov r1, r3
+        sys
+        halt
+|};
+    (* execve outside memory: the next fetch faults at the new pc *)
+    "_start: movi r0, 1\n movi r1, -8\n sys\n halt";
+    (* a kill after a call that returns *)
+    "_start: movi r0, 0\n sys\n mov r8, r0\n movi r0, 4\n sys\n halt";
+    (* stores after memory moved land in the new buffer *)
+    "_start: movi r0, 5\n sys\n movi r1, 0x3000\n movi r2, 9\n st [r1+0], r2\n push r2\n\
+     ld r0, [r1+0]\n halt" ]
+
+type final = {
+  stop : Machine.stop;
+  machine : Machine.t;
+  calls : (int * int * int) list;  (** what each trap saw, in order *)
+}
+
+(* Run [src] under [run] and the stand-in, one [max_cycles] slice at a
+   time, the slice lengths taken from [slices] in turn, up to
+   [program_cycles] in all. After a [Cycle_limit] the run resumes with
+   [stopped] cleared, as the kernel's callers resume a process. No
+   [slices] is one uninterrupted run. *)
+let program_cycles = 10_000_000
+
+let run_sliced run ?(slices = []) src =
+  let m = Loader.load ~mem_size:0x10000 (Asm.assemble_exn src) in
+  let log = ref [] in
+  let on_sys = kernel_stand_in log in
+  let rec go = function
+    | [] -> run m ~on_sys ~max_cycles:program_cycles
+    | slice :: rest ->
+      (match run m ~on_sys ~max_cycles:(min program_cycles (m.Machine.cycles + slice)) with
+       | Machine.Cycle_limit when m.cycles < program_cycles ->
+         m.stopped <- None;
+         go (if rest = [] then slices else rest)
+       | stop -> stop)
+  in
+  let stop = go slices in
+  { stop; machine = m; calls = List.rev !log }
+
+let same_final a b =
+  a.stop = b.stop && a.machine.stopped = b.machine.stopped && a.machine.pc = b.machine.pc
+  && a.machine.cycles = b.machine.cycles && a.machine.instrs = b.machine.instrs
+  && a.machine.regs = b.machine.regs
+  && Bytes.equal a.machine.mem b.machine.mem
+  && a.calls = b.calls
+
+(* Whole programs: the dispatcher and the reference agree on the result,
+   the machine state and what every trap saw. *)
 let test_dispatch_programs () =
   List.iter
     (fun src ->
-      let run_with run =
-        let m = Loader.load (Asm.assemble_exn src) in
-        let stop = run m ~on_sys:diff_on_sys ~max_cycles:100_000_000 in
-        (stop, m)
-      in
-      let stop, m = run_with Machine.run in
-      let stop', m' = run_with Reference.run in
-      Alcotest.(check bool) "same stop" true (stop = stop');
-      Alcotest.(check int) "same cycles" m'.cycles m.cycles;
-      Alcotest.(check int) "same instrs" m'.instrs m.instrs;
-      Alcotest.(check bool) "same regs" true (m.regs = m'.regs);
-      Alcotest.(check bool) "same memory" true (Bytes.equal m.mem m'.mem))
-    [ every_class_loop;
-      "_start: movi r1, 5\n call f\n halt\nf: push r1\n pop r2\n add r0, r1, r2\n ret";
-      "_start: call f\n movi r0, 1\n halt\nevil: movi r0, 666\n halt\n\
-       f: addi r13, r13, -16\n movi r1, evil\n st [r13+16], r1\n addi r13, r13, 16\n ret" ]
+      let f = run_sliced Machine.run src and f' = run_sliced Reference.run src in
+      Alcotest.(check bool) "same stop" true
+        (f.stop = f'.stop && f.machine.stopped = f'.machine.stopped);
+      Alcotest.(check int) "same pc" f'.machine.pc f.machine.pc;
+      Alcotest.(check int) "same cycles" f'.machine.cycles f.machine.cycles;
+      Alcotest.(check int) "same instrs" f'.machine.instrs f.machine.instrs;
+      Alcotest.(check bool) "same regs" true (f.machine.regs = f'.machine.regs);
+      Alcotest.(check bool) "same memory" true (Bytes.equal f.machine.mem f'.machine.mem);
+      Alcotest.(check (list (triple int int int))) "same traps" f'.calls f.calls)
+    ([ every_class_loop;
+       "_start: movi r1, 5\n call f\n halt\nf: push r1\n pop r2\n add r0, r1, r2\n ret";
+       "_start: call f\n movi r0, 1\n halt\nevil: movi r0, 666\n halt\n\
+        f: addi r13, r13, -16\n movi r1, evil\n st [r13+16], r1\n addi r13, r13, 16\n ret" ]
+    @ trapping_programs)
+
+(* The stand-in's effects show: the programs end as written. *)
+let test_trapping_programs_end () =
+  let stops = List.map (fun src -> (run_sliced Machine.run src).stop) trapping_programs in
+  Alcotest.(check bool) "execve, then exit 42" true (List.nth stops 0 = Machine.Halted 42);
+  (match List.nth stops 1 with
+   | Machine.Halted sum -> Alcotest.(check bool) "the written movi ran" true (sum > 0)
+   | _ -> Alcotest.fail "read into code: no exit");
+  Alcotest.(check bool) "execve outside memory" true
+    (List.nth stops 2 = Machine.Faulted (Machine.Bad_address (-8), -8));
+  Alcotest.(check bool) "kill" true (List.nth stops 3 = Machine.Killed "stand-in kill");
+  Alcotest.(check bool) "memory moved" true (List.nth stops 4 = Machine.Halted 9)
+
+(* Stopping at random cycle limits and resuming changes nothing: every
+   [Cycle_limit] stop writes back the state the loop carries. *)
+let prop_slices_resume =
+  let programs = Array.of_list (every_class_loop :: trapping_programs) in
+  let whole = Array.map (fun src -> lazy (run_sliced Machine.run src)) programs in
+  let reference = Array.map (fun src -> lazy (run_sliced Reference.run src)) programs in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (int_bound (Array.length programs - 1))
+        (list_size (int_range 1 12)
+           (frequency [ (3, int_bound 8); (2, int_bound 300); (1, int_bound 50_000) ])))
+  in
+  let print (i, slices) =
+    Printf.sprintf "program %d, slices [%s]" i (String.concat "; " (List.map string_of_int slices))
+  in
+  QCheck.Test.make ~name:"run in cycle slices = one run = reference" ~count:200
+    (QCheck.make ~print gen) (fun (i, slices) ->
+      let f = run_sliced Machine.run ~slices programs.(i) in
+      same_final f (Lazy.force whole.(i)) && same_final f (Lazy.force reference.(i)))
 
 let test_loader_brk () =
   let img = sample_image () in
@@ -865,12 +1023,14 @@ let suite =
     Alcotest.test_case "loader brk" `Quick test_loader_brk;
     Alcotest.test_case "dispatch = reference, every opcode byte" `Quick test_dispatch_exhaustive;
     Alcotest.test_case "dispatch = reference, whole programs" `Quick test_dispatch_programs;
+    Alcotest.test_case "trapping programs end as written" `Quick test_trapping_programs_end;
     Alcotest.test_case "run allocates only the stop" `Quick test_run_allocates_only_the_stop ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_isa_roundtrip;
         prop_asm_pp_roundtrip;
         prop_dispatch_random_words;
         prop_dispatch_instrs;
+        prop_slices_resume;
         prop_reload_equals_fresh_load ]
 
 let () = Alcotest.run "svm" [ ("svm", suite) ]
