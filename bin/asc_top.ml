@@ -54,8 +54,14 @@ let run_fleet ~personality ~key ~procs ~scale ~no_fastpath names =
         let* acc = acc in
         w.Workloads.Registry.setup kernel;
         let img = Workloads.Registry.compile ~personality w in
+        (* each image its own program id, so block ids are unique across
+           the fleet (§5.5) and two images never share a verified fact *)
+        let options =
+          { Asc_core.Installer.default_options with program_id = List.length acc + 1 }
+        in
         match
-          Asc_core.Installer.install ~key ~personality ~program:w.Workloads.Registry.name img
+          Asc_core.Installer.install ~key ~personality ~options
+            ~program:w.Workloads.Registry.name img
         with
         | Ok inst -> Ok ((w, inst.Asc_core.Installer.image) :: acc)
         | Error e -> Error (w.Workloads.Registry.name ^ ": " ^ e))

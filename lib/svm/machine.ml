@@ -17,6 +17,7 @@ type t = {
   mutable cycles : int;
   mutable instrs : int;
   mutable stopped : stop option;
+  mutable max_cycles : int;
 }
 
 type sys_action =
@@ -34,7 +35,8 @@ let of_mem mem dirty =
     pc = 0;
     cycles = 0;
     instrs = 0;
-    stopped = None }
+    stopped = None;
+    max_cycles = 0 }
 
 let create ~mem_size =
   of_mem (Bytes.make mem_size '\000') (Bytes.make ((mem_size + page_size - 1) / page_size) '\000')
@@ -150,14 +152,20 @@ let set_word t addr v =
   Bytes.set_int64_le t.mem addr (Int64.of_int v);
   mark t addr
 
+(* a while loop for the same reason as [mem_equal]: every path argument
+   of a trap comes through here, so only the result allocates. The scan
+   stays in [addr, limit), inside [mem]. *)
 let read_cstring t ~addr ~max =
-  if addr < 0 || addr >= Bytes.length t.mem then None
+  let mem = t.mem in
+  let size = Bytes.length mem in
+  if addr < 0 || addr >= size then None
   else begin
-    let limit = addr + min max (Bytes.length t.mem - addr) in
-    let rec find i = if i >= limit then None else if Bytes.get t.mem i = '\000' then Some i else find (i + 1) in
-    match find addr with
-    | Some e -> Some (Bytes.sub_string t.mem addr (e - addr))
-    | None -> None
+    let limit = if max < size - addr then addr + max else size in
+    let e = ref addr in
+    while !e < limit && Bytes.unsafe_get mem !e <> '\000' do
+      incr e
+    done;
+    if !e < limit then Some (Bytes.sub_string mem addr (!e - addr)) else None
   end
 
 (* The modeled cost of each opcode byte: [Cost_model.instr_cost] of the
@@ -199,20 +207,40 @@ let[@inline] rd w = Isa.rd_of_head (Isa.head_of_word w)
 let[@inline] rs w = Isa.rs_of_head (Isa.head_of_word w)
 let[@inline] rt w = Isa.rt_of_head (Isa.head_of_word w)
 
-(* The state the loop carries in arguments reaches [t] here, at a stop.
-   Stops and traps are functions of their own that the loop tail-calls,
-   so the loop itself makes no call and keeps its state in registers. *)
+(* Stops and traps are functions of their own that the loop tail-calls,
+   so the loop makes no call and allocates nothing, not even the value a
+   stop builds (an allocation in the loop would keep the loop's state out
+   of the registers a minor collection may clobber, and one of its values
+   would then go to the stack on every instruction). The state the loop
+   carries in arguments reaches [t] here. A stop returns [t.stopped]; a
+   trap returns [None]. *)
 let[@inline never] stop_at t ~pc ~cycles ~instrs s =
   t.pc <- pc;
   t.cycles <- cycles;
   t.instrs <- instrs;
   (* [Some Cycle_limit] is a static constant: the cycle-limit stop that
      ends every slice of a sliced run allocates nothing *)
-  t.stopped <- (match s with Cycle_limit -> Some Cycle_limit | s -> Some s);
-  s
+  let stopped = match s with Cycle_limit -> Some Cycle_limit | s -> Some s in
+  t.stopped <- stopped;
+  stopped
+
+let[@inline never] halt_at t ~pc ~cycles ~instrs =
+  stop_at t ~pc ~cycles ~instrs (Halted t.regs.(0))
 
 let[@inline never] fault_at t ~pc ~cycles ~instrs f at =
   stop_at t ~pc ~cycles ~instrs (Faulted (f, at))
+
+let[@inline never] bad_address t ~pc ~cycles ~instrs a at =
+  fault_at t ~pc ~cycles ~instrs (Bad_address a) at
+
+let[@inline never] bad_opcode t ~pc ~cycles ~instrs =
+  fault_at t ~pc ~cycles ~instrs (Bad_opcode pc) pc
+
+let[@inline never] trap t ~pc ~cycles ~instrs =
+  t.pc <- pc;
+  t.cycles <- cycles;
+  t.instrs <- instrs;
+  None
 
 (* The interpreter dispatches on the operation of the opcode byte it
    fetches and reads operands straight from the instruction word, so a
@@ -226,14 +254,15 @@ let[@inline never] fault_at t ~pc ~cycles ~instrs f at =
    sp), and records the instruction's own pc.
 
    [exec] is one self-tail-recursive function, not a closure: pc, cycles
-   and the instruction count live in its arguments, and reach [t] only
-   before [on_sys] and at a stop. After [on_sys] it re-reads them from [t],
-   with [mem] and [stopped], since the kernel may have moved pc (execve),
-   charged cycles, written code or memory, or stopped the machine. *)
-let rec exec t mem r on_sys max_cycles pc cycles instrs =
-  if cycles > max_cycles then stop_at t ~pc ~cycles ~instrs Cycle_limit
+   and the instruction count live in its arguments, and reach [t] only at
+   a trap or a stop. Its only other arguments are [t], the memory and the
+   registers: it reads the cycle limit from [t.max_cycles] and leaves
+   [on_sys] to [resume], so that every value it carries fits in a register
+   and a retired instruction stores nothing to the stack. *)
+let rec exec t mem r pc cycles instrs =
+  if cycles > t.max_cycles then stop_at t ~pc ~cycles ~instrs Cycle_limit
   else if pc < 0 || pc > Bytes.length mem - Isa.instr_size then
-    fault_at t ~pc ~cycles ~instrs (Bad_address pc) pc
+    bad_address t ~pc ~cycles ~instrs pc pc
   else begin
     let w = Isa.unsafe_word_at mem ~pos:pc in
     let h = Isa.head_of_word w in
@@ -242,182 +271,187 @@ let rec exec t mem r on_sys max_cycles pc cycles instrs =
     let c = cycles + Array.unsafe_get op_cost opcode and n = instrs + 1 in
     let next = pc + Isa.instr_size in
     match (op : Isa.Op.t) with
-    | Invalid -> fault_at t ~pc ~cycles ~instrs (Bad_opcode pc) pc
-    | Halt -> stop_at t ~pc:next ~cycles:c ~instrs:n (Halted (get r 0))
-    | Nop -> exec t mem r on_sys max_cycles next c n
+    | Invalid -> bad_opcode t ~pc ~cycles ~instrs
+    | Halt -> halt_at t ~pc:next ~cycles:c ~instrs:n
+    | Nop -> exec t mem r next c n
     | Movi ->
       set r (rd w) (Isa.imm_of_word w);
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Mov ->
       set r (rd w) (get r (rs w));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Ld ->
       let a = get r (rs w) + Isa.imm_of_word w in
       if fits mem a 8 then begin
         set r (rd w) (load mem a);
-        exec t mem r on_sys max_cycles next c n
+        exec t mem r next c n
       end
-      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+      else bad_address t ~pc:next ~cycles:c ~instrs:n a pc
     | St ->
       let a = get r (rd w) + Isa.imm_of_word w in
       if fits mem a 8 then begin
         store mem a (get r (rs w));
         mark t a;
-        exec t mem r on_sys max_cycles next c n
+        exec t mem r next c n
       end
-      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+      else bad_address t ~pc:next ~cycles:c ~instrs:n a pc
     | Ldb ->
       let a = get r (rs w) + Isa.imm_of_word w in
       if fits mem a 1 then begin
         set r (rd w) (Char.code (Bytes.unsafe_get mem a));
-        exec t mem r on_sys max_cycles next c n
+        exec t mem r next c n
       end
-      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+      else bad_address t ~pc:next ~cycles:c ~instrs:n a pc
     | Stb ->
       let a = get r (rd w) + Isa.imm_of_word w in
       if fits mem a 1 then begin
         Bytes.unsafe_set mem a (Char.unsafe_chr (get r (rs w) land 0xff));
         mark t a;
-        exec t mem r on_sys max_cycles next c n
+        exec t mem r next c n
       end
-      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+      else bad_address t ~pc:next ~cycles:c ~instrs:n a pc
     | Addi ->
       set r (rd w) (get r (rs w) + Isa.imm_of_word w);
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Add ->
       set r (rd w) (get r (rs w) + get r (rt w));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Sub ->
       set r (rd w) (get r (rs w) - get r (rt w));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Mul ->
       set r (rd w) (get r (rs w) * get r (rt w));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Div ->
       if get r (rt w) = 0 then fault_at t ~pc:next ~cycles:c ~instrs:n Div_by_zero pc
       else begin
         set r (rd w) (get r (rs w) / get r (rt w));
-        exec t mem r on_sys max_cycles next c n
+        exec t mem r next c n
       end
     | Mod ->
       if get r (rt w) = 0 then fault_at t ~pc:next ~cycles:c ~instrs:n Div_by_zero pc
       else begin
         set r (rd w) (get r (rs w) mod get r (rt w));
-        exec t mem r on_sys max_cycles next c n
+        exec t mem r next c n
       end
     | And ->
       set r (rd w) (get r (rs w) land get r (rt w));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Or ->
       set r (rd w) (get r (rs w) lor get r (rt w));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Xor ->
       set r (rd w) (get r (rs w) lxor get r (rt w));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Shl ->
       set r (rd w) (get r (rs w) lsl (get r (rt w) land 63));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Shr ->
       set r (rd w) (get r (rs w) asr (get r (rt w) land 63));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Slt ->
       set r (rd w) (Bool.to_int (get r (rs w) < get r (rt w)));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Sle ->
       set r (rd w) (Bool.to_int (get r (rs w) <= get r (rt w)));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Seq ->
       set r (rd w) (Bool.to_int (get r (rs w) = get r (rt w)));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Sne ->
       set r (rd w) (Bool.to_int (get r (rs w) <> get r (rt w)));
-      exec t mem r on_sys max_cycles next c n
+      exec t mem r next c n
     | Beq ->
       let pc = if get r (rs w) = get r (rt w) then Isa.target_of_word w else next in
-      exec t mem r on_sys max_cycles pc c n
+      exec t mem r pc c n
     | Bne ->
       let pc = if get r (rs w) <> get r (rt w) then Isa.target_of_word w else next in
-      exec t mem r on_sys max_cycles pc c n
+      exec t mem r pc c n
     | Blt ->
       let pc = if get r (rs w) < get r (rt w) then Isa.target_of_word w else next in
-      exec t mem r on_sys max_cycles pc c n
+      exec t mem r pc c n
     | Bge ->
       let pc = if get r (rs w) >= get r (rt w) then Isa.target_of_word w else next in
-      exec t mem r on_sys max_cycles pc c n
+      exec t mem r pc c n
     | Ble ->
       let pc = if get r (rs w) <= get r (rt w) then Isa.target_of_word w else next in
-      exec t mem r on_sys max_cycles pc c n
+      exec t mem r pc c n
     | Bgt ->
       let pc = if get r (rs w) > get r (rt w) then Isa.target_of_word w else next in
-      exec t mem r on_sys max_cycles pc c n
-    | Jmp -> exec t mem r on_sys max_cycles (Isa.target_of_word w) c n
-    | Jr -> exec t mem r on_sys max_cycles (get r (rs w)) c n
+      exec t mem r pc c n
+    | Jmp -> exec t mem r (Isa.target_of_word w) c n
+    | Jr -> exec t mem r (get r (rs w)) c n
     | Call ->
       let a = get r Isa.sp - 8 in
       set r Isa.sp a;
       if fits mem a 8 then begin
         store mem a next;
         mark t a;
-        exec t mem r on_sys max_cycles (Isa.target_of_word w) c n
+        exec t mem r (Isa.target_of_word w) c n
       end
-      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+      else bad_address t ~pc:next ~cycles:c ~instrs:n a pc
     | Callr ->
       let a = get r Isa.sp - 8 in
       set r Isa.sp a;
       if fits mem a 8 then begin
         store mem a next;
         mark t a;
-        exec t mem r on_sys max_cycles (get r (rs w)) c n
+        exec t mem r (get r (rs w)) c n
       end
-      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+      else bad_address t ~pc:next ~cycles:c ~instrs:n a pc
     | Ret ->
       let a = get r Isa.sp in
       if fits mem a 8 then begin
         let pc = load mem a in
         set r Isa.sp (a + 8);
-        exec t mem r on_sys max_cycles pc c n
+        exec t mem r pc c n
       end
-      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+      else bad_address t ~pc:next ~cycles:c ~instrs:n a pc
     | Push ->
       let v = get r (rs w) and a = get r Isa.sp - 8 in
       set r Isa.sp a;
       if fits mem a 8 then begin
         store mem a v;
         mark t a;
-        exec t mem r on_sys max_cycles next c n
+        exec t mem r next c n
       end
-      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+      else bad_address t ~pc:next ~cycles:c ~instrs:n a pc
     | Pop ->
       let a = get r Isa.sp in
       if fits mem a 8 then begin
         let v = load mem a in
         set r Isa.sp (a + 8);
         set r (rd w) v;
-        exec t mem r on_sys max_cycles next c n
+        exec t mem r next c n
       end
-      else fault_at t ~pc:next ~cycles:c ~instrs:n (Bad_address a) pc
+      else bad_address t ~pc:next ~cycles:c ~instrs:n a pc
     | Rdcyc ->
       set r (rd w) c;
-      exec t mem r on_sys max_cycles next c n
-    | Sys -> trap t r on_sys max_cycles next c n
+      exec t mem r next c n
+    | Sys -> trap t ~pc:next ~cycles:c ~instrs:n
   end
 
-and trap t r on_sys max_cycles pc cycles instrs =
-  t.pc <- pc;
-  t.cycles <- cycles;
-  t.instrs <- instrs;
-  match on_sys t with
-  | Sys_kill reason ->
-    let s = Killed reason in
-    t.stopped <- Some s;
-    s
-  | Sys_continue ->
-    (match t.stopped with
+(* [exec] returns to [resume] at a [Sys]. [resume] calls [on_sys] and
+   re-enters [exec] from what [t] then holds, since the kernel may have
+   moved pc (execve), charged cycles, written code or memory, replaced
+   [mem], or stopped the machine. It sets the cycle limit at each entry,
+   so a run that [on_sys] makes of the same machine leaves this run's
+   limit in place. *)
+let rec resume t on_sys max_cycles =
+  match t.stopped with
+  | Some s -> s
+  | None ->
+    t.max_cycles <- max_cycles;
+    (match exec t t.mem t.regs t.pc t.cycles t.instrs with
      | Some s -> s
-     | None -> exec t t.mem r on_sys max_cycles t.pc t.cycles t.instrs)
+     | None ->
+       (match on_sys t with
+        | Sys_kill reason ->
+          let s = Killed reason in
+          t.stopped <- Some s;
+          s
+        | Sys_continue -> resume t on_sys max_cycles))
 
 let run t ~on_sys ~max_cycles =
   if Array.length t.regs < Isa.num_regs then invalid_arg "Machine.run: regs";
-  match t.stopped with
-  | Some s -> s
-  | None -> exec t t.mem t.regs on_sys max_cycles t.pc t.cycles t.instrs
+  resume t on_sys max_cycles

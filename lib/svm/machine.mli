@@ -39,6 +39,10 @@ type t = {
   mutable cycles : int;
   mutable instrs : int;      (** instructions retired (deterministic) *)
   mutable stopped : stop option;
+  mutable max_cycles : int;
+  (** The cycle limit of the run in progress, or of the last one: {!run}
+      sets it, and the interpreter reads it here rather than carrying it
+      (0 until the first run). *)
 }
 
 type sys_action =
@@ -73,13 +77,19 @@ val run : t -> on_sys:(t -> sys_action) -> max_cycles:int -> stop
     instruction allocates nothing (only the final stop value does).
 
     While it runs, pc, [cycles] and [instrs] live in the interpreter's
-    registers, not in [t]. They reach [t] before every [on_sys] call and
-    at every stop. [on_sys] is invoked for every [Sys] and sees pc already
-    advanced past the instruction, so the call site is
-    [t.pc - Isa.instr_size], and the current [cycles] and [instrs], the
-    sys included. Its writes to [pc], [cycles], [instrs], the registers,
-    memory ([mem] itself included) and [stopped] take effect before the
-    next fetch: setting [stopped] ends the run with that stop.
+    registers, not in [t], and the interpreter reads the limit from
+    [t.max_cycles], which [run] sets. pc, [cycles] and [instrs] reach [t]
+    before every [on_sys] call and at every stop. [on_sys] is invoked for
+    every [Sys] and sees pc already advanced past the instruction, so the
+    call site is [t.pc - Isa.instr_size], and the current [cycles] and
+    [instrs], the sys included. Its writes to [pc], [cycles], [instrs], the
+    registers, memory ([mem] itself included) and [stopped] take effect
+    before the next fetch: setting [stopped] ends the run with that stop.
+    [run] sets [t.max_cycles] again after each call, so an [on_sys] that
+    runs [t] itself does not change this run's limit. [t] never holds
+    [on_sys]: nothing keeps the closure alive after [run] returns or
+    raises, and an exception from [on_sys] leaves [t] as the call saw it,
+    with its writes, ready to run again.
 
     Instruction/cycle totals live only in [t.instrs]/[t.cycles]; metric
     accounting is the caller's concern (the kernel mirrors deltas into its

@@ -1165,6 +1165,104 @@ let test_syscall_writes_leave_nothing () =
       starts_fresh (what ^ ", next spawn") next.machine after)
     [ ("exit", "  return 0;"); ("execve", "  execve(\"/bin/after\", 0, 0);\n  return 11;") ]
 
+(* --- syscall probe --- *)
+
+(* Random syscall numbers with edge-valued arguments, under both
+   personalities and no monitor: whatever the guest asks, [Kernel.run]
+   returns a stop and allocates a bounded number of host words. The guest
+   loads each call's number and six arguments from a table the test
+   writes after spawn, so any int reaches any register, and traps once
+   per row. [buf] holds a path and room to write. *)
+let probe_calls = 8
+let probe_row = 7 * 8
+
+let probe_image =
+  Svm.Asm.assemble_exn
+    (Printf.sprintf
+       {|
+_start: movi r9, table
+        movi r10, 0
+        movi r11, %d
+loop:   bge r10, r11, done
+        ld r0, [r9+0]
+        ld r1, [r9+8]
+        ld r2, [r9+16]
+        ld r3, [r9+24]
+        ld r4, [r9+32]
+        ld r5, [r9+40]
+        ld r6, [r9+48]
+        sys
+        addi r9, r9, %d
+        addi r10, r10, 1
+        jmp loop
+done:   halt
+        .data
+buf:    .asciz "/tmp/probe"
+        .space 4096
+table:  .space %d
+|}
+       probe_calls probe_row (probe_calls * probe_row))
+
+let probe_max_cycles = 2_000_000
+
+(* Far above what a run of the probe takes (under a thousand words on
+   every seed tried). It bounds the minor heap only: a block too large
+   for it, such as a 1 MiB copy of guest memory, is allocated in the
+   major heap and not counted. *)
+let probe_minor_words = 100_000
+
+type probe = { openbsd : bool; calls : int array list (** number, then six arguments *) }
+
+let gen_probe =
+  let open QCheck.Gen in
+  let mem = Svm.Machine.default_mem_size in
+  let buf = Option.get (Svm.Obj_file.find_symbol probe_image "buf") in
+  let edge = oneofl [ 0; -1; 1; 16; max_int; min_int; 1 lsl 32; mem - 1; mem; mem + 1; buf ] in
+  let* openbsd = bool in
+  let pers = if openbsd then Personality.openbsd else Personality.linux in
+  let numbers = List.filter_map (Personality.number_of pers) Syscall.all in
+  let number =
+    frequency
+      [ (6, oneofl numbers);
+        (1, oneofl [ 0; -1; max_int; min_int; 1 lsl 32 ]);
+        (1, map (fun n -> n + (1 lsl 32)) (oneofl numbers));
+        (2, int_bound 400) ]
+  in
+  let call = map2 (fun n args -> Array.of_list (n :: args)) number (list_repeat 6 edge) in
+  let* calls = list_size (int_range 1 probe_calls) call in
+  return { openbsd; calls }
+
+let print_probe p =
+  Printf.sprintf "%s: %s"
+    (if p.openbsd then "openbsd" else "linux")
+    (String.concat "; "
+       (List.map
+          (fun c -> String.concat " " (Array.to_list (Array.map string_of_int c)))
+          p.calls))
+
+let prop_syscall_probe =
+  QCheck.Test.make ~name:"any syscall with edge arguments returns a stop" ~count:200
+    (QCheck.make ~print:print_probe gen_probe) (fun p ->
+      let personality = if p.openbsd then Personality.openbsd else Personality.linux in
+      let kernel = Kernel.create ~personality () in
+      let proc = Kernel.spawn kernel ~program:"probe" probe_image in
+      let table = Option.get (Svm.Obj_file.find_symbol probe_image "table") in
+      List.iteri
+        (fun i call ->
+          Array.iteri
+            (fun j v ->
+              assert (Svm.Machine.write_word proc.machine (table + (i * probe_row) + (j * 8)) v))
+            call)
+        p.calls;
+      let before = Gc.minor_words () in
+      (match Kernel.run kernel proc ~max_cycles:probe_max_cycles with
+       | _ -> ()
+       | exception e -> QCheck.Test.fail_reportf "Kernel.run raised %s" (Printexc.to_string e));
+      let words = int_of_float (Gc.minor_words () -. before) in
+      if words > probe_minor_words then
+        QCheck.Test.fail_reportf "%d minor words in one run" words;
+      true)
+
 let suite_vfs =
   [ Alcotest.test_case "basic files" `Quick test_vfs_basic;
     Alcotest.test_case "relative paths" `Quick test_vfs_relative_paths;
@@ -1216,7 +1314,8 @@ let suite_kernel =
     Alcotest.test_case "syscall writes leave nothing behind" `Quick
       test_syscall_writes_leave_nothing;
     Alcotest.test_case "consecutive traced calls keep distinct args" `Quick
-      test_traced_args_distinct ]
+      test_traced_args_distinct;
+    QCheck_alcotest.to_alcotest prop_syscall_probe ]
 
 let () =
   Alcotest.run "oskernel"

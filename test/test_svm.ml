@@ -830,6 +830,149 @@ let prop_slices_resume =
       let f = run_sliced Machine.run ~slices programs.(i) in
       same_final f (Lazy.force whole.(i)) && same_final f (Lazy.force reference.(i)))
 
+(* --- the limit and the hook are per run --- *)
+
+(* [run] reads its cycle limit from the machine, where each run sets it.
+   One machine is run in turn under different limits and hooks: one hook
+   raises, and one runs the machine itself under a shorter limit. *)
+exception Hook_raised
+
+(* 60 passes, one trap each, then a call with r0 = 3, which either
+   stand-in ends by setting [stopped] *)
+let trap_loop =
+  {|
+_start: movi r3, 0
+        movi r4, 0
+        movi r6, 60
+loop:   movi r0, 0
+        sys
+        add r3, r3, r0
+        addi r4, r4, 1
+        blt r4, r6, loop
+        movi r0, 3
+        mov r1, r3
+        sys
+        halt
+|}
+
+(* another stand-in: charges 3 cycles and returns the cycle count in r0 *)
+let cycles_hook (m : Machine.t) =
+  m.cycles <- m.cycles + 3;
+  if m.regs.(0) = 3 then m.stopped <- Some (Machine.Halted m.regs.(1))
+  else m.regs.(0) <- m.cycles;
+  Machine.Sys_continue
+
+(* the runs made in turn, and the state after each: the stop ([None] if
+   the hook raised), pc, cycles, count, registers, [stopped] and memory;
+   then what every call of [kernel_stand_in] saw. [Cycle_limit] is
+   cleared after each run, as the kernel's callers do. *)
+let runs_in_turn run =
+  let m = Loader.load ~mem_size:0x10000 (Asm.assemble_exn trap_loop) in
+  let log = ref [] in
+  let raising _ = raise Hook_raised in
+  (* runs [m] from inside the hook, under a limit 20 cycles ahead *)
+  let nested (m : Machine.t) =
+    ignore (run m ~on_sys:cycles_hook ~max_cycles:(m.cycles + 20));
+    if m.stopped = Some Machine.Cycle_limit then m.stopped <- None;
+    Machine.Sys_continue
+  in
+  let states =
+    List.map
+      (fun (on_sys, max_cycles) ->
+        let stop = try Some (run m ~on_sys ~max_cycles) with Hook_raised -> None in
+        let state =
+          (stop, m.pc, m.cycles, m.instrs, Array.copy m.regs, m.stopped, Bytes.to_string m.mem)
+        in
+        if m.stopped = Some Machine.Cycle_limit then m.stopped <- None;
+        state)
+      [ (kernel_stand_in log, 100); (cycles_hook, 250); (raising, max_int); (nested, 350);
+        (kernel_stand_in log, program_cycles) ]
+  in
+  (states, List.rev !log)
+
+let test_runs_in_turn () =
+  let got, calls = runs_in_turn Machine.run and expected, calls' = runs_in_turn Reference.run in
+  List.iteri
+    (fun i ((stop, pc, cycles, instrs, regs, stopped, mem), e) ->
+      let stop', pc', cycles', instrs', regs', stopped', mem' = e in
+      let what = Printf.sprintf "run %d: %s" (i + 1) in
+      Alcotest.(check bool) (what "same stop") true (stop = stop' && stopped = stopped');
+      Alcotest.(check int) (what "same pc") pc' pc;
+      Alcotest.(check int) (what "same cycles") cycles' cycles;
+      Alcotest.(check int) (what "same instrs") instrs' instrs;
+      Alcotest.(check bool) (what "same regs") true (regs = regs');
+      Alcotest.(check bool) (what "same memory") true (String.equal mem mem'))
+    (List.combine got expected);
+  Alcotest.(check (list (triple int int int))) "same stand-in calls" calls' calls;
+  let stops = List.map (fun (stop, _, _, _, _, _, _) -> stop) got in
+  Alcotest.(check bool) "two limits, a raise, a limit, then the end" true
+    (match stops with
+     | [ Some Machine.Cycle_limit; Some Machine.Cycle_limit; None; Some Machine.Cycle_limit;
+         Some (Machine.Halted _) ] -> true
+     | _ -> false)
+
+(* [run] keeps no hook: once it has returned or raised, nothing in the
+   machine keeps its [on_sys] closure alive. *)
+let test_run_keeps_no_hook () =
+  let m = Loader.load ~mem_size:0x10000 (Asm.assemble_exn trap_loop) in
+  let hooks = Weak.create 2 in
+  let[@inline never] run_with i ~raises =
+    (* the hook captures [calls], so it is a heap block the collector can
+       free, not a static closure *)
+    let calls = ref 0 in
+    let on_sys (_ : Machine.t) =
+      incr calls;
+      if raises then raise Hook_raised else Machine.Sys_continue
+    in
+    Weak.set hooks i (Some on_sys);
+    (try ignore (Machine.run m ~on_sys ~max_cycles:100) with Hook_raised -> ());
+    m.stopped <- None
+  in
+  run_with 0 ~raises:false;
+  run_with 1 ~raises:true;
+  Gc.full_major ();
+  Alcotest.(check bool) "both hooks collected" true
+    ((not (Weak.check hooks 0)) && not (Weak.check hooks 1));
+  Alcotest.(check bool) "the machine ran" true (m.instrs > 0)
+
+(* --- C strings --- *)
+
+(* [read_cstring] at the edges of memory and of [max]; only a found
+   string allocates, and only the result. *)
+let test_read_cstring_edges () =
+  let size = 64 in
+  let m = Machine.create ~mem_size:size in
+  ignore (Machine.write_mem m ~addr:(size - 4) "xyz");
+  ignore (Machine.write_mem m ~addr:8 "hello");
+  let cases =
+    [ ("NUL in the last byte", size - 4, 100, Some "xyz");
+      ("NUL in the last byte, max reaches it", size - 4, 4, Some "xyz");
+      ("NUL one past max", size - 4, 3, None);
+      ("last byte is the NUL", size - 1, 1, Some "");
+      ("no NUL within max", 8, 5, None);
+      ("NUL at max", 8, 6, Some "hello");
+      ("max = 0", 8, 0, None);
+      ("max = 0 on a NUL", 0, 0, None);
+      ("max < 0", 8, -1, None);
+      ("max = max_int", 8, max_int, Some "hello");
+      ("addr < 0", -1, 10, None);
+      ("addr = min_int", min_int, max_int, None);
+      ("addr = memory size", size, 10, None);
+      ("addr past memory", size + 1, 10, None) ]
+  in
+  List.iter
+    (fun (what, addr, max, expected) ->
+      let before = int_of_float (Gc.minor_words ()) in
+      let got = Machine.read_cstring m ~addr ~max in
+      let words = int_of_float (Gc.minor_words ()) - before in
+      Alcotest.(check (option string)) what expected got;
+      Alcotest.(check int) (what ^ ": words") (Obj.reachable_words (Obj.repr got)) words)
+    cases;
+  (* no NUL from addr to the end of memory *)
+  ignore (Machine.write_byte m (size - 1) (Char.code 'w'));
+  Alcotest.(check (option string)) "unterminated to the end" None
+    (Machine.read_cstring m ~addr:(size - 4) ~max:max_int)
+
 let test_loader_brk () =
   let img = sample_image () in
   let brk = Loader.initial_brk img in
@@ -1024,7 +1167,10 @@ let suite =
     Alcotest.test_case "dispatch = reference, every opcode byte" `Quick test_dispatch_exhaustive;
     Alcotest.test_case "dispatch = reference, whole programs" `Quick test_dispatch_programs;
     Alcotest.test_case "trapping programs end as written" `Quick test_trapping_programs_end;
-    Alcotest.test_case "run allocates only the stop" `Quick test_run_allocates_only_the_stop ]
+    Alcotest.test_case "run allocates only the stop" `Quick test_run_allocates_only_the_stop;
+    Alcotest.test_case "runs in turn under other limits and hooks" `Quick test_runs_in_turn;
+    Alcotest.test_case "run keeps no hook" `Quick test_run_keeps_no_hook;
+    Alcotest.test_case "read_cstring edges" `Quick test_read_cstring_edges ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_isa_roundtrip;
         prop_asm_pp_roundtrip;
