@@ -592,6 +592,43 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
   end;
   sc.reason
 
+(* [Some cf] for [Telemetry.record]'s optional [?cf]: each arm is a
+   static constant, where [~cf:sc.cf] would allocate the option on every
+   call. *)
+let some_cf : Asc_obs.Telemetry.cf_reason -> Asc_obs.Telemetry.cf_reason option = function
+  | Cf_none -> Some Cf_none
+  | Cf_hit -> Some Cf_hit
+  | Cf_slow -> Some Cf_slow
+  | Cf_fallback_ref -> Some Cf_fallback_ref
+  | Cf_fallback_contents -> Some Cf_fallback_contents
+
+(* Records one monitored call: exactly one reason code per call, the
+   exhaustiveness invariant the telemetry tests pin. [total0] and [alloc0]
+   are the step-cycle total and the minor-word count read at trap entry.
+   A top-level function, so a trap builds no closure for it. The
+   recording cost is charged to the machine (the kernel spends those
+   cycles) but deliberately NOT to the checker.cycles.* step counters: the
+   Table 4 decomposition stays verification-only, and the plane's
+   self-overhead meter is gauged against it. The same split holds for
+   memory: [alloc] below is the words the verification itself allocated,
+   while the plane's own recording allocation is measured separately into
+   checker.alloc.telemetry. *)
+let finish ~kernel ~telemetry ~steps ~sc shard m ~site ~number ~total0 ~alloc0 reason =
+  let cycles = Asc_obs.Metrics.counter_value steps.st_total - total0 in
+  let alloc = Asc_obs.Profile.minor_words () - alloc0 in
+  m.Machine.cycles <- m.Machine.cycles + Cost_model.telemetry_record_cost;
+  let ta0 = Asc_obs.Profile.minor_words () in
+  Asc_obs.Telemetry.note_self telemetry shard Cost_model.telemetry_record_cost;
+  let sem =
+    match Personality.sem_of kernel.Kernel.pers number with
+    | Some s -> Syscall.name s
+    | None -> Printf.sprintf "syscall#%d" number
+  in
+  Asc_obs.Telemetry.record telemetry shard ~site ~sem ~reason ?cf:(some_cf sc.cf) ~cycles ~alloc
+    ~now:m.Machine.cycles;
+  let td = Asc_obs.Profile.minor_words () - ta0 in
+  if td > 0 then Asc_obs.Metrics.add steps.sa_telemetry td
+
 let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
   let fast =
     match (vcache, precomp, cfpre) with
@@ -630,41 +667,17 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
         let shard = Asc_obs.Telemetry.shard telemetry ~pid:p.Process.pid in
         let total0 = Asc_obs.Metrics.counter_value steps.st_total in
         let alloc0 = Asc_obs.Profile.minor_words () in
-        (* Exactly one reason code per monitored call — the exhaustiveness
-           invariant the telemetry tests pin. The recording cost is charged
-           to the machine (the kernel spends those cycles) but deliberately
-           NOT to the checker.cycles.* step counters: the Table 4
-           decomposition stays verification-only, and the plane's
-           self-overhead meter is gauged against it. The same split holds
-           for memory: [alloc] below is the words the verification itself
-           allocated, while the plane's own recording allocation is
-           measured separately into checker.alloc.telemetry. *)
-        let finish reason =
-          let cycles = Asc_obs.Metrics.counter_value steps.st_total - total0 in
-          let alloc = Asc_obs.Profile.minor_words () - alloc0 in
-          m.Machine.cycles <- m.Machine.cycles + Cost_model.telemetry_record_cost;
-          let ta0 = Asc_obs.Profile.minor_words () in
-          Asc_obs.Telemetry.note_self telemetry shard Cost_model.telemetry_record_cost;
-          let sem =
-            match Personality.sem_of kernel.Kernel.pers number with
-            | Some s -> Syscall.name s
-            | None -> Printf.sprintf "syscall#%d" number
-          in
-          Asc_obs.Telemetry.record telemetry shard ~site ~sem ~reason ~cf:sc.cf ~cycles
-            ~alloc ~now:m.Machine.cycles;
-          let td = Asc_obs.Profile.minor_words () - ta0 in
-          if td > 0 then Asc_obs.Metrics.add steps.sa_telemetry td
-        in
         sc.cf <- Asc_obs.Telemetry.Cf_none;
         match
           pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps p ~site ~number
         with
         | reason ->
-          finish reason;
+          finish ~kernel ~telemetry ~steps ~sc shard m ~site ~number ~total0 ~alloc0 reason;
           Asc_obs.Metrics.inc steps.st_checked;
           Kernel.Allow
         | exception Deny f ->
-          finish (Asc_obs.Telemetry.Deny (Violation.step_name f.f_step));
+          finish ~kernel ~telemetry ~steps ~sc shard m ~site ~number ~total0 ~alloc0
+            (Asc_obs.Telemetry.Deny (Violation.step_name f.f_step));
           Kernel.Deny_violation
             { Violation.v_step = f.f_step;
               v_site = site;

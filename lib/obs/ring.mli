@@ -3,7 +3,9 @@
     Replaces the kernel's previously unbounded trace and audit lists: long
     Andrew or scale runs push millions of entries, so retention is capped
     at a fixed capacity while [pushed] keeps the exact total for counting.
-    Push is O(1) and allocation-free after creation. *)
+    Push is O(1) and allocates one [Some] cell (2 words) per element, since
+    the slots hold options; the telemetry ledger pays that on every
+    monitored call. *)
 
 type 'a t
 

@@ -75,19 +75,26 @@ type hist = {
   q_count : int;
 }
 
+(* What a process's calls add up to. A live shard owns one, and the
+   plane's retired accumulator is one more, into which [retire_pid] adds
+   an exiting shard's in place. A site's array holds its per-reason
+   counts at [reason_index] and its minor words in the last slot, so a
+   record finds the site with one lookup. *)
+type counts = {
+  c_reasons : int array;
+  c_cf : int array;
+  c_deny : (string, int) Hashtbl.t;
+  c_per_sem : (string, mhist) Hashtbl.t;
+  c_sites : (int, int array) Hashtbl.t;
+  c_alloc : mhist;                        (* per-call minor words, alloc bounds *)
+  mutable c_calls : int;
+  mutable c_cycles : int;
+  mutable c_self : int;
+}
+
 type shard = {
-  sh_pid : int;
-  sh_reasons : int array;
-  sh_cf : int array;
-  sh_deny : (string, int) Hashtbl.t;
-  sh_per_sem : (string, mhist) Hashtbl.t;
-  sh_sites : (int, int array) Hashtbl.t;
-  sh_site_alloc : (int, int) Hashtbl.t;   (* site -> minor words rollup *)
-  sh_alloc : mhist;                       (* per-call minor words, alloc bounds *)
+  sh_counts : counts;
   sh_ledger : ledger_entry Ring.t;
-  mutable sh_calls : int;
-  mutable sh_cycles : int;
-  mutable sh_self : int;
 }
 
 type stats = {
@@ -108,7 +115,8 @@ type stats = {
 type t = {
   ring_capacity : int;
   shards : (int, shard) Hashtbl.t;
-  mutable retired : stats;
+  retired : counts;
+  mutable retired_shards : int;
 }
 
 (* Bucket bounds are shared by every shard so merging is element-wise.
@@ -121,6 +129,9 @@ let alloc_bounds = Array.of_list (Metrics.log_linear_buckets ~lo:10 ~hi:1_000_00
 (* one slot per bound plus the overflow slot *)
 let cycle_nslots = Array.length cycle_bounds + 1
 let alloc_nslots = Array.length alloc_bounds + 1
+
+(* a site's minor words, after its per-reason counts *)
+let site_alloc_slot = num_reasons
 
 let empty_hist = { q_counts = [||]; q_sum = 0; q_count = 0 }
 
@@ -139,32 +150,28 @@ let empty_stats = {
   t_alloc = empty_hist;
 }
 
+let new_mhist nslots = { m_counts = Array.make nslots 0; m_sum = 0; m_count = 0 }
+
+let new_counts () = {
+  c_reasons = Array.make num_reasons 0;
+  c_cf = Array.make num_cf_reasons 0;
+  c_deny = Hashtbl.create 4;
+  c_per_sem = Hashtbl.create 16;
+  c_sites = Hashtbl.create 32;
+  c_alloc = new_mhist alloc_nslots;
+  c_calls = 0;
+  c_cycles = 0;
+  c_self = 0;
+}
+
 let create ?(ring_capacity = 256) () =
-  { ring_capacity;
-    shards = Hashtbl.create 16;
-    (* the retired aggregate's alloc hist must be shaped like the live
-       shards' so [merge]'s element-wise bucket addition lines up *)
-    retired =
-      { empty_stats with t_alloc = { empty_hist with q_counts = Array.make alloc_nslots 0 } } }
+  { ring_capacity; shards = Hashtbl.create 16; retired = new_counts (); retired_shards = 0 }
 
 let shard t ~pid =
-  match Hashtbl.find_opt t.shards pid with
-  | Some sh -> sh
-  | None ->
-    let sh = {
-      sh_pid = pid;
-      sh_reasons = Array.make num_reasons 0;
-      sh_cf = Array.make num_cf_reasons 0;
-      sh_deny = Hashtbl.create 4;
-      sh_per_sem = Hashtbl.create 16;
-      sh_sites = Hashtbl.create 32;
-      sh_site_alloc = Hashtbl.create 32;
-      sh_alloc = { m_counts = Array.make alloc_nslots 0; m_sum = 0; m_count = 0 };
-      sh_ledger = Ring.create ~capacity:t.ring_capacity;
-      sh_calls = 0;
-      sh_cycles = 0;
-      sh_self = 0 }
-    in
+  match Hashtbl.find t.shards pid with
+  | sh -> sh
+  | exception Not_found ->
+    let sh = { sh_counts = new_counts (); sh_ledger = Ring.create ~capacity:t.ring_capacity } in
     Hashtbl.replace t.shards pid sh;
     sh
 
@@ -190,69 +197,69 @@ let hist_snapshot_of bounds h =
 let hist_snapshot _t h = hist_snapshot_of cycle_bounds h
 let alloc_hist_snapshot _t h = hist_snapshot_of alloc_bounds h
 
+(* One lookup per key, and no option: a miss adds the key's zeroed entry. *)
+let sem_hist c sem =
+  match Hashtbl.find c.c_per_sem sem with
+  | h -> h
+  | exception Not_found ->
+    let h = new_mhist cycle_nslots in
+    Hashtbl.add c.c_per_sem sem h;
+    h
+
+let site_counts c site =
+  match Hashtbl.find c.c_sites site with
+  | a -> a
+  | exception Not_found ->
+    let a = Array.make (site_alloc_slot + 1) 0 in
+    Hashtbl.add c.c_sites site a;
+    a
+
+let add_denies c step n =
+  Hashtbl.replace c.c_deny step
+    (n + match Hashtbl.find c.c_deny step with m -> m | exception Not_found -> 0)
+
 let record _t ?(cf = Cf_none) sh ~site ~sem ~reason ~cycles ~alloc ~now =
+  let c = sh.sh_counts in
   let idx = reason_index reason in
-  sh.sh_reasons.(idx) <- sh.sh_reasons.(idx) + 1;
+  c.c_reasons.(idx) <- c.c_reasons.(idx) + 1;
   let cfi = cf_index cf in
-  sh.sh_cf.(cfi) <- sh.sh_cf.(cfi) + 1;
-  sh.sh_calls <- sh.sh_calls + 1;
-  sh.sh_cycles <- sh.sh_cycles + cycles;
-  (match reason with
-   | Deny step ->
-     Hashtbl.replace sh.sh_deny step
-       (1 + (match Hashtbl.find_opt sh.sh_deny step with Some n -> n | None -> 0))
-   | _ -> ());
-  let sem_hist =
-    match Hashtbl.find_opt sh.sh_per_sem sem with
-    | Some h -> h
-    | None ->
-      let h = { m_counts = Array.make cycle_nslots 0; m_sum = 0; m_count = 0 } in
-      Hashtbl.replace sh.sh_per_sem sem h;
-      h
-  in
-  mhist_observe cycle_bounds sem_hist cycles;
-  mhist_observe alloc_bounds sh.sh_alloc alloc;
-  let site_counts =
-    match Hashtbl.find_opt sh.sh_sites site with
-    | Some a -> a
-    | None ->
-      let a = Array.make num_reasons 0 in
-      Hashtbl.replace sh.sh_sites site a;
-      a
-  in
-  site_counts.(idx) <- site_counts.(idx) + 1;
-  Hashtbl.replace sh.sh_site_alloc site
-    (alloc + (match Hashtbl.find_opt sh.sh_site_alloc site with Some w -> w | None -> 0));
+  c.c_cf.(cfi) <- c.c_cf.(cfi) + 1;
+  c.c_calls <- c.c_calls + 1;
+  c.c_cycles <- c.c_cycles + cycles;
+  (match reason with Deny step -> add_denies c step 1 | _ -> ());
+  mhist_observe cycle_bounds (sem_hist c sem) cycles;
+  mhist_observe alloc_bounds c.c_alloc alloc;
+  let row = site_counts c site in
+  row.(idx) <- row.(idx) + 1;
+  row.(site_alloc_slot) <- row.(site_alloc_slot) + alloc;
   Ring.push sh.sh_ledger
     { le_site = site; le_sem = sem; le_reason = reason; le_cycles = cycles;
       le_alloc = alloc; le_ts = now }
 
-let note_self _t sh n = sh.sh_self <- sh.sh_self + n
+let note_self _t sh n = sh.sh_counts.c_self <- sh.sh_counts.c_self + n
 
 (* Sorted-assoc helpers: shard hashtables are exported as sorted assoc
    lists so aggregates built in any order compare structurally equal. *)
 let sorted_assoc tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let stats_of_shard _t sh =
-  { t_shards = 1;
-    t_calls = sh.sh_calls;
-    t_cycles = sh.sh_cycles;
-    t_self_cycles = sh.sh_self;
-    t_alloc_words = sh.sh_alloc.m_sum;
-    t_reasons = Array.copy sh.sh_reasons;
-    t_cf = Array.copy sh.sh_cf;
-    t_deny_steps = sorted_assoc sh.sh_deny;
-    t_per_sem =
-      List.map
-        (fun (k, h) ->
-          (k, { q_counts = Array.copy h.m_counts; q_sum = h.m_sum; q_count = h.m_count }))
-        (sorted_assoc sh.sh_per_sem);
-    t_sites = List.map (fun (k, a) -> (k, Array.copy a)) (sorted_assoc sh.sh_sites);
-    t_site_alloc = sorted_assoc sh.sh_site_alloc;
-    t_alloc =
-      { q_counts = Array.copy sh.sh_alloc.m_counts;
-        q_sum = sh.sh_alloc.m_sum;
-        q_count = sh.sh_alloc.m_count } }
+let hist_of h = { q_counts = Array.copy h.m_counts; q_sum = h.m_sum; q_count = h.m_count }
+
+let stats_of_counts ~shards c =
+  let sites = sorted_assoc c.c_sites in
+  { t_shards = shards;
+    t_calls = c.c_calls;
+    t_cycles = c.c_cycles;
+    t_self_cycles = c.c_self;
+    t_alloc_words = c.c_alloc.m_sum;
+    t_reasons = Array.copy c.c_reasons;
+    t_cf = Array.copy c.c_cf;
+    t_deny_steps = sorted_assoc c.c_deny;
+    t_per_sem = List.map (fun (k, h) -> (k, hist_of h)) (sorted_assoc c.c_per_sem);
+    t_sites = List.map (fun (k, a) -> (k, Array.sub a 0 num_reasons)) sites;
+    t_site_alloc = List.map (fun (k, a) -> (k, a.(site_alloc_slot))) sites;
+    t_alloc = hist_of c.c_alloc }
+
+let stats_of_shard _t sh = stats_of_counts ~shards:1 sh.sh_counts
 
 let add_arrays a b =
   if Array.length a <> Array.length b then
@@ -295,16 +302,46 @@ let merge a b =
     t_alloc = merge_hist a.t_alloc b.t_alloc }
 
 let aggregate t =
-  Hashtbl.fold (fun _ sh acc -> merge acc (stats_of_shard t sh)) t.shards t.retired
+  Hashtbl.fold
+    (fun _ sh acc -> merge acc (stats_of_shard t sh))
+    t.shards
+    (stats_of_counts ~shards:t.retired_shards t.retired)
 
 let reasons_total s = Array.fold_left ( + ) 0 s.t_reasons
 let cf_total s = Array.fold_left ( + ) 0 s.t_cf
 
+(* [dst.(i) += src.(i)] over [src]'s length: a site's array, a count
+   array or a histogram's buckets. *)
+let add_into dst src =
+  for i = 0 to Array.length src - 1 do
+    dst.(i) <- dst.(i) + src.(i)
+  done
+
+let mhist_add dst src =
+  add_into dst.m_counts src.m_counts;
+  dst.m_sum <- dst.m_sum + src.m_sum;
+  dst.m_count <- dst.m_count + src.m_count
+
+(* The in-place counterpart of [merge]: it touches only [src]'s keys, so
+   its cost follows what the exiting process did, not the plane's
+   history. *)
+let fold_into dst src =
+  add_into dst.c_reasons src.c_reasons;
+  add_into dst.c_cf src.c_cf;
+  Hashtbl.iter (fun step n -> add_denies dst step n) src.c_deny;
+  Hashtbl.iter (fun sem h -> mhist_add (sem_hist dst sem) h) src.c_per_sem;
+  Hashtbl.iter (fun site a -> add_into (site_counts dst site) a) src.c_sites;
+  mhist_add dst.c_alloc src.c_alloc;
+  dst.c_calls <- dst.c_calls + src.c_calls;
+  dst.c_cycles <- dst.c_cycles + src.c_cycles;
+  dst.c_self <- dst.c_self + src.c_self
+
 let retire_pid t ~pid =
-  match Hashtbl.find_opt t.shards pid with
-  | None -> ()
-  | Some sh ->
-    t.retired <- merge t.retired (stats_of_shard t sh);
+  match Hashtbl.find t.shards pid with
+  | exception Not_found -> ()
+  | sh ->
+    fold_into t.retired sh.sh_counts;
+    t.retired_shards <- t.retired_shards + 1;
     Hashtbl.remove t.shards pid
 
 let ledger t ~pid =
@@ -315,7 +352,8 @@ let ledger t ~pid =
 let live_pids t =
   List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) t.shards [])
 
-let self_cycles t = (aggregate t).t_self_cycles
+let self_cycles t =
+  Hashtbl.fold (fun _ sh acc -> acc + sh.sh_counts.c_self) t.shards t.retired.c_self
 
 let stats_to_json _t s =
   let quantiles bounds unit h =

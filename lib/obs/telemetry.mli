@@ -10,7 +10,11 @@
     over shards ({!aggregate}) built on an explicit, order-insensitive,
     count-conserving {!merge}. This is exactly the state layout a
     multi-domain fleet kernel needs: writers never share a shard, and the
-    reader merges immutable {!stats} snapshots.
+    reader merges immutable {!stats} snapshots. A process's exit folds its
+    shard into one mutable retired accumulator in place ({!retire_pid}),
+    so a process's telemetry costs only what its own calls touched:
+    recording looks each site and syscall up once, and retiring walks only
+    the exiting shard's keys.
 
     {b Exhaustiveness invariant}: for a kernel whose monitor records from
     the first trap on, the sum of all reason counts in {!aggregate} equals
@@ -133,8 +137,11 @@ val note_self : t -> shard -> int -> unit
     [telemetry_record_cost] the checker charged to the machine). *)
 
 val retire_pid : t -> pid:int -> unit
-(** Fold the pid's live shard into the plane's retired aggregate and drop
-    it (called at process teardown). Aggregates are conserved: a retired
+(** Fold the pid's live shard into the plane's retired accumulator, in
+    place, and drop it (called at process teardown). The fold adds the
+    shard's counts, histograms and totals key by key, so its cost is
+    proportional to the pid's own sites, syscalls and deny steps, not to
+    what earlier processes retired. Aggregates are conserved: a retired
     pid's counts remain visible in {!aggregate}; only its ledger ring is
     released. *)
 
@@ -188,7 +195,8 @@ val merge : stats -> stats -> stats
     [test_telemetry] pins both). *)
 
 val aggregate : t -> stats
-(** Retired aggregate ⊕ every live shard. *)
+(** Retired accumulator ⊕ every live shard, each snapshotted and combined
+    with {!merge}. *)
 
 val reasons_total : stats -> int
 (** Sum of every reason bucket — equals [t_calls] by construction (the
@@ -201,7 +209,7 @@ val cf_total : stats -> int
 
 val self_cycles : t -> int
 (** Telemetry's own charged cycles over live and retired shards: the
-    [t_self_cycles] of {!aggregate}. *)
+    [t_self_cycles] of {!aggregate}, summed without building it. *)
 
 (** {1 Export} *)
 

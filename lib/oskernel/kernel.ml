@@ -355,57 +355,70 @@ let sys_read t (p : Process.t) fd buf len =
     | Some (Process.Console_out | Process.Console_err) -> err Errno.EBADF
   end
 
-let write_payload t (p : Process.t) fd data =
+(* [kind] is the descriptor the caller looked up before it copied [data]
+   out of guest memory. *)
+let write_payload t (p : Process.t) kind data =
   let n = String.length data in
   let m = p.machine in
   charge m (Cost_model.copy_cost n + (Cost_model.write_buffer_per_byte * n));
-  match Process.fd p fd with
-  | None -> err Errno.EBADF
-  | Some Process.Console_out ->
+  match kind with
+  | Process.Console_out ->
     Buffer.add_string p.stdout data;
     Ret n
-  | Some Process.Console_err ->
+  | Process.Console_err ->
     Buffer.add_string p.stderr data;
     Ret n
-  | Some (Process.File f) ->
+  | Process.File f ->
     (match Vfs.write_at t.vfs ~cwd:"/" f.path ~pos:f.pos data with
      | Error e -> Ret (-Errno.code e)
      | Ok written ->
        f.pos <- f.pos + written;
        Ret written)
-  | Some (Process.Sock s) ->
+  | Process.Sock s ->
     s.sent <- s.sent + n;
     Ret n
+  | Process.Dir _ -> err Errno.EISDIR
+  | Process.Console_in -> err Errno.EBADF
+
+(* A write to a closed, console-in or directory descriptor fails before
+   its payload is copied out of guest memory, so it copies and charges
+   nothing, and a bad descriptor wins over a bad buffer (as in Linux). *)
+let refused_write = function
   | Some (Process.Dir _) -> err Errno.EISDIR
-  | Some Process.Console_in -> err Errno.EBADF
+  | _ -> err Errno.EBADF
 
 let sys_write t (p : Process.t) fd buf len =
   if len < 0 then err Errno.EINVAL
-  else begin
-    let len = min len max_io in
-    match Machine.read_mem p.machine ~addr:buf ~len with
-    | None -> err Errno.EFAULT
-    | Some data -> write_payload t p fd data
-  end
+  else
+    match Process.fd p fd with
+    | (None | Some (Process.Console_in | Process.Dir _)) as target -> refused_write target
+    | Some kind ->
+      (match Machine.read_mem p.machine ~addr:buf ~len:(min len max_io) with
+       | None -> err Errno.EFAULT
+       | Some data -> write_payload t p kind data)
 
 let sys_writev t (p : Process.t) fd iov cnt =
   if cnt < 0 || cnt > 64 then err Errno.EINVAL
-  else begin
-    let m = p.machine in
-    let rec gather acc i =
-      if i >= cnt then Some (String.concat "" (List.rev acc))
-      else
-        match (Machine.read_word m (iov + (16 * i)), Machine.read_word m (iov + (16 * i) + 8)) with
-        | Some base, Some len when len >= 0 && len <= max_io ->
-          (match Machine.read_mem m ~addr:base ~len with
-           | Some d -> gather (d :: acc) (i + 1)
-           | None -> None)
-        | _ -> None
-    in
-    match gather [] 0 with
-    | None -> err Errno.EFAULT
-    | Some data -> write_payload t p fd data
-  end
+  else
+    match Process.fd p fd with
+    | (None | Some (Process.Console_in | Process.Dir _)) as target -> refused_write target
+    | Some kind ->
+      let m = p.machine in
+      let rec gather acc i =
+        if i >= cnt then Some (String.concat "" (List.rev acc))
+        else
+          match
+            (Machine.read_word m (iov + (16 * i)), Machine.read_word m (iov + (16 * i) + 8))
+          with
+          | Some base, Some len when len >= 0 && len <= max_io ->
+            (match Machine.read_mem m ~addr:base ~len with
+             | Some d -> gather (d :: acc) (i + 1)
+             | None -> None)
+          | _ -> None
+      in
+      (match gather [] 0 with
+       | None -> err Errno.EFAULT
+       | Some data -> write_payload t p kind data)
 
 let sys_lseek t (p : Process.t) fd off whence =
   match Process.fd p fd with

@@ -1037,6 +1037,63 @@ let test_write_efbig_at_max_int () =
 let test_write_efbig_at_256_mib () =
   run_write_past_max_file_size ~offset:"        movi r2, 268435456" (256 * 1024 * 1024)
 
+(* The kernel's per-call I/O cap ([max_io] in kernel.ml): the most a write
+   copies out of guest memory. *)
+let max_io = 1 lsl 20
+
+(* A write to a closed descriptor fails on the descriptor alone: [write],
+   [sendto] and [writev] of [max_io] readable bytes to one return -EBADF,
+   copy nothing (well under 64 KiB allocated on the host) and charge
+   exactly what a zero-length write to it charges. The guest closes
+   stdout, then makes one call; [len] is its byte count, or the length in
+   its one iovec. *)
+let run_closed_write sem ~len =
+  let buf = 0x100000 and iov = 0x200000 in
+  let ptr, count = if sem = Syscall.Writev then (iov, 1) else (buf, len) in
+  let src =
+    Printf.sprintf
+      {|
+_start: movi r0, %d       ; close(1)
+        movi r1, 1
+        sys
+        movi r0, %d
+        movi r1, 1
+        movi r2, %d
+        movi r3, %d
+        movi r4, 0
+        movi r5, 0
+        movi r6, 0
+        sys
+        mov r9, r0
+        movi r0, %d       ; exit(0)
+        movi r1, 0
+        sys
+        halt
+|}
+      (num Syscall.Close) (num sem) ptr count (num Syscall.Exit)
+  in
+  let kernel = Kernel.create () in
+  let proc = Kernel.spawn kernel ~program:"closed" (Svm.Asm.assemble_exn src) in
+  let m = proc.Process.machine in
+  assert (Svm.Machine.write_word m iov buf && Svm.Machine.write_word m (iov + 8) len);
+  let bytes0 = Gc.allocated_bytes () in
+  let stop = Kernel.run kernel proc ~max_cycles:100_000_000 in
+  let bytes = Gc.allocated_bytes () -. bytes0 in
+  check_exit (Syscall.name sem ^ " exits") 0 stop;
+  (m.regs.(9), m.cycles, bytes)
+
+let test_write_closed_fd_copies_nothing () =
+  List.iter
+    (fun sem ->
+      let what = Syscall.name sem in
+      let ret, cycles, bytes = run_closed_write sem ~len:max_io in
+      let ret0, cycles0, _ = run_closed_write sem ~len:0 in
+      Alcotest.(check int) (what ^ " is -EBADF") (-Errno.code Errno.EBADF) ret;
+      Alcotest.(check int) (what ^ " of 0 bytes is -EBADF") (-Errno.code Errno.EBADF) ret0;
+      Alcotest.(check int) (what ^ " charges what a zero-length one does") cycles0 cycles;
+      if bytes >= 65536. then Alcotest.failf "%s: Kernel.run allocated %.0f bytes" what bytes)
+    [ Syscall.Write; Syscall.Sendto; Syscall.Writev ]
+
 let exit_0_image () =
   Svm.Asm.assemble_exn
     (Printf.sprintf "_start: movi r0, %d\n movi r1, 0\n sys\n halt" (num Syscall.Exit))
@@ -1308,6 +1365,8 @@ let suite_kernel =
     Alcotest.test_case "write at max_int - 10 -> EFBIG" `Quick test_write_efbig_near_max_int;
     Alcotest.test_case "write at max_int -> EFBIG" `Quick test_write_efbig_at_max_int;
     Alcotest.test_case "write at 256 MiB -> EFBIG" `Quick test_write_efbig_at_256_mib;
+    Alcotest.test_case "write to a closed descriptor copies nothing" `Quick
+      test_write_closed_fd_copies_nothing;
     Alcotest.test_case "failed spawn keeps the parked buffer" `Quick
       test_failed_spawn_keeps_parked_buffer;
     Alcotest.test_case "library bss past memory refused" `Quick test_library_bss_past_memory;

@@ -203,19 +203,108 @@ let qcheck_merge_associates =
       let sc = stats_of_ops t ~pid:3 opsc in
       T.merge (T.merge sa sb) sc = T.merge sa (T.merge sb sc))
 
+(* Retiring folds a shard into the plane in place; the aggregate must not
+   notice. 3-4 shards see records on a small shared pool of sites,
+   syscalls and deny steps (so keys recur across shards) and are retired
+   in random order, interleaved with records on the ones still live.
+   After each retire the aggregate must equal, structurally, the merge of
+   every retired shard's snapshot (taken just before its retire) with the
+   live shards' stats: per-site counts and word rollups, per-syscall
+   histograms, deny steps, the alloc histogram, self cycles and
+   [t_shards] alike; and [self_cycles] must read the aggregate's. *)
+type event = Record of int * (int * int * int * int) | Retire
+
+let events_arb =
+  QCheck.(
+    make
+      ~print:(fun (n, order, evs) ->
+        Printf.sprintf "%d shards, retire order [%s], %d events" n
+          (String.concat ";" (List.map string_of_int order))
+          (List.length evs))
+      Gen.(
+        let* n = int_range 3 4 in
+        let* order = shuffle_l (List.init n Fun.id) in
+        let* records =
+          list_size (int_range 0 80)
+            (map2
+               (fun sh op -> Record (sh, op))
+               (int_range 0 (n - 1))
+               (quad (int_range 0 5) (int_range 0 (Array.length sems_pool - 1))
+                  (int_range 0 (Array.length reasons_pool - 1))
+                  (int_range 1 500_000)))
+        in
+        let* evs = shuffle_l (records @ List.init n (fun _ -> Retire)) in
+        return (n, order, evs)))
+
 let qcheck_aggregate_equals_fold =
-  QCheck.Test.make ~name:"aggregate = fold of per-shard stats" ~count:50
-    QCheck.(pair ops_arb ops_arb)
-    (fun (opsa, opsb) ->
+  QCheck.Test.make ~name:"aggregate = fold of per-shard stats" ~count:100 events_arb
+    (fun (n, order, evs) ->
       let t = T.create () in
-      let sa = stats_of_ops t ~pid:1 opsa in
-      let sb = stats_of_ops t ~pid:2 opsb in
-      (* retiring one shard must not change the aggregate *)
-      let before = T.aggregate t in
-      T.retire_pid t ~pid:1;
-      let after = T.aggregate t in
-      before = T.merge sa sb && after.T.t_calls = before.T.t_calls
-      && T.reasons_total after = T.reasons_total before)
+      let pid i = i + 1 in
+      let shards = Array.init n (fun i -> T.shard t ~pid:(pid i)) in
+      let live = Array.make n true in
+      let snapshots = ref [] in
+      let to_retire = ref order in
+      let expected () =
+        let live_stats =
+          List.filter_map
+            (fun i -> if live.(i) then Some (T.stats_of_shard t shards.(i)) else None)
+            (List.init n Fun.id)
+        in
+        List.fold_left T.merge T.empty_stats (!snapshots @ live_stats)
+      in
+      let now = ref 0 in
+      List.for_all
+        (fun ev ->
+          match ev with
+          | Record (i, (site, sem, reason, cycles)) ->
+            if live.(i) then begin
+              incr now;
+              T.record t shards.(i) ~site:(0x100 + site) ~sem:sems_pool.(sem)
+                ~reason:reasons_pool.(reason) ~cycles ~alloc:(alloc_of_cycles cycles)
+                ~now:!now;
+              T.note_self t shards.(i) (1 + (cycles mod 10))
+            end;
+            true
+          | Retire ->
+            let i = List.hd !to_retire in
+            to_retire := List.tl !to_retire;
+            snapshots := T.stats_of_shard t shards.(i) :: !snapshots;
+            T.retire_pid t ~pid:(pid i);
+            live.(i) <- false;
+            let agg = T.aggregate t in
+            agg = expected ()
+            && T.self_cycles t = agg.T.t_self_cycles
+            && T.live_pids t = List.filter (fun p -> live.(p - 1)) (List.init n pid))
+        evs
+      && T.aggregate t = expected ())
+
+(* A retire costs what the exiting process touched, not the plane's
+   history: with 200 sites and 20 syscalls already retired, retiring a
+   one-site shard whose site sorts after all of them allocates at most 200
+   minor words (a fold that rebuilds the retired aggregate with [merge]
+   allocates 2,817). *)
+let test_retire_allocation () =
+  let t = T.create () in
+  let sem i = Printf.sprintf "sys%d" (i mod 20) in
+  for i = 0 to 199 do
+    let sh = T.shard t ~pid:(i + 1) in
+    T.record t sh ~site:(0x1000 + i) ~sem:(sem i) ~reason:T.Slow_path ~cycles:1000 ~alloc:50
+      ~now:i;
+    T.retire_pid t ~pid:(i + 1)
+  done;
+  let sh = T.shard t ~pid:1000 in
+  T.record t sh ~site:0x2000 ~sem:(sem 0) ~reason:T.Precomp_hit ~cycles:900 ~alloc:40 ~now:1;
+  let w0 = Asc_obs.Profile.minor_words () in
+  T.retire_pid t ~pid:1000;
+  let words = Asc_obs.Profile.minor_words () - w0 in
+  if words > 200 then Alcotest.failf "retiring a one-site shard allocated %d words" words;
+  let agg = T.aggregate t in
+  Alcotest.(check int) "every retired site kept" 201 (List.length agg.T.t_sites);
+  Alcotest.(check int) "every retired syscall kept" 20 (List.length agg.T.t_per_sem);
+  Alcotest.(check (pair int int)) "the last site and its words" (0x2000, 40)
+    (List.nth agg.T.t_site_alloc 200);
+  Alcotest.(check int) "retired shards counted" 201 agg.T.t_shards
 
 (* ---- reason taxonomy ---- *)
 
@@ -246,6 +335,8 @@ let () =
       ( "merge",
         [ QCheck_alcotest.to_alcotest qcheck_merge_commutes;
           QCheck_alcotest.to_alcotest qcheck_merge_associates;
-          QCheck_alcotest.to_alcotest qcheck_aggregate_equals_fold ] );
+          QCheck_alcotest.to_alcotest qcheck_aggregate_equals_fold;
+          Alcotest.test_case "retire allocates only the shard's keys" `Quick
+            test_retire_allocation ] );
       ( "taxonomy",
         [ Alcotest.test_case "labels exhaustive and distinct" `Quick test_reason_taxonomy ] ) ]
