@@ -33,8 +33,8 @@ let stats_json kernel proc ~fast ~gc0 ~gc1 ~minor0 ~minor1 =
      @ fast_fields @ gc_fields
      @ [ ("telemetry", Asc_obs.Telemetry.stats_to_json tel (Asc_obs.Telemetry.aggregate tel)) ])
 
-let run input key_hex os enforce stdin_text normalize files libs audit_out stats_out
-    verbose_stats no_fastpath =
+let run input key_hex os enforce stdin_text normalize files libs stats_out verbose_stats
+    no_fastpath =
   let ( let* ) = Result.bind in
   let result =
     let* personality = Common.personality_of_string os in
@@ -64,17 +64,6 @@ let run input key_hex os enforce stdin_text normalize files libs audit_out stats
         Kernel.set_monitor kernel
           (Some (Asc_core.Checker.monitor_with ~kernel ~key ~normalize_paths:normalize fast));
         Ok fast
-    in
-    (* --audit-out: record every audit entry in a tamper-evident CMAC chain
-       (keyed like the checker) and export it as JSONL after the run *)
-    let* authlog =
-      match audit_out with
-      | None -> Ok None
-      | Some _ ->
-        let* key = Common.key_of_hex key_hex in
-        let log = Asc_obs.Authlog.create ~key () in
-        Kernel.set_authlog kernel (Some log);
-        Ok (Some log)
     in
     let stdin =
       match (stdin_text, w) with
@@ -114,23 +103,14 @@ let run input key_hex os enforce stdin_text normalize files libs audit_out stats
        Common.write_file path
          (Asc_obs.Json.to_string (stats_json kernel proc ~fast ~gc0 ~gc1 ~minor0 ~minor1) ^ "\n")
      | None -> ());
-    (match (authlog, audit_out) with
-     | Some log, Some path ->
-       Asc_obs.Authlog.export_file log path;
-       (* the head is the out-of-band commitment: record it somewhere the
-          process under test cannot reach (here: the operator's console) *)
-       Format.eprintf "[audit chain: %d records -> %s, head %s]@."
-         (Asc_obs.Authlog.appended log) path
-         (Asc_obs.Authlog.hex (Asc_obs.Authlog.head_mac log))
-     | _ -> ());
     (match stop with
      | Svm.Machine.Halted code ->
        Format.eprintf "[exit %d]@." code;
        Ok code
      | Svm.Machine.Killed reason ->
        Format.eprintf "[killed: %s]@." reason;
-       (* one-line forensic summary of the structured violation, when the
-          deny produced one *)
+       (* one-line summary of the structured violation, when the deny
+          produced one *)
        List.iter
          (fun e ->
            match e with
@@ -190,11 +170,6 @@ let lib_arg =
          ~doc:"Map a shared-library SEF image (from asc-install --library) into the \
                process (repeatable).")
 
-let audit_out_arg =
-  Arg.(value & opt (some string) None & info [ "audit-out" ] ~docv:"FILE"
-         ~doc:"Export the run's audit log as a tamper-evident JSONL chain (keyed with \
-               $(b,--key)); inspect it with asc-audit.")
-
 let stats_out_arg =
   Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE"
          ~doc:"Write a machine-readable JSON stats document after the run: machine \
@@ -213,7 +188,6 @@ let cmd =
     (Cmd.info "asc-run" ~doc)
     Term.(
       const run $ input_arg $ key_arg $ os_arg $ enforce_arg $ stdin_arg $ normalize_arg
-      $ file_arg $ lib_arg $ audit_out_arg $ stats_out_arg $ verbose_stats_arg
-      $ Common.no_fastpath_arg)
+      $ file_arg $ lib_arg $ stats_out_arg $ verbose_stats_arg $ Common.no_fastpath_arg)
 
 let () = exit (Cmd.eval' cmd)

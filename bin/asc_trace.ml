@@ -102,11 +102,9 @@ let run input os stdin_text summary format enforce key_hex =
     let* personality = Common.personality_of_string os in
     let* format =
       match (format, summary) with
-      | ("log" | "summary" | "json" | "chrome" | "audit"), true -> Ok "summary"
-      | (("log" | "summary" | "json" | "chrome" | "audit") as f), false -> Ok f
-      | f, _ ->
-        Error
-          (Printf.sprintf "unknown format %S (expected log, summary, json, chrome or audit)" f)
+      | ("log" | "summary" | "json" | "chrome"), true -> Ok "summary"
+      | (("log" | "summary" | "json" | "chrome") as f), false -> Ok f
+      | f, _ -> Error (Printf.sprintf "unknown format %S (expected log, summary, json or chrome)" f)
     in
     let* img, w = Common.load_program ~personality input in
     let kernel = Kernel.create ~personality () in
@@ -147,12 +145,6 @@ let run input os stdin_text summary format enforce key_hex =
      | "summary" -> print_summary kernel trace
      | "json" -> print_json kernel trace
      | "chrome" -> print_endline (Asc_obs.Trace.chrome_string (Kernel.spans kernel))
-     | "audit" ->
-       (* one audit entry per line, in the same JSON schema the
-          tamper-evident chain records (asc-run --audit-out / asc-audit) *)
-       List.iter
-         (fun e -> print_endline (Asc_obs.Json.to_string (Kernel.audit_to_json e)))
-         (Kernel.audit_log kernel)
      | _ -> print_log trace);
     (match stop with
      | Svm.Machine.Halted code ->
@@ -200,9 +192,8 @@ let key_arg =
 let format_arg =
   Arg.(value & opt string "log" & info [ "format" ] ~docv:"FORMAT"
          ~doc:"Output format: $(b,log) (one line per call), $(b,summary) (per-syscall counts), \
-               $(b,json) (machine-readable trace + audit log), $(b,chrome) (trace-event JSON \
-               of the kernel's per-syscall spans, loadable in chrome://tracing or Perfetto), \
-               or $(b,audit) (one audit entry per line, JSONL).")
+               $(b,json) (machine-readable trace + audit log) or $(b,chrome) (trace-event JSON \
+               of the kernel's per-syscall spans, loadable in chrome://tracing or Perfetto).")
 
 let cmd =
   let doc = "trace the system calls of a program on the simulated kernel" in

@@ -109,13 +109,11 @@ let warm_up kernel ?stdin image =
 
 let benign_input = "notes.txt\n"
 
-let run_victim ~protected ?(fastpath = false) ?(prepare = fun (_ : Kernel.t) -> ()) ~payload
-    ?(patch = fun (_ : Machine.t) -> ()) () =
+let run_victim ~protected ?(fastpath = false) ~payload ?(patch = fun (_ : Machine.t) -> ()) () =
   let kernel = Kernel.create ~personality () in
   if protected then
     Kernel.set_monitor kernel (Some (checker_monitor ~fastpath kernel));
   kernel.Kernel.tracing <- true;
-  prepare kernel;
   let ls = Lazy.force (if protected then ls_auth else ls_plain) in
   let sh = Lazy.force (if protected then sh_auth else sh_plain) in
   Kernel.install_binary kernel ~path:"/bin/ls" ls;
@@ -184,7 +182,7 @@ let pwned_goal _kernel out = if contains out "pwned shell" then Some "shell exec
 
 (* ----- attack 1: classic shellcode injection ----- *)
 
-let run_shellcode ~protected ?fastpath ~prepare () =
+let run_shellcode ~protected ?fastpath () =
   let image = Lazy.force (if protected then victim_auth else victim_plain) in
   let buf = probe_buffer_addr image in
   (* shellcode: execve("/bin/sh") with the string carried in the payload.
@@ -205,13 +203,13 @@ let run_shellcode ~protected ?fastpath ~prepare () =
     ^ "/bin/sh\000" (* at buf + ret_distance + 8 *)
   in
   check_no_newline payload "shellcode";
-  run_victim ~protected ?fastpath ~prepare ~payload ()
+  run_victim ~protected ?fastpath ~payload ()
 
 let shellcode_expect = [ Violation.Unauthenticated ]
 
 let shellcode ?fastpath ~protected () =
   finish "shellcode" ~protected ~expect:shellcode_expect ~goal:pwned_goal
-    (run_shellcode ~protected ?fastpath ~prepare:ignore ())
+    (run_shellcode ~protected ?fastpath ())
 
 (* ----- attack 2: mimicry via authenticated calls from another binary ----- *)
 
@@ -253,7 +251,7 @@ let mimicry_goal kernel _out =
   in
   if made_socket then Some "foreign authenticated syscall executed" else None
 
-let run_mimicry ~protected ?fastpath ~prepare () =
+let run_mimicry ~protected ?fastpath () =
   (* donor application: makes a socket call the victim never makes *)
   let donor_src = "int main() { socket(1, 1, 0); return 0; }" in
   let donor = install ~program_id:9 ~program:"donor" (compile donor_src) in
@@ -291,7 +289,7 @@ let run_mimicry ~protected ?fastpath ~prepare () =
   in
   match usable with
   | [] -> failwith "attacks: no newline-free mimicry payload found"
-  | payload :: _ -> run_victim ~protected ?fastpath ~prepare ~payload ()
+  | payload :: _ -> run_victim ~protected ?fastpath ~payload ()
 
 (* the spliced site sits at a different address than the donor's, so the
    rebuilt encoded call (step 1) no longer matches the carried call MAC *)
@@ -299,7 +297,7 @@ let mimicry_expect = [ Violation.Call_mac; Violation.Control_flow ]
 
 let mimicry ?fastpath ~protected () =
   finish "mimicry" ~protected ~expect:mimicry_expect ~goal:mimicry_goal
-    (run_mimicry ~protected ?fastpath ~prepare:ignore ())
+    (run_mimicry ~protected ?fastpath ())
 
 (* ----- attack 3: non-control data ----- *)
 
@@ -307,7 +305,7 @@ let mimicry ?fastpath ~protected () =
    execve system call with /bin/sh": a pure data overwrite — control flow
    is never hijacked. We grant the attacker an arbitrary-write primitive
    (e.g. a heap overflow) by patching the string in process memory. *)
-let run_non_control_data ~protected ?fastpath ~prepare () =
+let run_non_control_data ~protected ?fastpath () =
   let patch (m : Machine.t) =
     (* overwrite every occurrence of "/bin/ls" in writable+readable memory *)
     let needle = "/bin/ls" in
@@ -320,13 +318,13 @@ let run_non_control_data ~protected ?fastpath ~prepare () =
     done;
     if !found = 0 then failwith "attacks: /bin/ls not found in memory"
   in
-  run_victim ~protected ?fastpath ~prepare ~payload:benign_input ~patch ()
+  run_victim ~protected ?fastpath ~payload:benign_input ~patch ()
 
 let non_control_data_expect = [ Violation.String_mac ]
 
 let non_control_data ?fastpath ~protected () =
   finish "non-control-data" ~protected ~expect:non_control_data_expect ~goal:pwned_goal
-    (run_non_control_data ~protected ?fastpath ~prepare:ignore ())
+    (run_non_control_data ~protected ?fastpath ())
 
 (* ----- §5.5: Frankenstein ----- *)
 
@@ -429,26 +427,9 @@ let frankenstein ?(fastpath = false) ~cross () =
   | Machine.Faulted (_, pc) -> Crashed (Printf.sprintf "fault at 0x%x" pc)
   | Machine.Cycle_limit -> Crashed "cycle limit"
 
-(* ----- forensic runs: the §4.1 attacks with the flight recorder on ----- *)
+(* ----- the §4.1 attacks' expected deny steps ----- *)
 
-let forensic_expectations =
+let expected_steps =
   [ ("shellcode", shellcode_expect);
     ("mimicry", mimicry_expect);
     ("non-control-data", non_control_data_expect) ]
-
-let forensic_runs () =
-  let runners =
-    [ ("shellcode", shellcode_expect, pwned_goal, run_shellcode ?fastpath:None);
-      ("mimicry", mimicry_expect, mimicry_goal, run_mimicry ?fastpath:None);
-      ( "non-control-data",
-        non_control_data_expect,
-        pwned_goal,
-        run_non_control_data ?fastpath:None ) ]
-  in
-  List.map
-    (fun (name, expect, goal, runf) ->
-      let log = Asc_obs.Authlog.create ~key () in
-      let prepare kernel = Kernel.set_authlog kernel (Some log) in
-      let ((kernel, _, _) as run) = runf ~protected:true ~prepare () in
-      (name, kernel, finish name ~protected:true ~expect ~goal run))
-    runners

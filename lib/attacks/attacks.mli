@@ -35,8 +35,7 @@ type outcome =
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val key : Asc_crypto.Cmac.key
-(** The install/verification key shared by every attack experiment (also
-    the chain key of {!forensic_runs}' authenticated audit logs). *)
+(** The install/verification key shared by every attack experiment. *)
 
 (** Each protected run additionally asserts (raising [Failure] otherwise)
     that the structured violation step is the one the attack is supposed
@@ -62,16 +61,8 @@ val mimicry : ?fastpath:bool -> protected:bool -> unit -> outcome
 
 val non_control_data : ?fastpath:bool -> protected:bool -> unit -> outcome
 
-val forensic_expectations : (string * Oskernel.Violation.step list) list
+val expected_steps : (string * Oskernel.Violation.step list) list
 (** attack name ⇒ acceptable violation steps, as asserted by the runs. *)
-
-val forensic_runs : unit -> (string * Oskernel.Kernel.t * outcome) list
-(** Run the three §4.1 attacks protected, each against a fresh kernel with
-    a tamper-evident audit chain attached ({!Oskernel.Kernel.set_authlog},
-    chain key = {!key}). Returns [(name, kernel, outcome)] so callers can
-    inspect the forensic {!Oskernel.Violation.snapshot} in the kernel's
-    audit log and verify the chain — the corpus behind
-    [asc_audit classify]. *)
 
 val frankenstein : ?fastpath:bool -> cross:bool -> unit -> outcome
 (** [cross:true] splices application B's authenticated call after

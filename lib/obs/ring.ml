@@ -9,12 +9,9 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be >= 1";
   { slots = Array.make capacity None; start = 0; len = 0; pushed = 0 }
 
-let capacity t = Array.length t.slots
 let length t = t.len
 let pushed t = t.pushed
 let dropped t = t.pushed - t.len
-
-let peek_oldest t = if t.len = 0 then None else t.slots.(t.start)
 
 let push t x =
   let cap = Array.length t.slots in

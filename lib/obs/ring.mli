@@ -12,8 +12,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : 'a t -> int
-
 val push : 'a t -> 'a -> unit
 (** Appends, evicting the oldest element when full. *)
 
@@ -26,9 +24,6 @@ val pushed : 'a t -> int
 
 val dropped : 'a t -> int
 (** [pushed - length]: elements lost to eviction since the last clear. *)
-
-val peek_oldest : 'a t -> 'a option
-(** The element eviction would discard next; [None] when empty. *)
 
 val clear : 'a t -> unit
 

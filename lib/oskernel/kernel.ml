@@ -49,18 +49,13 @@ type trace_entry = {
 type audit_entry =
   | Denied of { pid : int; program : string; site : int; number : int; reason : string }
   | Execve of { pid : int; program : string; path : string }
-  | Violation of {
-      pid : int;
-      program : string;
-      violation : Violation.t;
-      snapshot : Violation.snapshot;
-    }
+  | Violation of { pid : int; program : string; violation : Violation.t }
 
 let audit_to_string = function
   | Denied { pid; program; site; number; reason } ->
     Printf.sprintf "pid %d DENIED %s at site 0x%x number %d: %s" pid program site number reason
   | Execve { pid; program = _; path } -> Printf.sprintf "pid %d execve %s" pid path
-  | Violation { pid; program; violation; snapshot = _ } ->
+  | Violation { pid; program; violation } ->
     Printf.sprintf "pid %d VIOLATION %s %s" pid program (Violation.to_string violation)
 
 (* Every variant carries the same envelope — "kind", "pid", "program" — and
@@ -74,45 +69,8 @@ let audit_to_json entry =
     envelope "denied" pid program
       [ ("site", Int site); ("number", Int number); ("reason", Str reason) ]
   | Execve { pid; program; path } -> envelope "execve" pid program [ ("path", Str path) ]
-  | Violation { pid; program; violation; snapshot } ->
-    let fields = match Violation.to_json violation with Obj f -> f | _ -> [] in
-    envelope "violation" pid program
-      (fields @ [ ("snapshot", Violation.snapshot_to_json snapshot) ])
-
-let audit_of_json j =
-  let open Asc_obs.Json in
-  let ( let* ) = Result.bind in
-  let get_int k =
-    match Option.bind (member k j) to_int with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "audit entry: missing int field %S" k)
-  in
-  let get_str k =
-    match Option.bind (member k j) to_str with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "audit entry: missing string field %S" k)
-  in
-  let* kind = get_str "kind" in
-  let* pid = get_int "pid" in
-  let* program = get_str "program" in
-  match kind with
-  | "denied" ->
-    let* site = get_int "site" in
-    let* number = get_int "number" in
-    let* reason = get_str "reason" in
-    Ok (Denied { pid; program; site; number; reason })
-  | "execve" ->
-    let* path = get_str "path" in
-    Ok (Execve { pid; program; path })
-  | "violation" ->
-    let* violation = Violation.of_json j in
-    let* snapshot =
-      match member "snapshot" j with
-      | Some s -> Violation.snapshot_of_json s
-      | None -> Error "audit entry: violation missing snapshot"
-    in
-    Ok (Violation { pid; program; violation; snapshot })
-  | k -> Error (Printf.sprintf "audit entry: unknown kind %S" k)
+  | Violation { pid; program; violation } ->
+    envelope "violation" pid program (Violation.json_fields violation)
 
 type t = {
   vfs : Vfs.t;
@@ -125,7 +83,6 @@ type t = {
   mutable next_pid : int;
   mutable monitor : monitor option;
   mutable tracing : bool;
-  mutable authlog : Asc_obs.Authlog.t option;
   mutable lifecycle_hooks : (lifecycle -> unit) list;
   mutable spare : Machine.t option;
   ctr_syscalls : Asc_obs.Metrics.counter;
@@ -157,7 +114,6 @@ let create ?(personality = Personality.linux) ?obs ?(trace_capacity = 65536)
     next_pid = 1;
     monitor = None;
     tracing = false;
-    authlog = None;
     lifecycle_hooks = [];
     spare = None;
     ctr_syscalls =
@@ -190,19 +146,9 @@ let sem_counter t sem =
     c
 
 let set_monitor t m = t.monitor <- m
-let set_authlog t l = t.authlog <- l
-let authlog t = t.authlog
 
 let add_lifecycle_hook t f = t.lifecycle_hooks <- t.lifecycle_hooks @ [ f ]
 let lifecycle_event t ev = List.iter (fun f -> f ev) t.lifecycle_hooks
-
-(* All audit events funnel through here: the bounded ring for cheap
-   retention, plus (when attached) the tamper-evident CMAC chain. *)
-let audit_push t entry =
-  Asc_obs.Ring.push t.audit entry;
-  match t.authlog with
-  | Some log -> Asc_obs.Authlog.append log (audit_to_json entry)
-  | None -> ()
 
 let install_binary t ~path img =
   match Vfs.create_file t.vfs ~cwd:"/" path ~contents:(Obj_file.serialize img) with
@@ -507,7 +453,7 @@ let sys_execve t (p : Process.t) path =
            | () ->
              charge m 50_000;
              Process.reset_for_exec p ~program:canon ~heap_start:(Loader.initial_brk img);
-             audit_push t (Execve { pid = p.pid; program = caller; path = canon });
+             Asc_obs.Ring.push t.audit (Execve { pid = p.pid; program = caller; path = canon });
              lifecycle_event t (Proc_exec { pid = p.pid });
              Ret 0)))
 
@@ -668,41 +614,6 @@ let sem_name t number sem =
      | Some s -> Syscall.name s
      | None -> Printf.sprintf "syscall#%d" number)
 
-(* ----- forensic snapshot (captured at deny time, before teardown) ----- *)
-
-let snapshot_history = 8
-
-let hex_of s =
-  String.concat ""
-    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
-
-let ring_tail n ring =
-  let l = Asc_obs.Ring.to_list ring in
-  let len = List.length l in
-  if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
-
-let capture_snapshot t (p : Process.t) =
-  let m = p.machine in
-  (* the policy-state pointer of the trapping call, when the site follows
-     the authenticated calling convention; garbage registers simply yield
-     unreadable (None) state, which is itself forensic signal *)
-  let lbp = m.Machine.regs.(10) in
-  { Violation.sn_regs = Array.sub m.Machine.regs 0 Violation.snapshot_regs;
-    sn_pc = m.Machine.pc;
-    sn_cycles = m.Machine.cycles;
-    sn_instrs = m.Machine.instrs;
-    sn_counter = p.Process.counter;
-    sn_last_block = Machine.read_word m lbp;
-    sn_lb_mac = Option.map hex_of (Machine.read_mem m ~addr:(lbp + 8) ~len:16);
-    sn_recent =
-      List.map
-        (fun e ->
-          { Violation.c_name = sem_name t e.t_number e.t_sem;
-            c_number = e.t_number;
-            c_site = e.t_site;
-            c_result = e.t_result })
-        (ring_tail snapshot_history t.trace) }
-
 (* A pid's track is named when the kernel records its first span, so a
    process that runs untraced leaves nothing in the span collector. *)
 let syscall_span t (p : Process.t) ~args ~name ~ts ~dur =
@@ -741,7 +652,7 @@ let run t (p : Process.t) ~max_cycles =
     match verdict with
     | Deny reason ->
       Asc_obs.Metrics.inc t.ctr_denied;
-      audit_push t (Denied { pid = p.pid; program = p.program; site; number; reason });
+      Asc_obs.Ring.push t.audit (Denied { pid = p.pid; program = p.program; site; number; reason });
       deny_span t p ~site ~number ~ts:ts0 ~reason ~step:None;
       Machine.Sys_kill reason
     | Deny_violation v ->
@@ -757,12 +668,7 @@ let run t (p : Process.t) ~max_cycles =
              | Some _ as s -> s
              | None -> Option.map Syscall.name (Personality.sem_of t.pers number)) }
       in
-      audit_push t
-        (Violation
-           { pid = p.pid;
-             program = p.program;
-             violation = v;
-             snapshot = capture_snapshot t p });
+      Asc_obs.Ring.push t.audit (Violation { pid = p.pid; program = p.program; violation = v });
       deny_span t p ~site ~number ~ts:ts0 ~reason:v.Violation.v_reason
         ~step:(Some (Violation.step_name v.Violation.v_step));
       Machine.Sys_kill v.Violation.v_reason

@@ -13,11 +13,10 @@ type verdict =
   | Deny of string  (** process is terminated; reason is audited *)
   | Deny_violation of Violation.t
       (** Like [Deny] but structured: the kernel audits a {!Violation}
-          entry carrying the failing verification step and a forensic
-          snapshot captured before teardown. The kill reason is the
-          violation's [v_reason]. The kernel overwrites [v_site]/[v_number]
-          with the actual trap coordinates and resolves [v_sem] when the
-          monitor left it [None]. *)
+          entry carrying the failing verification step. The kill reason
+          is the violation's [v_reason]. The kernel overwrites
+          [v_site]/[v_number] with the actual trap coordinates and
+          resolves [v_sem] when the monitor left it [None]. *)
 
 type monitor = {
   monitor_name : string;
@@ -68,13 +67,9 @@ type audit_entry =
   | Execve of { pid : int; program : string; path : string }
       (** [program] is the image that issued the call, [path] the image
           exec'd into *)
-  | Violation of {
-      pid : int;
-      program : string;
-      violation : Violation.t;
-      snapshot : Violation.snapshot;
-    }  (** a structured deny: which verification step failed, plus the
-           machine/policy state at deny time *)
+  | Violation of { pid : int; program : string; violation : Violation.t }
+      (** a structured deny: which verification step failed, where, and
+          the MAC prefixes involved *)
 
 val audit_to_string : audit_entry -> string
 (** The traditional one-line rendering. *)
@@ -82,14 +77,8 @@ val audit_to_string : audit_entry -> string
 val audit_to_json : audit_entry -> Asc_obs.Json.t
 (** Uniform schema: every variant carries ["kind"], ["pid"] and
     ["program"]; call-shaped variants share ["site"]/["number"]; the
-    violation variant flattens {!Violation.to_json} into the envelope and
-    nests the snapshot under ["snapshot"]. *)
-
-val audit_of_json : Asc_obs.Json.t -> (audit_entry, string) result
-(** Inverse of {!audit_to_json}: [audit_of_json (audit_to_json e) = Ok e]. *)
-
-val snapshot_history : int
-(** Number of trace-ring entries embedded in a forensic snapshot (8). *)
+    violation variant flattens {!Violation.json_fields} into the
+    envelope. *)
 
 type t = {
   vfs : Vfs.t;
@@ -106,9 +95,6 @@ type t = {
   mutable next_pid : int;
   mutable monitor : monitor option;
   mutable tracing : bool;               (** gates the trace ring and span collector *)
-  mutable authlog : Asc_obs.Authlog.t option;
-  (** when set, every audit entry is also appended to this tamper-evident
-      CMAC chain; see {!set_authlog} *)
   mutable lifecycle_hooks : (lifecycle -> unit) list;
   (** subscribers to process lifecycle events; see {!add_lifecycle_hook} *)
   mutable spare : Svm.Machine.t option;
@@ -162,14 +148,6 @@ val add_lifecycle_hook : t -> (lifecycle -> unit) -> unit
 (** Subscribe to {!lifecycle} events; hooks run in subscription order,
     synchronously, from {!spawn} ([Proc_spawn]), from [execve] dispatch
     ([Proc_exec]) and from the tail of {!run} ([Proc_exit]). *)
-
-val set_authlog : t -> Asc_obs.Authlog.t option -> unit
-(** Attach (or detach) a tamper-evident audit chain. While attached, every
-    audit entry's JSON rendering is appended to the chain as it is pushed
-    to the ring; {!clear_audit} empties the ring but never rewrites the
-    chain — the chain is the part the process under test cannot undo. *)
-
-val authlog : t -> Asc_obs.Authlog.t option
 
 val install_binary : t -> path:string -> Svm.Obj_file.t -> unit
 (** Serialize a SEF image into the VFS so [execve] can load it. *)

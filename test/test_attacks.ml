@@ -75,10 +75,10 @@ let test_fastpath_deny_parity () =
   check_succeeded "frankenstein single-app chain (fast path)"
     (Attacks.frankenstein ~fastpath:true ~cross:false ())
 
-(* --- the classification table (§4.1 forensic signatures) --- *)
+(* --- the classification table (§4.1 attack classes) --- *)
 
 (* Every step an attack may legitimately trip must classify to the attack's
-   own name — the table asc_audit's classifier implements. *)
+   own name, the class asc_run's [violation] line prints. *)
 let test_classification_table () =
   List.iter
     (fun (name, steps) ->
@@ -89,7 +89,7 @@ let test_classification_table () =
             name
             (Oskernel.Violation.attack_class step))
         steps)
-    Attacks.forensic_expectations;
+    Attacks.expected_steps;
   (* and the remaining steps map to their own documented classes *)
   Alcotest.(check string) "pattern is non-control-data" "non-control-data"
     (Oskernel.Violation.attack_class Oskernel.Violation.Pattern);
@@ -97,33 +97,6 @@ let test_classification_table () =
     (Oskernel.Violation.attack_class Oskernel.Violation.Ext);
   Alcotest.(check string) "normalization is the symlink race" "symlink-race"
     (Oskernel.Violation.attack_class Oskernel.Violation.Normalization)
-
-(* The full forensic pipeline: each protected attack leaves a verifiable
-   tamper-evident chain whose violation record classifies the attack. *)
-let test_forensic_runs () =
-  let runs = Attacks.forensic_runs () in
-  Alcotest.(check int) "three attacks" 3 (List.length runs);
-  List.iter
-    (fun (name, kernel, outcome) ->
-      check_blocked name outcome;
-      match Oskernel.Kernel.authlog kernel with
-      | None -> Alcotest.failf "%s: no authlog attached" name
-      | Some log ->
-        let exported = Asc_obs.Authlog.export_string log in
-        (match Asc_obs.Authlog.verify_string ~key:Attacks.key exported with
-         | Ok n -> Alcotest.(check bool) (name ^ ": chain non-empty") true (n > 0)
-         | Error e -> Alcotest.failf "%s: chain broken: %a" name Asc_obs.Authlog.pp_verify_error e);
-        let violation_class =
-          List.find_map
-            (function
-              | Oskernel.Kernel.Violation { violation = v; _ } ->
-                Some (Oskernel.Violation.attack_class v.Oskernel.Violation.v_step)
-              | _ -> None)
-            (Oskernel.Kernel.audit_log kernel)
-        in
-        Alcotest.(check (option string)) (name ^ ": classified from the record") (Some name)
-          violation_class)
-    runs
 
 let () =
   Alcotest.run "attacks"
@@ -140,5 +113,4 @@ let () =
             test_frankenstein_single_app_confined;
           Alcotest.test_case "fast-path deny parity (full suite)" `Quick
             test_fastpath_deny_parity;
-          Alcotest.test_case "classification table" `Quick test_classification_table;
-          Alcotest.test_case "forensic runs verify + classify" `Quick test_forensic_runs ] ) ]
+          Alcotest.test_case "classification table" `Quick test_classification_table ] ) ]

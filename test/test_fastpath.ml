@@ -200,19 +200,20 @@ let test_hot_loop_accounting () =
   Alcotest.(check int) "savings fully accounted" (cycles p_ref - cycles p_fast) (cycles_saved fp)
 
 (* Everything a run observably did: how it stopped, what it printed, every
-   trace entry, and the audit verdicts (violation steps only — forensic
-   snapshots embed cycle counts, which legitimately differ between
-   configurations). *)
+   trace entry, and every audit entry. No audit field carries a cycle
+   count, so a violation must match the reference's field for field: pid,
+   program, step, site, number, sem, reason and both MAC prefixes. *)
 let observed kernel (proc : Process.t) stop =
-  let verdicts =
-    List.map
-      (function
-        | Kernel.Violation { violation = v; _ } -> "v:" ^ Violation.step_name v.Violation.v_step
-        | Kernel.Denied { reason; _ } -> "d:" ^ reason
-        | Kernel.Execve { path; _ } -> "e:" ^ path)
-      (Kernel.audit_log kernel)
-  in
-  (stop, Kernel.stdout_of proc, Kernel.trace kernel, verdicts)
+  (stop, Kernel.stdout_of proc, Kernel.trace kernel, Kernel.audit_log kernel)
+
+(* Each audit entry's kind and key, for the cases that name the verdicts
+   they expect: the step of a violation, the reason of a deny, the path of
+   an execve. *)
+let verdict_names =
+  List.map (function
+    | Kernel.Violation { violation = v; _ } -> "v:" ^ Violation.step_name v.Violation.v_step
+    | Kernel.Denied { reason; _ } -> "d:" ^ reason
+    | Kernel.Execve { path; _ } -> "e:" ^ path)
 
 (* [config] runs observably like the reference on [image], never costs
    more cycles, and saves exactly what its layers account; returns those
@@ -368,15 +369,7 @@ let run_mutated config img =
   | exception Invalid_argument _ -> None (* image refused before any code ran *)
   | proc ->
     let stop = Kernel.run kernel proc ~max_cycles:200_000_000 in
-    let steps =
-      List.filter_map
-        (function
-          | Kernel.Violation { violation = v; _ } ->
-            Some (Violation.step_name v.Violation.v_step)
-          | _ -> None)
-        (Kernel.audit_log kernel)
-    in
-    Some (stop, Kernel.stdout_of proc, steps)
+    Some (observed kernel proc stop)
 
 (* A guest that reads the modeled cycle counter sees the fast path's lower
    charges, so its output may legitimately differ on and off — the same
@@ -406,8 +399,8 @@ let mutation_parity case =
   | Ok img ->
     (match (run_mutated Reference img, run_mutated Fast img) with
      | None, None -> true
-     | Some (Svm.Machine.Cycle_limit, _, _), Some _
-     | Some _, Some (Svm.Machine.Cycle_limit, _, _) ->
+     | Some (Svm.Machine.Cycle_limit, _, _, _), Some _
+     | Some _, Some (Svm.Machine.Cycle_limit, _, _, _) ->
        true (* a runaway loop hits the budget at different points *)
      | Some a, Some b ->
        if a = b then true
@@ -501,7 +494,8 @@ let test_warm_tamper ?use_extensions ~src ~tamper ~step layer () =
   (match stop with
    | Svm.Machine.Killed _ -> ()
    | _ -> Alcotest.fail "the reference let the tampered call through");
-  Alcotest.(check (list string)) "the reference's verdict" [ "v:" ^ step ] verdicts;
+  Alcotest.(check (list string))
+    "the reference's verdict" [ "v:" ^ step ] (verdict_names verdicts);
   Alcotest.(check bool) (layer.name ^ " was warm") true (layer.hits (Option.get fp) > 0);
   Alcotest.(check bool) "the fast path denies identically" true (fast = reference)
 
@@ -651,7 +645,7 @@ let test_warm_variant_switch () =
   (match stop with
    | Svm.Machine.Halted 0 -> ()
    | _ -> Alcotest.fail "the reference refused the second valid variant");
-  Alcotest.(check (list string)) "no verdict" [] verdicts;
+  Alcotest.(check (list string)) "no verdict" [] (verdict_names verdicts);
   Alcotest.(check int) "one resume" 1 (Precomp.resumes fp.Checker.precomp);
   Alcotest.(check int) "six hits" 6 (Precomp.hits fp.Checker.precomp);
   Alcotest.(check int) "no fallback" 0 (Precomp.fallbacks fp.Checker.precomp);
@@ -759,8 +753,10 @@ let test_cross_process_replay () =
     struck_after_a;
   Alcotest.(check bool) "cfpre was warm" true (Cfpre.hits (Option.get fp).Checker.cfpre > 0);
   let _, _, _, fast_verdicts = fast in
-  Alcotest.(check (list string)) "reference verdicts" [ "v:control_flow" ] verdicts;
-  Alcotest.(check (list string)) "fast verdicts" verdicts fast_verdicts;
+  Alcotest.(check (list string))
+    "reference verdicts" [ "v:control_flow" ] (verdict_names verdicts);
+  Alcotest.(check (list string)) "fast verdicts" (verdict_names verdicts)
+    (verdict_names fast_verdicts);
   Alcotest.(check bool) "the fast path runs identically" true (fast = reference)
 
 (* ---- the 32-bit number field ---- *)
@@ -819,7 +815,7 @@ int main() {
   (match stop with
    | Svm.Machine.Halted 0 -> ()
    | _ -> Alcotest.fail "the run did not complete");
-  Alcotest.(check (list string)) "the call MAC verified" [] verdicts;
+  Alcotest.(check (list string)) "the call MAC verified" [] (verdict_names verdicts);
   Alcotest.(check string) "the call wrote nothing" "gap\nok\nno\ngap\nok\n" out;
   (match List.filter (fun e -> e.Kernel.t_sem = None) trace with
    | [ e ] ->
@@ -843,7 +839,8 @@ let test_warm_number_changed () =
   (match stop with
    | Svm.Machine.Killed _ -> ()
    | _ -> Alcotest.fail "the reference let the renumbered call through");
-  Alcotest.(check (list string)) "the reference's verdict" [ "v:call_mac" ] verdicts;
+  Alcotest.(check (list string))
+    "the reference's verdict" [ "v:call_mac" ] (verdict_names verdicts);
   Alcotest.(check bool) "precomp was warm" true
     (Precomp.hits (Option.get fp).Checker.precomp > 0);
   Alcotest.(check bool) "the fast path denies identically" true (fast = reference)
@@ -876,7 +873,7 @@ let budget = 10_000_000
    and cfpre in turn, the first visits a shared fact decided and the
    facts filed. *)
 type proc_run = {
-  obs : Svm.Machine.stop * string * Kernel.trace_entry list * string list;
+  obs : Svm.Machine.stop * string * Kernel.trace_entry list * Kernel.audit_entry list;
   cycles : int;
   saved : int;
   drawn : int * int;
@@ -884,13 +881,12 @@ type proc_run = {
 }
 
 let verdicts_of kernel pid =
-  List.filter_map
+  List.filter
     (function
-      | Kernel.Violation { pid = p; violation = v; _ } when p = pid ->
-        Some ("v:" ^ Violation.step_name v.Violation.v_step)
-      | Kernel.Denied { pid = p; reason; _ } when p = pid -> Some ("d:" ^ reason)
-      | Kernel.Execve { pid = p; path; _ } when p = pid -> Some ("e:" ^ path)
-      | _ -> None)
+      | Kernel.Violation { pid = p; _ }
+      | Kernel.Denied { pid = p; _ }
+      | Kernel.Execve { pid = p; _ } ->
+        p = pid)
     (Kernel.audit_log kernel)
 
 (* Fill both shared tables past their bound with facts verified at sites
@@ -1103,7 +1099,8 @@ let test_first_visit_tamper ~src ~sem ~strike ~step () =
       | Svm.Machine.Halted 0, _, _, [] -> ()
       | _ -> Alcotest.fail "process A did not run cleanly");
      let _, _, _, verdicts = b.obs in
-     Alcotest.(check (list string)) "the reference's verdict" [ "v:" ^ step ] verdicts
+     Alcotest.(check (list string)) "the reference's verdict" [ "v:" ^ step ]
+       (verdict_names verdicts)
    | _ -> Alcotest.fail "two processes expected");
   List.iter2
     (fun r f ->
@@ -1170,7 +1167,7 @@ let test_denied_files_nothing ~victim ~strike ~step ~layer () =
       Alcotest.(check (pair (list string) (pair int int)))
         (Printf.sprintf "process %d: verdicts, facts drawn and filed" i)
         expect
-        (verdicts, (layer r.drawn, layer r.filed)))
+        (verdict_names verdicts, (layer r.drawn, layer r.filed)))
     runs
 
 let denied_first_visit_cases =

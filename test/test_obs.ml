@@ -8,7 +8,6 @@ module Ring = Asc_obs.Ring
 module Clock = Asc_obs.Clock
 module Metrics = Asc_obs.Metrics
 module Trace = Asc_obs.Trace
-module Authlog = Asc_obs.Authlog
 
 (* --- metrics registry --- *)
 
@@ -407,108 +406,6 @@ let qcheck_json_roundtrip =
       | Ok parsed -> parsed = doc
       | Error _ -> false)
 
-(* --- tamper-evident audit chain --- *)
-
-let auth_key = Asc_crypto.Cmac.of_raw "0123456789abcdef"
-
-let auth_entry i = Json.Obj [ ("kind", Json.Str "event"); ("n", Json.Int i) ]
-
-let export_of ?capacity n =
-  let log = Authlog.create ~key:auth_key ?capacity () in
-  for i = 1 to n do
-    Authlog.append log (auth_entry i)
-  done;
-  (log, Authlog.export_string log)
-
-let nonempty_lines s =
-  String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
-
-let check_verifies what ?expect_head expect_n exported =
-  match Authlog.verify_string ?expect_head ~key:auth_key exported with
-  | Ok n -> Alcotest.(check int) what expect_n n
-  | Error e -> Alcotest.failf "%s: %a" what Authlog.pp_verify_error e
-
-let check_tampered what ?expect_head exported =
-  match Authlog.verify_string ?expect_head ~key:auth_key exported with
-  | Error _ -> ()
-  | Ok n -> Alcotest.failf "%s: verified %d records of a doctored log" what n
-
-let test_authlog_chain () =
-  let log, exported = export_of 5 in
-  Alcotest.(check int) "length" 5 (Authlog.length log);
-  Alcotest.(check int) "appended" 5 (Authlog.appended log);
-  check_verifies "pristine chain" 5 exported;
-  check_verifies "with out-of-band head" ~expect_head:(Authlog.hex (Authlog.head_mac log)) 5
-    exported;
-  check_tampered "wrong expected head" ~expect_head:(String.make 32 '0') exported;
-  (* the empty chain exports a verifiable header + trailer *)
-  let _, empty = export_of 0 in
-  check_verifies "empty chain" 0 empty;
-  (* a different key must refuse the chain *)
-  (match Authlog.verify_string ~key:(Asc_crypto.Cmac.of_raw "fedcba9876543210") exported with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "verified under the wrong key")
-
-let test_authlog_eviction () =
-  let log, exported = export_of ~capacity:3 10 in
-  Alcotest.(check int) "retained" 3 (Authlog.length log);
-  Alcotest.(check int) "appended survives eviction" 10 (Authlog.appended log);
-  (* the anchor is the chain value of the last evicted record (seq 7) *)
-  (match nonempty_lines exported with
-   | header :: _ ->
-     let j = Result.get_ok (Json.parse header) in
-     Alcotest.(check (option int)) "anchor seq" (Some 7)
-       (Option.bind (Json.member "anchor_seq" j) Json.to_int)
-   | [] -> Alcotest.fail "empty export");
-  check_verifies "chain verifies after eviction" 3 exported
-
-let test_authlog_bitflip () =
-  let _, exported = export_of 4 in
-  (* a single flipped bit anywhere in the file must be detected; vary the
-     flipped bit with the position so every bit index is exercised too *)
-  String.iteri
-    (fun i _ ->
-      let b = Bytes.of_string exported in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (i mod 8))));
-      check_tampered (Printf.sprintf "bit flip at byte %d" i) (Bytes.to_string b))
-    exported
-
-let test_authlog_truncation () =
-  let log, exported = export_of 4 in
-  let lines = nonempty_lines exported in
-  let rejoin ls = String.concat "\n" ls ^ "\n" in
-  let n = List.length lines in
-  (* dropping the trailer (or the trailer plus records) must be detected *)
-  check_tampered "no trailer" (rejoin (List.filteri (fun i _ -> i < n - 1) lines));
-  check_tampered "last record cut, trailer kept"
-    (rejoin (List.filteri (fun i _ -> i <> n - 2) lines));
-  (* the one file-only blind spot: truncate to a prefix AND forge the
-     trailer from a chain value visible in that prefix. The file alone
-     verifies — the out-of-band head commitment is what catches it. *)
-  let kept_record = List.nth lines 2 (* header, record 1, record 2 *) in
-  let j = Result.get_ok (Json.parse kept_record) in
-  let seq = Option.get (Option.bind (Json.member "seq" j) Json.to_int) in
-  let mac = Option.get (Option.bind (Json.member "mac" j) Json.to_str) in
-  let forged_trailer =
-    Json.to_string
-      (Json.Obj [ ("kind", Json.Str "head"); ("seq", Json.Int seq); ("mac", Json.Str mac) ])
-  in
-  let forged = rejoin (List.filteri (fun i _ -> i < 3) lines @ [ forged_trailer ]) in
-  check_verifies "forged-trailer prefix passes the file-only check" 2 forged;
-  check_tampered "out-of-band head catches the forged trailer"
-    ~expect_head:(Authlog.hex (Authlog.head_mac log)) forged
-
-let test_authlog_reorder () =
-  let _, exported = export_of 4 in
-  let lines = nonempty_lines exported in
-  (* swap records 2 and 3 (lines 2 and 3 after the header) *)
-  let swapped =
-    List.mapi
-      (fun i l -> if i = 2 then List.nth lines 3 else if i = 3 then List.nth lines 2 else l)
-      lines
-  in
-  check_tampered "reordered records" (String.concat "\n" swapped ^ "\n")
-
 (* --- quantile estimation --- *)
 
 let test_log_linear_buckets () =
@@ -604,10 +501,4 @@ let () =
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escape;
           Alcotest.test_case "malformed inputs" `Quick test_json_errors;
-          QCheck_alcotest.to_alcotest qcheck_json_roundtrip ] );
-      ( "authlog",
-        [ Alcotest.test_case "chain verifies" `Quick test_authlog_chain;
-          Alcotest.test_case "eviction promotes the anchor" `Quick test_authlog_eviction;
-          Alcotest.test_case "single-bit flips detected" `Quick test_authlog_bitflip;
-          Alcotest.test_case "truncation detected" `Quick test_authlog_truncation;
-          Alcotest.test_case "reordering detected" `Quick test_authlog_reorder ] ) ]
+          QCheck_alcotest.to_alcotest qcheck_json_roundtrip ] ) ]

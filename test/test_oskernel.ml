@@ -575,9 +575,9 @@ let test_monitor_deny () =
        (contains ~sub:"not authenticated" rendered)
    | _ -> Alcotest.fail "expected exactly one Denied audit entry")
 
-(* --- structured violations: forensic snapshot + audit chain entry --- *)
+(* --- structured violations --- *)
 
-let test_violation_snapshot () =
+let test_violation_entry () =
   let kernel = Kernel.create () in
   kernel.Kernel.tracing <- true;
   let calls = ref 0 in
@@ -608,8 +608,11 @@ let test_violation_snapshot () =
   (match stop with
    | Svm.Machine.Killed reason -> Alcotest.(check string) "kill reason" "policy violation" reason
    | _ -> Alcotest.fail "expected kill");
+  (* the denied call itself is never dispatched, so it is not traced *)
+  Alcotest.(check int) "four calls dispatched before the deny" 4
+    (List.length (Kernel.trace kernel));
   match Kernel.audit_log kernel with
-  | [ Kernel.Violation { violation = v; snapshot = sn; pid; program } ] ->
+  | [ Kernel.Violation { violation = v; pid; program } ] ->
     Alcotest.(check int) "pid" 1 pid;
     Alcotest.(check string) "program" "test" program;
     Alcotest.(check string) "step survives" "control_flow" (Violation.step_name v.Violation.v_step);
@@ -617,44 +620,61 @@ let test_violation_snapshot () =
       v.Violation.v_sem;
     Alcotest.(check int) "number overridden" (num Syscall.Getpid) v.Violation.v_number;
     Alcotest.(check bool) "site overridden" true (v.Violation.v_site > 0);
-    Alcotest.(check (option string)) "expected MAC kept" (Some "00ff") v.Violation.v_expected_mac;
-    Alcotest.(check int) "r0..r11 captured" Violation.snapshot_regs
-      (Array.length sn.Violation.sn_regs);
-    Alcotest.(check int) "r0 holds the trap number" (num Syscall.Getpid)
-      sn.Violation.sn_regs.(0);
-    Alcotest.(check int) "kernel nonce counter" 0 sn.Violation.sn_counter;
-    (* the snapshot's recent-call history must be exactly the tail of the
-       kernel's trace ring (the denied call itself is never dispatched, so
-       it appears in neither) *)
-    let trace = Kernel.trace kernel in
-    Alcotest.(check int) "four calls dispatched before the deny" 4 (List.length trace);
-    let tail =
-      let n = List.length trace in
-      List.filteri (fun i _ -> i >= n - Kernel.snapshot_history) trace
-    in
-    Alcotest.(check int) "history length" (List.length tail)
-      (List.length sn.Violation.sn_recent);
-    List.iter2
-      (fun (c : Violation.call) (t : Kernel.trace_entry) ->
-        Alcotest.(check int) "history number" t.Kernel.t_number c.Violation.c_number;
-        Alcotest.(check int) "history site" t.Kernel.t_site c.Violation.c_site;
-        Alcotest.(check int) "history result" t.Kernel.t_result c.Violation.c_result)
-      sn.Violation.sn_recent tail
+    Alcotest.(check (option string)) "expected MAC kept" (Some "00ff") v.Violation.v_expected_mac
   | entries -> Alcotest.failf "expected exactly one Violation entry, got %d" (List.length entries)
 
-(* audit entries survive the JSON round trip, and every variant carries the
-   uniform envelope (kind/pid/program) *)
-let qcheck_audit_json_roundtrip =
+(* The host work of a deny is bounded by the deny itself, not by how many
+   calls the process made before it: with tracing on, the minor words
+   from the monitor's deny to the return of [Kernel.run] are the same
+   after 10 and after 5,000 earlier traced calls. *)
+let deny_words ~history =
+  let kernel = Kernel.create () in
+  kernel.Kernel.tracing <- true;
+  let calls = ref 0 and mark = ref 0 in
+  let v =
+    { Violation.v_step = Violation.Call_mac;
+      v_site = 0;
+      v_number = 0;
+      v_sem = None;
+      v_reason = "late deny";
+      v_expected_mac = None;
+      v_got_mac = None }
+  in
+  let mon =
+    { Kernel.monitor_name = "deny-late";
+      pre_syscall =
+        (fun _ ~site:_ ~number:_ ->
+          incr calls;
+          if !calls <= history then Kernel.Allow
+          else begin
+            mark := Asc_obs.Profile.minor_words ();
+            Kernel.Deny_violation v
+          end);
+      post_syscall = Kernel.no_post }
+  in
+  Kernel.set_monitor kernel (Some mon);
+  let src = Printf.sprintf "_start: movi r0, %d\n sys\n jmp _start" (num Syscall.Getpid) in
+  let proc = Kernel.spawn kernel ~program:"test" (Svm.Asm.assemble_exn src) in
+  let stop = Kernel.run kernel proc ~max_cycles:1_000_000_000 in
+  let words = Asc_obs.Profile.minor_words () - !mark in
+  (match stop with
+   | Svm.Machine.Killed _ -> ()
+   | _ -> Alcotest.fail "expected kill");
+  Alcotest.(check int) "calls traced before the deny" history
+    (List.length (Kernel.trace kernel));
+  words
+
+let test_deny_words_flat () =
+  let short = deny_words ~history:10 and long = deny_words ~history:5_000 in
+  if abs (long - short) > 64 then
+    Alcotest.failf "a deny cost %d minor words after 10 traced calls, %d after 5,000" short long
+
+(* every audit entry carries the uniform envelope (kind/pid/program) *)
+let qcheck_audit_json_envelope =
   let open QCheck.Gen in
   let s = string_size ~gen:printable (0 -- 10) in
   let nat = 0 -- 100_000 in
   let opt_s = opt s in
-  let gen_call =
-    map
-      (fun ((c_name, c_number), (c_site, c_result)) ->
-        { Violation.c_name; c_number; c_site; c_result })
-      (pair (pair s nat) (pair nat nat))
-  in
   let gen_violation =
     oneofl Violation.all_steps >>= fun v_step ->
     nat >>= fun v_site ->
@@ -665,25 +685,6 @@ let qcheck_audit_json_roundtrip =
     opt_s >>= fun v_got_mac ->
     return { Violation.v_step; v_site; v_number; v_sem; v_reason; v_expected_mac; v_got_mac }
   in
-  let gen_snapshot =
-    array_size (return Violation.snapshot_regs) nat >>= fun sn_regs ->
-    nat >>= fun sn_pc ->
-    nat >>= fun sn_cycles ->
-    nat >>= fun sn_instrs ->
-    nat >>= fun sn_counter ->
-    opt nat >>= fun sn_last_block ->
-    opt_s >>= fun sn_lb_mac ->
-    list_size (0 -- 4) gen_call >>= fun sn_recent ->
-    return
-      { Violation.sn_regs;
-        sn_pc;
-        sn_cycles;
-        sn_instrs;
-        sn_counter;
-        sn_last_block;
-        sn_lb_mac;
-        sn_recent }
-  in
   let gen_entry =
     oneof
       [ map
@@ -693,35 +694,22 @@ let qcheck_audit_json_roundtrip =
         map
           (fun ((pid, program), path) -> Kernel.Execve { pid; program; path })
           (pair (pair nat s) s);
-        (pair (pair nat s) (pair gen_violation gen_snapshot)
-        >>= fun ((pid, program), (violation, snapshot)) ->
-         return (Kernel.Violation { pid; program; violation; snapshot })) ]
+        map
+          (fun ((pid, program), violation) -> Kernel.Violation { pid; program; violation })
+          (pair (pair nat s) gen_violation) ]
   in
-  (* chains exported while snapshots still held the profiler's shadow stack
-     carry ["shadow_stack": []] last in each snapshot; they must still
-     parse, so [asc_audit report] reads them *)
-  let with_shadow_stack = function
-    | Asc_obs.Json.Obj fields ->
-      Asc_obs.Json.Obj
-        (List.map
-           (function
-             | "snapshot", Asc_obs.Json.Obj sn ->
-               ("snapshot", Asc_obs.Json.Obj (sn @ [ ("shadow_stack", Asc_obs.Json.List []) ]))
-             | field -> field)
-           fields)
-    | j -> j
-  in
-  QCheck.Test.make ~name:"audit_to_json round-trip" ~count:300 (QCheck.make gen_entry)
+  QCheck.Test.make ~name:"audit_to_json envelope" ~count:300 (QCheck.make gen_entry)
     (fun entry ->
+      let pid, program =
+        match entry with
+        | Kernel.Denied { pid; program; _ }
+        | Kernel.Execve { pid; program; _ }
+        | Kernel.Violation { pid; program; _ } -> (pid, program)
+      in
       let j = Kernel.audit_to_json entry in
-      let has k = Asc_obs.Json.member k j <> None in
-      has "kind" && has "pid" && has "program"
-      && List.for_all
-           (fun j ->
-             match Kernel.audit_of_json j with
-             | Ok entry' -> entry' = entry
-             | Error _ -> false)
-           [ j; with_shadow_stack j ])
+      Option.is_some (Option.bind (Asc_obs.Json.member "kind" j) Asc_obs.Json.to_str)
+      && Option.bind (Asc_obs.Json.member "pid" j) Asc_obs.Json.to_int = Some pid
+      && Option.bind (Asc_obs.Json.member "program" j) Asc_obs.Json.to_str = Some program)
 
 (* The svm.* counters live in each kernel's own registry: a run under the
    checker shows up whole in its kernel's, and in no other. *)
@@ -1349,8 +1337,9 @@ let suite_kernel =
     Alcotest.test_case "spawn reuses exited memory" `Quick test_spawn_reuses_exited_memory;
     Alcotest.test_case "track names only when traced" `Quick test_track_names_only_when_traced;
     Alcotest.test_case "monitor can deny" `Quick test_monitor_deny;
-    Alcotest.test_case "violation snapshot" `Quick test_violation_snapshot;
-    QCheck_alcotest.to_alcotest qcheck_audit_json_roundtrip;
+    Alcotest.test_case "violation audit entry" `Quick test_violation_entry;
+    Alcotest.test_case "deny words flat in trace history" `Quick test_deny_words_flat;
+    QCheck_alcotest.to_alcotest qcheck_audit_json_envelope;
     Alcotest.test_case "per-kernel vm counters isolated" `Quick test_vm_counters_isolated;
     Alcotest.test_case "tracing" `Quick test_tracing;
     Alcotest.test_case "trace ring cap" `Quick test_trace_ring_cap;
