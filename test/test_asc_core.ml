@@ -311,6 +311,26 @@ let test_tampered_string_detected () =
       reason
   | _ -> Alcotest.fail "string tampering not detected"
 
+(* The typed deny names which MAC is which: [expected] is the prefix of
+   the MAC the kernel computed over the live (tampered) contents, [got]
+   the prefix of the tag the installer stored for the original string.
+   An authenticated string's contents carry its NUL terminator. *)
+let test_string_deny_mac_prefixes () =
+  let inst = install_exn program_src in
+  let patch m = ignore (Svm.Machine.write_byte m (motd_addr inst m + 5) (Char.code 'p')) in
+  let kernel, _, _ = run_installed ~patch inst in
+  let prefix tag = String.concat "" (List.init 8 (fun i -> Printf.sprintf "%02x" (Char.code tag.[i]))) in
+  match Kernel.audit_log kernel with
+  | [ Kernel.Violation { violation = v; _ } ] ->
+    Alcotest.(check string) "step" "string_mac" (Violation.step_name v.Violation.v_step);
+    Alcotest.(check (option string)) "expected: the MAC of the live contents"
+      (Some (prefix (Auth_string.mac_of key "/etc/potd\000")))
+      v.Violation.v_expected_mac;
+    Alcotest.(check (option string)) "got: the installed tag"
+      (Some (prefix (Auth_string.mac_of key "/etc/motd\000")))
+      v.Violation.v_got_mac
+  | entries -> Alcotest.failf "expected exactly one Violation entry, got %d" (List.length entries)
+
 let test_tampered_argument_detected () =
   (* change the constant fd argument (movi r1, 1 -> movi r1, 2) in text:
      the kernel's encoded call then differs from the policy -> MAC mismatch *)
@@ -512,6 +532,8 @@ let suite_pipeline =
     Alcotest.test_case "installed binary runs clean" `Quick test_installed_binary_runs_clean;
     Alcotest.test_case "unauthenticated call blocked" `Quick test_unauthenticated_blocked;
     Alcotest.test_case "tampered string detected" `Quick test_tampered_string_detected;
+    Alcotest.test_case "string deny reports both MAC prefixes" `Quick
+      test_string_deny_mac_prefixes;
     Alcotest.test_case "tampered argument detected" `Quick test_tampered_argument_detected;
     Alcotest.test_case "control-flow violation detected" `Quick test_control_flow_violation_detected;
     Alcotest.test_case "policy-state replay detected" `Quick test_policy_state_replay_detected;

@@ -98,6 +98,17 @@ let test_classification_table () =
   Alcotest.(check string) "normalization is the symlink race" "symlink-race"
     (Oskernel.Violation.attack_class Oskernel.Violation.Normalization)
 
+(* Each protected §4.1 attack's deny step classifies to the attack's own
+   name: the class asc_run's [violation] line prints for it. *)
+let test_blocked_attacks_classify () =
+  List.iter
+    (fun (name, outcome) ->
+      Alcotest.(check string) (name ^ ": classified from its deny step") name
+        (Oskernel.Violation.attack_class (step_of name outcome)))
+    [ ("shellcode", Attacks.shellcode ~protected:true ());
+      ("mimicry", Attacks.mimicry ~protected:true ());
+      ("non-control-data", Attacks.non_control_data ~protected:true ()) ]
+
 let () =
   Alcotest.run "attacks"
     [ ( "attacks",
@@ -113,4 +124,6 @@ let () =
             test_frankenstein_single_app_confined;
           Alcotest.test_case "fast-path deny parity (full suite)" `Quick
             test_fastpath_deny_parity;
-          Alcotest.test_case "classification table" `Quick test_classification_table ] ) ]
+          Alcotest.test_case "classification table" `Quick test_classification_table;
+          Alcotest.test_case "blocked attacks classify to their names" `Quick
+            test_blocked_attacks_classify ] ) ]

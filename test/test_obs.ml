@@ -124,6 +124,38 @@ let test_ring () =
     (Invalid_argument "Ring.create: capacity must be >= 1") (fun () ->
       ignore (Ring.create ~capacity:0))
 
+(* Against a list model: after any run of pushes and clears, the ring
+   holds the newest [capacity] elements pushed since the last clear,
+   oldest first, whichever way it is read, and counts every push since
+   that clear, retained or evicted. *)
+let qcheck_ring_model =
+  QCheck.Test.make ~name:"ring agrees with a list model" ~count:300
+    QCheck.(pair (int_range 1 8) (list_of_size Gen.(0 -- 60) (option (int_bound 1000))))
+    (fun (capacity, ops) ->
+      let r = Ring.create ~capacity in
+      let since_clear =
+        List.fold_left
+          (fun acc op ->
+            match op with
+            | Some x ->
+              Ring.push r x;
+              acc @ [ x ]
+            | None ->
+              Ring.clear r;
+              [])
+          [] ops
+      in
+      let n = List.length since_clear in
+      let kept = List.filteri (fun i _ -> i >= n - capacity) since_clear in
+      let iterated = ref [] in
+      Ring.iter (fun x -> iterated := x :: !iterated) r;
+      Ring.to_list r = kept
+      && List.rev !iterated = kept
+      && List.rev (Ring.fold (fun acc x -> x :: acc) [] r) = kept
+      && Ring.length r = List.length kept
+      && Ring.pushed r = n
+      && Ring.dropped r = n - List.length kept)
+
 (* --- span tracing + exporters --- *)
 
 let test_span_clock () =
@@ -483,7 +515,9 @@ let () =
         [ Alcotest.test_case "log-linear bucket layout" `Quick test_log_linear_buckets;
           Alcotest.test_case "edge cases" `Quick test_quantile_exact_cases;
           QCheck_alcotest.to_alcotest qcheck_quantile_error_bound ] );
-      ("ring", [ Alcotest.test_case "bounded fifo" `Quick test_ring ]);
+      ( "ring",
+        [ Alcotest.test_case "bounded fifo" `Quick test_ring;
+          QCheck_alcotest.to_alcotest qcheck_ring_model ] );
       ( "trace",
         [ Alcotest.test_case "span clock arithmetic" `Quick test_span_clock;
           Alcotest.test_case "span records on raise" `Quick test_span_records_on_raise;

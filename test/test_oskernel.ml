@@ -669,22 +669,54 @@ let test_deny_words_flat () =
   if abs (long - short) > 64 then
     Alcotest.failf "a deny cost %d minor words after 10 traced calls, %d after 5,000" short long
 
+(* The kernel's rendering of a violation: the [audit] line asc_run
+   prints for each entry names the process, the step, the trap site in
+   hex, the number, the resolved syscall when there is one, and the
+   reason. *)
+let test_violation_audit_line () =
+  let v =
+    { Violation.v_step = Violation.String_mac;
+      v_site = 0x1040;
+      v_number = 2;
+      v_sem = Some "open";
+      v_reason = "argument 0: string authentication failed";
+      v_expected_mac = Some "00ff";
+      v_got_mac = Some "ff00" }
+  in
+  Alcotest.(check string) "with the syscall name"
+    "pid 3 VIOLATION victim string_mac at site 0x1040 number 2 (open): argument 0: string \
+     authentication failed"
+    (Kernel.audit_to_string (Kernel.Violation { pid = 3; program = "victim"; violation = v }));
+  Alcotest.(check string) "an unresolved number has no name"
+    "unauthenticated at site 0x8 number 999: not authenticated"
+    (Violation.to_string
+       { v with
+         Violation.v_step = Violation.Unauthenticated;
+         v_site = 8;
+         v_number = 999;
+         v_sem = None;
+         v_reason = "not authenticated" })
+
+let gen_audit_string = QCheck.Gen.(string_size ~gen:printable (0 -- 10))
+
+let gen_audit_nat = QCheck.Gen.(0 -- 100_000)
+
+let gen_violation =
+  let open QCheck.Gen in
+  let opt_s = opt gen_audit_string in
+  oneofl Violation.all_steps >>= fun v_step ->
+  gen_audit_nat >>= fun v_site ->
+  gen_audit_nat >>= fun v_number ->
+  opt_s >>= fun v_sem ->
+  gen_audit_string >>= fun v_reason ->
+  opt_s >>= fun v_expected_mac ->
+  opt_s >>= fun v_got_mac ->
+  return { Violation.v_step; v_site; v_number; v_sem; v_reason; v_expected_mac; v_got_mac }
+
 (* every audit entry carries the uniform envelope (kind/pid/program) *)
 let qcheck_audit_json_envelope =
   let open QCheck.Gen in
-  let s = string_size ~gen:printable (0 -- 10) in
-  let nat = 0 -- 100_000 in
-  let opt_s = opt s in
-  let gen_violation =
-    oneofl Violation.all_steps >>= fun v_step ->
-    nat >>= fun v_site ->
-    nat >>= fun v_number ->
-    opt_s >>= fun v_sem ->
-    s >>= fun v_reason ->
-    opt_s >>= fun v_expected_mac ->
-    opt_s >>= fun v_got_mac ->
-    return { Violation.v_step; v_site; v_number; v_sem; v_reason; v_expected_mac; v_got_mac }
-  in
+  let s = gen_audit_string and nat = gen_audit_nat in
   let gen_entry =
     oneof
       [ map
@@ -710,6 +742,26 @@ let qcheck_audit_json_envelope =
       Option.is_some (Option.bind (Asc_obs.Json.member "kind" j) Asc_obs.Json.to_str)
       && Option.bind (Asc_obs.Json.member "pid" j) Asc_obs.Json.to_int = Some pid
       && Option.bind (Asc_obs.Json.member "program" j) Asc_obs.Json.to_str = Some program)
+
+(* a violation's JSON carries every field of the typed entry with its
+   value: what [asc_trace --format json] emits for a deny *)
+let qcheck_violation_json_fields =
+  let open Asc_obs.Json in
+  let opt = function Some s -> Str s | None -> Null in
+  QCheck.Test.make ~name:"audit_to_json violation fields" ~count:300
+    (QCheck.make QCheck.Gen.(pair (pair gen_audit_nat gen_audit_string) gen_violation))
+    (fun ((pid, program), v) ->
+      let j = Kernel.audit_to_json (Kernel.Violation { pid; program; violation = v }) in
+      List.for_all
+        (fun (k, expect) -> member k j = Some expect)
+        [ ("kind", Str "violation");
+          ("step", Str (Violation.step_name v.Violation.v_step));
+          ("site", Int v.Violation.v_site);
+          ("number", Int v.Violation.v_number);
+          ("sem", opt v.Violation.v_sem);
+          ("reason", Str v.Violation.v_reason);
+          ("expected_mac", opt v.Violation.v_expected_mac);
+          ("got_mac", opt v.Violation.v_got_mac) ])
 
 (* The svm.* counters live in each kernel's own registry: a run under the
    checker shows up whole in its kernel's, and in no other. *)
@@ -1339,7 +1391,9 @@ let suite_kernel =
     Alcotest.test_case "monitor can deny" `Quick test_monitor_deny;
     Alcotest.test_case "violation audit entry" `Quick test_violation_entry;
     Alcotest.test_case "deny words flat in trace history" `Quick test_deny_words_flat;
+    Alcotest.test_case "violation audit line" `Quick test_violation_audit_line;
     QCheck_alcotest.to_alcotest qcheck_audit_json_envelope;
+    QCheck_alcotest.to_alcotest qcheck_violation_json_fields;
     Alcotest.test_case "per-kernel vm counters isolated" `Quick test_vm_counters_isolated;
     Alcotest.test_case "tracing" `Quick test_tracing;
     Alcotest.test_case "trace ring cap" `Quick test_trace_ring_cap;
