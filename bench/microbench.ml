@@ -200,6 +200,9 @@ let table4 () =
         if cf a > 16 then fail "cfpre control_flow allocates %d words/call (budget 16)" (cf a);
         let cm = List.assoc "call_mac" in
         if cm a > 16 then fail "precomp call_mac allocates %d words/call (budget 16)" (cm a);
+        (* and the whole call: the rows read 11-17 words, the ledger
+           entry's 7 included *)
+        if alloc > 18 then fail "the fast path allocates %d words/call (budget 18)" alloc;
         Format.printf "%-16s %10d %14d %9.1f%% %10d %9.1f%%@." case.c_name orig auth
           (pct orig auth) auth_fast (pct orig auth_fast);
         let open Asc_obs.Json in

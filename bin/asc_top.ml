@@ -30,8 +30,8 @@ type pid_row = {
 (* The fleet itself: [procs] processes round-robinning over the named
    workloads, every one spawned on the SAME kernel so the telemetry plane
    sees concurrent shards the way a real fleet kernel would. Per-pid rows
-   are aggregate deltas around each run — exact, because [Telemetry.merge]
-   is count-conserving. *)
+   are aggregate deltas around each run — exact, because every call is
+   added once to the plane's counts. *)
 let run_fleet ~personality ~key ~procs ~scale ~no_fastpath names =
   let ( let* ) = Result.bind in
   let* workloads =

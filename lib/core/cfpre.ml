@@ -114,17 +114,15 @@ let check t ~m ~pid ~site ~(pred_ref : Encoded.as_ref) =
       Hit e
     end
 
-let check_shared t ~m ~pid ~site ~block ~(pred_ref : Encoded.as_ref) =
-  if Pid_table.mem t.sites ~pid site then None
-  else
-    match Pid_table.Shared.find t.facts ~site ~block with
-    | exception Not_found -> None
-    | e ->
-      if
-        ref_equal e.ce_ref pred_ref
-        && Svm.Machine.mem_equal m ~addr:pred_ref.Encoded.as_addr e.ce_contents
-      then Some e
-      else None
+let check_shared t ~m ~site ~block ~(pred_ref : Encoded.as_ref) =
+  match Pid_table.Shared.find t.facts ~site ~block with
+  | exception Not_found -> None
+  | e ->
+    if
+      ref_equal e.ce_ref pred_ref
+      && Svm.Machine.mem_equal m ~addr:pred_ref.Encoded.as_addr e.ce_contents
+    then Some e
+    else None
 
 let adopt t ~pid ~site e =
   Pid_table.add t.sites ~pid site e;

@@ -82,13 +82,13 @@ val check :
     against the compiled contents. *)
 
 val check_shared :
-  t -> m:Svm.Machine.t -> pid:int -> site:int -> block:int -> pred_ref:Encoded.as_ref ->
-  entry option
-(** [Some fact] when [pid] has no entry at [site] and the shared fact at
-    ([site], [block]) has [pred_ref] as its reference and the live guest
-    bytes as its contents — the compares {!check} makes. The set's string
-    MAC would then verify. Counts nothing; {!adopt} the fact once the
-    whole control-flow step has succeeded. *)
+  t -> m:Svm.Machine.t -> site:int -> block:int -> pred_ref:Encoded.as_ref -> entry option
+(** Asked when {!check} declined with [Cf_slow], which it reports exactly
+    when the pid has no entry at [site]: [Some fact] when the shared fact
+    at ([site], [block]) has [pred_ref] as its reference and the live
+    guest bytes as its contents — the compares {!check} makes. The set's
+    string MAC would then verify. Counts nothing; {!adopt} the fact once
+    the whole control-flow step has succeeded. *)
 
 val adopt : t -> pid:int -> site:int -> entry -> unit
 (** Make the fact {!check_shared} returned [pid]'s entry at [site],

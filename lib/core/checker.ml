@@ -15,25 +15,39 @@ type fail = {
 
 exception Deny of fail
 
-let deny step fmt =
-  Format.kasprintf
-    (fun s -> raise (Deny { f_step = step; f_reason = s; f_expected = None; f_got = None }))
-    fmt
+(* A deny's reason is built by concatenation, not with a format: a
+   tampered call is denied on the trap path, where formatting a reason and
+   two MAC prefixes takes the host time of several first visits. [hex]
+   and [quoted] render exactly what [%x] and [%S] would. *)
+let deny step reason =
+  raise (Deny { f_step = step; f_reason = reason; f_expected = None; f_got = None })
+
+let hex_digits = "0123456789abcdef"
 
 let mac_prefix s =
   let n = min 8 (String.length s) in
-  String.concat "" (List.init n (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code s.[i] in
+    Bytes.set b (2 * i) hex_digits.[c lsr 4];
+    Bytes.set b ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string b
 
-let deny_mac step ~expected ~got fmt =
-  Format.kasprintf
-    (fun s ->
-      raise
-        (Deny
-           { f_step = step;
-             f_reason = s;
-             f_expected = Some (mac_prefix expected);
-             f_got = Some (mac_prefix got) }))
-    fmt
+let deny_mac step ~expected ~got reason =
+  raise
+    (Deny
+       { f_step = step;
+         f_reason = reason;
+         f_expected = Some (mac_prefix expected);
+         f_got = Some (mac_prefix got) })
+
+(* the int's 63 bits as unsigned hex, like [%x] *)
+let rec hex n =
+  let digit = String.make 1 hex_digits.[n land 15] in
+  if n lsr 4 = 0 then digit else hex (n lsr 4) ^ digit
+
+let quoted s = "\"" ^ String.escaped s ^ "\""
 
 (* The verification step being charged; doubles as the metrics-counter
    selector. *)
@@ -54,7 +68,7 @@ type steps = {
   st_total : Asc_obs.Metrics.counter;
   st_checked : Asc_obs.Metrics.counter;       (* calls that passed every step *)
   (* Host minor-words attribution — the memory analogue of the cycle
-     decomposition. Each step's work runs inside a [step_region] that
+     decomposition. Each step's work runs inside an alloc region that
      measures the [Gc.minor_words] delta across it, so every measured word
      is credited to exactly one step and the four verification steps sum
      to [sa_total]. The telemetry plane's own recording allocation is kept
@@ -99,25 +113,15 @@ let charge (m : Machine.t) steps step n =
   Asc_obs.Metrics.add (step_counter steps step) n;
   Asc_obs.Metrics.add steps.st_total n
 
-(* [step_region steps step f] brackets one step's work: it marks the host
-   minor-words counter, and on exit — normal or [Deny] — credits the delta
-   to the step's alloc counter. *)
-let step_region steps step f =
-  let a0 = Asc_obs.Profile.minor_words () in
-  let finish () =
-    let d = Asc_obs.Profile.minor_words () - a0 in
-    if d > 0 then begin
-      Asc_obs.Metrics.add (step_alloc_counter steps step) d;
-      Asc_obs.Metrics.add steps.sa_total d
-    end
-  in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception e ->
-    finish ();
-    raise e
+(* Credits the host minor words allocated since [a0] to [step]'s alloc
+   counter: the end of a step region, which [Checker.pre] opens by reading
+   the counter. *)
+let end_region steps step a0 =
+  let d = Asc_obs.Profile.minor_words () - a0 in
+  if d > 0 then begin
+    Asc_obs.Metrics.add (step_alloc_counter steps step) d;
+    Asc_obs.Metrics.add steps.sa_total d
+  end
 
 (* charging-step → violation-step: the charge attribution is 4-way (the
    Table 4 decomposition) while violations name the finer-grained cause *)
@@ -130,24 +134,25 @@ let vstep_of = function
 let read_mac m addr =
   match Machine.read_mem m ~addr ~len:16 with
   | Some s -> s
-  | None -> deny Violation.Call_mac "call MAC pointer 0x%x unreadable" addr
+  | None -> deny Violation.Call_mac ("call MAC pointer 0x" ^ hex addr ^ " unreadable")
 
 (* Which authenticated string a deny message names: argument [i] for
    [i >= 0], or one of the two non-argument strings. An immediate int, so
-   the allow path builds no label; [as_label] formats it on deny only. *)
+   the allow path builds no label; [as_label] renders it on deny only. *)
 let extension_block = -1
 let predecessor_set = -2
 
 let as_label = function
   | -1 -> "extension block"
   | -2 -> "predecessor set"
-  | i -> Printf.sprintf "argument %d" i
+  | i -> "argument " ^ string_of_int i
 
 let read_as_header m ~ptr what =
   match Auth_string.read_header (Machine.read_byte m) ~ptr with
   | Some (len, mac) -> { Encoded.as_addr = ptr; as_len = len; as_mac = mac }
   | None ->
-    deny Violation.Call_mac "%s: bad authenticated-string header at 0x%x" (as_label what) ptr
+    deny Violation.Call_mac
+      (as_label what ^ ": bad authenticated-string header at 0x" ^ hex ptr)
 
 (* The deployed fast path: the three layers {!monitor} arms as one unit. *)
 type fastpath = {
@@ -200,7 +205,7 @@ let charge_vcache_hit m steps step f len =
 
 let verify_as m steps step ~fast ~pid key (r : Encoded.as_ref) what =
   match Machine.read_mem m ~addr:r.as_addr ~len:r.as_len with
-  | None -> deny (vstep_of step) "%s: string contents unreadable" (as_label what)
+  | None -> deny (vstep_of step) (as_label what ^ ": string contents unreadable")
   | Some contents ->
     (* sound to cache: the entry carries the full contents — every byte
        the string MAC covers — so tampered bytes or a tampered tag miss *)
@@ -212,7 +217,7 @@ let verify_as m steps step ~fast ~pid key (r : Encoded.as_ref) what =
        let expect = Auth_string.mac_of key contents in
        if not (Cmac.equal_tags expect r.as_mac) then
          deny_mac (vstep_of step) ~expected:expect ~got:r.as_mac
-           "%s: string authentication failed" (as_label what);
+           (as_label what ^ ": string authentication failed");
        (match fast with
         | Some f -> Vcache.remember f.vcache ~pid ~bytes:contents ~mac:r.as_mac
         | None -> ()));
@@ -245,7 +250,7 @@ let parse_ext contents =
       | 2 ->
         if i + 3 + count > n then deny Violation.Ext "malformed extension pattern";
         go (i + 3 + count) ((argi, `Pattern (String.sub contents (i + 3) count)) :: acc)
-      | k -> deny Violation.Ext "unknown extension kind %d" k
+      | k -> deny Violation.Ext ("unknown extension kind " ^ string_of_int k)
     end
   in
   go 0 []
@@ -299,18 +304,39 @@ let charge_precomp m steps pc ~descriptor cost =
 
 let precomp_suffix_len descriptor = Encoded.encoded_length descriptor - Encoded.static_prefix_len
 
+(* Step 1 when the live state proved nothing: rebuild the call, and let
+   [Precomp.check] prove its MAC by memo equality or by resuming the
+   saved chaining state over the dynamic suffix. A declined check charges
+   nothing: the reference CMAC decides, compiles the site, and the reason
+   records why the table declined. *)
+let call_mac_rebuild ~m ~steps ~key ~sc pc (p : Process.t) ~site ~number =
+  let call = rebuild_call m ~site ~number in
+  let supplied = read_mac m m.Machine.regs.(11) in
+  let descriptor = call.Encoded.e_descriptor in
+  (match Precomp.check pc ~pid:p.pid ~call ~supplied with
+   | Precomp.Hit ->
+     charge_precomp m steps pc ~descriptor
+       (Cost_model.precomp_hit_cost (precomp_suffix_len descriptor));
+     sc.reason <- Asc_obs.Telemetry.Precomp_hit
+   | Precomp.Resumed ->
+     charge_precomp m steps pc ~descriptor
+       (Cost_model.precomp_lookup_cost + Cost_model.mac_resume_cost (precomp_suffix_len descriptor));
+     sc.reason <- Asc_obs.Telemetry.Precomp_resumed
+   | Precomp.Declined cause ->
+     let encoded = call_mac_slow m steps key call ~supplied in
+     Precomp.compile pc ~pid:p.pid ~call ~encoded ~mac:supplied;
+     sc.reason <- Asc_obs.Telemetry.Precomp_fallback cause);
+  call
+
 (* Step 1: check the call MAC and return the call whose references steps
    2 and 3 verify, with the resolution — the call's telemetry reason — in
    [sc.reason]. With the fast path armed, the live probe goes first: when
    the registers and header bytes equal the site's memo, the memo is the
-   call and nothing is rebuilt. On a per-pid miss the same compare runs
-   against the shared fact another process verified; a fact changes only
-   the host's work, and the call is charged, counted and labelled as the
-   slow path. Otherwise the call is rebuilt and [Precomp.check] proves
-   its MAC by memo equality or by resuming the saved chaining state over
-   the dynamic suffix. A declined check charges nothing: the reference
-   CMAC decides, compiles the site, and the reason records why the table
-   declined. *)
+   call and nothing is rebuilt. When the pid has no entry at the site, the
+   same compare runs against the shared fact another process verified; a
+   fact changes only the host's work, and the call is charged, counted and
+   labelled as the slow path. Otherwise the call is rebuilt
+   ([call_mac_rebuild]). *)
 let call_mac_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~number =
   charge m steps Call_mac Cost_model.check_fixed;
   match fast with
@@ -321,13 +347,14 @@ let call_mac_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~number =
     call
   | Some { precomp = pc; _ } ->
     (match Precomp.probe pc ~m ~pid:p.pid ~site ~number with
-     | Some memo ->
+     | Precomp.Memo memo ->
        let descriptor = memo.Encoded.e_descriptor in
        charge_precomp m steps pc ~descriptor
          (Cost_model.precomp_hit_cost (precomp_suffix_len descriptor));
        sc.reason <- Asc_obs.Telemetry.Precomp_hit;
        memo
-     | None ->
+     | Precomp.Differs -> call_mac_rebuild ~m ~steps ~key ~sc pc p ~site ~number
+     | Precomp.No_entry ->
        (match Precomp.probe_shared pc ~m ~pid:p.pid ~site ~number with
         | Some memo ->
           (* the slow path's full CMAC: guests read modeled time, which
@@ -336,25 +363,11 @@ let call_mac_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~number =
             (Cost_model.mac_cost (Encoded.encoded_length memo.Encoded.e_descriptor));
           sc.reason <- Asc_obs.Telemetry.Precomp_fallback Asc_obs.Telemetry.F_no_entry;
           memo
-        | None ->
-          let call = rebuild_call m ~site ~number in
-          let supplied = read_mac m m.Machine.regs.(11) in
-          let descriptor = call.Encoded.e_descriptor in
-          (match Precomp.check pc ~pid:p.pid ~call ~supplied with
-           | Precomp.Hit ->
-             charge_precomp m steps pc ~descriptor
-               (Cost_model.precomp_hit_cost (precomp_suffix_len descriptor));
-             sc.reason <- Asc_obs.Telemetry.Precomp_hit
-           | Precomp.Resumed ->
-             charge_precomp m steps pc ~descriptor
-               (Cost_model.precomp_lookup_cost
-                + Cost_model.mac_resume_cost (precomp_suffix_len descriptor));
-             sc.reason <- Asc_obs.Telemetry.Precomp_resumed
-           | Precomp.Declined cause ->
-             let encoded = call_mac_slow m steps key call ~supplied in
-             Precomp.compile pc ~pid:p.pid ~call ~encoded ~mac:supplied;
-             sc.reason <- Asc_obs.Telemetry.Precomp_fallback cause);
-          call))
+        | None -> call_mac_rebuild ~m ~steps ~key ~sc pc p ~site ~number))
+
+let cf_violation ~block ~last_block =
+  "control-flow violation: block " ^ string_of_int block ^ " may not follow block "
+  ^ string_of_int last_block
 
 (* Step 3 reference path: verify the predecessor-set authenticated
    string (vcache-aided), check the nonce-fresh lbMAC over the policy
@@ -383,8 +396,7 @@ let control_flow_slow ~m ~steps ~fast ~key (p : Process.t) ~site
   if not (Cmac.equal_tags expect lb_mac) then
     deny_mac Violation.Control_flow ~expected:expect ~got:lb_mac "policy state corrupted";
   if not (Encoded.predset_mem pred_contents last_block) then
-    deny Violation.Control_flow
-      "control-flow violation: block %d may not follow block %d" block last_block;
+    deny Violation.Control_flow (cf_violation ~block ~last_block);
   (* update: counter++ in kernel space, lastBlock/lbMAC in the application *)
   p.counter <- p.counter + 1;
   charge m steps Control_flow (Cost_model.mac_cost 16);
@@ -439,8 +451,7 @@ let chain_step ~m ~steps ~key ~sc ~cfpre (p : Process.t) entry ~lbp ~block ~cost
         "policy state corrupted"
   end;
   if not (Cfpre.member entry last_block) then
-    deny Violation.Control_flow "control-flow violation: block %d may not follow block %d"
-      block last_block;
+    deny Violation.Control_flow (cf_violation ~block ~last_block);
   (* update: counter++ in kernel space, lastBlock/lbMAC in the
      application *)
   p.counter <- p.counter + 1;
@@ -476,15 +487,95 @@ let control_flow_shared ~m ~steps ~f ~key ~sc (p : Process.t) ~site
   chain_step ~m ~steps ~key ~sc ~cfpre:f.cfpre p entry ~lbp ~block ~cost:(Cost_model.mac_cost 16);
   Cfpre.adopt f.cfpre ~pid:p.pid ~site entry
 
+(* Step 2: each string argument's contents, verified, in argument order
+   (the first that fails denies). *)
+let rec verify_strings m steps ~fast ~pid key = function
+  | [] -> []
+  | (i, ar) :: rest ->
+    let contents = verify_as m steps String_mac ~fast ~pid key ar i in
+    (i, contents) :: verify_strings m steps ~fast ~pid key rest
+
+(* Step 3. The predecessor set is content-stable (cacheable like any
+   authenticated string); the lbMAC is nonce-fresh by design — the
+   kernel-held counter changes every call — so its fresh tag is computed
+   and written on every call. Only its verify can be decided by the
+   monitor's memo of its own last write. The match is deliberately flat
+   (no intermediate option/tuple): the hit branch's whole host-allocation
+   budget is Cfpre.check's [Hit] block. *)
+let control_flow_step ~m ~steps ~fast ~key ~sc (p : Process.t) ~site ~pred_ref ~lbp ~block =
+  match fast with
+  | Some f ->
+    (match Cfpre.check f.cfpre ~m ~pid:p.pid ~site ~pred_ref with
+     | Cfpre.Hit entry ->
+       (* Bitset fast path: the live reference and the live guest bytes
+          equal the slow-path-verified ones (Cfpre.check just compared
+          both), so the set's string MAC would necessarily verify — the
+          predecessor check is one load+test in the compiled bitset. The
+          lbMAC is still checked, and its fresh tag computed and written,
+          on this very call (§3.4 nonce-freshness is untouched). *)
+       sc.cf <- Asc_obs.Telemetry.Cf_hit;
+       let len = Cfpre.contents_length entry in
+       let hit = Cost_model.cfpre_hit_cost len in
+       charge m steps Control_flow hit;
+       Cfpre.note_saved f.cfpre (Cost_model.mac_cost len - hit);
+       chain_step ~m ~steps ~key ~sc ~cfpre:f.cfpre p entry ~lbp ~block
+         ~cost:Cost_model.lbmac_chain_cost
+     | Cfpre.Declined Asc_obs.Telemetry.Cf_slow ->
+       (* the pid has no entry at the site: try the shared fact *)
+       sc.cf <- Asc_obs.Telemetry.Cf_slow;
+       (match Cfpre.check_shared f.cfpre ~m ~site ~block ~pred_ref with
+        | Some entry ->
+          control_flow_shared ~m ~steps ~f ~key ~sc p ~site ~pred_ref ~lbp ~block entry
+        | None -> control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block)
+     | Cfpre.Declined cause ->
+       sc.cf <- cause;
+       control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block)
+  | None -> control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block
+
+(* §5 extensions: allowed-value sets and argument patterns. *)
+let check_ext m steps contents =
+  List.iter
+    (fun (argi, e) ->
+      let v = m.Machine.regs.(argi + 1) in
+      match e with
+      | `Set vs ->
+        if not (List.mem v vs) then
+          deny Violation.Ext
+            ("argument " ^ string_of_int argi ^ " value " ^ string_of_int v ^ " not in allowed set")
+      | `Pattern pat ->
+        (match Machine.read_cstring m ~addr:v ~max:4096 with
+         | None ->
+           deny Violation.Pattern
+             ("argument " ^ string_of_int argi ^ ": unreadable string for pattern check")
+         | Some s ->
+           (match Patterns.compile pat with
+            | Error e ->
+              deny Violation.Pattern ("argument " ^ string_of_int argi ^ ": bad pattern (" ^ e ^ ")")
+            | Ok cp ->
+              charge m steps Ext (Patterns.match_cost cp s);
+              if not (Patterns.matches cp s) then
+                deny Violation.Pattern
+                  ("argument " ^ string_of_int argi ^ ": " ^ quoted s ^ " does not match pattern "
+                 ^ quoted pat))))
+    (parse_ext contents)
+
+(* Each step's work is one alloc region: [a0] read before it, and
+   [end_region] on its way out, normal or [Deny]. Matches rather than a
+   bracketing function, so a trap allocates no closure for them. *)
 let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~site ~number =
   let m = p.machine in
-  let r i = m.regs.(i) in
-  (* --- step 1 (one alloc region): check the call MAC. The region returns
-     the call whose references the later steps need, so the allocation of
-     a rebuild is attributed here, where it happens. --- *)
+  (* --- step 1: check the call MAC. The region returns the call whose
+     references the later steps need, so the allocation of a rebuild is
+     attributed here, where it happens. --- *)
+  let a0 = Asc_obs.Profile.minor_words () in
   let call =
-    step_region steps Call_mac (fun () ->
-      call_mac_step ~m ~steps ~fast ~key ~sc p ~site ~number)
+    match call_mac_step ~m ~steps ~fast ~key ~sc p ~site ~number with
+    | call ->
+      end_region steps Call_mac a0;
+      call
+    | exception e ->
+      end_region steps Call_mac a0;
+      raise e
   in
   let block = call.Encoded.e_block in
   (* --- step 2: verify authenticated string contents --- *)
@@ -492,80 +583,49 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
     match call.Encoded.e_string_args with
     | [] -> []
     | args ->
-      step_region steps String_mac (fun () ->
-        List.map
-          (fun (i, ar) ->
-            (i, verify_as m steps String_mac ~fast ~pid:p.pid key ar i))
-          args)
+      let a0 = Asc_obs.Profile.minor_words () in
+      (match verify_strings m steps ~fast ~pid:p.pid key args with
+       | v ->
+         end_region steps String_mac a0;
+         v
+       | exception e ->
+         end_region steps String_mac a0;
+         raise e)
   in
   let ext_contents =
     match call.Encoded.e_ext with
     | None -> None
     | Some ar ->
-      step_region steps Ext (fun () ->
-        Some (verify_as m steps Ext ~fast ~pid:p.pid key ar extension_block))
+      let a0 = Asc_obs.Profile.minor_words () in
+      (match verify_as m steps Ext ~fast ~pid:p.pid key ar extension_block with
+       | contents ->
+         let v = Some contents in
+         end_region steps Ext a0;
+         v
+       | exception e ->
+         end_region steps Ext a0;
+         raise e)
   in
   (* --- step 3: control-flow policy --- *)
   (match call.Encoded.e_control with
    | None -> ()
    | Some (pred_ref, lbp) ->
-     step_region steps Control_flow (fun () ->
-       (* The predecessor set is content-stable (cacheable like any
-          authenticated string); the lbMAC below is nonce-fresh by design —
-          the kernel-held counter changes every call — so its fresh tag is
-          computed and written on every call. Only its verify can be
-          decided by the monitor's memo of its own last write.
-          The match is deliberately flat (no intermediate option/tuple):
-          the hit branch's whole host-allocation budget is Cfpre.check's
-          [Hit] block. *)
-       match fast with
-       | Some f ->
-         (match Cfpre.check f.cfpre ~m ~pid:p.pid ~site ~pred_ref with
-          | Cfpre.Hit entry ->
-            (* Bitset fast path: the live reference and the live guest bytes
-               equal the slow-path-verified ones (Cfpre.check just compared
-               both), so the set's string MAC would necessarily verify — the
-               predecessor check is one load+test in the compiled bitset. The
-               lbMAC is still checked, and its fresh tag computed and written,
-               on this very call (§3.4 nonce-freshness is untouched). *)
-            sc.cf <- Asc_obs.Telemetry.Cf_hit;
-            let len = Cfpre.contents_length entry in
-            let hit = Cost_model.cfpre_hit_cost len in
-            charge m steps Control_flow hit;
-            Cfpre.note_saved f.cfpre (Cost_model.mac_cost len - hit);
-            chain_step ~m ~steps ~key ~sc ~cfpre:f.cfpre p entry ~lbp ~block
-              ~cost:Cost_model.lbmac_chain_cost
-          | Cfpre.Declined cause ->
-            sc.cf <- cause;
-            (match Cfpre.check_shared f.cfpre ~m ~pid:p.pid ~site ~block ~pred_ref with
-             | Some entry ->
-               control_flow_shared ~m ~steps ~f ~key ~sc p ~site ~pred_ref ~lbp ~block entry
-             | None -> control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block))
-       | None -> control_flow_slow ~m ~steps ~fast ~key p ~site ~pred_ref ~lbp ~block));
-  (* --- §5 extensions: allowed-value sets and argument patterns --- *)
+     let a0 = Asc_obs.Profile.minor_words () in
+     (match control_flow_step ~m ~steps ~fast ~key ~sc p ~site ~pred_ref ~lbp ~block with
+      | () -> end_region steps Control_flow a0
+      | exception e ->
+        end_region steps Control_flow a0;
+        raise e));
+  (* --- §5 extensions --- *)
   (match ext_contents with
    | None -> ()
    | Some contents ->
-     step_region steps Ext (fun () ->
-       List.iter
-         (fun (argi, e) ->
-           match e with
-           | `Set vs ->
-             if not (List.mem (r (argi + 1)) vs) then
-               deny Violation.Ext "argument %d value %d not in allowed set" argi (r (argi + 1))
-           | `Pattern pat ->
-             (match Machine.read_cstring m ~addr:(r (argi + 1)) ~max:4096 with
-              | None ->
-                deny Violation.Pattern "argument %d: unreadable string for pattern check" argi
-              | Some s ->
-                (match Patterns.compile pat with
-                 | Error e -> deny Violation.Pattern "argument %d: bad pattern (%s)" argi e
-                 | Ok cp ->
-                   charge m steps Ext (Patterns.match_cost cp s);
-                   if not (Patterns.matches cp s) then
-                     deny Violation.Pattern
-                       "argument %d: %S does not match pattern %S" argi s pat)))
-         (parse_ext contents)));
+     let a0 = Asc_obs.Profile.minor_words () in
+     (match check_ext m steps contents with
+      | () -> end_region steps Ext a0
+      | exception e ->
+        end_region steps Ext a0;
+        raise e));
   (* --- §5.4: in-kernel file name normalization --- *)
   if normalize_paths then begin
     match Personality.sem_of kernel.Kernel.pers number with
@@ -585,7 +645,8 @@ let pre ~kernel ~key ~normalize_paths ~fast ~scratch:sc ~steps (p : Process.t) ~
             match Vfs.normalize kernel.Kernel.vfs ~cwd:p.cwd path with
             | Ok canon when canon <> path ->
               deny Violation.Normalization
-                "path %S normalizes to %S (possible symlink attack)" path canon
+                ("path " ^ quoted path ^ " normalizes to " ^ quoted canon
+               ^ " (possible symlink attack)")
             | Ok _ | Error _ -> ()
           end)
         verified_strings
@@ -618,11 +679,11 @@ let finish ~kernel ~telemetry ~steps ~sc shard m ~site ~number ~total0 ~alloc0 r
   let alloc = Asc_obs.Profile.minor_words () - alloc0 in
   m.Machine.cycles <- m.Machine.cycles + Cost_model.telemetry_record_cost;
   let ta0 = Asc_obs.Profile.minor_words () in
-  Asc_obs.Telemetry.note_self telemetry shard Cost_model.telemetry_record_cost;
+  Asc_obs.Telemetry.note_self telemetry Cost_model.telemetry_record_cost;
   let sem =
     match Personality.sem_of kernel.Kernel.pers number with
     | Some s -> Syscall.name s
-    | None -> Printf.sprintf "syscall#%d" number
+    | None -> "syscall#" ^ string_of_int number
   in
   Asc_obs.Telemetry.record telemetry shard ~site ~sem ~reason ?cf:(some_cf sc.cf) ~cycles ~alloc
     ~now:m.Machine.cycles;

@@ -1,7 +1,25 @@
 module Metrics = Asc_obs.Metrics
 
+(* One pid's entries: a chained hash table that starts at [initial]
+   buckets and doubles when it holds two entries a bucket, the load at
+   which the standard library's tables grow. So a process that verifies a
+   few sites costs a few words, where a [Hashtbl] starts at 16 buckets.
+   Nothing is removed from a table: the bound empties it and [drop_pid]
+   drops it whole. *)
+type ('k, 'v) bucket =
+  | Nil
+  | Cons of { key : 'k; value : 'v; mutable next : ('k, 'v) bucket }
+
+type ('k, 'v) entries = {
+  mutable buckets : ('k, 'v) bucket array;
+  mutable count : int;
+}
+
 type ('k, 'v) t = {
-  tables : (int, ('k, 'v) Hashtbl.t) Hashtbl.t;  (* pid -> its entries *)
+  tables : (int, ('k, 'v) entries) Hashtbl.t;  (* pid -> its entries *)
+  none : ('k, 'v) entries;  (* a pid with no table: empty, and never added to *)
+  mutable last_pid : int;
+  mutable last : ('k, 'v) entries;  (* [last_pid]'s table, or [none] *)
   evictions : Metrics.counter;
   invalidations : Metrics.counter;
   size : Metrics.gauge;
@@ -9,10 +27,15 @@ type ('k, 'v) t = {
 }
 
 let bound = 4096
+let initial = 4
 
 let create registry ~prefix =
   let name s = prefix ^ "." ^ s in
+  let none = { buckets = [| Nil |]; count = 0 } in
   { tables = Hashtbl.create 16;
+    none;
+    last_pid = 0;
+    last = none;
     evictions =
       Metrics.counter registry (name "evictions") ~help:"entries dropped by the per-pid bound";
     invalidations =
@@ -24,41 +47,79 @@ let create registry ~prefix =
 
 let gauge_add g n = Metrics.set g (Metrics.gauge_value g + n)
 
-let find t ~pid k = Hashtbl.find (Hashtbl.find t.tables pid) k
+(* [pid]'s table, or [t.none]. The pid served last is answered without a
+   lookup: a trap asks each layer about the running pid several times. *)
+let entries t pid =
+  if pid <> t.last_pid then begin
+    t.last <- (match Hashtbl.find t.tables pid with es -> es | exception Not_found -> t.none);
+    t.last_pid <- pid
+  end;
+  t.last
+
+let index buckets k = Hashtbl.hash k land (Array.length buckets - 1)
+
+let rec find_from k = function
+  | Nil -> raise Not_found
+  | Cons c -> if compare c.key k = 0 then c.value else find_from k c.next
+
+let find_in es k = find_from k es.buckets.(index es.buckets k)
+
+(* Moves a chain's cells into [buckets] in place, so a resize allocates
+   only the new bucket array. *)
+let rec move buckets = function
+  | Nil -> ()
+  | Cons c as cell ->
+    let rest = c.next in
+    let i = index buckets c.key in
+    c.next <- buckets.(i);
+    buckets.(i) <- cell;
+    move buckets rest
+
+let find t ~pid k = find_in (entries t pid) k
 
 let mem t ~pid k =
-  match Hashtbl.find t.tables pid with
-  | entries -> Hashtbl.mem entries k
+  match find_in (entries t pid) k with
+  | _ -> true
   | exception Not_found -> false
 
 let add t ~pid k v =
-  let entries =
-    match Hashtbl.find t.tables pid with
-    | entries -> entries
-    | exception Not_found ->
-      let entries = Hashtbl.create 16 in
-      Hashtbl.replace t.tables pid entries;
-      entries
+  let es = entries t pid in
+  let es =
+    if es != t.none then es
+    else begin
+      let es = { buckets = Array.make initial Nil; count = 0 } in
+      Hashtbl.replace t.tables pid es;
+      t.last <- es;
+      es
+    end
   in
-  if not (Hashtbl.mem entries k) then begin
-    let n = Hashtbl.length entries in
-    if n >= bound then begin
-      Hashtbl.reset entries;
-      Metrics.add t.evictions n;
-      gauge_add t.size (-n)
+  match find_in es k with
+  | _ -> ()
+  | exception Not_found ->
+    if es.count >= bound then begin
+      Metrics.add t.evictions es.count;
+      gauge_add t.size (-es.count);
+      es.buckets <- Array.make initial Nil;
+      es.count <- 0
     end;
-    Hashtbl.replace entries k v;
+    if es.count >= 2 * Array.length es.buckets then begin
+      let old = es.buckets in
+      es.buckets <- Array.make (2 * Array.length old) Nil;
+      Array.iter (move es.buckets) old
+    end;
+    let i = index es.buckets k in
+    es.buckets.(i) <- Cons { key = k; value = v; next = es.buckets.(i) };
+    es.count <- es.count + 1;
     gauge_add t.size 1
-  end
 
 let drop_pid t pid =
-  match Hashtbl.find t.tables pid with
-  | exception Not_found -> ()
-  | entries ->
-    let n = Hashtbl.length entries in
+  let es = entries t pid in
+  if es != t.none then begin
     Hashtbl.remove t.tables pid;
-    Metrics.add t.invalidations n;
-    gauge_add t.size (-n)
+    t.last <- t.none;
+    Metrics.add t.invalidations es.count;
+    gauge_add t.size (-es.count)
+  end
 
 let note_saved t n = gauge_add t.saved n
 let pids t = Hashtbl.length t.tables

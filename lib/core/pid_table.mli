@@ -2,7 +2,13 @@
     charge and counter, and one shared table of verified facts per layer.
 
     {b Per-pid tables.} {!Vcache}, {!Precomp} and {!Cfpre} each keep one
-    [t]. It is one hash table per pid, created by that pid's first entry.
+    [t]. It is one small hash table per pid, created by that pid's first
+    entry at 4 buckets and doubled at two entries a bucket, so a process
+    that verifies a few sites costs a few words. The [t] answers for the
+    pid it served last without looking the pid up: a trap asks each layer
+    about the running pid several times, and only a trap of another pid
+    pays the lookup. The answer covers a pid with no table too, and
+    {!drop_pid} clears it.
     An entry says what this pid's own traps have already been charged for:
     a pid's first trap at a site is charged the slow path's cycles however
     its MAC was decided, and only its later traps are charged the fast
@@ -48,7 +54,9 @@ val add : ('k, 'v) t -> pid:int -> 'k -> 'v -> unit
     evictions. *)
 
 val drop_pid : ('k, 'v) t -> int -> unit
-(** Drop [pid]'s table, counting its entries as invalidations. *)
+(** Drop [pid]'s table, counting its entries as invalidations. A later
+    {!find} for [pid] raises [Not_found], even when [pid] was the pid
+    served last. *)
 
 val note_saved : ('k, 'v) t -> int -> unit
 (** Credit [n] modeled cycles to [<prefix>.cycles_saved]. *)

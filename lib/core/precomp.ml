@@ -66,6 +66,11 @@ type verdict =
   | Resumed
   | Declined of Asc_obs.Telemetry.fallback
 
+type probe =
+  | Memo of Encoded.t
+  | Differs
+  | No_entry
+
 let create ~key ~registry () =
   { p_key = key;
     p_mac = Bytes.create Cmac.tag_len;
@@ -197,7 +202,7 @@ let check t ~pid ~(call : Encoded.t) ~supplied =
     end
 
 (* The live probe. Top-level functions over the memo's own lists, not
-   closures: a hit allocates only the [Some] it returns. *)
+   closures: a hit allocates only the [Memo] it returns. *)
 
 (* [ptr] names an authenticated string whose header — the u32 length,
    then the tag — is the 20 bytes behind it; [r] is the memo's reference. *)
@@ -236,33 +241,31 @@ let live_matches t m ~number (e : entry) =
 
 let probe t ~m ~pid ~site ~number =
   match Pid_table.find t.sites ~pid site with
-  | exception Not_found -> None
+  | exception Not_found -> No_entry
   | e ->
     if live_matches t m ~number e then begin
       Metrics.inc t.hits;
-      Some e.pe_call
+      Memo e.pe_call
     end
-    else None
+    else Differs
 
 (* A copy, so that a resume moving one entry's memo leaves the other as
    it was. *)
 let copy e = { e with pe_call = e.pe_call }
 
 let probe_shared t ~m ~pid ~site ~number =
-  if Pid_table.mem t.sites ~pid site then None
-  else
-    match Pid_table.Shared.find t.facts ~site ~block:m.Machine.regs.(8) with
-    | exception Not_found -> None
-    | f ->
-      if live_matches t m ~number f then begin
-        (* [pid]'s entry, counted as the slow path's miss and compile *)
-        Pid_table.add t.sites ~pid site (copy f);
-        Metrics.inc t.misses;
-        Metrics.inc t.compiles;
-        Pid_table.Shared.note_hit t.facts;
-        Some f.pe_call
-      end
-      else None
+  match Pid_table.Shared.find t.facts ~site ~block:m.Machine.regs.(8) with
+  | exception Not_found -> None
+  | f ->
+    if live_matches t m ~number f then begin
+      (* [pid]'s entry, counted as the slow path's miss and compile *)
+      Pid_table.add t.sites ~pid site (copy f);
+      Metrics.inc t.misses;
+      Metrics.inc t.compiles;
+      Pid_table.Shared.note_hit t.facts;
+      Some f.pe_call
+    end
+    else None
 
 let compile t ~pid ~(call : Encoded.t) ~encoded ~mac =
   let len = String.length encoded in

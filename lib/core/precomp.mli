@@ -88,24 +88,32 @@ type verdict =
   | Resumed
   | Declined of Asc_obs.Telemetry.fallback
 
-val probe : t -> m:Svm.Machine.t -> pid:int -> site:int -> number:int -> Encoded.t option
-(** [probe t ~m ~pid ~site ~number] is [Some memo] when [pid]'s entry at
+(** What {!probe} found for a pid at a site. *)
+type probe =
+  | Memo of Encoded.t  (** the live state equals the pid's memo *)
+  | Differs            (** the pid has an entry, and the live state differs *)
+  | No_entry           (** the pid has no entry at the site *)
+
+val probe : t -> m:Svm.Machine.t -> pid:int -> site:int -> number:int -> probe
+(** [probe t ~m ~pid ~site ~number] is [Memo memo] when [pid]'s entry at
     [site] exists and the live state of [m] — [number] (the trap's r0),
     the registers, the authenticated-string headers they point at and
     the call-MAC bytes at r11 — equals its memo (see above). Then the
     call MAC is verified exactly as a {!check} [Hit] would verify it:
     [precomp.hits] is counted and the checker charges
     [Svm.Cost_model.precomp_hit_cost]. [memo] is the call the checker
-    would have rebuilt, so its references serve steps 2 and 3. [None]
-    counts nothing and charges nothing: rebuild the call and {!check}
-    it. A hit allocates only the [Some]. *)
+    would have rebuilt, so its references serve steps 2 and 3.
+    [Differs] and [No_entry] count nothing and charge nothing: rebuild
+    the call and {!check} it, after asking {!probe_shared} on
+    [No_entry]. A hit allocates only the [Memo]. *)
 
 val check : t -> pid:int -> call:Encoded.t -> supplied:string -> verdict
 
 val probe_shared : t -> m:Svm.Machine.t -> pid:int -> site:int -> number:int -> Encoded.t option
-(** A per-pid miss decided from the live state: [Some memo] when [pid]
-    has no entry at [site] and the live state of [m] equals the shared
-    fact at ([site], r8) by {!probe}'s compares. The call MAC is then
+(** A per-pid miss decided from the live state, asked when {!probe}
+    found [No_entry] for [pid] at [site]: [Some memo] when the live state
+    of [m] equals the shared fact at ([site], r8) by {!probe}'s
+    compares. The call MAC is then
     verified, and [pid]'s entry is made from the fact. It counts what the
     slow path's {!check} and {!compile} would count, a miss and a compile,
     plus a shared hit; the checker charges the slow path's

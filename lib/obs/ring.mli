@@ -3,9 +3,14 @@
     Replaces the kernel's previously unbounded trace and audit lists: long
     Andrew or scale runs push millions of entries, so retention is capped
     at a fixed capacity while [pushed] keeps the exact total for counting.
-    Push is O(1) and allocates one [Some] cell (2 words) per element, since
-    the slots hold options; the telemetry ledger pays that on every
-    monitored call. *)
+
+    The slots grow as elements arrive: a new ring holds none, the first
+    push makes 8 (or [capacity], if fewer), and a push into full slots
+    doubles them, up to [capacity]. So a ring costs what it retains: a
+    kernel that never traces allocates no trace slots, and a telemetry
+    ledger of a few calls a few words. Push is O(1) amortized and
+    allocates only when the slots grow; a ring at capacity evicts its
+    oldest element in place. *)
 
 type 'a t
 
@@ -26,6 +31,7 @@ val dropped : 'a t -> int
 (** [pushed - length]: elements lost to eviction since the last clear. *)
 
 val clear : 'a t -> unit
+(** Drops every element and the slots with them. *)
 
 val to_list : 'a t -> 'a list
 (** Retained elements, oldest first. *)

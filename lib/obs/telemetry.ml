@@ -75,9 +75,8 @@ type hist = {
   q_count : int;
 }
 
-(* What a process's calls add up to. A live shard owns one, and the
-   plane's retired accumulator is one more, into which [retire_pid] adds
-   an exiting shard's in place. A site's array holds its per-reason
+(* What the recorded calls add up to: the plane's one set of counts,
+   which every [record] adds to. A site's array holds its per-reason
    counts at [reason_index] and its minor words in the last slot, so a
    record finds the site with one lookup. *)
 type counts = {
@@ -92,10 +91,8 @@ type counts = {
   mutable c_self : int;
 }
 
-type shard = {
-  sh_counts : counts;
-  sh_ledger : ledger_entry Ring.t;
-}
+(* A pid's shard is its ledger only: its calls' counts are in the plane's. *)
+type shard = ledger_entry Ring.t
 
 type stats = {
   t_shards : int;
@@ -114,12 +111,12 @@ type stats = {
 
 type t = {
   ring_capacity : int;
-  shards : (int, shard) Hashtbl.t;
-  retired : counts;
+  shards : (int, shard) Hashtbl.t;  (* live pid -> its ledger *)
+  counts : counts;                  (* every call recorded, live and retired pids alike *)
   mutable retired_shards : int;
 }
 
-(* Bucket bounds are shared by every shard so merging is element-wise.
+(* Every per-syscall cycle histogram shares one ladder of bucket bounds.
    Per-call minor words run two orders of magnitude below per-call cycles
    (~10^2..10^3 words vs ~10^3..10^6 cycles), so the alloc histograms get
    their own log-linear ladder starting at 10 words. *)
@@ -132,23 +129,6 @@ let alloc_nslots = Array.length alloc_bounds + 1
 
 (* a site's minor words, after its per-reason counts *)
 let site_alloc_slot = num_reasons
-
-let empty_hist = { q_counts = [||]; q_sum = 0; q_count = 0 }
-
-let empty_stats = {
-  t_shards = 0;
-  t_calls = 0;
-  t_cycles = 0;
-  t_self_cycles = 0;
-  t_alloc_words = 0;
-  t_reasons = Array.make num_reasons 0;
-  t_cf = Array.make num_cf_reasons 0;
-  t_deny_steps = [];
-  t_per_sem = [];
-  t_sites = [];
-  t_site_alloc = [];
-  t_alloc = empty_hist;
-}
 
 let new_mhist nslots = { m_counts = Array.make nslots 0; m_sum = 0; m_count = 0 }
 
@@ -165,13 +145,13 @@ let new_counts () = {
 }
 
 let create ?(ring_capacity = 256) () =
-  { ring_capacity; shards = Hashtbl.create 16; retired = new_counts (); retired_shards = 0 }
+  { ring_capacity; shards = Hashtbl.create 16; counts = new_counts (); retired_shards = 0 }
 
 let shard t ~pid =
   match Hashtbl.find t.shards pid with
   | sh -> sh
   | exception Not_found ->
-    let sh = { sh_counts = new_counts (); sh_ledger = Ring.create ~capacity:t.ring_capacity } in
+    let sh = Ring.create ~capacity:t.ring_capacity in
     Hashtbl.replace t.shards pid sh;
     sh
 
@@ -214,32 +194,33 @@ let site_counts c site =
     Hashtbl.add c.c_sites site a;
     a
 
-let add_denies c step n =
+let add_deny c step =
   Hashtbl.replace c.c_deny step
-    (n + match Hashtbl.find c.c_deny step with m -> m | exception Not_found -> 0)
+    (1 + match Hashtbl.find c.c_deny step with m -> m | exception Not_found -> 0)
 
-let record _t ?(cf = Cf_none) sh ~site ~sem ~reason ~cycles ~alloc ~now =
-  let c = sh.sh_counts in
+let record t ?(cf = Cf_none) sh ~site ~sem ~reason ~cycles ~alloc ~now =
+  let c = t.counts in
   let idx = reason_index reason in
   c.c_reasons.(idx) <- c.c_reasons.(idx) + 1;
   let cfi = cf_index cf in
   c.c_cf.(cfi) <- c.c_cf.(cfi) + 1;
   c.c_calls <- c.c_calls + 1;
   c.c_cycles <- c.c_cycles + cycles;
-  (match reason with Deny step -> add_denies c step 1 | _ -> ());
+  (match reason with Deny step -> add_deny c step | _ -> ());
   mhist_observe cycle_bounds (sem_hist c sem) cycles;
   mhist_observe alloc_bounds c.c_alloc alloc;
   let row = site_counts c site in
   row.(idx) <- row.(idx) + 1;
   row.(site_alloc_slot) <- row.(site_alloc_slot) + alloc;
-  Ring.push sh.sh_ledger
+  Ring.push sh
     { le_site = site; le_sem = sem; le_reason = reason; le_cycles = cycles;
       le_alloc = alloc; le_ts = now }
 
-let note_self _t sh n = sh.sh_counts.c_self <- sh.sh_counts.c_self + n
+let note_self t n = t.counts.c_self <- t.counts.c_self + n
 
-(* Sorted-assoc helpers: shard hashtables are exported as sorted assoc
-   lists so aggregates built in any order compare structurally equal. *)
+(* The hashtables are exported as sorted assoc lists, so two aggregates
+   of the same calls compare structurally equal whatever order the keys
+   arrived in. *)
 let sorted_assoc tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let hist_of h = { q_counts = Array.copy h.m_counts; q_sum = h.m_sum; q_count = h.m_count }
@@ -259,101 +240,30 @@ let stats_of_counts ~shards c =
     t_site_alloc = List.map (fun (k, a) -> (k, a.(site_alloc_slot))) sites;
     t_alloc = hist_of c.c_alloc }
 
-let stats_of_shard _t sh = stats_of_counts ~shards:1 sh.sh_counts
-
-let add_arrays a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Telemetry.merge: mismatched array shapes";
-  Array.mapi (fun i x -> x + b.(i)) a
-
-let merge_hist a b =
-  (* a zero-length histogram is the merge identity (e.g. [empty_stats]
-     before any plane sized its bucket array) *)
-  if Array.length a.q_counts = 0 then b
-  else if Array.length b.q_counts = 0 then a
-  else
-    { q_counts = add_arrays a.q_counts b.q_counts;
-      q_sum = a.q_sum + b.q_sum;
-      q_count = a.q_count + b.q_count }
-
-(* Union of two sorted assoc lists, combining values on key collision.
-   Output stays sorted, so the merge result is independent of operand
-   order up to structural equality. *)
-let rec assoc_union combine xs ys =
-  match (xs, ys) with
-  | [], rest | rest, [] -> rest
-  | (kx, vx) :: xs', (ky, vy) :: ys' ->
-    if kx < ky then (kx, vx) :: assoc_union combine xs' ys
-    else if ky < kx then (ky, vy) :: assoc_union combine xs ys'
-    else (kx, combine vx vy) :: assoc_union combine xs' ys'
-
-let merge a b =
-  { t_shards = a.t_shards + b.t_shards;
-    t_calls = a.t_calls + b.t_calls;
-    t_cycles = a.t_cycles + b.t_cycles;
-    t_self_cycles = a.t_self_cycles + b.t_self_cycles;
-    t_alloc_words = a.t_alloc_words + b.t_alloc_words;
-    t_reasons = add_arrays a.t_reasons b.t_reasons;
-    t_cf = add_arrays a.t_cf b.t_cf;
-    t_deny_steps = assoc_union ( + ) a.t_deny_steps b.t_deny_steps;
-    t_per_sem = assoc_union merge_hist a.t_per_sem b.t_per_sem;
-    t_sites = assoc_union add_arrays a.t_sites b.t_sites;
-    t_site_alloc = assoc_union ( + ) a.t_site_alloc b.t_site_alloc;
-    t_alloc = merge_hist a.t_alloc b.t_alloc }
-
-let aggregate t =
-  Hashtbl.fold
-    (fun _ sh acc -> merge acc (stats_of_shard t sh))
-    t.shards
-    (stats_of_counts ~shards:t.retired_shards t.retired)
+(* Not inlined: perfbench's [Main] calls it, and inlining it there moves
+   the calibration loop linked after [Main] in the binary. *)
+let[@inline never] aggregate t =
+  stats_of_counts ~shards:(t.retired_shards + Hashtbl.length t.shards) t.counts
 
 let reasons_total s = Array.fold_left ( + ) 0 s.t_reasons
 let cf_total s = Array.fold_left ( + ) 0 s.t_cf
 
-(* [dst.(i) += src.(i)] over [src]'s length: a site's array, a count
-   array or a histogram's buckets. *)
-let add_into dst src =
-  for i = 0 to Array.length src - 1 do
-    dst.(i) <- dst.(i) + src.(i)
-  done
-
-let mhist_add dst src =
-  add_into dst.m_counts src.m_counts;
-  dst.m_sum <- dst.m_sum + src.m_sum;
-  dst.m_count <- dst.m_count + src.m_count
-
-(* The in-place counterpart of [merge]: it touches only [src]'s keys, so
-   its cost follows what the exiting process did, not the plane's
-   history. *)
-let fold_into dst src =
-  add_into dst.c_reasons src.c_reasons;
-  add_into dst.c_cf src.c_cf;
-  Hashtbl.iter (fun step n -> add_denies dst step n) src.c_deny;
-  Hashtbl.iter (fun sem h -> mhist_add (sem_hist dst sem) h) src.c_per_sem;
-  Hashtbl.iter (fun site a -> add_into (site_counts dst site) a) src.c_sites;
-  mhist_add dst.c_alloc src.c_alloc;
-  dst.c_calls <- dst.c_calls + src.c_calls;
-  dst.c_cycles <- dst.c_cycles + src.c_cycles;
-  dst.c_self <- dst.c_self + src.c_self
-
+(* The pid's counts are already in the plane's: retiring drops its
+   ledger, with one lookup. *)
 let retire_pid t ~pid =
-  match Hashtbl.find t.shards pid with
-  | exception Not_found -> ()
-  | sh ->
-    fold_into t.retired sh.sh_counts;
-    t.retired_shards <- t.retired_shards + 1;
-    Hashtbl.remove t.shards pid
+  let live = Hashtbl.length t.shards in
+  Hashtbl.remove t.shards pid;
+  if Hashtbl.length t.shards < live then t.retired_shards <- t.retired_shards + 1
 
 let ledger t ~pid =
   match Hashtbl.find_opt t.shards pid with
-  | Some sh -> Ring.to_list sh.sh_ledger
+  | Some sh -> Ring.to_list sh
   | None -> []
 
 let live_pids t =
   List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) t.shards [])
 
-let self_cycles t =
-  Hashtbl.fold (fun _ sh acc -> acc + sh.sh_counts.c_self) t.shards t.retired.c_self
+let self_cycles t = t.counts.c_self
 
 let stats_to_json _t s =
   let quantiles bounds unit h =
@@ -384,10 +294,7 @@ let stats_to_json _t s =
      Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) s.t_deny_steps));
     ("per_syscall",
      Json.Obj (List.map (fun (k, h) -> (k, quantiles cycle_bounds "cycles" h)) s.t_per_sem));
-    ("alloc",
-     if Array.length s.t_alloc.q_counts = 0 then
-       quantiles [||] "words" { s.t_alloc with q_counts = [| 0 |] }
-     else quantiles alloc_bounds "words" s.t_alloc);
+    ("alloc", quantiles alloc_bounds "words" s.t_alloc);
     ("sites",
      Json.List
        (List.map

@@ -1,20 +1,19 @@
-(** The fleet telemetry plane: sharded per-pid verification statistics
-    and the fast-path decision ledger.
+(** The fleet telemetry plane: fleet-wide verification statistics and
+    a per-pid decision ledger.
 
     Every monitored system call resolves its call-MAC verification through
     exactly one of the fast/slow paths, or is denied. The checker reports
     that resolution here as a compact {!reason} code, together with the
-    call's site and its modeled verification cycles. The plane keeps the
-    data {e sharded by pid} — each process owns its shard and only its
-    shard is touched on the trap path — so aggregation is a read-side walk
-    over shards ({!aggregate}) built on an explicit, order-insensitive,
-    count-conserving {!merge}. This is exactly the state layout a
-    multi-domain fleet kernel needs: writers never share a shard, and the
-    reader merges immutable {!stats} snapshots. A process's exit folds its
-    shard into one mutable retired accumulator in place ({!retire_pid}),
-    so a process's telemetry costs only what its own calls touched:
-    recording looks each site and syscall up once, and retiring walks only
-    the exiting shard's keys.
+    call's site and its modeled verification cycles. {!record} adds the
+    call once, into the plane's counts (reason and control-flow buckets,
+    deny steps, per-syscall and per-call-words histograms, per-site
+    rollups), and appends it to the pid's {!shard}. A shard is only that
+    ledger: a {!Ring} that holds no slots until the pid's first record and
+    grows with its calls to [ring_capacity]. So a process costs the plane
+    a few words at spawn and the words of the calls it makes, and its exit
+    ({!retire_pid}) drops the ledger with one lookup: its counts are
+    already in the plane's. {!aggregate} snapshots the counts as an
+    immutable {!stats}.
 
     {b Exhaustiveness invariant}: for a kernel whose monitor records from
     the first trap on, the sum of all reason counts in {!aggregate} equals
@@ -114,35 +113,33 @@ type ledger_entry = {
 val create : ?ring_capacity:int -> unit -> t
 (** [ring_capacity] (default 256) bounds each pid's decision ledger.
     Every per-syscall verification-cycles histogram shares one bucket
-    ladder ([Metrics.log_linear_buckets ~lo:100 ~hi:1_000_000]), so shard
-    merge is element-wise. The per-call minor-words histograms use a
-    second ladder ([~lo:10 ~hi:1_000_000]), scaled down because a verified
-    call allocates orders of magnitude fewer words than it spends
-    cycles. *)
+    ladder ([Metrics.log_linear_buckets ~lo:100 ~hi:1_000_000]). The
+    per-call minor-words histogram uses a second ladder ([~lo:10
+    ~hi:1_000_000]), scaled down because a verified call allocates orders
+    of magnitude fewer words than it spends cycles. *)
 
 val shard : t -> pid:int -> shard
 (** The pid's live shard, created on first use (the kernel calls this
-    from [spawn]). *)
+    from [spawn]). A new shard holds no ledger slots: it costs a few
+    words until it records. *)
 
 val record :
   t -> ?cf:cf_reason -> shard -> site:int -> sem:string -> reason:reason -> cycles:int ->
   alloc:int -> now:int -> unit
-(** The hot-path write: bump the shard's reason/site/syscall statistics
+(** The hot-path write: bump the plane's reason/site/syscall statistics
     and alloc rollups ([alloc] = host minor words the call's verification
-    allocated) and append to its ledger ring, stamped [now]. Touches only
-    the one shard. *)
+    allocated) and append to the shard's ledger, stamped [now]. A call
+    allocates its ledger entry, plus a key's entry on the first call at a
+    site or syscall and the ledger's slots when they grow. *)
 
-val note_self : t -> shard -> int -> unit
+val note_self : t -> int -> unit
 (** Account [n] modeled cycles of telemetry self-overhead (the
     [telemetry_record_cost] the checker charged to the machine). *)
 
 val retire_pid : t -> pid:int -> unit
-(** Fold the pid's live shard into the plane's retired accumulator, in
-    place, and drop it (called at process teardown). The fold adds the
-    shard's counts, histograms and totals key by key, so its cost is
-    proportional to the pid's own sites, syscalls and deny steps, not to
-    what earlier processes retired. Aggregates are conserved: a retired
-    pid's counts remain visible in {!aggregate}; only its ledger ring is
+(** Drop the pid's live shard, counting it as retired (called at process
+    teardown). One hashtable removal: the pid's counts are already in the
+    plane's and stay visible in {!aggregate}; only its ledger is
     released. *)
 
 val ledger : t -> pid:int -> ledger_entry list
@@ -154,7 +151,7 @@ val live_pids : t -> int list
 
 (** {1 Aggregation} *)
 
-(** Mergeable histogram: counts over shared bucket bounds (last slot =
+(** Histogram: counts over the plane's bucket bounds (last slot =
     overflow), plus exact sum/count. *)
 type hist = {
   q_counts : int array;
@@ -162,10 +159,10 @@ type hist = {
   q_count : int;
 }
 
-(** An immutable aggregate of one or more shards. All maps are sorted
+(** An immutable snapshot of the plane's counts. All maps are sorted
     assoc lists so equal aggregates compare structurally equal. *)
 type stats = {
-  t_shards : int;                      (** shards folded in *)
+  t_shards : int;                      (** shards ever created: live and retired *)
   t_calls : int;                       (** monitored calls recorded *)
   t_cycles : int;                      (** verification cycles recorded *)
   t_self_cycles : int;                 (** telemetry's own charged cycles *)
@@ -185,18 +182,9 @@ val hist_snapshot : t -> hist -> Metrics.histogram_snapshot
 val alloc_hist_snapshot : t -> hist -> Metrics.histogram_snapshot
 (** View over the plane's alloc (minor-words) bounds. *)
 
-val empty_stats : stats
-val stats_of_shard : t -> shard -> stats
-
-val merge : stats -> stats -> stats
-(** Pointwise sum. Commutative and associative up to structural equality,
-    and count-conserving: every scalar, array slot and assoc value of the
-    result is the sum of its operands' (the QCheck property in
-    [test_telemetry] pins both). *)
-
 val aggregate : t -> stats
-(** Retired accumulator ⊕ every live shard, each snapshotted and combined
-    with {!merge}. *)
+(** The plane's counts over every call recorded, by live and retired
+    pids alike. *)
 
 val reasons_total : stats -> int
 (** Sum of every reason bucket — equals [t_calls] by construction (the
@@ -208,8 +196,8 @@ val cf_total : stats -> int
     included). *)
 
 val self_cycles : t -> int
-(** Telemetry's own charged cycles over live and retired shards: the
-    [t_self_cycles] of {!aggregate}, summed without building it. *)
+(** Telemetry's own charged cycles: the [t_self_cycles] of {!aggregate},
+    read without building it. *)
 
 (** {1 Export} *)
 

@@ -92,7 +92,7 @@ type t = {
   ctr_vm_cycles : Asc_obs.Metrics.counter;
   ctr_host_minor_words : Asc_obs.Metrics.counter;
   hist_syscall_cycles : Asc_obs.Metrics.histogram;
-  sem_counters : (Syscall.sem, Asc_obs.Metrics.counter) Hashtbl.t;
+  sem_counters : Asc_obs.Metrics.counter option array;  (* by [Syscall.index] *)
 }
 
 let create ?(personality = Personality.linux) ?obs ?(trace_capacity = 65536)
@@ -131,18 +131,21 @@ let create ?(personality = Personality.linux) ?obs ?(trace_capacity = 65536)
     hist_syscall_cycles =
       Asc_obs.Metrics.histogram obs "kernel.syscall_cycles"
         ~help:"modeled cycles per dispatched syscall (trap + check + work)";
-    sem_counters = Hashtbl.create 32 }
+    sem_counters = Array.make Syscall.count None }
 
 let metrics t = t.obs
 let telemetry t = t.telemetry
 let spans t = t.spans
 
+(* Registered at the sem's first allowed call, so the registry lists
+   only the sems a kernel served; looked up without hashing or an
+   option. *)
 let sem_counter t sem =
-  match Hashtbl.find_opt t.sem_counters sem with
+  match t.sem_counters.(Syscall.index sem) with
   | Some c -> c
   | None ->
     let c = Asc_obs.Metrics.counter t.obs ("kernel.syscall." ^ Syscall.name sem) in
-    Hashtbl.replace t.sem_counters sem c;
+    t.sem_counters.(Syscall.index sem) <- Some c;
     c
 
 let set_monitor t m = t.monitor <- m
@@ -729,8 +732,8 @@ let run t (p : Process.t) ~max_cycles =
   (match stop with
    | Machine.Halted _ | Machine.Killed _ | Machine.Faulted _ ->
      lifecycle_event t (Proc_exit { pid = p.pid });
-     (* fold the pid's live shard into the retired aggregate: counts stay
-        visible in fleet aggregation, and a reused pid starts clean *)
+     (* drop the pid's telemetry ledger: its counts stay in the plane's,
+        and a reused pid starts with an empty ledger *)
      Asc_obs.Telemetry.retire_pid t.telemetry ~pid:p.pid;
      (* the memory stays readable through [p] until the next spawn takes
         it over; a machine whose memory was already taken (a finished

@@ -114,7 +114,7 @@ type t = {
       this kernel's processes ran (interpreter + checker + telemetry),
       measured as [Gc.minor_words] deltas around {!run}. *)
   hist_syscall_cycles : Asc_obs.Metrics.histogram;
-  sem_counters : (Syscall.sem, Asc_obs.Metrics.counter) Hashtbl.t;
+  sem_counters : Asc_obs.Metrics.counter option array;  (** by [Syscall.index] *)
 }
 
 val create :

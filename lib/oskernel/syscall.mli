@@ -58,6 +58,13 @@ type sem =
   | Indirect  (** the OpenBSD-style [__syscall] generic indirect call *)
 
 val all : sem list
+
+val index : sem -> int
+(** The sem's position in {!all}. *)
+
+val count : int
+(** [List.length all]. *)
+
 val name : sem -> string
 val of_name : string -> sem option
 val pp : Format.formatter -> sem -> unit

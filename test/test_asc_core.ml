@@ -490,13 +490,15 @@ let test_string_length_covered_by_call_mac () =
           ignore (Svm.Machine.write_byte m (hdr + i) ((len lsr (8 * i)) land 0xff))
         done
       in
-      let kernel, _, stop = run_installed ~patch inst in
+      let kernel, p, stop = run_installed ~patch inst in
       let what = Printf.sprintf "length %d" len in
       (match stop with
        | Svm.Machine.Killed "call MAC mismatch" when len <= mib -> ()
        | Svm.Machine.Killed r
          when len > mib
-              && String.starts_with ~prefix:"argument 0: bad authenticated-string header" r ->
+              && r
+                 = Printf.sprintf "argument 0: bad authenticated-string header at 0x%x"
+                     (motd_addr inst p.Process.machine) ->
          ()
        | Svm.Machine.Killed r -> Alcotest.failf "%s: unexpected reason: %s" what r
        | _ -> Alcotest.failf "%s: tampered length not denied" what);

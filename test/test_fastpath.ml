@@ -1141,6 +1141,73 @@ let first_visit_cases =
       ("path string byte flipped", access_loop, Syscall.Access, flip_byte ~reg:1 ~off:1, "string_mac")
     ]
 
+(* ---- what the monitor allocates on a trap ---- *)
+
+(* The minor words the fast-path monitor allocates on each trap of
+   [procs] processes of [img] run one after another, in trap order, with
+   [strike] applied to the machine before the trap it names (process
+   index, trap index within it). *)
+let monitor_words ?(strike = fun _ _ _ -> ()) ~procs img =
+  let kernel = Kernel.create ~personality () in
+  let mon = Checker.monitor_with ~kernel ~key (Some (Checker.fastpath ~key kernel)) in
+  let words = ref [] and proc = ref 0 and trap = ref 0 in
+  Kernel.set_monitor kernel
+    (Some
+       { mon with
+         Kernel.pre_syscall =
+           (fun p ~site ~number ->
+             strike !proc !trap p.Process.machine;
+             let w0 = Asc_obs.Profile.minor_words () in
+             let v = mon.Kernel.pre_syscall p ~site ~number in
+             let w = Asc_obs.Profile.minor_words () - w0 in
+             words := (!proc, !trap, w) :: !words;
+             incr trap;
+             v) });
+  for i = 0 to procs - 1 do
+    proc := i;
+    trap := 0;
+    let p = Kernel.spawn kernel ~program:(Printf.sprintf "proc%d" i) img in
+    ignore (Kernel.run kernel p ~max_cycles:budget)
+  done;
+  List.rev !words
+
+let words_at words ~proc ~trap =
+  match List.find_opt (fun (p, t, _) -> p = proc && t = trap) words with
+  | Some (_, _, w) -> w
+  | None -> Alcotest.failf "no trap %d in process %d" trap proc
+
+(* B's first trap is a first visit to a site A verified, decided from
+   the shared facts: the pid's first entries in the three layers and its
+   first telemetry record. Each pid table starts small and the ledger
+   grows from nothing, so it stays within 120 words (83 measured; with
+   16-bucket pid hashtables and whole telemetry shards made at spawn, it
+   took 210). *)
+let test_first_visit_words () =
+  let img = install ~program:"shared" getpid_loop in
+  let words = monitor_words ~procs:2 img in
+  let w = words_at words ~proc:1 ~trap:0 in
+  if w > 120 then Alcotest.failf "B's first visit allocated %d monitor words (budget 120)" w
+
+(* A call-MAC deny at a warm site: the MAC byte flipped on the fourth
+   trap. The deny rebuilds the call and runs the reference CMAC; its
+   reason and MAC prefixes are concatenated, not formatted, so the whole
+   trap stays within 400 words (335 measured; formatting them took
+   1,260). *)
+let test_deny_words () =
+  let img = install ~program:"deny" getpid_loop in
+  let strike proc trap m =
+    if proc = 0 && trap = 3 then begin
+      let addr = m.Svm.Machine.regs.(11) in
+      match Svm.Machine.read_byte m addr with
+      | Some b -> ignore (Svm.Machine.write_byte m addr (b lxor 0xff))
+      | None -> ()
+    end
+  in
+  let words = monitor_words ~strike ~procs:1 img in
+  Alcotest.(check int) "the struck trap is the last" 4 (List.length words);
+  let w = words_at words ~proc:0 ~trap:3 in
+  if w > 400 then Alcotest.failf "a call-MAC deny allocated %d monitor words (budget 400)" w
+
 (* ---- only a verified call enters a shared table ---- *)
 
 (* Three processes of [getpid_loop] in turn under the fast path. The
@@ -1379,5 +1446,8 @@ let () =
         multi_props
         @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) first_visit_cases
         @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) denied_first_visit_cases
-        @ [ Alcotest.test_case "a process's modeled time is its own" `Quick test_pid_locality
+        @ [ Alcotest.test_case "a process's modeled time is its own" `Quick test_pid_locality;
+            Alcotest.test_case "a first visit from shared facts stays within its words" `Quick
+              test_first_visit_words;
+            Alcotest.test_case "a call-MAC deny stays within its words" `Quick test_deny_words
           ] ) ]

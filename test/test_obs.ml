@@ -127,10 +127,11 @@ let test_ring () =
 (* Against a list model: after any run of pushes and clears, the ring
    holds the newest [capacity] elements pushed since the last clear,
    oldest first, whichever way it is read, and counts every push since
-   that clear, retained or evicted. *)
+   that clear, retained or evicted. Capacities up to 40 make the slots
+   grow past their first 8 before the ring evicts. *)
 let qcheck_ring_model =
   QCheck.Test.make ~name:"ring agrees with a list model" ~count:300
-    QCheck.(pair (int_range 1 8) (list_of_size Gen.(0 -- 60) (option (int_bound 1000))))
+    QCheck.(pair (int_range 1 40) (list_of_size Gen.(0 -- 150) (option (int_bound 1000))))
     (fun (capacity, ops) ->
       let r = Ring.create ~capacity in
       let since_clear =

@@ -1,6 +1,7 @@
 (* The per-pid table under every fast-path layer (Asc_core.Pid_table):
-   first writer wins, the bound flushes one pid only, drops are counted,
-   probes create nothing, and a hit allocates nothing. The shared facts
+   first writer wins, the bound flushes one pid only, drops are counted
+   and forget the pid served last, probes create nothing, and a hit
+   allocates nothing. The shared facts
    table: keyed by (site, block id), first writer wins, and its global
    bound flushes the whole table into its eviction counter. *)
 
@@ -47,6 +48,26 @@ let test_drop_pid_counts () =
   Alcotest.(check int) "one table left" 1 (Pid_table.pids t);
   Alcotest.check_raises "pid 1 is empty" Not_found (fun () ->
       ignore (Pid_table.find t ~pid:1 1))
+
+(* The table answers for the pid it served last without a lookup; a drop
+   of that pid must not leave the answer behind, nor must a drop of
+   another pid disturb it. *)
+let test_drop_served_pid () =
+  let _, t = create () in
+  Pid_table.add t ~pid:1 7 "a";
+  Pid_table.add t ~pid:2 7 "b";
+  Alcotest.(check string) "pid 2 served" "b" (Pid_table.find t ~pid:2 7);
+  Pid_table.drop_pid t 2;
+  Alcotest.check_raises "the dropped pid finds nothing" Not_found (fun () ->
+      ignore (Pid_table.find t ~pid:2 7));
+  Alcotest.(check bool) "nor has it an entry" false (Pid_table.mem t ~pid:2 7);
+  Alcotest.(check string) "pid 1 keeps its entry" "a" (Pid_table.find t ~pid:1 7);
+  Pid_table.drop_pid t 2;
+  Alcotest.(check string) "a second drop leaves pid 1 served" "a" (Pid_table.find t ~pid:1 7);
+  Pid_table.add t ~pid:2 8 "c";
+  Alcotest.(check string) "pid 2 starts a new table" "c" (Pid_table.find t ~pid:2 8);
+  Alcotest.(check bool) "without its old entry" false (Pid_table.mem t ~pid:2 7);
+  Alcotest.(check int) "two tables" 2 (Pid_table.pids t)
 
 let test_probe_creates_nothing () =
   let _, t = create () in
@@ -103,6 +124,8 @@ let () =
           Alcotest.test_case "a full pid is flushed into evictions" `Quick
             test_bound_flushes_one_pid;
           Alcotest.test_case "drop_pid counts invalidations" `Quick test_drop_pid_counts;
+          Alcotest.test_case "a dropped pid served last finds nothing" `Quick
+            test_drop_served_pid;
           Alcotest.test_case "probing an unknown pid creates no table" `Quick
             test_probe_creates_nothing;
           Alcotest.test_case "1000 hits allocate nothing" `Quick test_hit_allocates_nothing ] );

@@ -4,10 +4,10 @@
    one control-flow code per monitored call (the exhaustiveness invariant
    — each set of buckets sums to the kernel's trap count), charge exactly
    telemetry_record_cost per call to the self-overhead meter, and retire
-   shards losslessly at process teardown. The QCheck properties pin the
-   merge algebra: commutative, associative, and count-conserving on every
-   scalar, bucket and assoc leaf — the contract that makes read-side
-   aggregation order-independent over concurrently written shards. *)
+   shards losslessly at process teardown. The QCheck property pins
+   [aggregate] against the test's own fold of the recorded calls, through
+   interleaved records and retires; two cases bound what a shard costs at
+   spawn and at exit. *)
 
 open Oskernel
 module T = Asc_obs.Telemetry
@@ -84,22 +84,30 @@ let test_shard_lifecycle () =
     (List.map (fun _ -> (0, "")) (T.ledger tel ~pid:proc.Process.pid));
   let agg = T.aggregate tel in
   Alcotest.(check int) "retired counts conserved" (Kernel.syscall_count kernel) agg.T.t_calls;
-  Alcotest.(check int) "one retired shard folded" 1 agg.T.t_shards;
-  (* a second run stopped half-way keeps its shard live: the self-overhead
-     meter covers the retired shard and the live one, one charge per call *)
+  Alcotest.(check int) "one retired shard counted" 1 agg.T.t_shards;
+  (* a second run stopped half-way keeps its shard live: what it recorded
+     is the aggregate's delta, its ledger holds one entry per call, and
+     the self-overhead meter covers the retired calls and the live ones,
+     one charge per call *)
   let proc2 = Kernel.spawn kernel ~program:"loop" image in
   let half = proc.Process.machine.Svm.Machine.cycles / 2 in
   (match Kernel.run kernel proc2 ~max_cycles:half with
    | Svm.Machine.Cycle_limit -> ()
    | _ -> Alcotest.fail "second run was not stopped half-way");
   Alcotest.(check (list int)) "second shard live" [ proc2.Process.pid ] (T.live_pids tel);
-  let live = T.stats_of_shard tel (T.shard tel ~pid:proc2.Process.pid) in
-  Alcotest.(check bool) "live shard recorded calls" true (live.T.t_calls > 0);
+  let now = T.aggregate tel in
+  let live_calls = now.T.t_calls - agg.T.t_calls in
+  Alcotest.(check bool) "live shard recorded calls" true (live_calls > 0);
+  Alcotest.(check int) "every trap recorded" (Kernel.syscall_count kernel) now.T.t_calls;
+  Alcotest.(check int) "live and retired shards counted" 2 now.T.t_shards;
+  Alcotest.(check int) "one ledger entry per live call" live_calls
+    (List.length (T.ledger tel ~pid:proc2.Process.pid));
   Alcotest.(check int) "self cycles = retired + live charges"
-    ((agg.T.t_calls + live.T.t_calls) * Svm.Cost_model.telemetry_record_cost)
+    (now.T.t_calls * Svm.Cost_model.telemetry_record_cost)
     (T.self_cycles tel);
-  Alcotest.(check int) "self cycles = the shards' sum"
-    (agg.T.t_self_cycles + live.T.t_self_cycles) (T.self_cycles tel)
+  Alcotest.(check int) "self cycles = the live calls' delta"
+    (agg.T.t_self_cycles + (live_calls * Svm.Cost_model.telemetry_record_cost))
+    now.T.t_self_cycles
 
 let test_ledger_entries () =
   let t = T.create ~ring_capacity:4 () in
@@ -122,7 +130,7 @@ let test_ledger_entries () =
   Alcotest.(check (list int)) "alloc stamps kept" [ 30; 40; 50; 60 ]
     (List.map (fun e -> e.T.le_alloc) entries)
 
-(* ---- the merge algebra ---- *)
+(* ---- the plane against its own fold ---- *)
 
 let reasons_pool =
   [| T.Precomp_hit; T.Precomp_resumed; T.Precomp_fallback T.F_no_entry;
@@ -131,87 +139,67 @@ let reasons_pool =
 
 let sems_pool = [| "read"; "write"; "open"; "close" |]
 
-(* one synthetic record: (site, sem index, reason index, cycles) *)
-let ops_arb =
-  QCheck.(
-    list_of_size Gen.(int_range 0 60)
-      (quad (int_range 0 5) (int_range 0 (Array.length sems_pool - 1))
-         (int_range 0 (Array.length reasons_pool - 1))
-         (int_range 1 500_000)))
+let cf_pool = [| T.Cf_none; T.Cf_hit; T.Cf_slow; T.Cf_fallback_ref; T.Cf_fallback_contents |]
 
-(* each synthetic record's minor-words charge is derived deterministically
-   from its cycles so the alloc plane gets the same variety as the cycle
-   plane without widening the generator tuple *)
+(* each synthetic record's minor words and control-flow code are derived
+   deterministically from its cycles, so both planes get the cycle
+   plane's variety without widening the generator tuple *)
 let alloc_of_cycles cycles = (cycles mod 977) + 1
+let cf_of_cycles cycles = cf_pool.(cycles mod Array.length cf_pool)
 
-let stats_of_ops t ~pid ops =
-  let sh = T.shard t ~pid in
-  List.iteri
-    (fun i (site, sem, reason, cycles) ->
-      T.record t sh ~site:(0x100 + site) ~sem:sems_pool.(sem)
-        ~reason:reasons_pool.(reason) ~cycles ~alloc:(alloc_of_cycles cycles) ~now:(i + 1))
-    ops;
-  T.stats_of_shard t sh
+(* The plane's two bucket ladders (telemetry.mli), and the slot a value
+   falls in: the first bound at or above it, or the overflow slot. *)
+let cycle_bounds = Array.of_list (Asc_obs.Metrics.log_linear_buckets ~lo:100 ~hi:1_000_000)
+let alloc_bounds = Array.of_list (Asc_obs.Metrics.log_linear_buckets ~lo:10 ~hi:1_000_000)
 
-let hist_count (_, h) = h.T.q_count
-let hist_sum (_, h) = h.T.q_sum
+let slot bounds v =
+  let rec go i = if i >= Array.length bounds || v <= bounds.(i) then i else go (i + 1) in
+  go 0
 
-let site_alloc_total s = List.fold_left (fun acc (_, w) -> acc + w) 0 s.T.t_site_alloc
+(* The stats of a list of (site, sem, reason, cycles) records and the
+   self cycles noted with them, folded here from scratch. *)
+let fold_records ~shards ~self records =
+  let hist bounds vs =
+    let counts = Array.make (Array.length bounds + 1) 0 in
+    List.iter (fun v -> counts.(slot bounds v) <- counts.(slot bounds v) + 1) vs;
+    { T.q_counts = counts; q_sum = List.fold_left ( + ) 0 vs; q_count = List.length vs }
+  in
+  let keys f = List.sort_uniq compare (List.map f records) in
+  let where f k = List.filter (fun r -> f r = k) records in
+  let site (s, _, _, _) = s and sem (_, s, _, _) = s and reason (_, _, r, _) = r in
+  let cycles (_, _, _, c) = c in
+  let reason_counts rs =
+    let a = Array.make T.num_reasons 0 in
+    List.iter (fun r -> a.(T.reason_index (reason r)) <- a.(T.reason_index (reason r)) + 1) rs;
+    a
+  in
+  let allocs rs = List.map (fun r -> alloc_of_cycles (cycles r)) rs in
+  let cf = Array.make T.num_cf_reasons 0 in
+  List.iter (fun r -> let i = T.cf_index (cf_of_cycles (cycles r)) in cf.(i) <- cf.(i) + 1) records;
+  let denies = List.filter_map (fun r -> match reason r with T.Deny s -> Some s | _ -> None) records in
+  let sites = keys site in
+  { T.t_shards = shards;
+    t_calls = List.length records;
+    t_cycles = List.fold_left ( + ) 0 (List.map cycles records);
+    t_self_cycles = self;
+    t_alloc_words = List.fold_left ( + ) 0 (allocs records);
+    t_reasons = reason_counts records;
+    t_cf = cf;
+    t_deny_steps =
+      List.map (fun s -> (s, List.length (List.filter (( = ) s) denies))) (List.sort_uniq compare denies);
+    t_per_sem = List.map (fun k -> (k, hist cycle_bounds (List.map cycles (where sem k)))) (keys sem);
+    t_sites = List.map (fun k -> (k, reason_counts (where site k))) sites;
+    t_site_alloc = List.map (fun k -> (k, List.fold_left ( + ) 0 (allocs (where site k)))) sites;
+    t_alloc = hist alloc_bounds (allocs records) }
 
-(* the alloc plane must conserve under merge exactly like the call counts:
-   total words, the histogram's count/sum, and the per-site word rollup *)
-let alloc_conserved a b m =
-  m.T.t_alloc_words = a.T.t_alloc_words + b.T.t_alloc_words
-  && m.T.t_alloc.T.q_count = a.T.t_alloc.T.q_count + b.T.t_alloc.T.q_count
-  && m.T.t_alloc.T.q_sum = a.T.t_alloc.T.q_sum + b.T.t_alloc.T.q_sum
-  && site_alloc_total m = site_alloc_total a + site_alloc_total b
-  && m.T.t_alloc.T.q_sum = m.T.t_alloc_words
-
-let conserved a b m =
-  m.T.t_calls = a.T.t_calls + b.T.t_calls
-  && m.T.t_cycles = a.T.t_cycles + b.T.t_cycles
-  && m.T.t_shards = a.T.t_shards + b.T.t_shards
-  && T.reasons_total m = T.reasons_total a + T.reasons_total b
-  && Array.for_all (fun x -> x)
-       (Array.mapi (fun i x -> x = a.T.t_reasons.(i) + b.T.t_reasons.(i)) m.T.t_reasons)
-  && List.fold_left ( + ) 0 (List.map hist_count m.T.t_per_sem)
-     = List.fold_left ( + ) 0 (List.map hist_count a.T.t_per_sem)
-       + List.fold_left ( + ) 0 (List.map hist_count b.T.t_per_sem)
-  && List.fold_left ( + ) 0 (List.map hist_sum m.T.t_per_sem)
-     = List.fold_left ( + ) 0 (List.map hist_sum a.T.t_per_sem)
-       + List.fold_left ( + ) 0 (List.map hist_sum b.T.t_per_sem)
-  && alloc_conserved a b m
-
-let qcheck_merge_commutes =
-  QCheck.Test.make ~name:"merge is order-insensitive and count-conserving" ~count:100
-    QCheck.(pair ops_arb ops_arb)
-    (fun (opsa, opsb) ->
-      let t = T.create () in
-      let sa = stats_of_ops t ~pid:1 opsa in
-      let sb = stats_of_ops t ~pid:2 opsb in
-      let ab = T.merge sa sb in
-      ab = T.merge sb sa && conserved sa sb ab
-      && T.merge T.empty_stats sa = sa && T.merge sa T.empty_stats = sa)
-
-let qcheck_merge_associates =
-  QCheck.Test.make ~name:"merge associates (any aggregation tree agrees)" ~count:100
-    QCheck.(triple ops_arb ops_arb ops_arb)
-    (fun (opsa, opsb, opsc) ->
-      let t = T.create () in
-      let sa = stats_of_ops t ~pid:1 opsa in
-      let sb = stats_of_ops t ~pid:2 opsb in
-      let sc = stats_of_ops t ~pid:3 opsc in
-      T.merge (T.merge sa sb) sc = T.merge sa (T.merge sb sc))
-
-(* Retiring folds a shard into the plane in place; the aggregate must not
-   notice. 3-4 shards see records on a small shared pool of sites,
-   syscalls and deny steps (so keys recur across shards) and are retired
-   in random order, interleaved with records on the ones still live.
-   After each retire the aggregate must equal, structurally, the merge of
-   every retired shard's snapshot (taken just before its retire) with the
-   live shards' stats: per-site counts and word rollups, per-syscall
-   histograms, deny steps, the alloc histogram, self cycles and
-   [t_shards] alike; and [self_cycles] must read the aggregate's. *)
+(* 3-4 shards see records on a small shared pool of sites, syscalls and
+   deny steps (so keys recur across shards) and are retired in random
+   order, interleaved with records on the ones still live. After each
+   retire the aggregate must equal, structurally, the test's fold of every
+   call recorded so far, by live and retired shards alike: calls, cycles,
+   reason and control-flow buckets, deny steps, per-syscall and alloc
+   histograms, per-site counts and words, shards and self cycles; and
+   [self_cycles] must read the aggregate's. *)
 type event = Record of int * (int * int * int * int) | Retire
 
 let events_arb =
@@ -237,22 +225,15 @@ let events_arb =
         return (n, order, evs)))
 
 let qcheck_aggregate_equals_fold =
-  QCheck.Test.make ~name:"aggregate = fold of per-shard stats" ~count:100 events_arb
+  QCheck.Test.make ~name:"aggregate = fold of the recorded calls" ~count:100 events_arb
     (fun (n, order, evs) ->
       let t = T.create () in
       let pid i = i + 1 in
       let shards = Array.init n (fun i -> T.shard t ~pid:(pid i)) in
       let live = Array.make n true in
-      let snapshots = ref [] in
+      let recorded = ref [] and self = ref 0 in
       let to_retire = ref order in
-      let expected () =
-        let live_stats =
-          List.filter_map
-            (fun i -> if live.(i) then Some (T.stats_of_shard t shards.(i)) else None)
-            (List.init n Fun.id)
-        in
-        List.fold_left T.merge T.empty_stats (!snapshots @ live_stats)
-      in
+      let expected () = fold_records ~shards:n ~self:!self (List.rev !recorded) in
       let now = ref 0 in
       List.for_all
         (fun ev ->
@@ -261,15 +242,16 @@ let qcheck_aggregate_equals_fold =
             if live.(i) then begin
               incr now;
               T.record t shards.(i) ~site:(0x100 + site) ~sem:sems_pool.(sem)
-                ~reason:reasons_pool.(reason) ~cycles ~alloc:(alloc_of_cycles cycles)
-                ~now:!now;
-              T.note_self t shards.(i) (1 + (cycles mod 10))
+                ~reason:reasons_pool.(reason) ~cf:(cf_of_cycles cycles) ~cycles
+                ~alloc:(alloc_of_cycles cycles) ~now:!now;
+              T.note_self t (1 + (cycles mod 10));
+              recorded := (0x100 + site, sems_pool.(sem), reasons_pool.(reason), cycles) :: !recorded;
+              self := !self + 1 + (cycles mod 10)
             end;
             true
           | Retire ->
             let i = List.hd !to_retire in
             to_retire := List.tl !to_retire;
-            snapshots := T.stats_of_shard t shards.(i) :: !snapshots;
             T.retire_pid t ~pid:(pid i);
             live.(i) <- false;
             let agg = T.aggregate t in
@@ -279,11 +261,11 @@ let qcheck_aggregate_equals_fold =
         evs
       && T.aggregate t = expected ())
 
-(* A retire costs what the exiting process touched, not the plane's
-   history: with 200 sites and 20 syscalls already retired, retiring a
-   one-site shard whose site sorts after all of them allocates at most 200
-   minor words (a fold that rebuilds the retired aggregate with [merge]
-   allocates 2,817). *)
+(* A retire drops the pid's ledger and nothing else: with 200 sites and
+   20 syscalls already retired, retiring a one-site shard allocates at
+   most 16 minor words (folding the shard's keys into a retired
+   accumulator allocated 41; rebuilding the retired aggregate with a
+   merge, 2,817). *)
 let test_retire_allocation () =
   let t = T.create () in
   let sem i = Printf.sprintf "sys%d" (i mod 20) in
@@ -298,13 +280,30 @@ let test_retire_allocation () =
   let w0 = Asc_obs.Profile.minor_words () in
   T.retire_pid t ~pid:1000;
   let words = Asc_obs.Profile.minor_words () - w0 in
-  if words > 200 then Alcotest.failf "retiring a one-site shard allocated %d words" words;
+  if words > 16 then Alcotest.failf "retiring a one-site shard allocated %d words" words;
   let agg = T.aggregate t in
   Alcotest.(check int) "every retired site kept" 201 (List.length agg.T.t_sites);
   Alcotest.(check int) "every retired syscall kept" 20 (List.length agg.T.t_per_sem);
   Alcotest.(check (pair int int)) "the last site and its words" (0x2000, 40)
     (List.nth agg.T.t_site_alloc 200);
-  Alcotest.(check int) "retired shards counted" 201 agg.T.t_shards
+  Alcotest.(check int) "retired shards counted" 201 agg.T.t_shards;
+  Alcotest.(check (list int)) "no shard live" [] (T.live_pids t)
+
+(* A spawn's shard is a ledger with no slots yet: at most 16 minor words
+   until its first record (a shard that held its counts and a 256-slot
+   ledger cost 428). The first record makes the ledger's first slots. *)
+let test_shard_allocation () =
+  let t = T.create () in
+  ignore (T.shard t ~pid:1);
+  let w0 = Asc_obs.Profile.minor_words () in
+  let sh = T.shard t ~pid:2 in
+  let words = Asc_obs.Profile.minor_words () - w0 in
+  if words > 16 then Alcotest.failf "a new shard allocated %d words" words;
+  Alcotest.(check int) "an empty ledger" 0 (List.length (T.ledger t ~pid:2));
+  T.record t sh ~site:0x40 ~sem:"read" ~reason:T.Slow_path ~cycles:1000 ~alloc:50 ~now:1;
+  Alcotest.(check (list int)) "the first record is in the ledger" [ 0x40 ]
+    (List.map (fun e -> e.T.le_site) (T.ledger t ~pid:2));
+  Alcotest.(check int) "and in the plane" 1 (T.aggregate t).T.t_calls
 
 (* ---- reason taxonomy ---- *)
 
@@ -332,11 +331,10 @@ let () =
           Alcotest.test_case "deny recorded with step" `Quick test_deny_recorded;
           Alcotest.test_case "shard lifecycle" `Quick test_shard_lifecycle;
           Alcotest.test_case "bounded ledger" `Quick test_ledger_entries ] );
-      ( "merge",
-        [ QCheck_alcotest.to_alcotest qcheck_merge_commutes;
-          QCheck_alcotest.to_alcotest qcheck_merge_associates;
-          QCheck_alcotest.to_alcotest qcheck_aggregate_equals_fold;
+      ( "plane",
+        [ QCheck_alcotest.to_alcotest qcheck_aggregate_equals_fold;
           Alcotest.test_case "retire allocates only the shard's keys" `Quick
-            test_retire_allocation ] );
+            test_retire_allocation;
+          Alcotest.test_case "a shard is small until it records" `Quick test_shard_allocation ] );
       ( "taxonomy",
         [ Alcotest.test_case "labels exhaustive and distinct" `Quick test_reason_taxonomy ] ) ]
